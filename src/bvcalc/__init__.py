@@ -54,7 +54,6 @@ from .chainrule import (
     composite_flux_lhs,
     composite_flux_terms,
     flux_derivatives,
-    flux_eval,
     levelset_comparison_pwc,
     product_flux_terms,
     pwc_direct_assembly,
@@ -124,7 +123,6 @@ __all__ = [
     "composite_flux_terms",
     "entropy_residual",
     "flux_derivatives",
-    "flux_eval",
     "integrate_cantor_std",
     "integrate_cantor_std_restricted",
     "integrate_interval",

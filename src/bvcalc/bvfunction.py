@@ -124,48 +124,58 @@ class BVFunction:
             out = out + coef * base.profile(xs)
         return out
 
-    def _cantor_scalar(self, x):
-        return sum(c * b.profile_scalar(x) for b, c in self.cantor_part)
+    def _cantor_exact(self, xs):
+        out = np.zeros(xs.shape)
+        for base, coef in self.cantor_part:
+            out = out + coef * base.profile_exact(xs)
+        return out
 
     def jumps(self):
         """Tuple of (x, left value, right value) at actual jump points."""
-        out = []
-        for x in self.breakpoints():
-            l = self.smooth_part.left_limit(x)
-            r = self.smooth_part.right_limit(x)
-            if l != r:
-                c = self._cantor_scalar(x)
-                out.append((x, l + c, r + c))
-        return tuple(out)
+        bps = np.asarray(self.breakpoints(), dtype=float)
+        if not bps.size:
+            return ()
+        l = self.smooth_part.at(bps, "left")
+        r = self.smooth_part.at(bps, "right")
+        hit = l != r
+        if not hit.any():
+            return ()
+        c = self._cantor_exact(bps[hit])
+        return tuple(zip(bps[hit].tolist(), (l[hit] + c).tolist(), (r[hit] + c).tolist()))
 
     def jump_set(self):
         return tuple(x for x, _, _ in self.jumps())
 
     # -- evaluation ---------------------------------------------------------
-    def eval(self, x, side="stored"):
-        """One-sided / representative evaluation at a single point."""
-        x = float(x)
-        a, b = self.domain.a, self.domain.b
+    def at(self, xs, side="stored"):
+        """Exact sided evaluation at the points ``xs``: left or right
+        limits, the precise representative (their mean) or the stored
+        policy's combination.  Cantor summands use the exact digit scan,
+        so this is the evaluation for jump sets and interfaces; ``values``
+        is the a.e. one for quadrature."""
         if side not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}")
+        xs = np.asarray(xs, dtype=float)
+        a, b = self.domain.a, self.domain.b
         if side == "left":
-            if not a < x <= b:
+            if not np.all((a < xs) & (xs <= b)):
                 raise DomainError(f"left limit defined on ]{a}, {b}]")
-            return self.smooth_part.left_limit(x) + self._cantor_scalar(x)
+            return self.smooth_part.at(xs, "left") + self._cantor_exact(xs)
         if side == "right":
-            if not a <= x < b:
+            if not np.all((a <= xs) & (xs < b)):
                 raise DomainError(f"right limit defined on [{a}, {b}[")
-            return self.smooth_part.right_limit(x) + self._cantor_scalar(x)
-        if not a < x < b:
+            return self.smooth_part.at(xs, "right") + self._cantor_exact(xs)
+        if not np.all((a < xs) & (xs < b)):
             raise DomainError(f"interior evaluation defined on ]{a}, {b}[")
-        l = self.smooth_part.left_limit(x)
-        r = self.smooth_part.right_limit(x)
-        c = self._cantor_scalar(x)
-        if side == "precise":
-            th = 0.5
-        else:
-            th = _policy_theta(self.policy)
+        l = self.smooth_part.at(xs, "left")
+        r = self.smooth_part.at(xs, "right")
+        c = self._cantor_exact(xs)
+        th = 0.5 if side == "precise" else _policy_theta(self.policy)
         return (1.0 - th) * l + th * r + c
+
+    def eval(self, x, side="stored"):
+        """One-sided / representative evaluation at a single point."""
+        return float(self.at(np.array([float(x)]), side)[0])
 
     def __call__(self, x):
         return self.eval(x, side="stored")
@@ -224,7 +234,7 @@ class BVFunction:
             return 0.0
         if not (self.domain.a < pts[0] and pts[-1] < self.domain.b):
             raise DomainError("partition must lie inside the open domain")
-        vals = [self.eval(t, side="stored") for t in pts]
+        vals = self.at(pts, "stored").tolist()
         return float(sum(abs(v1 - v0) for v0, v1 in zip(vals, vals[1:])))
 
     # -- algebra ------------------------------------------------------------
@@ -271,9 +281,6 @@ class BVFunction:
 
     def __neg__(self):
         return self.scale(-1.0)
-
-    def with_policy(self, policy):
-        return BVFunction(self.domain, self.smooth_part, self.cantor_part, policy)
 
     # -- mollification ------------------------------------------------------
     def mollify(self, eps, x, tol=1e-10):
@@ -528,8 +535,10 @@ def _monotone_pieces(u):
         for r in _poly_real_roots(coeffs, 0.0, b - a):
             cuts.add(a + r)
     cuts = sorted(cuts)
+    v0s = u.at(cuts[:-1], "right").tolist()
+    v1s = u.at(cuts[1:], "left").tolist()
     pieces = []
-    for x0, x1 in zip(cuts[:-1], cuts[1:]):
+    for x0, x1, v0, v1 in zip(cuts[:-1], cuts[1:], v0s, v1s):
         mid = 0.5 * (x0 + x1)
         slope = dpp(np.array([mid]))[0]
         s = 0.0 if slope == 0.0 else (1.0 if slope > 0 else -1.0)
@@ -547,8 +556,6 @@ def _monotone_pieces(u):
                     "cannot certify monotonicity: slope sign conflicts with a "
                     "Cantor summand on its support (level sets may be infinite)"
                 )
-        v0 = u.eval(x0, "right")
-        v1 = u.eval(x1, "left")
         pieces.append((x0, x1, v0, v1, base, coef))
     return pieces
 

@@ -23,25 +23,20 @@ _SCAN_DEPTH = 64
 # Depth of the vectorised float scan.  Beyond ~45 the 3^k error amplification
 # of float digit extraction makes further digits meaningless anyway.
 _ARRAY_SCAN_DEPTH = 48
+# The exact scan runs in uint64 on floats t >= 2^-10, which are all integer
+# multiples of 2^-62.
+_DYADIC_BITS = np.uint64(62)
+_DYADIC_THREE = np.uint64(3)
+_DYADIC_ONE = 2.0 ** 62
+_DYADIC_MASK = np.uint64(2 ** 62 - 1)
+_DYADIC_MIN = 2.0 ** -10
 
 _MAX_DEPTH = 24          # hard cap for quadrature depth (2^24 cells)
-_CHUNK = 1 << 20         # evaluation chunk so 2^24 points never materialise at once
 _CACHE_DEPTH = 20        # midpoint arrays cached up to this depth
 
 
-def cantor_function_eval(x):
-    """Value of the Cantor-Lebesgue function at ``x`` in [0, 1].
-
-    The ternary digits of ``x`` are scanned exactly (the float is converted to
-    the rational it represents): digits 0/2 are emitted as binary 0/1 until
-    the first digit 1, which appends a final binary 1.  Output is exact
-    whenever it is a representable dyadic rational.
-    """
-    fx = x if isinstance(x, Fraction) else Fraction(x)
-    if fx < 0 or fx > 1:
-        raise DomainError(f"cantor function argument {x!r} outside [0, 1]")
-    if fx == 1:
-        return 1.0
+def _fraction_scan(fx):
+    """Exact digit scan of one rational ``fx`` in [0, 1[."""
     val = 0.0
     scale = 0.5
     y = fx
@@ -58,6 +53,55 @@ def cantor_function_eval(x):
         if y == 0:
             break
     return val
+
+
+def _dyadic_scan(ts):
+    """The digit scan of :func:`_fraction_scan` for floats ts in
+    [2^-10, 1[, run on the numerators n = ts * 2^62 in uint64: every such
+    float is an integer multiple of 2^-62, and 3n stays below 2^64."""
+    n = (ts * _DYADIC_ONE).astype(np.uint64)
+    val = np.zeros(ts.shape)
+    live = np.arange(ts.size)
+    scale = 0.5
+    for _ in range(_SCAN_DEPTH):
+        n = n * _DYADIC_THREE
+        d = n >> _DYADIC_BITS
+        n &= _DYADIC_MASK
+        val[live[d != 0]] += scale
+        more = (d != 1) & (n != 0)
+        live, n = live[more], n[more]
+        if not live.size:
+            break
+        scale *= 0.5
+    return val
+
+
+def cantor_function_eval(x):
+    """Exact value of the Cantor-Lebesgue function at ``x`` in [0, 1]; a
+    float or Fraction gives a float, an array gives an array.
+
+    The ternary digits of each point are scanned exactly (the float is the
+    dyadic rational it represents): digits 0/2 are emitted as binary 0/1
+    until the first digit 1, which appends a final binary 1.  Output is
+    exact whenever it is a representable dyadic rational.  Points of
+    [2^-10, 1[ are scanned in uint64, smaller ones (and Fractions) in
+    :class:`fractions.Fraction`.
+    """
+    if isinstance(x, Fraction):
+        if x < 0 or x > 1:
+            raise DomainError(f"cantor function argument {x!r} outside [0, 1]")
+        return 1.0 if x == 1 else _fraction_scan(x)
+    ts = np.asarray(x, dtype=float)
+    bad = ~((ts >= 0.0) & (ts <= 1.0))
+    if bad.any():
+        first = float(ts[bad].flat[0])
+        raise DomainError(f"cantor function argument {first!r} outside [0, 1]")
+    out = np.ones(ts.shape)
+    fast = (ts >= _DYADIC_MIN) & (ts < 1.0)
+    out[fast] = _dyadic_scan(ts[fast])
+    slow = ts < _DYADIC_MIN
+    out[slow] = [_fraction_scan(Fraction(t)) for t in ts[slow].tolist()]
+    return float(out) if ts.ndim == 0 else out
 
 
 def cantor_function_values(xs):
@@ -89,41 +133,6 @@ def cantor_function_values(xs):
         out[active & (d == 2.0)] += scale
         scale *= 0.5
     return out
-
-
-def cantor_antiderivative(t):
-    """Primitive A(t) = integral_0^t C(s) ds on [0, 1], exact to float rounding.
-
-    Descends the ternary cell tree.  Over a full cell of width w, left value v
-    and rise h the integral is w*(v + h/2), since the standard Cantor function
-    integrates to 1/2 (symmetry C(s) + C(1-s) = 1).
-    """
-    tau = min(max(float(t), 0.0), 1.0)
-    total = 0.0
-    v = 0.0   # C at the left end of the current cell
-    w = 1.0   # cell width
-    h = 1.0   # C-rise across the cell
-    for _ in range(80):
-        if tau <= 0.0:
-            break
-        if tau >= w:
-            total += w * (v + 0.5 * h)
-            break
-        third = w / 3.0
-        hh = 0.5 * h
-        if tau <= third:
-            w, h = third, hh
-            continue
-        total += third * (v + 0.5 * hh)   # first sub-cell consumed entirely
-        tau -= third
-        vm = v + hh                        # plateau value on the middle third
-        if tau <= third:
-            total += tau * vm
-            break
-        total += third * vm
-        tau -= third
-        v, w, h = vm, third, hh
-    return total
 
 
 def depth_for(tol, lip=1.0, width=1.0):
@@ -175,17 +184,6 @@ def std_cells(depth):
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _chunked_mean(f, pts):
-    if pts.size == 0:
-        return 0.0
-    acc = 0.0
-    for start in range(0, pts.size, _CHUNK):
-        block = pts[start:start + _CHUNK]
-        vals = _apply(f, block)
-        acc += float(np.sum(vals))
-    return acc / pts.size
 
 
 def _apply(f, xs):

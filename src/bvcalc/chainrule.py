@@ -81,11 +81,6 @@ class SmoothFunction:
         norms = np.sqrt(np.sum(np.asarray(g) ** 2, axis=0))
         return float(norms.max() * _GRID_LIP_MARGIN)
 
-    def sup_bound(self, lo, hi, grid=33):
-        """Upper bound for |f| over the box."""
-        pts = _box_grid(lo, hi, grid)
-        return float(np.abs(np.asarray(self.value(pts))).max() * _GRID_LIP_MARGIN)
-
     def check_gradient(self, probes, step=1e-6, rtol=1e-5):
         """Finite-difference consistency of the gradient handle at the probe
         points; returns (ok, worst relative error)."""
@@ -228,20 +223,25 @@ class FluxModel:
         return num / lam
 
     # -- evaluation ---------------------------------------------------------
-    def value_on_grid(self, xs, W):
-        """B(xs_i, W[:, i]) vectorized; W has shape (dim, len(xs))."""
+    def value_on_grid(self, xs, W, side=None):
+        """B(xs_i, W[:, i]) vectorized; W has shape (dim, len(xs)), or (dim,)
+        for one state at every point.  With
+        ``side`` None the coefficients take their a.e. values (right-
+        continuous at jumps); otherwise their exact sided values
+        (``BVFunction.at``)."""
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
         for K, f in self.terms:
-            out += K.values(xs) * np.asarray(f(W))
+            k = K.values(xs) if side is None else K.at(xs, side)
+            out += k * np.asarray(f(W))
         return out
 
     def eval(self, x, w, side="precise"):
         """Pointwise flux value, one-sided in x, at a fixed state w."""
+        # w keeps its shape (dim,): a state function need not give the same
+        # bits on a (dim, 1) column (numpy's scalar and array powers differ)
         w = np.asarray(w, dtype=float)
-        return float(
-            sum(K.eval(x, side) * float(np.asarray(f(w))) for K, f in self.terms)
-        )
+        return float(self.value_on_grid(np.array([float(x)]), w, side)[0])
 
     def x_measure(self, w):
         """The x-derivative measure of B(., w) at a frozen state."""
@@ -276,17 +276,6 @@ class FluxModel:
             m = K.derivative().tv_measure().scale(f.lipschitz_bound(lo, hi))
             out = m if out is None else out + m
         return out
-
-    def variation_bound(self, lo, hi):
-        """Uniform bound for the total variation of B(., w) over states w
-        in the box [lo, hi]."""
-        return float(
-            sum(f.sup_bound(lo, hi) * K.total_variation() for K, f in self.terms)
-        )
-
-
-def flux_eval(B, x, w, side="precise"):
-    return B.eval(x, w, side)
 
 
 def flux_derivatives(B, x, w):

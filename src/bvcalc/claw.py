@@ -13,7 +13,9 @@ checker evaluated slice by slice with the chain-rule machinery.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,11 @@ from .quadrature import integrate_interval
 _KINK_BAND = 1e-12  # relative half-width of the starred-sign zero band
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+# Entries kept by the entropy-pair caches: level inversions per sample grid
+# and side, and affine approximations per point or constancy cell.
+_LEVEL_CACHE_SIZE = 16
+_AFFINE_CACHE_SIZE = 1024
 
 
 def _star_sign(d, scale=1.0):
@@ -93,11 +100,12 @@ class ScalarFlux:
     def value(self, x, w, side="precise"):
         return self.model.eval(x, [float(w)], side)
 
-    def values_on_grid(self, xs, ws):
-        """B(xs_i, ws_i), right-continuous at jump points."""
+    def values_on_grid(self, xs, ws, side=None):
+        """B(xs_i, ws_i): right-continuous at jump points, or exactly
+        one-sided in x when ``side`` is given."""
         xs = np.asarray(xs, dtype=float)
         ws = np.asarray(ws, dtype=float)
-        return self.model.value_on_grid(xs, ws[None, :])
+        return self.model.value_on_grid(xs, ws[None, :], side)
 
     def state_bound(self):
         """C with |B(x,u)| <= C on domain x working range (sampled, with
@@ -181,7 +189,7 @@ class EntropyFluxPair:
     """Entropy/flux pair tied to one ScalarFlux.
 
     ``eta_fn(xs, us)`` and ``eta_u_fn(xs, us)`` are vectorized a.e.
-    handles; ``q_fn(x, u, side)`` is pointwise and one-sided in x.
+    handles; ``q_fn(xs, us, side)`` is vectorized and one-sided in x.
     ``q_diffuse`` describes the diffuse part of the x-derivative of
     x -> q(x, u) at frozen state: None means it vanishes inside
     flux-smooth cells (piecewise-constant coefficients), the string
@@ -216,8 +224,14 @@ class EntropyFluxPair:
             dtype=float,
         )
 
+    def q_values(self, xs, us, side="precise"):
+        """Entropy flux q(xs_i, us_i), one-sided in x."""
+        xs = np.asarray(xs, dtype=float)
+        us = np.asarray(us, dtype=float)
+        return np.asarray(self.q_fn(xs, us, side), dtype=float)
+
     def q(self, x, u, side="precise"):
-        return float(self.q_fn(float(x), float(u), side))
+        return float(self.q_values(np.array([float(x)]), np.array([float(u)]), side)[0])
 
     # -- structural checks --------------------------------------------------
     def check_convexity(self, samples=33, tol=1e-10):
@@ -295,20 +309,18 @@ def adapted_entropy_pair(flux, alpha):
     for x in _off_points(np.linspace(dom.a, dom.b, 17)[1:-1], flux.jump_points()):
         c_alpha(flux, float(x), alpha)  # fail early when not attained
 
-    c_grid_cache = {}
-    c_point_cache = {}
+    @functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+    def levels(key, side):
+        """c_alpha at each point of the grid whose bytes are ``key``: the
+        a.e. inversion for side None, else the exact sided one."""
+        xs = np.frombuffer(key)
+        if side is None:
+            return c_alpha_values(flux, xs, alpha)
+        return np.array([c_alpha(flux, x, alpha, side) for x in xs.tolist()])
 
-    def c_on(xs):
-        key = xs.tobytes()
-        if key not in c_grid_cache:
-            c_grid_cache[key] = c_alpha_values(flux, xs, alpha)
-        return c_grid_cache[key]
-
-    def c_at(x, side):
-        key = (x, side)
-        if key not in c_point_cache:
-            c_point_cache[key] = c_alpha(flux, x, alpha, side)
-        return c_point_cache[key]
+    def c_on(xs, side=None):
+        xs = np.asarray(xs, dtype=float)
+        return levels(xs.tobytes(), side).reshape(xs.shape)
 
     def eta_fn(xs, us):
         return np.abs(us - c_on(xs))
@@ -316,10 +328,10 @@ def adapted_entropy_pair(flux, alpha):
     def eta_u_fn(xs, us):
         return _star_sign(us - c_on(xs))
 
-    def q_fn(x, u, side):
-        c = c_at(x, side)
-        s = float(_star_sign(u - c, scale=max(abs(u), abs(c))))
-        return (flux.value(x, u, side) - alpha) * s
+    def q_fn(xs, us, side):
+        c = c_on(xs, side)
+        s = _star_sign(us - c, scale=np.maximum(np.abs(us), np.abs(c)))
+        return (flux.values_on_grid(xs, us, side) - alpha) * s
 
     def q_density(xs, v):
         """a.e. density of the diffuse x-derivative of q(., v): the sign
@@ -338,7 +350,7 @@ def adapted_entropy_pair(flux, alpha):
         )
 
     def eta_sided_fn(x, us, side):
-        return np.abs(us - c_at(float(x), side))
+        return np.abs(us - c_alpha(flux, float(x), alpha, side))
 
     def cuts(v, lo, hi, samples=65):
         """Level crossings of B(., v) in [lo, hi]: sign changes of
@@ -468,7 +480,7 @@ def affine_pair(flux, base_pair, N):
         K.smooth_part.derivative().is_zero() and not K.cantor_part
         for K, _ in flux.model.terms
     )
-    cache = {}
+    cache = OrderedDict()  # least recently used first
 
     def key_for(x, side):
         if is_pwc:
@@ -482,8 +494,12 @@ def affine_pair(flux, base_pair, N):
                 "affine coefficients at a flux jump need an explicit side"
             )
         key = key_for(float(x), side)
-        if key not in cache:
+        if key in cache:
+            cache.move_to_end(key)
+        else:
             cache[key] = affine_entropy_approx(base_pair, flux, N, float(x), side)
+            if len(cache) > _AFFINE_CACHE_SIZE:
+                cache.popitem(last=False)
         return cache[key]
 
     def eta_fn(xs, us):
@@ -496,8 +512,8 @@ def affine_pair(flux, base_pair, N):
         us = np.asarray(us, dtype=float)
         return np.array([float(at(x, "precise").eta_u(u)) for x, u in zip(xs, us)])
 
-    def q_fn(x, u, side):
-        return at(x, side).q(u)
+    def q_fn(xs, us, side):
+        return np.array([at(x, side).q(u) for x, u in zip(xs.tolist(), us.tolist())])
 
     def eta_sided_fn(x, us, side):
         ae = at(x, side)
@@ -595,20 +611,20 @@ def _interface_flux(flux, edges, u):
     cross-interface states form a jump-condition pair by construction.
     Zero-gradient ghost states close the boundary."""
     n = len(u)
-    F = np.empty(n + 1)
-    jumps = set(float(p) for p in flux.jump_points())
+    faces = np.arange(n + 1)
     if flux.direction > 0:
-        F[0] = flux.value(float(edges[0]), float(u[0]), "right")
-        for j in range(1, n + 1):
-            x = float(edges[j])
-            side = "left" if (x in jumps or j == n) else "precise"
-            F[j] = flux.value(x, float(u[j - 1]), side)
+        states = u[np.maximum(faces - 1, 0)]
+        inflow, outflow, upwind, downwind = 0, n, "left", "right"
     else:
-        F[n] = flux.value(float(edges[n]), float(u[n - 1]), "left")
-        for j in range(n):
-            x = float(edges[j])
-            side = "right" if (x in jumps or j == 0) else "precise"
-            F[j] = flux.value(x, float(u[j]), side)
+        states = u[np.minimum(faces, n - 1)]
+        inflow, outflow, upwind, downwind = n, 0, "right", "left"
+    carried = np.isin(edges, flux.jump_points())
+    carried[outflow] = True
+    precise = ~carried
+    precise[inflow] = False
+    F = np.empty(n + 1)
+    for mask, side in ((faces == inflow, downwind), (carried, upwind), (precise, "precise")):
+        F[mask] = flux.values_on_grid(edges[mask], states[mask], side)
     return F
 
 
@@ -621,6 +637,8 @@ def solve_claw(flux, u0, T, cells, cfl=0.45):
     level are preserved to round-off).  The CFL number is capped at 1/2."""
     if not 0 < cfl <= 0.5:
         raise CFLError("CFL number must lie in ]0, 1/2]")
+    if not T > 0:
+        raise DomainError("final time must be positive")
     if cells < 4:
         raise DomainError("need at least 4 cells")
     edges = _snapped_edges(flux, cells)
@@ -695,14 +713,14 @@ def _slice_q_pairing(pair, edges, vals, phi_x, tol=1e-7):
     interface brackets of the sided entropy-flux values."""
     flux = pair.flux
     total = 0.0
-    for j in range(1, len(edges) - 1):
-        x = float(edges[j])
-        pv = float(phi_x(np.array([x]))[0])
-        if pv == 0.0:
-            continue
-        total += pv * (
-            pair.q(x, float(vals[j]), "right") - pair.q(x, float(vals[j - 1]), "left")
-        )
+    vals = np.asarray(vals, dtype=float)
+    inner = np.asarray(edges[1:-1], dtype=float)
+    pvs = phi_x(inner)
+    live = pvs != 0.0
+    q_right = pair.q_values(inner[live], vals[1:][live], "right")
+    q_left = pair.q_values(inner[live], vals[:-1][live], "left")
+    for pv, qr, ql in zip(pvs[live].tolist(), q_right.tolist(), q_left.tolist()):
+        total += pv * (qr - ql)
     if pair.q_diffuse is None:
         return total
     if pair.q_diffuse == "unsupported":
@@ -760,13 +778,11 @@ def entropy_residual(field, pair, phi, tol=1e-7):
     strictly positive on entropy-violating shocks."""
     edges = field.edges
     centers = field.centers
-    # per-cell Gauss panels, frozen once (the level inversions behind the
-    # entropy handles are cached on these arrays)
-    panels = []
-    for i in range(len(centers)):
-        lo, hi = float(edges[i]), float(edges[i + 1])
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        panels.append((mid + half * _GL_NODES, half * _GL_WEIGHTS))
+    # per-cell Gauss panels, one row each, frozen once (the level inversions
+    # behind the entropy handles are cached on the live rows)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    weights = half[:, None] * _GL_WEIGHTS
     total = 0.0
     for n in range(len(field.times) - 1):
         t_mid = 0.5 * (field.times[n] + field.times[n + 1])
@@ -778,13 +794,14 @@ def entropy_residual(field, pair, phi, tol=1e-7):
             continue
         v0 = field.slice_values(n)
         v1 = field.slice_values(n + 1)
-        for i, (xs, wts) in enumerate(panels):
-            pv = phi_x(xs)
-            if not pv.any():
-                continue
-            e1 = pair.eta(xs, np.full(xs.shape, v1[i]))
-            e0 = pair.eta(xs, np.full(xs.shape, v0[i]))
-            total += float(np.dot(wts, pv * (e1 - e0)))
+        pv = phi_x(nodes)
+        live = pv.any(axis=1)
+        xs = nodes[live].ravel()
+        e1 = pair.eta(xs, np.repeat(v1[live], nodes.shape[1]))
+        e0 = pair.eta(xs, np.repeat(v0[live], nodes.shape[1]))
+        rows = pv[live] * (e1 - e0).reshape(-1, nodes.shape[1])
+        for wts, row in zip(weights[live], rows):
+            total += float(np.dot(wts, row))
         dt = float(field.times[n + 1] - field.times[n])
         total += dt * _slice_q_pairing(pair, edges, v0, phi_x, tol=tol)
     return float(total)

@@ -29,6 +29,7 @@ from .errors import (
 from .quadrature import _apply, integrate_interval, _merge_supports
 
 _ATOL = 1e-14
+_NEGLIGIBLE = 1e-14  # relative size of a polynomial term below rounding level
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,11 @@ class Interval:
 
 
 def _horner(coeffs, s):
-    return npoly.polyval(s, np.asarray(coeffs, dtype=float))
+    """sum(coeffs[k] s^k), by the same float operations as npoly.polyval."""
+    out = coeffs[-1] + s * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * s
+    return out
 
 
 def _poly_shift(coeffs, d):
@@ -84,8 +89,16 @@ def _poly_int(coeffs):
 
 
 def _poly_real_roots(coeffs, lo, hi):
-    """Real roots of the local polynomial inside (lo, hi), deduplicated."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    """Real roots of the local polynomial inside (lo, hi), deduplicated.
+
+    Leading terms below the rounding level of the piece's largest term on
+    the interval are dropped first: a negligible leading coefficient makes
+    the companion matrix so badly scaled that its eigenvalues lose the
+    real roots."""
+    c = np.asarray(coeffs, dtype=float)
+    terms = np.abs(c) * max(abs(lo), abs(hi)) ** np.arange(len(c))
+    keep = np.nonzero(terms > _NEGLIGIBLE * terms.max())[0]
+    c = c[: keep[-1] + 1] if keep.size else c[:0]
     if len(c) <= 1:
         return []
     roots = npoly.polyroots(c)
@@ -120,6 +133,7 @@ class PiecewisePolynomial:
         object.__setattr__(
             self, "pieces", tuple(tuple(float(c) for c in p) or (0.0,) for p in self.pieces)
         )
+        object.__setattr__(self, "_inner", np.array(bk[1:-1]))
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -144,30 +158,30 @@ class PiecewisePolynomial:
     def hi(self):
         return self.breakpoints[-1]
 
-    def _piece_index(self, xs, side="right"):
-        bk = np.asarray(self.breakpoints)
-        idx = np.searchsorted(bk, xs, side=side) - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+    def at(self, xs, side="right"):
+        """Sided values at the points ``xs``: a point on a breakpoint takes
+        the piece to its right (``side="right"``, the plain value) or to its
+        left (``side="left"``); points outside use the end pieces."""
+        xs = np.asarray(xs, dtype=float)
+        if len(self.pieces) == 1:
+            return np.asarray(_horner(self.pieces[0], xs - self.breakpoints[0]))
+        idx = np.searchsorted(self._inner, xs, side=side)
+        out = np.empty(xs.shape)
+        for i in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.pieces))).tolist():
+            m = idx == i
+            out[m] = _horner(self.pieces[i], xs[m] - self.breakpoints[i])
+        return out
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs1 = np.atleast_1d(xs).astype(float)
-        idx = self._piece_index(xs1)
-        out = np.empty_like(xs1)
-        for i, coeffs in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                out[m] = _horner(coeffs, xs1[m] - self.breakpoints[i])
-        return float(out[0]) if scalar else out
+        out = self.at(np.atleast_1d(xs))
+        return float(out[0]) if xs.ndim == 0 else out
 
     def right_limit(self, x):
-        i = int(self._piece_index(np.atleast_1d(float(x)))[0])
-        return float(_horner(self.pieces[i], float(x) - self.breakpoints[i]))
+        return float(self.at(np.array([float(x)]), "right")[0])
 
     def left_limit(self, x):
-        i = int(self._piece_index(np.atleast_1d(float(x)), side="left")[0])
-        return float(_horner(self.pieces[i], float(x) - self.breakpoints[i]))
+        return float(self.at(np.array([float(x)]), "left")[0])
 
     # -- calculus -----------------------------------------------------------
     def derivative(self):
@@ -272,14 +286,6 @@ class PiecewisePolynomial:
     def max_degree(self):
         return max(len(p) - 1 for p in self.pieces)
 
-    def sup_norm_bound(self):
-        """Cheap upper bound for sup|p| (coefficient bound per piece)."""
-        best = 0.0
-        for i, coeffs in enumerate(self.pieces):
-            w = self.breakpoints[i + 1] - self.breakpoints[i]
-            best = max(best, sum(abs(c) * max(w, 1.0) ** k for k, c in enumerate(coeffs)))
-        return best
-
 
 @dataclass(frozen=True)
 class CantorBase:
@@ -309,20 +315,23 @@ class CantorBase:
         return self.support.a + self.width * np.asarray(ts, dtype=float)
 
     def profile(self, xs):
-        """The rescaled Cantor function: 0 left of the support, 1 right of it."""
+        """The rescaled Cantor function: 0 left of the support, 1 right of
+        it (float digit scan, for quadrature sampling)."""
         return cantor.cantor_function_values(self.to_std(xs))
 
-    def profile_scalar(self, x):
-        t = (float(x) - self.support.a) / self.width
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        return cantor.cantor_function_eval(t)
+    def profile_exact(self, xs):
+        """The rescaled Cantor function with the exact digit scan."""
+        ts = self.to_std(xs)
+        out = np.where(ts >= 1.0, 1.0, 0.0)
+        inside = (ts > 0.0) & (ts < 1.0)
+        if inside.any():
+            out[inside] = cantor.cantor_function_eval(ts[inside])
+        return out
 
     def mass(self, lo, hi):
         """Measure of [lo, hi] (the base measure is non-atomic)."""
-        return self.profile_scalar(hi) - self.profile_scalar(lo)
+        lo_val, hi_val = self.profile_exact(np.array([lo, hi], dtype=float)).tolist()
+        return hi_val - lo_val
 
 
 @dataclass(frozen=True)
@@ -519,16 +528,6 @@ def _scalar_call(f, x):
         return float(f(x))
     except (TypeError, ValueError):
         return float(np.asarray(f(np.array([float(x)])), dtype=float)[0])
-
-
-def integrate_cantor(f, base, depth):
-    """integral of f against the unit Cantor measure on ``base.support``,
-    as the average of f over the depth-level cell representatives."""
-
-    def g(ts):
-        return _apply(f, base.from_std(np.asarray(ts)))
-
-    return cantor.integrate_cantor_std(g, int(depth))
 
 
 def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_hint=1.0):

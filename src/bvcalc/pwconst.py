@@ -246,16 +246,21 @@ def approximate_scalar(v, eps, exc=None, grid_points=4097):
 
     # cell values by the three-case rule, node values by the representative
     marked_arr = np.asarray(marked)
-    cells = []
-    for y0, y1 in zip(nodes[:-1], nodes[1:]):
+    pts = np.asarray(nodes, dtype=float)
+    sample = pts[:-1].copy()
+    sides = np.full(sample.size, "right", dtype=object)
+    before_big = np.isin(pts[1:], bigs)
+    sample[before_big] = pts[1:][before_big]
+    sides[before_big] = "left"
+    for i, (y0, y1) in enumerate(zip(nodes[:-1], nodes[1:])):
         inside = marked_arr[(marked_arr > y0) & (marked_arr < y1)]
         if inside.size:
-            cells.append(v.eval(float(inside[0]), "stored"))
-        elif y1 in bigset:
-            cells.append(v.eval(y1, "left"))
-        else:
-            cells.append(v.eval(y0, "right"))
-    node_vals = [v.eval(y, "stored") for y in nodes[1:-1]]
+            sample[i], sides[i] = inside[0], "stored"
+    cells = np.empty(sample.size)
+    for side in ("stored", "left", "right"):
+        hit = sides == side
+        cells[hit] = v.at(sample[hit], side)
+    node_vals = v.at(pts[1:-1], "stored")
     return PiecewiseConstant(tuple(nodes), tuple(cells), tuple(node_vals))
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -124,6 +125,8 @@ def _floats(field_name, text, count=None, at_least=None):
         vals = [float(tok) for tok in text.split()]
     except ValueError:
         _fail(field_name, f"expected decimal numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        _fail(field_name, f"expected finite numbers, got {text!r}")
     if count is not None and len(vals) != count:
         _fail(field_name, f"expected {count} numbers, got {len(vals)}")
     if at_least is not None and len(vals) < at_least:
@@ -225,10 +228,8 @@ def parse_scenario(path):
         seed = int(meta.get("seed", str(cases.DEFAULT_SEED)))
     except ValueError:
         _fail("[scenario] seed", f"expected an integer, got {meta.get('seed')!r}")
-    try:
-        tolerance = float(meta.get("tolerance", repr(_DEFAULT_TOL[kind])))
-    except ValueError:
-        _fail("[scenario] tolerance", f"expected a number, got {meta.get('tolerance')!r}")
+    tol_text = meta.get("tolerance", repr(_DEFAULT_TOL[kind]))
+    tolerance = _floats("[scenario] tolerance", tol_text, count=1)[0]
     if tolerance <= 0:
         _fail("[scenario] tolerance", "must be positive")
     try:
@@ -322,8 +323,12 @@ def parse_scenario(path):
                 claw["cells"] = int(csec["cells"])
             except ValueError:
                 _fail("[claw] cells", f"expected an integer, got {csec['cells']!r}")
+            if claw["cells"] < 4:
+                _fail("[claw] cells", "need at least 4 cells")
         if csec.get("time") is not None:
             claw["time"] = _floats("[claw] time", csec["time"], count=1)[0]
+            if claw["time"] <= 0:
+                _fail("[claw] time", "final time must be positive")
         if csec.get("range") is not None:
             w_lo, w_hi = _floats("[claw] range", csec["range"], count=2)
             if not w_lo < w_hi:
@@ -331,6 +336,8 @@ def parse_scenario(path):
             claw["range"] = (w_lo, w_hi)
         if csec.get("cfl") is not None:
             claw["cfl"] = _floats("[claw] cfl", csec["cfl"], count=1)[0]
+            if not 0 < claw["cfl"] <= 0.5:
+                _fail("[claw] cfl", "CFL number must lie in ]0, 1/2]")
         if csec.get("alpha") is not None:
             claw["alpha"] = tuple(_floats("[claw] alpha", csec["alpha"], at_least=1))
 
@@ -405,7 +412,7 @@ def _approx_row(u, n, exc, tol):
     tv_excess = 0.0
     jump_err = 0.0
     for comp, ap in zip(u.components, approx):
-        star = np.array([comp.eval(float(x), "precise") for x in xs])
+        star = comp.at(xs, "precise")
         err2 += (ap.eval_array(xs) - star) ** 2
         tv_excess = max(tv_excess, ap.total_variation() - comp.total_variation())
         for x, l, r in comp.jumps():
@@ -597,13 +604,10 @@ def _write_stairs_csv(path, sc, seed):
     approx = approximate_vector(u, n, exc)
     lo, hi = u.components[0].domain.a, u.components[0].domain.b
     xs = np.linspace(lo, hi, 801)[1:-1]
-    rows = []
-    for x in xs:
-        row = [_fmt(x)]
-        for comp, ap in zip(u.components, approx):
-            row.append(_fmt(comp.eval(float(x), "precise")))
-            row.append(_fmt(ap(float(x))))
-        rows.append(row)
+    columns = [xs]
+    for comp, ap in zip(u.components, approx):
+        columns += [comp.at(xs, "precise"), ap.eval_array(xs)]
+    rows = [[_fmt(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
     header = ["x"]
     for i in range(len(u.components)):
         header += [f"exact{i + 1}", f"approx{i + 1}"]

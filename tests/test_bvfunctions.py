@@ -1,9 +1,13 @@
 """BV functions: representatives, derivative measures, weak identities."""
 
+import bisect
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from bvcalc import (
@@ -49,6 +53,88 @@ def test_stored_policy_picks_a_convex_combination():
     right = BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0, policy="right")
     assert left.eval(0.5, "stored") == 0.0
     assert right.eval(0.5, "stored") == 1.0
+
+
+def _cantor_digit_scan(t):
+    """Cantor function at t in [0, 1] by the ternary digit scan in Fractions."""
+    y, val, scale = Fraction(t), 0.0, 0.5
+    if y == 1:
+        return 1.0
+    for _ in range(64):
+        y *= 3
+        d = int(y)
+        y -= d
+        if d:
+            val += scale
+        if d == 1 or y == 0:
+            break
+        scale *= 0.5
+    return val
+
+
+def _pointwise_eval(u, x, side):
+    """One point by the definition: the sided piece by bisection, its
+    polynomial by numpy, each Cantor summand by the Fraction digit scan."""
+    pp = u.smooth_part
+    last = len(pp.pieces) - 1
+
+    def piece(find):
+        i = min(max(find(pp.breakpoints, x) - 1, 0), last)
+        return float(npoly.polyval(x - pp.breakpoints[i], np.array(pp.pieces[i])))
+
+    c = 0
+    for base, coef in u.cantor_part:
+        t = (x - base.support.a) / base.width
+        c += coef * (0.0 if t <= 0.0 else 1.0 if t >= 1.0 else _cantor_digit_scan(t))
+    l, r = piece(bisect.bisect_left), piece(bisect.bisect_right)
+    if side == "left":
+        return l + c
+    if side == "right":
+        return r + c
+    th = {"precise": 0.5, "left": 0.0, "right": 1.0}.get(u.policy, u.policy)
+    th = 0.5 if side == "precise" else th
+    return (1.0 - th) * l + th * r + c
+
+
+@given(
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=-2, max_value=2)),
+        max_size=3,
+    ),
+    st.tuples(st.floats(min_value=0.0, max_value=0.45), st.floats(min_value=0.55, max_value=1.0)),
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.sampled_from(["precise", "left", "right", 0.3]),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coef, policy, extra):
+    u = BVFunction.from_poly(0.0, 1.0, tuple(coeffs), policy=policy)
+    for x0, size in jumps:
+        u = u + BVFunction.heaviside(0.0, 1.0, x0, 0.0, size, policy=policy)
+    u = u + BVFunction.cantor_fn(0.0, 1.0, support=support, coefficient=coef, policy=policy)
+    a, b = support
+    w = b - a
+    ternary = [a + w * k / 3**j for j in (1, 2, 5, 20) for k in (1, 2, 3**j - 1)]
+    tiny = [a + w * 2.0**-k for k in (11, 30, 60)] + [a + w * 2.0**-10]
+    xs = np.array(
+        sorted({0.0, 1.0, a, b, *u.breakpoints(), *u.jump_set(), *ternary, *tiny, *extra})
+    )
+    xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+    for side, keep in (
+        ("left", xs > 0.0),
+        ("right", xs < 1.0),
+        ("precise", (xs > 0.0) & (xs < 1.0)),
+        ("stored", (xs > 0.0) & (xs < 1.0)),
+    ):
+        pts = xs[keep]
+        got = u.at(pts, side).tolist()
+        assert got == [_pointwise_eval(u, x, side) for x in pts.tolist()]
+        assert got == [u.eval(x, side) for x in pts.tolist()]
+    with pytest.raises(DomainError):
+        u.at(np.array([0.5, 0.0]), "left")
+    with pytest.raises(DomainError):
+        u.at(np.array([1.0]), "precise")
 
 
 def test_values_are_right_continuous_between_jumps():
@@ -105,11 +191,19 @@ def test_derivative_total_mass_telescopes():
     st.floats(min_value=-1.0, max_value=1.0).filter(lambda s: abs(s) > 1e-3),
 )
 @settings(max_examples=30, deadline=None)
+@example([0.0, 1.0, -1.0, 2.35e-170], 0.5, 0.5)
 def test_variation_is_subadditive_under_addition(coeffs, x0, size):
     a = BVFunction.from_poly(0.0, 1.0, tuple(coeffs))
     b = BVFunction.heaviside(0.0, 1.0, x0, 0.0, size)
     lhs = (a + b).total_variation()
     assert lhs <= a.total_variation() + b.total_variation() + 1e-9
+
+
+def test_variation_ignores_a_negligible_leading_coefficient():
+    # the cubic term is 1e-170 of the others; root-finding must still see
+    # the critical point at 1/2 of x - x^2
+    u = BVFunction.from_poly(0.0, 1.0, (0.0, 1.0, -1.0, 2.35e-170))
+    assert u.total_variation() == pytest.approx(0.5, abs=1e-12)
 
 
 # -- test functions ----------------------------------------------------------

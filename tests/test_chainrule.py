@@ -285,6 +285,18 @@ def test_levelset_comparison_guards():
 # -- pointwise handles -------------------------------------------------------
 
 
+def test_pointwise_flux_value_evaluates_the_state_as_given():
+    """FluxModel.eval feeds the state vector itself to each f_k: numpy
+    rounds w**3 differently for a float and for a length-1 array, and the
+    sided chain-rule brackets must keep the float rounding."""
+    w = np.array([0.1, 1.3241490693671225])
+    assert w[1] ** 3 != (w[1:, None] ** 3)[0, 0]
+    K = BVFunction.constant(0.0, 1.0, 1.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 2.0)
+    B = FluxModel(((K, monomial((0, 3))),), dim=2)
+    for side, k in (("left", 1.0), ("right", 3.0), ("precise", 2.0)):
+        assert B.eval(0.5, w, side) == k * float(w[1] ** 3)
+
+
 def test_pointwise_derivatives_and_exceptional_guard():
     K = BVFunction.from_poly(0.0, 1.0, (0.0, 2.0))
     K = K + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bvcalc.claw as claw
 from bvcalc import (
     BVFunction,
     CFLError,
@@ -198,6 +199,13 @@ def test_solver_guards():
         solve_claw(flux, BVFunction.constant(0.0, 1.0, 5.0), 0.1, 50)
 
 
+def test_solver_rejects_a_nonpositive_final_time():
+    u0 = BVFunction.constant(0.0, 1.0, 1.0)
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError):
+            solve_claw(step_flux(), u0, T, 50)
+
+
 def test_snapped_grid_contains_flux_jump():
     flux = step_flux()
     field = solve_claw(flux, BVFunction.constant(0.0, 1.0, 1.0), 0.05, 7)
@@ -236,6 +244,43 @@ def test_stationary_two_level_profile_is_exact():
     pair = adapted_entropy_pair(flux, 0.7)
     phi = SpaceTimeTest.bump((0.1, 0.9), (0.02, 0.28), 1.0)
     assert entropy_residual(field, pair, phi) == 0.0
+
+
+def test_decreasing_flux_mirrors_the_increasing_solve():
+    """x -> 1 - x carries u_t + (K(x) w)_x = 0 onto the law with the
+    decreasing flux -K(1 - y) w, whose upwind side is the right one; its
+    solve is the mirror image, jump interface included."""
+    u0 = BVFunction.from_poly(0.0, 1.0, (1.3,))
+    u0 = u0 + BVFunction.heaviside(0.0, 1.0, 0.35, 0.0, -0.9)
+    field = solve_claw(step_flux(), u0, 0.2, 40)
+    K = BVFunction.constant(0.0, 1.0, -2.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0)
+    falling = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    assert falling.direction == -1
+    v0 = BVFunction.from_poly(0.0, 1.0, (0.4,))
+    v0 = v0 + BVFunction.heaviside(0.0, 1.0, 0.65, 0.0, 0.9)
+    mirrored = solve_claw(falling, v0, 0.2, 40)
+    assert len(mirrored.times) == len(field.times)
+    np.testing.assert_allclose(mirrored.states[:, ::-1], field.states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mirrored.traces[:, ::-1], -field.traces, rtol=0, atol=1e-12)
+    assert np.abs(mirrored.mass_defects()).max() <= 1e-12
+
+
+def test_burgers_solve_evaluates_the_flux_on_arrays_only(monkeypatch):
+    """The interface fluxes of each step come from array calls, not from
+    one FluxModel.eval per face."""
+    calls = []
+    pointwise = FluxModel.eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return pointwise(self, *args, **kwargs)
+
+    monkeypatch.setattr(FluxModel, "eval", counted)
+    u0 = BVFunction.from_poly(-1.0, 2.0, (1.5,))
+    u0 = u0 + BVFunction.heaviside(-1.0, 2.0, 0.3, 0.0, -1.0)
+    field = solve_claw(burgers_flux(), u0, 0.25, 200)
+    assert len(field.times) > 50
+    assert calls == []
 
 
 def test_field_slices():
@@ -289,6 +334,45 @@ def test_expansion_shock_produces_entropy(burgers_fields, alpha):
     phi = SpaceTimeTest.bump((0.0, 1.2), (0.05, 0.45), 1.0)
     res = entropy_residual(injected, adapted_entropy_pair(flux, alpha), phi)
     assert res > 1e-2
+
+
+def test_entropy_pair_level_cache_stays_bounded(monkeypatch):
+    """1,000 distinct grids: exactly the newest _LEVEL_CACHE_SIZE of them
+    are kept, and an older one is inverted again."""
+    pair = adapted_entropy_pair(step_flux(), 1.0)
+    calls = []
+    real = claw.c_alpha_values
+    monkeypatch.setattr(
+        claw, "c_alpha_values", lambda *args: calls.append(args) or real(*args)
+    )
+    grids = [np.linspace(0.05, 0.45, 4) + 1e-6 * k for k in range(1000)]
+    for xs in grids:
+        pair.eta(xs, np.full(xs.shape, 1.2))
+    assert len(calls) == 1000
+    kept = claw._LEVEL_CACHE_SIZE
+    for xs in grids[-kept:]:
+        pair.eta(xs, np.full(xs.shape, 1.2))
+    assert len(calls) == 1000
+    pair.eta(grids[-kept - 1], np.full(4, 1.2))
+    assert len(calls) == 1001
+
+
+def test_bracket_levels_are_inverted_once_per_face_grid(monkeypatch):
+    """More than 2,048 live faces: the second slice reuses every sided
+    level inversion of the first."""
+    flux = step_flux()
+    pair = adapted_entropy_pair(flux, 1.0)
+    calls = []
+    monkeypatch.setattr(
+        claw, "c_alpha", lambda flux, x, alpha, side="precise": calls.append(x) or 1.0
+    )
+    edges = np.linspace(0.0, 1.0, 2502)
+    vals = np.full(2501, 1.2)
+    phi_x = lambda xs: np.ones_like(xs)  # noqa: E731
+    first = claw._slice_q_pairing(pair, edges, vals, phi_x)
+    assert len(calls) == 2 * 2500
+    assert claw._slice_q_pairing(pair, edges, vals, phi_x) == first
+    assert len(calls) == 2 * 2500
 
 
 def test_slice_pairing_matches_weak_form():

@@ -138,6 +138,22 @@ def read_report(out_dir):
             EXPLICIT_CHAINRULE.replace("bump 0.1 0.9 1.0", "bump -0.5 0.9 1.0"),
             "[test_functions] phi1",
         ),
+        (
+            "nan-tolerance",
+            "[scenario]\nkind = coarea-check\ntolerance = nan\n",
+            "[scenario] tolerance",
+        ),
+        (
+            "infinite-domain",
+            "[scenario]\nkind = coarea-check\ndomain = 0 inf\n",
+            "[scenario] domain",
+        ),
+        ("negative-time", TINY_CLAW.replace("time = 0.1", "time = -1"), "[claw] time"),
+        ("zero-time", TINY_CLAW.replace("time = 0.1", "time = 0"), "[claw] time"),
+        ("too-few-cells", TINY_CLAW.replace("cells = 24", "cells = 3"), "[claw] cells"),
+        ("zero-cfl", TINY_CLAW + "    cfl = 0\n", "[claw] cfl"),
+        ("large-cfl", TINY_CLAW + "    cfl = 0.6\n", "[claw] cfl"),
+        ("nan-range", TINY_CLAW.replace("range = 0.1 2.5", "range = 0.1 nan"), "[claw] range"),
     ],
 )
 def test_parse_errors_name_the_field(tmp_path, capsys, name, body, fragment):
@@ -147,6 +163,7 @@ def test_parse_errors_name_the_field(tmp_path, capsys, name, body, fragment):
     assert rc == 2
     assert err.startswith("bvcalc: scenario error:")
     assert fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_is_a_scenario_error(tmp_path, capsys):
