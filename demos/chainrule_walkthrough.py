@@ -46,5 +46,5 @@ for name, t in zip(names, rep.terms):
     print(f"  {name:<48s} {t:+.10f}")
 print(f"residual lhs + sum(terms) = {rep.residual:+.3e}")
 
-star = chainrule_star_form(B, u, phi)
+star = chainrule_star_form(B, u, phi, rep)
 print(f"starred rewriting residual = {rep.lhs + star:+.3e}")

@@ -46,6 +46,7 @@ from .bvfunction import (
 from .pwconst import ExceptionalSet, PiecewiseConstant, approximate_scalar, approximate_vector
 from .chainrule import (
     ChainRuleReport,
+    CompositeFlux,
     FluxModel,
     SmoothFunction,
     chainrule_lhs,
@@ -88,6 +89,7 @@ __all__ = [
     "CantorBase",
     "ChainRuleReport",
     "ClawField",
+    "CompositeFlux",
     "DomainError",
     "EntropyFluxPair",
     "ExceptionalSet",

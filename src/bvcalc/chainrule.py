@@ -1,14 +1,28 @@
 """Chain rule for compositions v(x) = B(x, u(x)) with BV flux and BV state.
 
-The flux class is the finite sum B(x,w) = sum_k K_k(x) f_k(w) with each K_k
-a closed-form BV function of x and each f_k a C^1 function of w.  This class
-satisfies constructively all the structural hypotheses the identity needs:
-a finite exceptional set (the union of the K jump sets), a modulus measure
-built from Lipschitz bounds, a reference Cantor measure assembled from the
-K dictionary, and per-base density ratios for the singular x-part.  Every
-term of the identity, its starred rewriting, the weighted variant, the two
-special-form variants, and the piecewise-constant comparison identity are
-evaluated by quadrature aware of all breakpoints and Cantor supports.
+The main flux class, ``FluxModel``, is the finite sum
+B(x,w) = sum_k K_k(x) f_k(w) with each K_k a closed-form BV function of x
+and each f_k a C^1 function of w.  This class satisfies constructively all
+the structural hypotheses the identity needs: a finite exceptional set (the
+union of the K jump sets), a modulus measure built from Lipschitz bounds, a
+reference Cantor measure assembled from the K dictionary, and per-base
+density ratios for the singular x-part.  ``CompositeFlux`` is the
+composition B(x,w) = f2(K(x), w) with one BV coefficient.
+
+Both implement one flux protocol: ``domain``, ``breakpoints()``,
+``cantor_supports()`` and ``exceptional_set()``; the grid evaluators
+``value_on_grid(xs, W, side)``, ``grad_x_on_grid(xs, W)`` and
+``grad_w_on_grid(xs, W)``; the sided pointwise ``eval(x, w, side)`` for the
+jump brackets; and ``singular_densities()``, the density of the singular
+x-derivative against each Cantor base of the coefficients.
+
+One private assembler computes the lhs and the five terms of the identity
+for any flux of the protocol, by quadrature aware of all breakpoints and
+Cantor supports; the lhs and the two diffuse gradient terms share one cell
+layout.  The product-flux, composite-flux and weighted forms are calls to
+it, and the starred rewriting reuses a finished report and recomputes only
+its two jump sums.  The piecewise-constant direct assembly and the
+level-set comparison identity are independent checks with their own sums.
 
 Sign convention: the five terms are stored in positive form (the plain
 integrals/sums, without the leading minus signs of the identity), so the
@@ -222,6 +236,18 @@ class FluxModel:
         )
         return num / lam
 
+    def singular_densities(self):
+        """Per Cantor base of the coefficients, (base, density): density(xs, W)
+        = sum_k c_k f_k(W) is the singular x-derivative of B(., W) against
+        the base's standard Cantor measure."""
+        terms = self.terms
+        return tuple(
+            (base, lambda xs, W, pairs=pairs: sum(
+                c * np.asarray(terms[k][1](W)) for k, c in pairs
+            ))
+            for base, pairs in self.cantor_dictionary().items()
+        )
+
     # -- evaluation ---------------------------------------------------------
     def value_on_grid(self, xs, W, side=None):
         """B(xs_i, W[:, i]) vectorized; W has shape (dim, len(xs)), or (dim,)
@@ -278,6 +304,55 @@ class FluxModel:
         return out
 
 
+@dataclass(frozen=True)
+class CompositeFlux:
+    """B(x, w) = f2(K(x), w) for one BV coefficient K, with ``f2`` a
+    SmoothFunction of the stacked vector (y, w).  The exceptional set is
+    the jump set of K, and on each Cantor base of K with coefficient c the
+    singular x-derivative has density c df2/dy."""
+
+    f2: SmoothFunction
+    K: BVFunction
+
+    @property
+    def domain(self):
+        return self.K.domain
+
+    def breakpoints(self):
+        return self.K.breakpoints()
+
+    def cantor_supports(self):
+        return self.K.cantor_supports()
+
+    def exceptional_set(self):
+        return self.K.jump_set()
+
+    def _stacked(self, xs, W, side=None):
+        k = self.K.values(xs) if side is None else self.K.at(xs, side)
+        return np.vstack([k[None, :], W])
+
+    def value_on_grid(self, xs, W, side=None):
+        return np.asarray(self.f2(self._stacked(np.asarray(xs, dtype=float), W, side)))
+
+    def eval(self, x, w, side="precise"):
+        W = np.asarray(w, dtype=float)[:, None]
+        return float(self.value_on_grid(np.array([float(x)]), W, side)[0])
+
+    def grad_x_on_grid(self, xs, W):
+        xs = np.asarray(xs, dtype=float)
+        gy = np.asarray(self.f2.grad(self._stacked(xs, W)))[0]
+        return gy * self.K.smooth_part.derivative()(xs)
+
+    def grad_w_on_grid(self, xs, W):
+        return np.asarray(self.f2.grad(self._stacked(np.asarray(xs, dtype=float), W)))[1:]
+
+    def singular_densities(self):
+        return tuple(
+            (base, lambda xs, W, c=coef: c * np.asarray(self.f2.grad(self._stacked(xs, W)))[0])
+            for base, coef in self.K.cantor_part
+        )
+
+
 def flux_derivatives(B, x, w):
     """Pointwise (x-gradient, state gradient, singular ratio per base) at
     (x, w); x must avoid the exceptional set."""
@@ -320,34 +395,58 @@ def _as_vector(u):
     return BVVector((u,)) if isinstance(u, BVFunction) else u
 
 
-def _all_breakpoints(B, u, extra=()):
-    return tuple(sorted(set(B.breakpoints()) | set(u.breakpoints()) | set(extra)))
-
-
-def _all_supports(B, u, extra=()):
-    return tuple(
-        sorted(set(B.cantor_supports()) | set(u.cantor_supports()) | set(extra))
-    )
-
-
 def _window(B, phi):
     return max(phi.support.a, B.domain.a), min(phi.support.b, B.domain.b)
+
+
+def _layout(phi, *parts):
+    """(lo, hi, breakpoints, Cantor supports) of a case: the window of the
+    first part (the flux) against phi, and the union over the parts
+    (flux, state, weight) with phi's support ends among the breakpoints.
+    Outside ]lo, hi[ a breakpoint never shapes the cell layout, so the lhs
+    and the diffuse terms share one layout."""
+    bps = {phi.support.a, phi.support.b}
+    sups = set()
+    for p in parts:
+        bps.update(p.breakpoints())
+        sups.update(p.cantor_supports())
+    return (*_window(parts[0], phi), tuple(sorted(bps)), tuple(sorted(sups)))
+
+
+def _cantor_integral(f, base, depth, bps=(), window=None):
+    """integral of f(x) against the standard Cantor measure of ``base``:
+    over all of it, with the breakpoints inside its support mapped to
+    standard coordinates, or restricted to the x-interval ``window``."""
+
+    def g(ts):
+        return f(base.from_std(np.asarray(ts)))
+
+    if window is not None:
+        a, b = window
+        return cantor.integrate_cantor_std_restricted(
+            g, float(base.to_std(a)), float(base.to_std(b)), depth
+        )
+    sup = base.support
+    std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
+    return cantor.integrate_cantor_std(g, depth, std_bps)
+
+
+def _lhs_integrand(B, u, phi):
+    def integrand(xs):
+        xs = np.asarray(xs, dtype=float)
+        return phi.prime(xs) * B.value_on_grid(xs, u.values(xs))
+
+    return integrand
 
 
 def chainrule_lhs(B, u, phi, tol=1e-8):
     """integral of phi'(x) B(x, u(x)) dx, subdivided at every discontinuity
     and Cantor support (representatives never matter off null sets here)."""
     u = _as_vector(u)
-    lo, hi = _window(B, phi)
-
-    def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return phi.prime(xs) * B.value_on_grid(xs, u.values(xs))
-
+    lo, hi, bps, sups = _layout(phi, B, u)
     return integrate_interval(
-        integrand, lo, hi, tol=tol,
-        breakpoints=_all_breakpoints(B, u),
-        cantor_supports=_all_supports(B, u),
+        _lhs_integrand(B, u, phi), lo, hi, tol=tol,
+        breakpoints=bps, cantor_supports=sups,
     )
 
 
@@ -356,90 +455,76 @@ def _jump_bracket(B, u, x):
     return B.eval(x, u.right(x), "right") - B.eval(x, u.left(x), "left")
 
 
-def _singular_x_term(B, u, weight, bps, depth):
-    """Per base: integral of weight(x) sum_k c_k f_k(u(x)) against the
-    base's Cantor measure (the reference-measure pairing with the density
-    ratio folded back in)."""
-    total = 0.0
-    for base, pairs in B.cantor_dictionary().items():
-        sup = base.support
+def _assemble(B, u, phi, tol, g_diffuse=None, g=None):
+    """The lhs and the five positive-form terms for any flux of the protocol.
 
-        def integrand(ts, base=base, pairs=pairs):
-            xs = base.from_std(np.asarray(ts))
-            W = u.values(xs)
-            return weight(xs) * sum(
-                c * np.asarray(B.terms[k][1](W)) for k, c in pairs
-            )
-
-        std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-        total += cantor.integrate_cantor_std(integrand, depth, std_bps)
-    return total
-
-
-def _cantor_u_term(B, u, weight, bps, depth):
-    """Weighted pairing of the state gradient against the Cantor parts of
-    the state components."""
-    total = 0.0
-    for i, comp in enumerate(u.components):
-        for base, coef in comp.cantor_part:
-            sup = base.support
-
-            def integrand(ts, base=base, i=i):
-                xs = base.from_std(np.asarray(ts))
-                return weight(xs) * B.grad_w_on_grid(xs, u.values(xs))[i]
-
-            std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-            total += coef * cantor.integrate_cantor_std(integrand, depth, std_bps)
-    return total
-
-
-def chainrule_terms(B, u, phi, tol=1e-8):
-    """The five terms of the identity (positive form) plus the lhs."""
+    With a BV weight ``g`` the diffuse terms see phi times ``g_diffuse`` (a
+    vectorized representative of g), the jump sum sees phi g*, the layout
+    gains g's breakpoints and supports, and the lhs is not computed
+    (reported as None)."""
     u = _as_vector(u)
     if (u.domain.a, u.domain.b) != (B.domain.a, B.domain.b):
         raise DomainError("state and flux must share the domain")
-    bps = _all_breakpoints(B, u, (phi.support.a, phi.support.b))
-    sups = _all_supports(B, u)
-    lo, hi = _window(B, phi)
+    lo, hi, bps, sups = _layout(phi, B, u, *(() if g is None else (g,)))
     depth = _cantor_depth(tol)
-    lhs = chainrule_lhs(B, u, phi, tol=tol)
 
-    def t1_integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return phi(xs) * B.grad_x_on_grid(xs, u.values(xs))
+    def weight(xs):
+        return phi(xs) if g is None else phi(xs) * g_diffuse(xs)
 
-    t1 = integrate_interval(
-        t1_integrand, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
-    )
-
-    t2 = _singular_x_term(B, u, phi, bps, depth)
+    def atom(x):
+        a = _phi_at(phi, x)
+        return a if g is None else a * g.eval(x, "precise")
 
     dpps = [c.smooth_part.derivative() for c in u.components]
 
+    def t1_integrand(xs):
+        return weight(xs) * B.grad_x_on_grid(xs, u.values(xs))
+
     def t3_integrand(xs):
-        xs = np.asarray(xs, dtype=float)
         gw = B.grad_w_on_grid(xs, u.values(xs))
         out = np.zeros_like(xs)
         for i, dpp in enumerate(dpps):
             out += gw[i] * dpp(xs)
-        return phi(xs) * out
+        return weight(xs) * out
 
-    t3 = integrate_interval(
-        t3_integrand, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
+    diffuse = (t1_integrand, t3_integrand)
+    if g is None:
+        diffuse += (_lhs_integrand(B, u, phi),)
+    t1, t3, *lhs = integrate_interval(
+        diffuse, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
     )
 
-    t4 = _cantor_u_term(B, u, phi, bps, depth)
+    densities = B.singular_densities()
+    t2 = 0.0
+    for base, dens in densities:
+        t2 += _cantor_integral(
+            lambda xs, dens=dens: weight(xs) * dens(xs, u.values(xs)), base, depth, bps
+        )
+
+    t4 = 0.0
+    for i, comp in enumerate(u.components):
+        for base, coef in comp.cantor_part:
+            t4 += coef * _cantor_integral(
+                lambda xs, i=i: weight(xs) * B.grad_w_on_grid(xs, u.values(xs))[i],
+                base, depth, bps,
+            )
 
     t5 = 0.0
     for x in sorted(set(B.exceptional_set()) | set(u.jump_set())):
         if lo < x < hi:
-            t5 += _phi_at(phi, x) * _jump_bracket(B, u, x)
+            t5 += atom(x) * _jump_bracket(B, u, x)
 
     return ChainRuleReport(
-        lhs,
+        lhs[0] if lhs else None,
         (float(t1), float(t2), float(t3), float(t4), float(t5)),
-        singular_vacuous=not B.cantor_dictionary(),
+        singular_vacuous=not densities,
     )
+
+
+def chainrule_terms(B, u, phi, tol=1e-8):
+    """The five terms of the identity (positive form) plus the lhs, for a
+    ``FluxModel`` or a ``CompositeFlux``."""
+    return _assemble(B, u, phi, tol)
 
 
 def verify_chainrule(B, u, phi, tol=1e-8):
@@ -447,14 +532,14 @@ def verify_chainrule(B, u, phi, tol=1e-8):
     return abs(chainrule_terms(B, u, phi, tol=tol).residual)
 
 
-def chainrule_star_form(B, u, phi, tol=1e-8):
-    """Total of the starred rewriting: diffuse terms unchanged, the jump sum
-    split into an exceptional-set sum of state-averaged sided differences
-    and a state-jump sum of precise-representative flux differences.  A
-    point in both sets contributes to both sums."""
+def chainrule_star_form(B, u, phi, report):
+    """Total of the starred rewriting, given the case's ``chainrule_terms``
+    report: its diffuse terms unchanged, the jump sum split into an
+    exceptional-set sum of state-averaged sided differences and a
+    state-jump sum of precise-representative flux differences.  A point in
+    both sets contributes to both sums."""
     u = _as_vector(u)
-    rep = chainrule_terms(B, u, phi, tol=tol)
-    t1, t2, t3, t4, _ = rep.terms
+    t1, t2, t3, t4, _ = report.terms
     lo, hi = _window(B, phi)
 
     s_exc = 0.0
@@ -478,233 +563,36 @@ def chainrule_star_form(B, u, phi, tol=1e-8):
     return float(t1 + t2 + t3 + t4 + s_exc + s_jump)
 
 
-def _five_terms_weighted(B, u, phi, w_diffuse, w_atom, tol, bps, sups, depth):
-    """Sum of the five identity terms with an extra scalar weight: the
-    diffuse terms see ``w_diffuse`` (vectorized; only its a.e. class
-    matters), the jump sum sees ``w_atom`` (pointwise)."""
-    lo, hi = _window(B, phi)
-
-    def wphi(xs):
-        xs = np.asarray(xs, dtype=float)
-        return phi(xs) * w_diffuse(xs)
-
-    dpps = [c.smooth_part.derivative() for c in u.components]
-
-    def diffuse_density(xs):
-        xs = np.asarray(xs, dtype=float)
-        W = u.values(xs)
-        out = B.grad_x_on_grid(xs, W)
-        gw = B.grad_w_on_grid(xs, W)
-        for i, dpp in enumerate(dpps):
-            out += gw[i] * dpp(xs)
-        return wphi(xs) * out
-
-    ac = integrate_interval(
-        diffuse_density, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
-    )
-    sing = _singular_x_term(B, u, wphi, bps, depth)
-    sing += _cantor_u_term(B, u, wphi, bps, depth)
-    jump = 0.0
-    for x in sorted(set(B.exceptional_set()) | set(u.jump_set())):
-        if lo < x < hi:
-            jump += _phi_at(phi, x) * w_atom(x) * _jump_bracket(B, u, x)
-    return float(ac + sing + jump)
-
-
 def weighted_chainrule(B, u, g, phi, tol=1e-8):
     """Weighted variant: the derivative measure of x -> B(x, u(x)) is
     paired against phi g*, with the weight's jumps confined to the
     exceptional set.  Returns (pairing assembled with the weight's precise
     representative throughout, sum of the five g-weighted terms)."""
-    u = _as_vector(u)
     if not set(g.jump_set()) <= set(B.exceptional_set()):
         raise DomainError("weight jumps must lie inside the flux exceptional set")
-    bps = _all_breakpoints(
-        B, u, tuple(g.breakpoints()) + (phi.support.a, phi.support.b)
-    )
-    sups = _all_supports(B, u, g.cantor_supports())
-    depth = _cantor_depth(tol)
-
-    def g_star(x):
-        return g.eval(x, "precise")
-
-    lhs_pairing = _five_terms_weighted(
-        B, u, phi, g.star_values, g_star, tol, bps, sups, depth
-    )
-    rhs_total = _five_terms_weighted(
-        B, u, phi, g.values, g_star, tol, bps, sups, depth
-    )
-    return lhs_pairing, rhs_total
+    pairing = _assemble(B, u, phi, tol, g.star_values, g)
+    weighted = _assemble(B, u, phi, tol, g.values, g)
+    return pairing.total, weighted.total
 
 
 def product_flux_terms(K, f, u, phi, tol=1e-8):
-    """Product-form flux K(x) f(u): the state-composition's precise
-    representative paired against DK, plus the two gradient terms with the
-    K factor, plus the K-starred state-jump sum.  Reported in the standard
-    five slots: (ac of the DK pairing, Cantor of the DK pairing, state
-    gradient dx, state Cantor, atoms of the DK pairing + state jumps)."""
-    u = _as_vector(u)
-    B = FluxModel(((K, f),), dim=u.dim)
-    bps = _all_breakpoints(B, u, (phi.support.a, phi.support.b))
-    sups = _all_supports(B, u)
-    lo, hi = _window(B, phi)
-    depth = _cantor_depth(tol)
-    lhs = chainrule_lhs(B, u, phi, tol=tol)
-    dpp = K.smooth_part.derivative()
-
-    def ac_int(xs):
-        xs = np.asarray(xs, dtype=float)
-        return phi(xs) * np.asarray(f(u.values(xs))) * dpp(xs)
-
-    t1 = integrate_interval(
-        ac_int, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
-    )
-
-    t2 = 0.0
-    for base, coef in K.cantor_part:
-        sup = base.support
-
-        def c_int(ts, base=base):
-            xs = base.from_std(np.asarray(ts))
-            return phi(xs) * np.asarray(f(u.values(xs)))
-
-        std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-        t2 += coef * cantor.integrate_cantor_std(c_int, depth, std_bps)
-
-    def t3_int(xs):
-        xs = np.asarray(xs, dtype=float)
-        gf = np.asarray(f.grad(u.values(xs)))
-        out = np.zeros_like(xs)
-        for i, comp in enumerate(u.components):
-            out += gf[i] * comp.smooth_part.derivative()(xs)
-        return phi(xs) * K.values(xs) * out
-
-    t3 = integrate_interval(
-        t3_int, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
-    )
-
-    t4 = 0.0
-    for i, comp in enumerate(u.components):
-        for base, coef in comp.cantor_part:
-            sup = base.support
-
-            def c4_int(ts, base=base, i=i):
-                xs = base.from_std(np.asarray(ts))
-                return phi(xs) * K.values(xs) * np.asarray(f.grad(u.values(xs)))[i]
-
-            std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-            t4 += coef * cantor.integrate_cantor_std(c4_int, depth, std_bps)
-
-    t5 = 0.0
-    for x, l, r in K.jumps():
-        if lo < x < hi:
-            fstar = 0.5 * (
-                float(np.asarray(f(u.right(x)))) + float(np.asarray(f(u.left(x))))
-            )
-            t5 += _phi_at(phi, x) * fstar * (r - l)
-    for x in u.jump_set():
-        if lo < x < hi:
-            kstar = 0.5 * (K.eval(x, "right") + K.eval(x, "left"))
-            bracket = float(np.asarray(f(u.right(x)))) - float(np.asarray(f(u.left(x))))
-            t5 += _phi_at(phi, x) * kstar * bracket
-
-    return ChainRuleReport(
-        lhs,
-        (float(t1), float(t2), float(t3), float(t4), float(t5)),
-        singular_vacuous=not K.cantor_part,
-    )
+    """Product-form flux K(x) f(u) in the five standard slots.  Its K-starred
+    Leibniz split of the jumps, f(u)* [K] plus K* [f(u)], equals the plain
+    one-sided bracket identically, so this is the report of the one-term
+    ``FluxModel``."""
+    return chainrule_terms(FluxModel(((K, f),), dim=_as_vector(u).dim), u, phi, tol)
 
 
 def composite_flux_terms(f2, K, u, phi, tol=1e-8):
     """Composite flux B(x, w) = f2(K(x), w): total of the identity in
-    positive form.  The first-slot derivative of f2 pairs against the
-    diffuse part of DK, the state derivatives against the diffuse part of
-    Du, and both jump sets contribute plain one-sided composition brackets.
-
-    ``f2`` is a SmoothFunction whose state vector stacks (y, w)."""
-    u = _as_vector(u)
-    if (u.domain.a, u.domain.b) != (K.domain.a, K.domain.b):
-        raise DomainError("state and flux must share the domain")
-    bps = tuple(sorted(
-        set(K.breakpoints()) | set(u.breakpoints())
-        | {phi.support.a, phi.support.b}
-    ))
-    sups = tuple(sorted(set(K.cantor_supports()) | set(u.cantor_supports())))
-    lo = max(phi.support.a, K.domain.a)
-    hi = min(phi.support.b, K.domain.b)
-    depth = _cantor_depth(tol)
-
-    def stacked(xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.vstack([K.values(xs)[None, :], u.values(xs)])
-
-    dppK = K.smooth_part.derivative()
-
-    def fy_int(xs):
-        xs = np.asarray(xs, dtype=float)
-        return phi(xs) * np.asarray(f2.grad(stacked(xs)))[0] * dppK(xs)
-
-    total = integrate_interval(
-        fy_int, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
-    )
-    for base, coef in K.cantor_part:
-        sup = base.support
-
-        def cy_int(ts, base=base):
-            xs = base.from_std(np.asarray(ts))
-            return phi(xs) * np.asarray(f2.grad(stacked(xs)))[0]
-
-        std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-        total += coef * cantor.integrate_cantor_std(cy_int, depth, std_bps)
-
-    def fw_int(xs):
-        xs = np.asarray(xs, dtype=float)
-        gw = np.asarray(f2.grad(stacked(xs)))[1:]
-        out = np.zeros_like(xs)
-        for i, comp in enumerate(u.components):
-            out += gw[i] * comp.smooth_part.derivative()(xs)
-        return phi(xs) * out
-
-    total += integrate_interval(
-        fw_int, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
-    )
-    for i, comp in enumerate(u.components):
-        for base, coef in comp.cantor_part:
-            sup = base.support
-
-            def cw_int(ts, base=base, i=i):
-                xs = base.from_std(np.asarray(ts))
-                return phi(xs) * np.asarray(f2.grad(stacked(xs)))[1 + i]
-
-            std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-            total += coef * cantor.integrate_cantor_std(cw_int, depth, std_bps)
-
-    for x in sorted(set(K.jump_set()) | set(u.jump_set())):
-        if lo < x < hi:
-            vp = float(np.asarray(f2(np.concatenate(([K.eval(x, "right")], u.right(x))))))
-            vm = float(np.asarray(f2(np.concatenate(([K.eval(x, "left")], u.left(x))))))
-            total += _phi_at(phi, x) * (vp - vm)
-    return float(total)
+    positive form (see ``CompositeFlux``)."""
+    return chainrule_terms(CompositeFlux(f2, K), u, phi, tol).total
 
 
 def composite_flux_lhs(f2, K, u, phi, tol=1e-8):
     """integral of phi'(x) f2(K(x), u(x)) dx by handle-based quadrature (the
     composition leaves the closed-form class; the integral does not care)."""
-    u = _as_vector(u)
-    bps = tuple(sorted(set(K.breakpoints()) | set(u.breakpoints())))
-    sups = tuple(sorted(set(K.cantor_supports()) | set(u.cantor_supports())))
-
-    def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        stacked = np.vstack([K.values(xs)[None, :], u.values(xs)])
-        return phi.prime(xs) * np.asarray(f2(stacked))
-
-    return integrate_interval(
-        integrand,
-        max(phi.support.a, K.domain.a),
-        min(phi.support.b, K.domain.b),
-        tol=tol, breakpoints=bps, cantor_supports=sups,
-    )
+    return chainrule_lhs(CompositeFlux(f2, K), u, phi, tol)
 
 
 def _pwc_data(u):
@@ -732,9 +620,7 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
     vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
     if len(vals) != len(pts) - 1:
         raise DomainError("need one state value per cell")
-    lo, hi = _window(B, phi)
-    bps = tuple(sorted(set(B.breakpoints()) | {phi.support.a, phi.support.b}))
-    sups = B.cantor_supports()
+    lo, hi, bps, sups = _layout(phi, B)
     depth = _cantor_depth(tol)
     dic = B.cantor_dictionary()
     total = 0.0
@@ -756,13 +642,7 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
             if bhi <= blo:
                 continue
             ratio = sum(c * float(np.asarray(B.terms[k][1](v))) for k, c in pairs)
-
-            def r_int(ts, base=base):
-                return phi(base.from_std(np.asarray(ts)))
-
-            total += ratio * cantor.integrate_cantor_std_restricted(
-                r_int, float(base.to_std(blo)), float(base.to_std(bhi)), depth
-            )
+            total += ratio * _cantor_integral(phi, base, depth, window=(blo, bhi))
     for i in range(1, len(pts) - 1):
         x = pts[i]
         if not lo < x < hi:
@@ -802,8 +682,7 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     probe = np.linspace(B.domain.a, B.domain.b, 37)[1:-1]
     if np.abs(B.value_on_grid(probe, np.zeros((1, len(probe))))).max() > 1e-11:
         raise DomainError("comparison identity needs the flux to vanish at state zero")
-    lo = max(phi.support.a, B.domain.a)
-    hi = min(phi.support.b, B.domain.b)
+    lo, hi = _window(B, phi)
     depth = _cantor_depth(tol)
 
     def indicator_pairing(region_cells, K):
@@ -849,12 +728,8 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                 blo, bhi = max(s0, sup.a, lo), min(s1, sup.b, hi)
                 if bhi <= blo:
                     continue
-
-                def c_int(ts, base=t.base):
-                    return phi(base.from_std(np.asarray(ts)))
-
-                total += t.coefficient * cantor.integrate_cantor_std_restricted(
-                    c_int, float(t.base.to_std(blo)), float(t.base.to_std(bhi)), depth
+                total += t.coefficient * _cantor_integral(
+                    phi, t.base, depth, window=(blo, bhi)
                 )
         return total
 

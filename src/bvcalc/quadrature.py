@@ -198,8 +198,16 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     ``breakpoints`` must list every point where the integrand may jump or
     kink; ``cantor_supports`` every (lo, hi) support of a Cantor-function
     summand appearing anywhere inside ``f``.
+
+    ``f`` may also be a tuple of integrands sharing those breakpoints and
+    supports: the decomposition is then built once, each integrand is
+    refined on its own, and a tuple with one integral per integrand is
+    returned.
     """
+    fs = f if isinstance(f, tuple) else (f,)
     if hi <= lo:
-        return 0.0
-    smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
-    return integrate_cells(f, smooth, mids, tol)
+        out = (0.0,) * len(fs)
+    else:
+        smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
+        out = tuple(integrate_cells(g, smooth, mids, tol) for g in fs)
+    return out if isinstance(f, tuple) else out[0]

@@ -7,7 +7,8 @@ A scenario is an INI file describing one verification run:
     seed = 20240822              ; optional, fixes all randomized choices
     tolerance = 1e-6             ; optional, per-kind default otherwise
     cases = 50                   ; optional, suite size for generated suites
-    domain = 0 1                 ; optional ambient interval, default ]0,1[
+    domain = 0 1                 ; optional ambient interval, default ]0,1[;
+                                 ; generated suites accept only 0 1
 
     [flux]                       ; explicit flux model, term by term
     term1.f = poly 0 1           ; f(w) as ascending coefficients
@@ -359,6 +360,9 @@ def parse_scenario(path):
         _fail(missing, "explicit chain-rule scenarios need both [flux] and [u]")
     elif kind == "chainrule-verify" and flux is not None and not phis:
         _fail("[test_functions]", "explicit chain-rule scenarios need test functions")
+    generated = not claw_kind and (kind != "chainrule-verify" or flux is None)
+    if generated and (lo, hi) != (0.0, 1.0):
+        _fail("[scenario] domain", f"generated {kind!r} suites run on ]0, 1[; use '0 1'")
 
     return Scenario(
         kind=kind,
@@ -389,9 +393,9 @@ def _chainrule_row(B, u, phi, tol):
 def _chainrule_cases(sc, seed, tol):
     out = []
     if sc.flux is not None:
-        for i, phi in enumerate(sc.phis):
+        for phi in sc.phis:
             out.append(
-                (f"explicit/phi{i}", lambda B=sc.flux, u=sc.state, p=phi: _chainrule_row(B, u, p, tol))
+                (f"explicit/{phi.label}", lambda B=sc.flux, u=sc.state, p=phi: _chainrule_row(B, u, p, tol))
             )
         return out
     for label, B, u, phis in cases.chainrule_suite(seed, sc.n_cases):

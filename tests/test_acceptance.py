@@ -98,7 +98,7 @@ def test_criterion_2_starred_form(chainrule_battery):
     evaluated, _ = chainrule_battery
     worst = 0.0
     for label, B, u, phi, rep in evaluated:
-        star = chainrule_star_form(B, u, phi)
+        star = chainrule_star_form(B, u, phi, rep)
         worst = max(worst, abs(rep.lhs + star) / (1.0 + abs(rep.lhs)))
     ok = worst <= 2e-6
     report(

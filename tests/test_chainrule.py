@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from bvcalc import (
     BVFunction,
     BVVector,
+    CompositeFlux,
     DomainError,
     FluxModel,
     PiecewiseConstant,
@@ -23,6 +24,7 @@ from bvcalc import (
     verify_chainrule,
     weighted_chainrule,
 )
+from bvcalc import quadrature
 from bvcalc.cases import chainrule_suite, comparison_suite, monomial
 
 PHI = TestFunction.poly_bump((0.1, 0.9), (1.0,))
@@ -83,7 +85,7 @@ def test_coinciding_flux_and_state_jump():
     assert abs(rep.residual) < 1e-9
     # starred split: mean sided flux bracket (2.5 pa) + starred state
     # bracket (0.5 pa) add back up to the same total
-    star = chainrule_star_form(B, u, PHI)
+    star = chainrule_star_form(B, u, PHI, rep)
     assert star == pytest.approx(3.0 * pa, rel=1e-12)
     assert star == pytest.approx(rep.total, rel=1e-12)
 
@@ -98,7 +100,7 @@ def test_cantor_coefficient_case():
     assert not rep.singular_vacuous
     assert abs(rep.terms[1]) > 1e-3  # the Cantor mass of DK really lands here
     assert abs(rep.residual) <= 1e-9
-    star = chainrule_star_form(B, u, PHI, tol=1e-10)
+    star = chainrule_star_form(B, u, PHI, rep)
     assert abs(rep.lhs + star) <= 2e-9
 
 
@@ -131,9 +133,95 @@ def test_random_cases_close(case):
         rep = chainrule_terms(B, u, phi, tol=1e-8)
         bound = 1e-6 * (1.0 + abs(rep.lhs))
         assert abs(rep.residual) <= bound
-        star = chainrule_star_form(B, u, phi, tol=1e-8)
+        star = chainrule_star_form(B, u, phi, rep)
         assert abs(rep.lhs + star) <= 2.0 * bound
         assert verify_chainrule(B, u, phi, tol=1e-8) == abs(rep.residual)
+
+
+def golden_cases():
+    """One case each: a Cantor-coefficient flux, a two-component state with
+    a Cantor part, coinciding flux and state jumps, and a test function
+    whose support touches the domain edge (cutting into a Cantor support)."""
+    K = BVFunction.cantor_fn(0.0, 1.0, support=(0.0, 1.0), coefficient=0.8)
+    K = K + BVFunction.constant(0.0, 1.0, 0.4)
+    B = FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 1.0), "w^2")),))
+    u = BVFunction.from_poly(0.0, 1.0, (0.2, 1.0))
+    u = u + BVFunction.heaviside(0.0, 1.0, 0.6, 0.0, -0.5)
+    yield "cantor-flux", B, u, PHI
+    K = BVFunction.from_poly(0.0, 1.0, (0.0, 1.0))
+    B = FluxModel(((K, monomial((1, 1), label="w1 w2")),), dim=2)
+    u1 = BVFunction.from_poly(0.0, 1.0, (0.0, 1.0))
+    u1 = u1 + BVFunction.cantor_fn(0.0, 1.0, support=(0.2, 0.5), coefficient=0.3)
+    u2 = BVFunction.constant(0.0, 1.0, 1.0)
+    u2 = u2 + BVFunction.heaviside(0.0, 1.0, 0.6, 0.0, 0.5)
+    yield "two-component", B, BVVector((u1, u2)), PHI
+    B = FluxModel(
+        ((BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0),
+          SmoothFunction.poly1d((0.0, 1.0, 0.5), "w + w^2/2")),)
+    )
+    u = BVFunction.from_poly(0.0, 1.0, (0.3, 0.4))
+    u = u + BVFunction.heaviside(0.0, 1.0, 0.5, 2.0, 3.0)
+    yield "coinciding-jumps", B, u, PHI
+    K = BVFunction.from_poly(0.0, 1.0, (1.0, 0.5))
+    K = K + BVFunction.heaviside(0.0, 1.0, 0.3, 0.0, 0.7)
+    K = K + BVFunction.cantor_fn(0.0, 1.0, support=(2.0 / 3.0, 1.0), coefficient=0.4)
+    B = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0, 0.0, 0.2), "w + w^3/5")),))
+    u = BVFunction.from_poly(0.0, 1.0, (0.1, -0.6, 0.9))
+    u = u + BVFunction.heaviside(0.0, 1.0, 0.45, 0.0, 0.35)
+    yield "phi-at-edge", B, u, TestFunction.poly_bump((0.0, 0.8), (1.0, 0.5))
+
+
+# repr of (lhs, terms) at the default tolerance, pinned so that any change
+# to the assembly that moves a single bit shows here
+GOLDEN = {
+    "cantor-flux": (
+        "-0.036584637724109345",
+        "(0.0, 0.03920457719283553, 0.38409881050811756, 0.0, -0.3867187500000001)",
+    ),
+    "two-component": (
+        "-0.9414668375650904",
+        "(0.37112086995441035, 0.0, 0.2536751302083318, 0.07936614990231067, "
+        "0.23730468750000003)",
+    ),
+    "coinciding-jumps": (
+        "-10.013266666666667",
+        "(0.0, 0.0, 0.38826666666666676, 0.0, 9.625)",
+    ),
+    "phi-at-edge": (
+        "-0.952547043292326",
+        "(0.04150747175092966, 0.01887424880491015, 0.17912179074552, 0.0, "
+        "0.7130435319868145)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", golden_cases(), ids=lambda c: c[0])
+def test_chainrule_terms_golden_values(case):
+    name, B, u, phi = case
+    rep = chainrule_terms(B, u, phi)
+    assert (repr(rep.lhs), repr(rep.terms)) == GOLDEN[name]
+
+
+def test_one_cell_layout_per_case_and_sided_jump_brackets(monkeypatch):
+    """lhs, term 1 and term 3 share one mandatory decomposition, and the jump
+    sum is built from the sided pointwise flux values."""
+    calls = {"build_cells": 0, "eval": 0}
+    build_cells, flux_eval = quadrature.build_cells, FluxModel.eval
+
+    def counted_build_cells(*args, **kwargs):
+        calls["build_cells"] += 1
+        return build_cells(*args, **kwargs)
+
+    def counted_eval(self, *args, **kwargs):
+        calls["eval"] += 1
+        return flux_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "build_cells", counted_build_cells)
+    monkeypatch.setattr(FluxModel, "eval", counted_eval)
+    _, B, u, phi = next(c for c in golden_cases() if c[0] == "phi-at-edge")
+    chainrule_terms(B, u, phi)
+    assert calls["build_cells"] == 1
+    assert calls["eval"] >= 1
 
 
 # -- specialized assemblies --------------------------------------------------
@@ -170,6 +258,30 @@ def test_composite_form_matches_product_flux():
     )
     assert total == pytest.approx(rep.total, abs=1e-8)
     assert lhs == pytest.approx(rep.lhs, abs=1e-8)
+
+
+def test_composite_form_with_a_cantor_coefficient():
+    """The composite flux's Cantor branch: f2(y, w) = y w^2 through a K with
+    a Cantor part equals the product flux K(x) w^2, singular slot included."""
+    K = BVFunction.constant(0.0, 1.0, 0.5)
+    K = K + BVFunction.heaviside(0.0, 1.0, 0.2, 0.0, 0.3)
+    K = K + BVFunction.cantor_fn(0.0, 1.0, support=(1.0 / 3.0, 1.0), coefficient=0.6)
+    u = BVFunction.from_poly(0.0, 1.0, (0.4, 0.5))
+    u = u + BVFunction.heaviside(0.0, 1.0, 0.7, 0.0, -0.3)
+    f2 = monomial((1, 2), label="y w^2")
+    rep = chainrule_terms(
+        FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 1.0), "w^2")),)),
+        u, PHI, tol=1e-9,
+    )
+    assert abs(rep.terms[1]) > 1e-2
+    total = composite_flux_terms(f2, K, u, PHI, tol=1e-9)
+    lhs = composite_flux_lhs(f2, K, u, PHI, tol=1e-9)
+    assert total == pytest.approx(rep.total, abs=1e-8)
+    assert lhs == pytest.approx(rep.lhs, abs=1e-8)
+    composite = chainrule_terms(CompositeFlux(f2, K), u, PHI, tol=1e-9)
+    for got, want in zip(composite.terms, rep.terms):
+        assert got == pytest.approx(want, abs=1e-8)
+    assert not composite.singular_vacuous
 
 
 def test_weighted_identity_unit_weight():

@@ -154,6 +154,11 @@ def read_report(out_dir):
         ("zero-cfl", TINY_CLAW + "    cfl = 0\n", "[claw] cfl"),
         ("large-cfl", TINY_CLAW + "    cfl = 0.6\n", "[claw] cfl"),
         ("nan-range", TINY_CLAW.replace("range = 0.1 2.5", "range = 0.1 nan"), "[claw] range"),
+        (
+            "domain-of-generated-suite",
+            "[scenario]\nkind = coarea-check\ncases = 3\ndomain = 0 5\n",
+            "[scenario] domain",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(tmp_path, capsys, name, body, fragment):
@@ -193,7 +198,7 @@ def test_explicit_chainrule_run(tmp_path, capsys):
     )
     header, rows = read_report(out)
     assert header == ",".join(REPORT_COLUMNS)
-    assert [r[1] for r in rows] == ["explicit/phi0", "explicit/phi1"]
+    assert [r[1] for r in rows] == ["explicit/phi1", "explicit/phi2"]
     for row in rows:
         assert len(row) == len(REPORT_COLUMNS)
         assert row[0] == "step-check"
