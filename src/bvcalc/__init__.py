@@ -28,7 +28,6 @@ from .measures import (
 )
 from .cantor import (
     cantor_function_eval,
-    cantor_function_values,
     integrate_cantor_std,
     integrate_cantor_std_restricted,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "c_alpha",
     "c_alpha_values",
     "cantor_function_eval",
-    "cantor_function_values",
     "chainrule_lhs",
     "chainrule_star_form",
     "chainrule_terms",

@@ -118,16 +118,10 @@ class BVFunction:
     def cantor_supports(self):
         return tuple((b.support.a, b.support.b) for b, _ in self.cantor_part)
 
-    def _cantor_values(self, xs):
+    def _cantor(self, xs):
         out = 0.0
         for base, coef in self.cantor_part:
             out = out + coef * base.profile(xs)
-        return out
-
-    def _cantor_exact(self, xs):
-        out = np.zeros(xs.shape)
-        for base, coef in self.cantor_part:
-            out = out + coef * base.profile_exact(xs)
         return out
 
     def jumps(self):
@@ -140,7 +134,7 @@ class BVFunction:
         hit = l != r
         if not hit.any():
             return ()
-        c = self._cantor_exact(bps[hit])
+        c = self._cantor(bps[hit])
         return tuple(zip(bps[hit].tolist(), (l[hit] + c).tolist(), (r[hit] + c).tolist()))
 
     def jump_set(self):
@@ -150,9 +144,8 @@ class BVFunction:
     def at(self, xs, side="stored"):
         """Exact sided evaluation at the points ``xs``: left or right
         limits, the precise representative (their mean) or the stored
-        policy's combination.  Cantor summands use the exact digit scan,
-        so this is the evaluation for jump sets and interfaces; ``values``
-        is the a.e. one for quadrature."""
+        policy's combination.  This is the evaluation for jump sets and
+        interfaces; ``values`` is the a.e. one for quadrature."""
         if side not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}")
         xs = np.asarray(xs, dtype=float)
@@ -160,16 +153,16 @@ class BVFunction:
         if side == "left":
             if not np.all((a < xs) & (xs <= b)):
                 raise DomainError(f"left limit defined on ]{a}, {b}]")
-            return self.smooth_part.at(xs, "left") + self._cantor_exact(xs)
+            return self.smooth_part.at(xs, "left") + self._cantor(xs)
         if side == "right":
             if not np.all((a <= xs) & (xs < b)):
                 raise DomainError(f"right limit defined on [{a}, {b}[")
-            return self.smooth_part.at(xs, "right") + self._cantor_exact(xs)
+            return self.smooth_part.at(xs, "right") + self._cantor(xs)
         if not np.all((a < xs) & (xs < b)):
             raise DomainError(f"interior evaluation defined on ]{a}, {b}[")
         l = self.smooth_part.at(xs, "left")
         r = self.smooth_part.at(xs, "right")
-        c = self._cantor_exact(xs)
+        c = self._cantor(xs)
         th = 0.5 if side == "precise" else _policy_theta(self.policy)
         return (1.0 - th) * l + th * r + c
 
@@ -181,20 +174,10 @@ class BVFunction:
         return self.eval(x, side="stored")
 
     def values(self, xs):
-        """Vectorized a.e. evaluation (right-continuous at jump points);
-        the distinction from star_values matters only on the null jump set."""
+        """Vectorized a.e. evaluation: right-continuous at jump points, with
+        no domain check; on the interior it equals ``at(xs, "right")``."""
         xs = np.asarray(xs, dtype=float)
-        return self.smooth_part(xs) + self._cantor_values(xs)
-
-    def star_values(self, xs):
-        """Vectorized precise-representative evaluation."""
-        xs = np.asarray(xs, dtype=float)
-        out = self.smooth_part(xs) + self._cantor_values(xs)
-        for x, l, r in self.jumps():
-            hit = xs == x
-            if np.any(hit):
-                out = np.where(hit, 0.5 * (l + r), out)
-        return out
+        return self.smooth_part(xs) + self._cantor(xs)
 
     def oscillation(self, samples=2048):
         """max - min over a dense sample plus one-sided jump values."""
@@ -212,30 +195,8 @@ class BVFunction:
         terms = tuple(CantorTerm(base, coef) for base, coef in self.cantor_part)
         return RadonMeasure(self.domain, self.smooth_part.derivative(), atoms, terms)
 
-    def ac_derivative_part(self):
-        return self.derivative().absolutely_continuous_part()
-
-    def jump_derivative_part(self):
-        return self.derivative().atomic_part()
-
-    def cantor_derivative_part(self):
-        return self.derivative().cantor_part()
-
     def total_variation(self):
         return measure_total_variation(self.derivative())
-
-    def pointwise_variation(self, partition):
-        """Sum of |u(t_{i+1}) - u(t_i)| over the given partition, using the
-        stored representative."""
-        pts = [float(t) for t in partition]
-        if any(y <= x for x, y in zip(pts, pts[1:])):
-            raise DomainError("partition must be strictly increasing")
-        if not pts:
-            return 0.0
-        if not (self.domain.a < pts[0] and pts[-1] < self.domain.b):
-            raise DomainError("partition must lie inside the open domain")
-        vals = self.at(pts, "stored").tolist()
-        return float(sum(abs(v1 - v0) for v0, v1 in zip(vals, vals[1:])))
 
     # -- algebra ------------------------------------------------------------
     def _merge_cantor(self, other_part, sign=1.0):
@@ -354,18 +315,11 @@ class BVVector:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return np.stack([u.values(xs) for u in self.components])
 
-    def star_values(self, xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.stack([u.star_values(xs) for u in self.components])
-
     def left(self, x):
         return np.array([u.eval(x, "left") for u in self.components])
 
     def right(self, x):
         return np.array([u.eval(x, "right") for u in self.components])
-
-    def star(self, x):
-        return np.array([u.eval(x, "precise") for u in self.components])
 
     def total_variation(self):
         """Vector TV: integral of the euclidean norm is bounded by the sum;
@@ -481,7 +435,7 @@ def leibniz_product(v, w, tol=1e-9):
             CantorTerm(
                 t.base,
                 t.coefficient,
-                weight=f.star_values,
+                weight=lambda xs: f.at(xs, "precise"),
                 weight_breakpoints=f.breakpoints(),
             )
             for t in d_other.cantor_terms

@@ -20,16 +20,13 @@ from .errors import DomainError
 # Depth of the exact ternary digit scan.  53 binary digits of output are all a
 # float can hold; a few extra guard digits cost nothing.
 _SCAN_DEPTH = 64
-# Depth of the vectorised float scan.  Beyond ~45 the 3^k error amplification
-# of float digit extraction makes further digits meaningless anyway.
-_ARRAY_SCAN_DEPTH = 48
-# The exact scan runs in uint64 on floats t >= 2^-10, which are all integer
-# multiples of 2^-62.
-_DYADIC_BITS = np.uint64(62)
-_DYADIC_THREE = np.uint64(3)
-_DYADIC_ONE = 2.0 ** 62
-_DYADIC_MASK = np.uint64(2 ** 62 - 1)
-_DYADIC_MIN = 2.0 ** -10
+# The exact scan runs in uint64 on floats t >= 2^-72: each is an integer
+# multiple of 2^-124, whose numerator t * 2^124 is kept in two 62-bit limbs.
+_LIMB_BITS = np.uint64(62)
+_LIMB_ONE = 2.0 ** 62
+_LIMB_MASK = np.uint64(2 ** 62 - 1)
+_THREE = np.uint64(3)
+_DYADIC_MIN = 2.0 ** -72
 
 _MAX_DEPTH = 24          # hard cap for quadrature depth (2^24 cells)
 _CACHE_DEPTH = 20        # midpoint arrays cached up to this depth
@@ -55,25 +52,34 @@ def _fraction_scan(fx):
     return val
 
 
-def _dyadic_scan(ts):
-    """The digit scan of :func:`_fraction_scan` for floats ts in
-    [2^-10, 1[, run on the numerators n = ts * 2^62 in uint64: every such
-    float is an integer multiple of 2^-62, and 3n stays below 2^64."""
-    n = (ts * _DYADIC_ONE).astype(np.uint64)
-    val = np.zeros(ts.shape)
-    live = np.arange(ts.size)
+def _dyadic_scan(ts, live, out):
+    """The digit scan of :func:`_fraction_scan`, added into ``out`` at the
+    points where ``live`` is set, which must be 0 or lie in [2^-72, 1[.
+    It runs on the numerators ts * 2^124 in two uint64 limbs
+    ``hi * 2^62 + lo``; three times a limb plus its carry stays below 2^64.
+    Points stay in place, and ``live`` is cleared as their scans end:
+    compacting the live points instead raised the peak memory of a run."""
+    scaled = ts * _LIMB_ONE
+    hi = scaled.astype(np.uint64)
+    scaled -= hi
+    scaled *= _LIMB_ONE
+    lo = scaled.astype(np.uint64)
+    del scaled
+    d = np.empty_like(hi)
     scale = 0.5
     for _ in range(_SCAN_DEPTH):
-        n = n * _DYADIC_THREE
-        d = n >> _DYADIC_BITS
-        n &= _DYADIC_MASK
-        val[live[d != 0]] += scale
-        more = (d != 1) & (n != 0)
-        live, n = live[more], n[more]
-        if not live.size:
+        if not live.any():
             break
+        lo *= _THREE
+        hi *= _THREE
+        hi += np.right_shift(lo, _LIMB_BITS, out=d)
+        lo &= _LIMB_MASK
+        np.right_shift(hi, _LIMB_BITS, out=d)
+        hi &= _LIMB_MASK
+        out[live & (d != 0)] += scale
+        live &= d != 1
+        live &= np.bitwise_or(hi, lo, out=d) != 0
         scale *= 0.5
-    return val
 
 
 def cantor_function_eval(x):
@@ -83,9 +89,9 @@ def cantor_function_eval(x):
     The ternary digits of each point are scanned exactly (the float is the
     dyadic rational it represents): digits 0/2 are emitted as binary 0/1
     until the first digit 1, which appends a final binary 1.  Output is
-    exact whenever it is a representable dyadic rational.  Points of
-    [2^-10, 1[ are scanned in uint64, smaller ones (and Fractions) in
-    :class:`fractions.Fraction`.
+    exact whenever it is a representable dyadic rational.  Zero and points
+    of [2^-72, 1[ are scanned in uint64, points of ]0, 2^-72[ (and
+    Fractions) in :class:`fractions.Fraction`.
     """
     if isinstance(x, Fraction):
         if x < 0 or x > 1:
@@ -96,43 +102,12 @@ def cantor_function_eval(x):
     if bad.any():
         first = float(ts[bad].flat[0])
         raise DomainError(f"cantor function argument {first!r} outside [0, 1]")
-    out = np.ones(ts.shape)
-    fast = (ts >= _DYADIC_MIN) & (ts < 1.0)
-    out[fast] = _dyadic_scan(ts[fast])
-    slow = ts < _DYADIC_MIN
+    slow = (ts > 0.0) & (ts < _DYADIC_MIN)
+    live = (ts < 1.0) & ~slow
+    out = np.where(live, 0.0, 1.0)
+    _dyadic_scan(ts, live, out)
     out[slow] = [_fraction_scan(Fraction(t)) for t in ts[slow].tolist()]
     return float(out) if ts.ndim == 0 else out
-
-
-def cantor_function_values(xs):
-    """Vectorised Cantor function on a float array, clipped to [0, 1].
-
-    Float digit extraction is exact until rounding noise is amplified past a
-    ternary digit boundary; errors are below ~1e-9 and only near cell
-    boundaries, which is ample for quadrature sampling (exact values at
-    ternary-rational points such as cell midpoints, whose digit scans
-    terminate early).
-    """
-    y = np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(y)
-    done_hi = y >= 1.0
-    out[done_hi] = 1.0
-    active = ~done_hi
-    y = y.copy()
-    scale = 0.5
-    for _ in range(_ARRAY_SCAN_DEPTH):
-        if not active.any():
-            break
-        y3 = y * 3.0
-        d = np.floor(y3)
-        np.clip(d, 0.0, 2.0, out=d)
-        y = y3 - d
-        hit_one = active & (d == 1.0)
-        out[hit_one] += scale
-        active = active & ~hit_one
-        out[active & (d == 2.0)] += scale
-        scale *= 0.5
-    return out
 
 
 def depth_for(tol, lip=1.0, width=1.0):

@@ -147,19 +147,6 @@ class SmoothFunction:
 
         return SmoothFunction(value, grad, lambda lo, hi: 1.0, label or f"w[{i}]")
 
-    @staticmethod
-    def constant_one(label="one"):
-        """f(w) = 1 (turns a flux term into pure x-dependence)."""
-
-        def value(w):
-            w = np.asarray(w, dtype=float)
-            return np.ones(w.shape[1:]) if w.ndim > 1 else 1.0
-
-        def grad(w):
-            return np.zeros_like(np.asarray(w, dtype=float))
-
-        return SmoothFunction(value, grad, lambda lo, hi: 0.0, label)
-
 
 @dataclass(frozen=True)
 class FluxModel:
@@ -570,7 +557,7 @@ def weighted_chainrule(B, u, g, phi, tol=1e-8):
     representative throughout, sum of the five g-weighted terms)."""
     if not set(g.jump_set()) <= set(B.exceptional_set()):
         raise DomainError("weight jumps must lie inside the flux exceptional set")
-    pairing = _assemble(B, u, phi, tol, g.star_values, g)
+    pairing = _assemble(B, u, phi, tol, lambda xs: g.at(xs, "precise"), g)
     weighted = _assemble(B, u, phi, tol, g.values, g)
     return pairing.total, weighted.total
 

@@ -283,9 +283,6 @@ class PiecewisePolynomial:
     def is_zero(self):
         return all(all(c == 0.0 for c in p) for p in self.pieces)
 
-    def max_degree(self):
-        return max(len(p) - 1 for p in self.pieces)
-
 
 @dataclass(frozen=True)
 class CantorBase:
@@ -315,22 +312,14 @@ class CantorBase:
         return self.support.a + self.width * np.asarray(ts, dtype=float)
 
     def profile(self, xs):
-        """The rescaled Cantor function: 0 left of the support, 1 right of
-        it (float digit scan, for quadrature sampling)."""
-        return cantor.cantor_function_values(self.to_std(xs))
-
-    def profile_exact(self, xs):
-        """The rescaled Cantor function with the exact digit scan."""
-        ts = self.to_std(xs)
-        out = np.where(ts >= 1.0, 1.0, 0.0)
-        inside = (ts > 0.0) & (ts < 1.0)
-        if inside.any():
-            out[inside] = cantor.cantor_function_eval(ts[inside])
-        return out
+        """The rescaled Cantor function, by the exact digit scan: 0 left of
+        the support, 1 right of it."""
+        # fmax maps NaN to 0, as left of the support
+        return cantor.cantor_function_eval(np.fmin(np.fmax(self.to_std(xs), 0.0), 1.0))
 
     def mass(self, lo, hi):
         """Measure of [lo, hi] (the base measure is non-atomic)."""
-        lo_val, hi_val = self.profile_exact(np.array([lo, hi], dtype=float)).tolist()
+        lo_val, hi_val = self.profile(np.array([lo, hi], dtype=float)).tolist()
         return hi_val - lo_val
 
 
@@ -404,9 +393,6 @@ class RadonMeasure:
             pts.update(m.factor.breakpoints[1:-1])
         return tuple(sorted(pts))
 
-    def has_modulated(self):
-        return bool(self.ac_modulated)
-
     def is_purely_cantor(self):
         return (
             self.ac.is_zero()
@@ -432,9 +418,6 @@ class RadonMeasure:
 
     def cantor_part(self):
         return RadonMeasure(self.interval, None, (), self.cantor_terms)
-
-    def diffuse_part(self):
-        return RadonMeasure(self.interval, self.ac, (), self.cantor_terms, self.ac_modulated)
 
     # -- algebra ------------------------------------------------------------
     def _require_same_interval(self, other):

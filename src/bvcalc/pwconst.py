@@ -45,10 +45,6 @@ class PiecewiseConstant:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "node_values", tuple(float(v) for v in self.node_values))
 
-    @property
-    def interior_nodes(self):
-        return self.partition[1:-1]
-
     def __call__(self, x):
         return float(self.eval_array(np.atleast_1d(float(x)))[0])
 

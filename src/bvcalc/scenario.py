@@ -384,7 +384,9 @@ def parse_scenario(path):
 
 
 def _chainrule_row(B, u, phi, tol):
-    rep = chainrule_terms(B, u, phi)
+    # two digits below the gate, at most 1e-8; clamped at 1e-13 so that a
+    # gate finer than the quadrature can reach fails cases instead of raising
+    rep = chainrule_terms(B, u, phi, tol=min(1e-8, max(1e-2 * tol, 1e-13)))
     residual = abs(rep.residual)
     passed = residual <= tol * (1.0 + abs(rep.lhs))
     return (rep.lhs, *rep.terms, residual, passed)

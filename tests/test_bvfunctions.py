@@ -107,6 +107,22 @@ def _pointwise_eval(u, x, side):
     st.sampled_from(["precise", "left", "right", 0.3]),
     st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
 )
+@example(
+    coeffs=[0.0],
+    jumps=[],
+    support=(0.0, 1.0),
+    coef=1.0,
+    policy="precise",
+    # float neighbours of k/3^j for j = 20, 21: a float digit scan misses
+    # these by up to 3e-11
+    extra=[
+        2.867971990792441e-10,
+        5.735943981584884e-10,
+        0.9999999997132029,
+        0.999999999904401,
+        0.9999999998088017,
+    ],
+)
 @settings(max_examples=40, deadline=None)
 def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coef, policy, extra):
     u = BVFunction.from_poly(0.0, 1.0, tuple(coeffs), policy=policy)
@@ -116,7 +132,7 @@ def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coe
     a, b = support
     w = b - a
     ternary = [a + w * k / 3**j for j in (1, 2, 5, 20) for k in (1, 2, 3**j - 1)]
-    tiny = [a + w * 2.0**-k for k in (11, 30, 60)] + [a + w * 2.0**-10]
+    tiny = [a + w * 2.0**-k for k in (11, 30, 60, 72, 73, 90)] + [a + w * 2.0**-10]
     xs = np.array(
         sorted({0.0, 1.0, a, b, *u.breakpoints(), *u.jump_set(), *ternary, *tiny, *extra})
     )
@@ -131,10 +147,24 @@ def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coe
         got = u.at(pts, side).tolist()
         assert got == [_pointwise_eval(u, x, side) for x in pts.tolist()]
         assert got == [u.eval(x, side) for x in pts.tolist()]
+    inner = xs[(xs > 0.0) & (xs < 1.0)]
+    vals = u.values(inner).tolist()
+    assert vals == u.at(inner, "right").tolist()
+    assert vals == [_pointwise_eval(u, x, "right") for x in inner.tolist()]
     with pytest.raises(DomainError):
         u.at(np.array([0.5, 0.0]), "left")
     with pytest.raises(DomainError):
         u.at(np.array([1.0]), "precise")
+
+
+def test_cantor_kernel_matches_the_fraction_scan_across_limb_ranges():
+    # log-uniform over [2^-80, 1[ crosses the low limb alone (t < 2^-62),
+    # both limbs, and the Fraction scan below 2^-72
+    rng = np.random.default_rng(2)
+    ts = 2.0 ** rng.uniform(-80.0, 0.0, 3000)
+    edges = [2.0**-k for k in range(58, 76)] + [k / 3**j for j in (25, 33, 40) for k in (1, 2)]
+    ts = np.concatenate([ts, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    assert cantor_function_eval(ts).tolist() == [_cantor_digit_scan(t) for t in ts.tolist()]
 
 
 def test_values_are_right_continuous_between_jumps():

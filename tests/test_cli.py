@@ -269,6 +269,36 @@ def test_tolerance_override_fails_cases_but_writes_report(tmp_path, capsys):
     assert all(r[-2] == repr(1e-17) for r in rows)
 
 
+CANTOR_CHAINRULE = """
+    [scenario]
+    kind = chainrule-verify
+    tolerance = 1e-11
+    label = cantor-tight
+
+    [flux]
+    term1.f = poly 0 0 1
+    term1.K = poly 1 + cantor 0.2 0.8 0.5
+
+    [u]
+    component1 = poly 0.5 1 + jump 0.5 -0.25 + cantor 0.2 0.8 0.3
+
+    [test_functions]
+    phi1 = bump 0.1 0.9 1.0
+    phi2 = bump 0.3 0.7 0.7
+"""
+
+
+def test_requested_tolerance_reaches_the_chainrule_quadrature(tmp_path, capsys):
+    # computed at 1e-8 whatever the gate, the residuals are about 6e-9 and 1.3e-9
+    path = write_ini(tmp_path, CANTOR_CHAINRULE)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    _, rows = read_report(out)
+    assert [r[-1] for r in rows] == ["pass", "pass"]
+    col = REPORT_COLUMNS.index("residual")
+    assert all(float(r[col]) <= 1e-11 for r in rows)
+
+
 def test_reports_are_deterministic_across_runs_and_jobs(tmp_path):
     path = write_ini(tmp_path, SUITE_CHAINRULE)
     outs = [tmp_path / f"out{i}" for i in range(3)]

@@ -1,0 +1,58 @@
+"""Byte identity of the demo scenarios' outputs.
+
+Each ``demos/scenarios/*.ini`` is run through the command line driver and
+the sha256 of every file it writes, except the wall-clock ``timing.csv``, is
+compared with the digest pinned here.  A change that moves a reported value
+by one ulp fails this test; if the move is intended, explain it and pin the
+new digest.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from bvcalc.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+DIGESTS = {
+    "approx_demo": {
+        "report.csv": "e41de25ad04eca9c16c61d4e34f6461a2fe9dd7ffd352f5ea007e50c5edea0fd",
+        "stairs_case00.csv": "f37c7ee5866510dcc81b20c75e3e350308031f5a0a63bb6dd9b4dc1a3439717b",
+    },
+    "chainrule_heaviside": {
+        "report.csv": "4883f2b62ada71ad40bf2a5b65599b4f758603c3834e1d9a34ee47c1248ca6e4",
+    },
+    "chainrule_suite": {
+        "report.csv": "65491a9cacf98983b491af03039d2d9c78eb704ec89f4993ea82c92d3c2bd79e",
+    },
+    "claw_burgers": {
+        "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",
+        "report.csv": "18728f67133f8738607f88b1a84add02dc75100b07199b42457cf5bd8f7de4b2",
+    },
+    "coarea_check": {
+        "report.csv": "5e2212561494f0f05f6d23550af44200e3447d2937975d676b8f7bf227d879a2",
+    },
+    "comparison_check": {
+        "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",
+    },
+    "entropy_check": {
+        "report.csv": "726c7c399ab0cec2c69d63670bfefc600353533e8487956cc3d426d3288a9ab2",
+    },
+}
+
+
+def test_every_demo_scenario_is_pinned():
+    assert sorted(p.stem for p in SCENARIOS.glob("*.ini")) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_demo_outputs_are_byte_identical(name, tmp_path, capsys):
+    assert main(["run", str(SCENARIOS / f"{name}.ini"), "--out", str(tmp_path)]) == 0
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+        if p.name != "timing.csv"
+    }
+    assert written == DIGESTS[name]
