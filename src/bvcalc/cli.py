@@ -51,6 +51,9 @@ def main(argv=None):
     if args.tol is not None and args.tol <= 0:
         print("bvcalc: --tol must be positive", file=sys.stderr)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print("bvcalc: --seed must be non-negative", file=sys.stderr)
+        return 2
     try:
         sc = parse_scenario(args.scenario)
     except ScenarioError as exc:

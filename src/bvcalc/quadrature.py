@@ -13,6 +13,12 @@ integrands are smooth on every cell of the mandatory decomposition:
   midpoint rule there carries an O(6^-L) total error instead of the hopeless
   Hoelder-rate of naive sampling.
 
+The layout is two (n, 2) float arrays, smooth cells and midpoint cells, each
+in integration order.  Gap and leftover cells are affine images of the cached
+:func:`~bvcalc.cantor.std_cells` arrays; only the few cells that hold a
+breakpoint or a window edge take the Python path that refines the ternary
+tree around it and splits at it.
+
 Smooth cells are refined adaptively: a 7/15-point Gauss-Legendre pair gives
 the error estimate, failing cells are bisected, everything evaluated batched
 across cells.
@@ -33,6 +39,7 @@ _GL_HI = np.polynomial.legendre.leggauss(15)
 _MAX_PASSES = 30
 _MAX_CELLS = 200_000
 _LEFTOVER_CAP = 13
+_REFINE_DEPTH = 10
 
 
 def _leftover_level(tol):
@@ -63,38 +70,70 @@ def _merge_supports(supports):
     return sorted(uniq)
 
 
-def _support_cells(lo, hi, level, inner_bps):
-    """Tile one Cantor support by gap cells ('g') and leftover cells ('m'),
-    locally refining the ternary tree around breakpoints that fall inside
-    leftover cells (e.g. a jump placed at a point of the Cantor set)."""
+def _holding(cells, cuts):
+    """Mask of the (n, 2) ``cells`` that hold a cut strictly inside."""
+    mask = np.zeros(len(cells), dtype=bool)
+    for p in cuts:
+        mask |= (cells[:, 0] < p) & (p < cells[:, 1])
+    return mask
+
+
+def _splice(cells, rows, parts):
+    """``cells`` with each row of the ascending ``rows`` replaced by the
+    (k, 2) array of the same place in ``parts``."""
+    pieces, start = [], 0
+    for row, part in zip(rows, parts):
+        pieces += [cells[start:row], part]
+        start = row + 1
+    pieces.append(cells[start:])
+    return np.concatenate(pieces)
+
+
+def _split(cells, cuts):
+    """``cells`` with each cell that holds cuts replaced by its pieces
+    between them."""
+    rows = np.flatnonzero(_holding(cells, cuts))
+    parts = []
+    for a, b in cells[rows]:
+        edges = [a, *[p for p in cuts if a < p < b], b]
+        parts.append(np.column_stack((edges[:-1], edges[1:])))
+    return _splice(cells, rows, parts)
+
+
+def _clip(cells, lo, hi):
+    return np.column_stack((np.maximum(cells[:, 0], lo), np.minimum(cells[:, 1], hi)))
+
+
+def _tile(lo, hi, level, cuts, gen=0):
+    """Tile a Cantor support [lo, hi] by gap cells (smooth) and leftover
+    cells (midpoint rule), as two (n, 2) arrays.
+
+    The leftover cells come last to first, the order a stack pops them.  One
+    that holds a cut (e.g. a jump at a point of the Cantor set) is tiled
+    again ``_REFINE_DEPTH`` levels deeper: its smooth cells follow the gap
+    cells and its leftover cells take its place.  After two such levels a
+    holding cell is left to the smooth cells whole, for the caller to split
+    at the cuts (slivers of length <= 3^-(level + 2 * _REFINE_DEPTH))."""
+    g_lo, g_hi, c_lo, c_hi = std_cells(level)
     width = hi - lo
-    gap_lo, gap_hi, cel_lo, cel_hi = std_cells(level)
-    smooth = [(lo + width * a, lo + width * b) for a, b in zip(gap_lo, gap_hi)]
-    mid_cells = []
-    pending = [(lo + width * a, lo + width * b, 0) for a, b in zip(cel_lo, cel_hi)]
-    refine_depth = 10
-    while pending:
-        a, b, gen = pending.pop()
-        inside = [p for p in inner_bps if a < p < b]
-        if not inside:
-            mid_cells.append((a, b))
-            continue
+    smooth = [np.column_stack((lo + width * g_lo, lo + width * g_hi))]
+    cells = np.column_stack((lo + width * c_lo[::-1], lo + width * c_hi[::-1]))
+    rows = np.flatnonzero(_holding(cells, cuts))
+    parts = []
+    for cell in cells[rows]:
         if gen >= 2:
-            # give up structurally: split at the breakpoints, treat the tiny
-            # slivers as smooth cells (length <= 3^-(level+2*refine_depth))
-            edges = [a, *sorted(inside), b]
-            smooth.extend(zip(edges[:-1], edges[1:]))
-            continue
-        g_lo, g_hi, c_lo, c_hi = std_cells(refine_depth)
-        w = b - a
-        smooth.extend((a + w * x, a + w * y) for x, y in zip(g_lo, g_hi))
-        pending.extend((a + w * x, a + w * y, gen + 1) for x, y in zip(c_lo, c_hi))
-    return smooth, mid_cells
+            s_cells, m_cells = cell[None], cells[:0]
+        else:
+            s_cells, m_cells = _tile(cell[0], cell[1], _REFINE_DEPTH, cuts, gen + 1)
+        smooth.append(s_cells)
+        parts.append(m_cells)
+    return np.concatenate(smooth), _splice(cells, rows, parts)
 
 
 def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
-    """Mandatory decomposition of [lo, hi]: list of smooth cells and a list of
-    midpoint-rule cells (inside Cantor supports).
+    """Mandatory decomposition of [lo, hi]: an (n, 2) array of smooth cells
+    and an (m, 2) array of midpoint-rule cells (inside Cantor supports),
+    each row ``(a, b)`` and both in integration order.
 
     Supports are tiled on their *original* extent (ternary alignment is what
     makes the midpoint rule accurate); a window edge cutting into a support is
@@ -102,44 +141,36 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
     """
     lo, hi = float(lo), float(hi)
     if hi <= lo:
-        return [], []
+        return np.empty((0, 2)), np.empty((0, 2))
     bps = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
     supports = [
         s for s in _merge_supports(cantor_supports)
         if s[1] > lo + 1e-15 and s[0] < hi - 1e-15
     ]
     level = _leftover_level(tol)
-    smooth, mids = [], []
     # plain segments of the window not covered by any support
     edges = [lo]
     for slo, shi in supports:
         edges.append(min(max(slo, lo), hi))
         edges.append(max(min(shi, hi), lo))
     edges.append(hi)
-    for a, b in zip(edges[::2], edges[1::2]):
-        if b - a <= 1e-15:
-            continue
-        pts = [a, *[p for p in bps if a < p < b], b]
-        smooth.extend((x, y) for x, y in zip(pts[:-1], pts[1:]) if y > x)
+    plain = np.column_stack((edges[::2], edges[1::2]))
+    smooth = [_split(plain[plain[:, 1] - plain[:, 0] > 1e-15], bps)]
+    mids = [np.empty((0, 2))]
     for slo, shi in supports:
         cuts = [p for p in bps if slo < p < shi]
         cuts.extend(e for e in (lo, hi) if slo < e < shi)
         cuts = sorted(set(cuts))
-        s_cells, m_cells = _support_cells(slo, shi, level, cuts)
-        for a, b in s_cells:
-            pts = [a, *[p for p in cuts if a < p < b], b]
-            for x, y in zip(pts[:-1], pts[1:]):
-                x2, y2 = max(x, lo), min(y, hi)
-                if y2 - x2 > 1e-16:
-                    smooth.append((x2, y2))
-        for a, b in m_cells:
-            if b <= lo + 1e-15 or a >= hi - 1e-15:
-                continue
-            if a >= lo - 1e-12 and b <= hi + 1e-12:
-                mids.append((a, b))
-            else:  # safety: unexpected straddler, integrate its clipped part
-                smooth.append((max(a, lo), min(b, hi)))
-    return smooth, mids
+        s_cells, m_cells = _tile(slo, shi, level, cuts)
+        s_cells = _clip(_split(s_cells, cuts), lo, hi)
+        smooth.append(s_cells[s_cells[:, 1] - s_cells[:, 0] > 1e-16])
+        a, b = m_cells[:, 0], m_cells[:, 1]
+        live = (b > lo + 1e-15) & (a < hi - 1e-15)
+        inside = (a >= lo - 1e-12) & (b <= hi + 1e-12)
+        mids.append(m_cells[live & inside])
+        # safety: an unexpected straddler is integrated on its clipped part
+        smooth.append(_clip(m_cells[live & ~inside], lo, hi))
+    return np.concatenate(smooth), np.concatenate(mids)
 
 
 def _panel(f, lo_arr, hi_arr, rule):
@@ -151,21 +182,18 @@ def _panel(f, lo_arr, hi_arr, rule):
     return (vals @ wts) * half
 
 
-def integrate_cells(f, smooth, mids, tol, total_len=None):
-    """Adaptive GL-7/15 over the smooth cells plus midpoint rule on ``mids``."""
+def integrate_cells(f, smooth, mids, tol):
+    """Adaptive GL-7/15 over the smooth cells plus midpoint rule on ``mids``,
+    both (n, 2) arrays of cells as :func:`build_cells` returns them."""
     total = 0.0
-    if mids:
-        lo_m = np.array([a for a, _ in mids])
-        hi_m = np.array([b for _, b in mids])
+    if len(mids):
+        lo_m, hi_m = mids[:, 0], mids[:, 1]
         centers = 0.5 * (lo_m + hi_m)
         total += float(np.sum(_apply(f, centers) * (hi_m - lo_m)))
-    if not smooth:
+    if not len(smooth):
         return total
-    lo = np.array([a for a, _ in smooth], dtype=float)
-    hi = np.array([b for _, b in smooth], dtype=float)
-    if total_len is None:
-        total_len = float(np.sum(hi - lo))
-    total_len = max(total_len, 1e-300)
+    lo, hi = smooth[:, 0], smooth[:, 1]
+    total_len = max(float(np.sum(hi - lo)), 1e-300)
     for _ in range(_MAX_PASSES):
         if lo.size == 0:
             break

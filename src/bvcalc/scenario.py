@@ -229,6 +229,8 @@ def parse_scenario(path):
         seed = int(meta.get("seed", str(cases.DEFAULT_SEED)))
     except ValueError:
         _fail("[scenario] seed", f"expected an integer, got {meta.get('seed')!r}")
+    if seed < 0:
+        _fail("[scenario] seed", "must be non-negative")
     tol_text = meta.get("tolerance", repr(_DEFAULT_TOL[kind]))
     tolerance = _floats("[scenario] tolerance", tol_text, count=1)[0]
     if tolerance <= 0:

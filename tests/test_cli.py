@@ -104,6 +104,11 @@ def read_report(out_dir):
             "[scenario] cases",
         ),
         (
+            "negative-seed",
+            "[scenario]\nkind = coarea-check\nseed = -1\n",
+            "[scenario] seed",
+        ),
+        (
             "negative-tolerance",
             "[scenario]\nkind = coarea-check\ntolerance = -1\n",
             "[scenario] tolerance",
@@ -183,6 +188,14 @@ def test_bad_flag_values(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
     assert main(["run", path, "--tol", "-3"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_rejected_before_any_output(tmp_path, capsys):
+    path = write_ini(tmp_path, EXPLICIT_CHAINRULE)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--seed", "-5"]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- end-to-end runs ---------------------------------------------------------

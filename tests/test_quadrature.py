@@ -1,0 +1,192 @@
+"""The quadrature cell layout against a list-based reference layout.
+
+``build_cells`` tiles Cantor supports with array slices of the cached
+``std_cells`` arrays.  The reference below builds the same layout one cell
+tuple at a time, the way the library did before; the two must agree in every
+float and in the order of the cells, because ``integrate_cells`` sums in that
+order and ``report.csv`` bytes depend on it.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bvcalc.cantor import std_cells
+from bvcalc.quadrature import (
+    _leftover_level,
+    _merge_supports,
+    build_cells,
+    integrate_cells,
+    integrate_interval,
+)
+
+
+def _reference_support_cells(lo, hi, level, inner_bps):
+    width = hi - lo
+    gap_lo, gap_hi, cel_lo, cel_hi = std_cells(level)
+    smooth = [(lo + width * a, lo + width * b) for a, b in zip(gap_lo, gap_hi)]
+    mid_cells = []
+    pending = [(lo + width * a, lo + width * b, 0) for a, b in zip(cel_lo, cel_hi)]
+    while pending:
+        a, b, gen = pending.pop()
+        inside = [p for p in inner_bps if a < p < b]
+        if not inside:
+            mid_cells.append((a, b))
+            continue
+        if gen >= 2:
+            edges = [a, *sorted(inside), b]
+            smooth.extend(zip(edges[:-1], edges[1:]))
+            continue
+        g_lo, g_hi, c_lo, c_hi = std_cells(10)
+        w = b - a
+        smooth.extend((a + w * x, a + w * y) for x, y in zip(g_lo, g_hi))
+        pending.extend((a + w * x, a + w * y, gen + 1) for x, y in zip(c_lo, c_hi))
+    return smooth, mid_cells
+
+
+def _reference_build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return [], []
+    bps = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
+    supports = [
+        s for s in _merge_supports(cantor_supports)
+        if s[1] > lo + 1e-15 and s[0] < hi - 1e-15
+    ]
+    level = _leftover_level(tol)
+    smooth, mids = [], []
+    edges = [lo]
+    for slo, shi in supports:
+        edges.append(min(max(slo, lo), hi))
+        edges.append(max(min(shi, hi), lo))
+    edges.append(hi)
+    for a, b in zip(edges[::2], edges[1::2]):
+        if b - a <= 1e-15:
+            continue
+        pts = [a, *[p for p in bps if a < p < b], b]
+        smooth.extend((x, y) for x, y in zip(pts[:-1], pts[1:]) if y > x)
+    for slo, shi in supports:
+        cuts = [p for p in bps if slo < p < shi]
+        cuts.extend(e for e in (lo, hi) if slo < e < shi)
+        cuts = sorted(set(cuts))
+        s_cells, m_cells = _reference_support_cells(slo, shi, level, cuts)
+        for a, b in s_cells:
+            pts = [a, *[p for p in cuts if a < p < b], b]
+            for x, y in zip(pts[:-1], pts[1:]):
+                x2, y2 = max(x, lo), min(y, hi)
+                if y2 - x2 > 1e-16:
+                    smooth.append((x2, y2))
+        for a, b in m_cells:
+            if b <= lo + 1e-15 or a >= hi - 1e-15:
+                continue
+            if a >= lo - 1e-12 and b <= hi + 1e-12:
+                mids.append((a, b))
+            else:
+                smooth.append((max(a, lo), min(b, hi)))
+    return smooth, mids
+
+
+def _as_cells(cells):
+    return np.array(cells, dtype=float).reshape(-1, 2)
+
+
+def assert_same_layout(lo, hi, breakpoints, supports, tol):
+    smooth, mids = build_cells(lo, hi, breakpoints, supports, tol)
+    ref_smooth, ref_mids = _reference_build_cells(lo, hi, breakpoints, supports, tol)
+    for got, want in ((smooth, ref_smooth), (mids, ref_mids)):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64
+        assert got.shape == (len(want), 2)
+        np.testing.assert_array_equal(got, _as_cells(want))
+    return smooth, mids
+
+
+THIRD = float(Fraction(1, 3))
+LEFTOVER_6 = 3.0 ** -_leftover_level(1e-6)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, breakpoints, supports, tol",
+    [
+        # breakpoints at points of the Cantor set, which sit in leftover cells
+        (0.0, 1.0, (0.25, 0.75, 0.1), ((0.0, 1.0),), 1e-8),
+        (0.0, 1.0, (2 / 9, 0.25), ((0.0, 1.0),), 1e-6),
+        (0.0, 1.0, (0.3, 0.5), ((0.0, 1.0),), 1e-10),
+        # window edges inside a support and inside one leftover cell
+        (0.2, 0.8, (0.25,), ((0.0, 1.0),), 1e-6),
+        (THIRD / 2, 0.9, (), ((0.0, 1.0),), 1e-8),
+        (0.3 * LEFTOVER_6, 0.7 * LEFTOVER_6, (), ((0.0, 1.0),), 1e-6),
+        (0.5, 0.5 + 1e-7, (), ((0.0, 1.0),), 1e-8),
+        # two disjoint supports, one cut by the window, and plain segments
+        (0.3, 0.9, (0.25, 0.75), ((0.0, 0.4), (0.5, 1.0)), 1e-8),
+        (-1.0, 2.0, (0.0, 0.5, 1.0), ((0.0, 1.0), (1.5, 2.0)), 1e-9),
+        (0.0, 1.0, (0.5,), (), 1e-8),
+        # empty windows
+        (1.0, 0.0, (0.5,), ((0.0, 1.0),), 1e-8),
+        (0.5, 0.5, (), ((0.0, 1.0),), 1e-8),
+    ],
+)
+def test_layout_matches_the_reference(lo, hi, breakpoints, supports, tol):
+    assert_same_layout(lo, hi, breakpoints, supports, tol)
+
+
+def test_empty_window_gives_empty_arrays():
+    smooth, mids = build_cells(1.0, 0.0, (0.5,), ((0.0, 1.0),), 1e-8)
+    assert smooth.shape == (0, 2) and mids.shape == (0, 2)
+    assert integrate_cells(lambda x: x, smooth, mids, 1e-8) == 0.0
+
+
+def _ternary_points(draw, lo, hi):
+    j = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3 ** j - 1))
+    t = float(Fraction(k, 3 ** j))
+    t = draw(st.sampled_from((t, np.nextafter(t, 0.0), np.nextafter(t, 1.0))))
+    return lo + (hi - lo) * t
+
+
+SUPPORTS = (((0.0, 1.0),), ((0.0, 0.4), (0.5, 1.0)), ((0.2, 0.65),))
+
+
+@st.composite
+def layouts(draw):
+    supports = draw(st.sampled_from(SUPPORTS))
+    points = []
+    for _ in range(draw(st.integers(0, 3))):
+        slo, shi = draw(st.sampled_from(supports))
+        points.append(_ternary_points(draw, slo, shi))
+    lo = draw(st.sampled_from((0.0, -0.1, points[0] if points else 0.3)))
+    hi = draw(st.sampled_from((1.0, 1.2, points[-1] if points else 0.7)))
+    tol = draw(st.sampled_from((1e-6, 1e-8, 1e-10)))
+    return lo, hi, tuple(points), supports, tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(layouts())
+def test_layout_matches_the_reference_on_ternary_breakpoints(layout):
+    smooth, mids = assert_same_layout(*layout)
+    lo, hi = layout[:2]
+    if hi > lo:
+        cells = np.concatenate((smooth, mids))
+        cells = cells[np.argsort(cells[:, 0], kind="stable")]
+        assert np.all(cells[:, 1] > cells[:, 0])
+        # the cells tile the window: edges meet up to the rounding of the
+        # affine images of the ternary tiling (a leftover cell's right edge
+        # is its left edge plus 3^-L, not the next gap's left edge)
+        edges = np.concatenate(([lo], cells[:, 1]))
+        np.testing.assert_allclose(cells[:, 0], edges[:-1], rtol=0, atol=1e-15)
+        assert abs(cells[-1, 1] - hi) <= 1e-15
+        assert abs(np.sum(cells[:, 1] - cells[:, 0]) - (hi - lo)) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_window_inside_one_leftover_cell_is_exact(tol):
+    cell = 3.0 ** -_leftover_level(tol)
+    lo, hi = 0.2 * cell, 0.7 * cell
+    one, x = integrate_interval(
+        (np.ones_like, lambda t: t), lo, hi, tol, cantor_supports=((0.0, 1.0),)
+    )
+    assert abs(one - (hi - lo)) <= 1e-15
+    assert abs(x - 0.5 * (hi * hi - lo * lo)) <= 1e-15
