@@ -1,14 +1,16 @@
 """Command line entry point.
 
-    bvcalc run <scenario.ini> [--out DIR] [--tol X] [--seed N] [--jobs K]
+    bvcalc run <scenario.ini> [--out DIR] [--tol X] [--seed N]
 
-Runs the scenario and writes ``report.csv`` / ``timing.csv`` (and any
-field CSVs) into the output directory.  The directory defaults to the
-``BVCALC_OUT`` environment variable, then to ``./bvcalc-out``.
+Runs the scenario's cases in order and writes ``report.csv`` /
+``timing.csv`` (and any field CSVs) into the output directory.  The
+directory defaults to the ``BVCALC_OUT`` environment variable, then to
+``./bvcalc-out``.
 
 Exit status: 0 when every case passes; 1 when some case fails its
-tolerance (the report is still written); 2 for scenario/parse errors,
-with the offending field named on standard error.
+tolerance (the report is still written); 2 for scenario/parse errors and
+bad ``--tol`` / ``--seed`` values, with the offending field named on
+standard error and no output written.
 """
 
 from __future__ import annotations
@@ -38,31 +40,18 @@ def _build_parser():
     )
     run.add_argument("--tol", type=float, default=None, help="override the scenario tolerance")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--jobs", type=int, default=1, help="parallel case execution")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(ENV_OUT) or "bvcalc-out"
-    if args.jobs < 1:
-        print("bvcalc: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.tol is not None and args.tol <= 0:
-        print("bvcalc: --tol must be positive", file=sys.stderr)
-        return 2
-    if args.seed is not None and args.seed < 0:
-        print("bvcalc: --seed must be non-negative", file=sys.stderr)
-        return 2
     try:
         sc = parse_scenario(args.scenario)
+        ok, n_pass, n_total = run_scenario(sc, out_dir, tol=args.tol, seed=args.seed)
     except ScenarioError as exc:
         print(f"bvcalc: scenario error: {exc}", file=sys.stderr)
         return 2
-    try:
-        ok, n_pass, n_total = run_scenario(
-            sc, out_dir, tol=args.tol, seed=args.seed, jobs=args.jobs
-        )
     except (ValueError, RuntimeError) as exc:
         print(f"bvcalc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

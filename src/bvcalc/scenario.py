@@ -1,33 +1,41 @@
 """Declarative scenario files and their runners.
 
-A scenario is an INI file describing one verification run:
+A scenario is an INI file describing one verification run.  Its
+``[scenario]`` section names the ``kind`` and may set ``tolerance`` (a
+per-kind default otherwise) and ``label`` (the file's name otherwise).
+Each kind reads the sections and ``[scenario]`` keys below and rejects
+every other one, naming it:
 
-    [scenario]
-    kind = chainrule-verify      ; one of the six kinds below
-    seed = 20240822              ; optional, fixes all randomized choices
-    tolerance = 1e-6             ; optional, per-kind default otherwise
-    cases = 50                   ; optional, suite size for generated suites
-    domain = 0 1                 ; optional ambient interval, default ]0,1[;
-                                 ; generated suites accept only 0 1
+    kind              sections read                       [scenario] keys
+    chainrule-verify  none (a generated suite), or        seed, cases
+                      [flux] [u] [test_functions]         domain
+    approx-demo       none (a generated suite)            seed, cases
+    coarea-check      none (a generated suite)            seed, cases
+    comparison-check  none (a generated suite)            seed, cases
+    claw-run          [flux] [u] [claw]                   domain
+    entropy-check     [flux] [u] [claw] [test_functions]  domain
 
-    [flux]                       ; explicit flux model, term by term
+Generated suites run on ]0, 1[ with ``cases`` members drawn from ``seed``;
+``domain`` (default ``0 1``) is the ambient interval of explicit inputs.
+
+    [flux]                       ; B(x, w) as a sum of K_i(x) f_i(w) terms
     term1.f = poly 0 1           ; f(w) as ascending coefficients
     term1.K = poly 1 + jump 0.5 1
 
-    [u]                          ; explicit state / initial datum
+    [u]                          ; explicit state
     component1 = poly 0 1 + jump 0.5 -0.5 + cantor 0 1 0.3
-    ; claw kinds use a single key:  initial = ...
+    ; claw kinds read one key, the initial datum:  initial = ...
 
     [test_functions]
     phi1 = bump 0.1 0.9 1.0      ; support and amplitude
     ; claw kinds: bump xlo xhi tlo thi amplitude
 
     [claw]
-    cells = 200
-    time = 0.5
+    cells = 200                  ; at least 4
+    time = 0.5                   ; final time
     range = -2 2                 ; working state interval
-    cfl = 0.45                   ; optional
-    alpha = 0.5 1.0              ; entropy-check levels
+    cfl = 0.45                   ; optional, in ]0, 1/2]
+    alpha = 0.5 1.0              ; entropy levels, entropy-check only
 
 Function expressions are sums of atoms joined by ``+``:
 
@@ -53,7 +61,7 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,16 +83,7 @@ from .claw import (
     solve_claw,
 )
 from .errors import ScenarioError
-from .pwconst import ExceptionalSet, approximate_vector
-
-KINDS = (
-    "chainrule-verify",
-    "approx-demo",
-    "coarea-check",
-    "claw-run",
-    "entropy-check",
-    "comparison-check",
-)
+from .pwconst import approximate_vector
 
 REPORT_COLUMNS = (
     "scenario",
@@ -99,22 +98,6 @@ REPORT_COLUMNS = (
     "tolerance",
     "status",
 )
-
-_DEFAULT_TOL = {
-    "chainrule-verify": 1e-6,
-    "approx-demo": 1e-9,
-    "coarea-check": 1e-6,
-    "claw-run": 1e-12,
-    "entropy-check": 1e-3,
-    "comparison-check": 1e-8,
-}
-
-_SUITE_SIZES = {
-    "chainrule-verify": 50,
-    "approx-demo": 20,
-    "coarea-check": 20,
-    "comparison-check": 10,
-}
 
 
 def _fail(field_name, msg):
@@ -133,6 +116,81 @@ def _floats(field_name, text, count=None, at_least=None):
     if at_least is not None and len(vals) < at_least:
         _fail(field_name, f"expected at least {at_least} numbers, got {len(vals)}")
     return vals
+
+
+# -- field parsers: (field name, text) -> value, or a ScenarioError naming it
+
+
+def _int(least):
+    def parse(name, text):
+        try:
+            value = int(text)
+        except ValueError:
+            _fail(name, f"expected an integer, got {text!r}")
+        if value < least:
+            _fail(name, f"must be at least {least}")
+        return value
+
+    return parse
+
+
+def _number(ok, why):
+    def parse(name, text):
+        value = _floats(name, text, count=1)[0]
+        if not ok(value):
+            _fail(name, why)
+        return value
+
+    return parse
+
+
+def _interval(name, text):
+    lo, hi = _floats(name, text, count=2)
+    if not lo < hi:
+        _fail(name, "lower bound must precede upper bound")
+    return lo, hi
+
+
+def _text(name, text):
+    return text
+
+
+_SEED = _int(0)
+_TOLERANCE = _number(lambda v: v > 0, "must be positive")
+_CLAW_KEYS = {
+    "cells": _int(4),
+    "time": _number(lambda v: v > 0, "final time must be positive"),
+    "range": _interval,
+    "cfl": _number(lambda v: 0 < v <= 0.5, "CFL number must lie in ]0, 1/2]"),
+    "alpha": lambda name, text: tuple(_floats(name, text, at_least=1)),
+}
+
+
+def _read_keys(sec, parsers, what):
+    """Every key of ``sec`` through its parser; a key without one is not
+    read by ``what`` and is rejected."""
+    values = {}
+    for key in sec:
+        name = f"[{sec.name}] {key}"
+        if key not in parsers:
+            _fail(name, f"not read by {what}")
+        values[key] = parsers[key](name, sec[key])
+    return values
+
+
+def _require(values, section, keys):
+    for key in keys:
+        if key not in values:
+            _fail(f"[{section}] {key}", "required")
+    return values
+
+
+def _in_order(key):
+    return len(key), key
+
+
+def _numbered(key, stem):
+    return key.startswith(stem) and key[len(stem):].isdecimal()
 
 
 def _parse_bv(field_name, text, lo, hi):
@@ -176,15 +234,82 @@ def _parse_state_fn(field_name, text):
     return SmoothFunction.poly1d(tuple(coeffs), label=text)
 
 
-def _section(cfg, name):
-    return cfg[name] if cfg.has_section(name) else None
+# -- section parsers: (section, what reads it, domain lo, hi) -> value
 
 
-def _check_keys(section, name, allowed):
-    for key in section:
-        base = key.split(".")[0]
-        if base not in allowed and key not in allowed:
-            _fail(f"[{name}] {key}", "unknown key")
+def _flux(sec, what, lo, hi):
+    for key in sec:
+        idx, _, part = key.partition(".")
+        if not (_numbered(idx, "term") and part in ("f", "k")):
+            _fail(f"[flux] {key}", f"not read by {what} (keys look like term1.f / term1.K)")
+    terms = []
+    for idx in sorted({key.partition(".")[0] for key in sec}, key=_in_order):
+        for part in ("f", "K"):
+            if f"{idx}.{part}" not in sec:
+                _fail(f"[flux] {idx}.{part}", "required")
+        K = _parse_bv(f"[flux] {idx}.K", sec[f"{idx}.K"], lo, hi)
+        terms.append((K, _parse_state_fn(f"[flux] {idx}.f", sec[f"{idx}.f"])))
+    if not terms:
+        _fail("[flux]", "no flux terms found (need term1.f and term1.K)")
+    return FluxModel(tuple(terms), dim=1)
+
+
+def _components(sec, what, lo, hi):
+    comps = []
+    for key in sorted(sec, key=_in_order):
+        if not _numbered(key, "component"):
+            _fail(f"[u] {key}", f"not read by {what} (keys look like component1, component2, ...)")
+        comps.append(_parse_bv(f"[u] {key}", sec[key], lo, hi))
+    if not comps:
+        _fail("[u]", "no components found")
+    return BVVector(tuple(comps))
+
+
+def _initial(sec, what, lo, hi):
+    parsers = {"initial": lambda name, text: _parse_bv(name, text, lo, hi)}
+    return _require(_read_keys(sec, parsers, what), "u", ("initial",))["initial"]
+
+
+def _claw(*required):
+    parsers = {key: _CLAW_KEYS[key] for key in (*required, "cfl")}
+
+    def parse(sec, what, lo, hi):
+        return _require(_read_keys(sec, parsers, what), "claw", required)
+
+    return parse
+
+
+def _bumps(space_time):
+    """``bump lo hi amplitude`` lines, or ``bump xlo xhi tlo thi amplitude``
+    for the space-time test functions of the claw kinds."""
+
+    def parse(sec, what, lo, hi):
+        phis = []
+        for key in sorted(sec, key=_in_order):
+            name = f"[test_functions] {key}"
+            toks = sec[key].split()
+            if not toks or toks[0] != "bump":
+                _fail(name, f"expected 'bump ...', got {sec[key]!r}")
+            vals = _floats(name, " ".join(toks[1:]))
+            if space_time:
+                if len(vals) != 5:
+                    _fail(name, "claw test functions need: bump xlo xhi tlo thi amplitude")
+                xlo, xhi, tlo, thi, amp = vals
+                if not (xlo < xhi and tlo < thi):
+                    _fail(name, "supports must be nonempty intervals")
+                phis.append(SpaceTimeTest.bump((xlo, xhi), (tlo, thi), amp))
+            else:
+                if len(vals) != 3:
+                    _fail(name, "test functions need: bump lo hi amplitude")
+                blo, bhi, amp = vals
+                if not lo <= blo < bhi <= hi:
+                    _fail(name, f"support ]{blo}, {bhi}[ not inside ]{lo}, {hi}[")
+                phis.append(TestFunction.bump((blo, bhi), amp, label=key))
+        if not phis:
+            _fail("[test_functions]", "at least one test function required")
+        return tuple(phis)
+
+    return parse
 
 
 @dataclass(frozen=True)
@@ -213,175 +338,47 @@ def parse_scenario(path):
         raise ScenarioError(f"{path}: {exc}") from exc
     if not read:
         _fail(path, "cannot read scenario file")
-
     if not cfg.has_section("scenario"):
         _fail("[scenario]", "section required")
-    meta = cfg["scenario"]
-    _check_keys(meta, "scenario", {"kind", "seed", "tolerance", "cases", "domain", "label"})
 
-    kind = meta.get("kind")
-    if kind is None:
-        _fail("[scenario] kind", "required")
+    kind = cfg["scenario"].get("kind")
     if kind not in KINDS:
-        _fail("[scenario] kind", f"{kind!r} is not one of {', '.join(KINDS)}")
+        why = "required" if kind is None else f"{kind!r} is not one of {', '.join(KINDS)}"
+        _fail("[scenario] kind", why)
+    spec = KINDS[kind]
+    given = [name for name in spec.sections if cfg.has_section(name)]
+    generated = spec.suite is not None and not given
+    what = f"{'generated' if generated else 'explicit'} {kind!r} scenarios"
+    for name in cfg.sections():
+        if name != "scenario" and name not in spec.sections:
+            _fail(f"[{name}]", f"section not read by {what}")
 
-    try:
-        seed = int(meta.get("seed", str(cases.DEFAULT_SEED)))
-    except ValueError:
-        _fail("[scenario] seed", f"expected an integer, got {meta.get('seed')!r}")
-    if seed < 0:
-        _fail("[scenario] seed", "must be non-negative")
-    tol_text = meta.get("tolerance", repr(_DEFAULT_TOL[kind]))
-    tolerance = _floats("[scenario] tolerance", tol_text, count=1)[0]
-    if tolerance <= 0:
-        _fail("[scenario] tolerance", "must be positive")
-    try:
-        n_cases = int(meta.get("cases", str(_SUITE_SIZES.get(kind, 1))))
-    except ValueError:
-        _fail("[scenario] cases", f"expected an integer, got {meta.get('cases')!r}")
-    if n_cases < 1:
-        _fail("[scenario] cases", "must be at least 1")
-    lo, hi = _floats("[scenario] domain", meta.get("domain", "0 1"), count=2)
-    if not lo < hi:
-        _fail("[scenario] domain", "lower bound must precede upper bound")
-    label = meta.get("label", os.path.splitext(os.path.basename(path))[0])
-
-    flux = None
-    fsec = _section(cfg, "flux")
-    if fsec is not None:
-        indices = sorted(
-            {key.split(".")[0] for key in fsec},
-            key=lambda s: (len(s), s),
-        )
-        terms = []
-        for idx in indices:
-            if not idx.startswith("term"):
-                _fail(f"[flux] {idx}", "keys must look like term1.f / term1.K")
-            f_txt = fsec.get(f"{idx}.f")
-            k_txt = fsec.get(f"{idx}.k")
-            if f_txt is None:
-                _fail(f"[flux] {idx}.f", "required")
-            if k_txt is None:
-                _fail(f"[flux] {idx}.K", "required")
-            terms.append(
-                (
-                    _parse_bv(f"[flux] {idx}.K", k_txt, lo, hi),
-                    _parse_state_fn(f"[flux] {idx}.f", f_txt),
-                )
-            )
-        if not terms:
-            _fail("[flux]", "no flux terms found (need term1.f and term1.K)")
-        flux = FluxModel(tuple(terms), dim=1)
-
-    state = None
-    usec = _section(cfg, "u")
-    claw_kind = kind in ("claw-run", "entropy-check")
-    if usec is not None:
-        if claw_kind:
-            _check_keys(usec, "u", {"initial"})
-            txt = usec.get("initial")
-            if txt is None:
-                _fail("[u] initial", "required for claw scenarios")
-            state = _parse_bv("[u] initial", txt, lo, hi)
-        else:
-            comps = []
-            for key in sorted(usec, key=lambda s: (len(s), s)):
-                if not key.startswith("component"):
-                    _fail(f"[u] {key}", "keys must look like component1, component2, ...")
-                comps.append(_parse_bv(f"[u] {key}", usec[key], lo, hi))
-            if not comps:
-                _fail("[u]", "no components found")
-            state = BVVector(tuple(comps))
-
-    phis = []
-    tsec = _section(cfg, "test_functions")
-    if tsec is not None:
-        for key in sorted(tsec, key=lambda s: (len(s), s)):
-            toks = tsec[key].split()
-            fld = f"[test_functions] {key}"
-            if not toks or toks[0] != "bump":
-                _fail(fld, f"expected 'bump ...', got {tsec[key]!r}")
-            vals = _floats(fld, " ".join(toks[1:]), at_least=3)
-            if claw_kind:
-                if len(vals) != 5:
-                    _fail(fld, "claw test functions need: bump xlo xhi tlo thi amplitude")
-                xlo, xhi, tlo, thi, amp = vals
-                if not (xlo < xhi and tlo < thi):
-                    _fail(fld, "supports must be nonempty intervals")
-                phis.append(SpaceTimeTest.bump((xlo, xhi), (tlo, thi), amp))
-            else:
-                if len(vals) != 3:
-                    _fail(fld, "test functions need: bump lo hi amplitude")
-                blo, bhi, amp = vals
-                if not lo <= blo < bhi <= hi:
-                    _fail(fld, f"support ]{blo}, {bhi}[ not inside ]{lo}, {hi}[")
-                phis.append(TestFunction.bump((blo, bhi), amp, label=key))
-
-    claw = {}
-    csec = _section(cfg, "claw")
-    if csec is not None:
-        _check_keys(csec, "claw", {"cells", "time", "range", "cfl", "alpha"})
-        if csec.get("cells") is not None:
-            try:
-                claw["cells"] = int(csec["cells"])
-            except ValueError:
-                _fail("[claw] cells", f"expected an integer, got {csec['cells']!r}")
-            if claw["cells"] < 4:
-                _fail("[claw] cells", "need at least 4 cells")
-        if csec.get("time") is not None:
-            claw["time"] = _floats("[claw] time", csec["time"], count=1)[0]
-            if claw["time"] <= 0:
-                _fail("[claw] time", "final time must be positive")
-        if csec.get("range") is not None:
-            w_lo, w_hi = _floats("[claw] range", csec["range"], count=2)
-            if not w_lo < w_hi:
-                _fail("[claw] range", "lower bound must precede upper bound")
-            claw["range"] = (w_lo, w_hi)
-        if csec.get("cfl") is not None:
-            claw["cfl"] = _floats("[claw] cfl", csec["cfl"], count=1)[0]
-            if not 0 < claw["cfl"] <= 0.5:
-                _fail("[claw] cfl", "CFL number must lie in ]0, 1/2]")
-        if csec.get("alpha") is not None:
-            claw["alpha"] = tuple(_floats("[claw] alpha", csec["alpha"], at_least=1))
-
-    if claw_kind:
-        if flux is None:
-            _fail("[flux]", f"section required for kind {kind!r}")
-        if state is None:
-            _fail("[u] initial", f"required for kind {kind!r}")
-        for need in ("cells", "time", "range"):
-            if need not in claw:
-                _fail(f"[claw] {need}", f"required for kind {kind!r}")
-        if kind == "entropy-check":
-            if "alpha" not in claw:
-                _fail("[claw] alpha", "required for kind 'entropy-check'")
-            if not phis:
-                _fail("[test_functions]", "at least one test function required")
-    elif kind == "chainrule-verify" and (flux is not None) != (state is not None):
-        missing = "[u]" if state is None else "[flux]"
-        _fail(missing, "explicit chain-rule scenarios need both [flux] and [u]")
-    elif kind == "chainrule-verify" and flux is not None and not phis:
-        _fail("[test_functions]", "explicit chain-rule scenarios need test functions")
-    generated = not claw_kind and (kind != "chainrule-verify" or flux is None)
-    if generated and (lo, hi) != (0.0, 1.0):
-        _fail("[scenario] domain", f"generated {kind!r} suites run on ]0, 1[; use '0 1'")
+    keys = {"kind": _text, "tolerance": _TOLERANCE, "label": _text}
+    keys.update({"seed": _SEED, "cases": _int(1)} if generated else {"domain": _interval})
+    meta = _read_keys(cfg["scenario"], keys, what)
+    lo, hi = meta.get("domain", (0.0, 1.0))
+    inputs = {name: spec.sections[name](cfg[name], what, lo, hi) for name in given}
+    for name in spec.sections:
+        if name not in inputs and not generated:
+            _fail(f"[{name}]", f"section required for {what}")
 
     return Scenario(
         kind=kind,
-        seed=seed,
-        tolerance=tolerance,
-        n_cases=n_cases,
+        seed=meta.get("seed", cases.DEFAULT_SEED),
+        tolerance=meta.get("tolerance", spec.tolerance),
+        n_cases=meta.get("cases", spec.suite or 1),
         domain=(lo, hi),
-        flux=flux,
-        state=state,
-        phis=tuple(phis),
-        claw=claw,
-        label=label,
+        flux=inputs.get("flux"),
+        state=inputs.get("u"),
+        phis=inputs.get("test_functions", ()),
+        claw=inputs.get("claw", {}),
+        label=meta.get("label", os.path.splitext(os.path.basename(path))[0]),
     )
 
 
 # ---------------------------------------------------------------------------
-# case builders: (case id, thunk) pairs; each thunk returns the row numbers
+# case builders: (sc, seed, tol, out_dir) -> (case id, thunk) pairs; each
+# thunk writes its case's sidecar files, if any, and returns the row numbers
 # (lhs, t1..t5, residual, passed)
 
 
@@ -394,7 +391,7 @@ def _chainrule_row(B, u, phi, tol):
     return (rep.lhs, *rep.terms, residual, passed)
 
 
-def _chainrule_cases(sc, seed, tol):
+def _chainrule_cases(sc, seed, tol, out_dir):
     out = []
     if sc.flux is not None:
         for phi in sc.phis:
@@ -410,8 +407,10 @@ def _chainrule_cases(sc, seed, tol):
     return out
 
 
-def _approx_row(u, n, exc, tol):
+def _approx_row(u, n, exc, tol, stairs):
     approx = approximate_vector(u, n, exc)
+    if stairs is not None:
+        _write_stairs_csv(stairs, u, approx)
     d = len(u.components)
     bound = 3.0 * np.sqrt(d) / n
     lo, hi = u.components[0].domain.a, u.components[0].domain.b
@@ -442,10 +441,11 @@ def _approx_row(u, n, exc, tol):
     return (sup_err, bound, tv_excess, marked_err, clearance_bad, jump_err, residual, residual <= tol)
 
 
-def _approx_cases(sc, seed, tol):
+def _approx_cases(sc, seed, tol, out_dir):
+    stairs = os.path.join(out_dir, "stairs_case00.csv")
     return [
-        (label, lambda u=u, n=n, e=exc: _approx_row(u, n, e, tol))
-        for label, u, n, exc in cases.pwc_suite(seed, sc.n_cases)
+        (label, lambda u=u, n=n, e=exc, s=stairs if i == 0 else None: _approx_row(u, n, e, tol, s))
+        for i, (label, u, n, exc) in enumerate(cases.pwc_suite(seed, sc.n_cases))
     ]
 
 
@@ -456,7 +456,7 @@ def _coarea_row(g, u, bps, tol):
     return (lhs, rhs, 0.0, 0.0, 0.0, 0.0, residual, residual <= tol * (1.0 + abs(lhs)))
 
 
-def _coarea_cases(sc, seed, tol):
+def _coarea_cases(sc, seed, tol, out_dir):
     return [
         (label, lambda g=g, u=u, b=bps: _coarea_row(g, u, b, tol))
         for label, g, u, bps in cases.coarea_suite(seed, sc.n_cases)
@@ -469,7 +469,7 @@ def _comparison_row(B, u, phi, tol):
     return (left, right, 0.0, 0.0, 0.0, 0.0, residual, residual <= tol)
 
 
-def _comparison_cases(sc, seed, tol):
+def _comparison_cases(sc, seed, tol, out_dir):
     return [
         (label, lambda B=B, u=u, p=phi: _comparison_row(B, u, p, tol))
         for label, B, u, phi in cases.comparison_suite(seed, sc.n_cases)
@@ -484,20 +484,21 @@ def _claw_solve(sc):
     )
 
 
-def _claw_run_cases(sc, seed, tol):
+def _claw_run_cases(sc, seed, tol, out_dir):
     def run():
         _, fld = _claw_solve(sc)
+        _write_field_csv(os.path.join(out_dir, "field.csv"), fld)
         defects = fld.mass_defects()
         drift = float(np.abs(defects).max()) if defects.size else 0.0
         final_tv = float(np.abs(np.diff(fld.states[-1])).sum())
         lhs = fld.mass(len(fld.times) - 1)
         row = (lhs, fld.mass(0), drift, float(len(fld.times) - 1), fld.dt, final_tv)
-        return (*row, drift, drift <= tol), fld
+        return (*row, drift, drift <= tol)
 
     return [("run", run)]
 
 
-def _entropy_cases(sc, seed, tol):
+def _entropy_cases(sc, seed, tol, out_dir):
     flux, fld = _claw_solve(sc)
     out = []
     for alpha in sc.claw["alpha"]:
@@ -507,28 +508,32 @@ def _entropy_cases(sc, seed, tol):
                 res = entropy_residual(fld, p, f)
                 defects = fld.mass_defects()
                 drift = float(np.abs(defects).max()) if defects.size else 0.0
-                pos = max(res, 0.0)
-                return (
-                    res,
-                    a,
-                    drift,
-                    float(len(fld.times) - 1),
-                    float(fld.states.shape[1]),
-                    0.0,
-                    pos,
-                    res <= tol,
-                )
+                shape = (float(len(fld.times) - 1), float(fld.states.shape[1]))
+                return (res, a, drift, *shape, 0.0, max(res, 0.0), res <= tol)
             out.append((f"alpha={alpha:g}/phi{i}", thunk))
     return out
 
 
-_BUILDERS = {
-    "chainrule-verify": _chainrule_cases,
-    "approx-demo": _approx_cases,
-    "coarea-check": _coarea_cases,
-    "comparison-check": _comparison_cases,
-    "claw-run": _claw_run_cases,
-    "entropy-check": _entropy_cases,
+# kind -> its default tolerance, its generated-suite size (None: explicit
+# inputs only), the sections it reads (name -> section parser, the [claw]
+# parser holding the keys the kind requires) and its case builder.  A kind
+# with a suite runs it when the file gives none of the kind's sections, and
+# needs every one of them otherwise.
+_Kind = namedtuple("_Kind", "tolerance suite sections build")
+_CHAINRULE_INPUTS = {"flux": _flux, "u": _components, "test_functions": _bumps(space_time=False)}
+_CLAW_INPUTS = {"flux": _flux, "u": _initial, "claw": _claw("cells", "time", "range")}
+_ENTROPY_INPUTS = {
+    **_CLAW_INPUTS,
+    "claw": _claw("cells", "time", "range", "alpha"),
+    "test_functions": _bumps(space_time=True),
+}
+KINDS = {
+    "chainrule-verify": _Kind(1e-6, 50, _CHAINRULE_INPUTS, _chainrule_cases),
+    "approx-demo": _Kind(1e-9, 20, {}, _approx_cases),
+    "coarea-check": _Kind(1e-6, 20, {}, _coarea_cases),
+    "claw-run": _Kind(1e-12, None, _CLAW_INPUTS, _claw_run_cases),
+    "entropy-check": _Kind(1e-3, None, _ENTROPY_INPUTS, _entropy_cases),
+    "comparison-check": _Kind(1e-8, 10, {}, _comparison_cases),
 }
 
 
@@ -547,34 +552,22 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
     """Execute a parsed scenario and write its reports into ``out_dir``.
 
     Returns (all passed, number passed, number of cases).  ``tol`` and
-    ``seed`` override the scenario file; ``jobs`` parallelizes case
-    execution without changing the report order."""
-    tol = sc.tolerance if tol is None else float(tol)
-    seed = sc.seed if seed is None else int(seed)
+    ``seed`` override the scenario file.  They are checked like its fields,
+    named as the ``--tol`` / ``--seed`` flags that carry them, before
+    ``out_dir`` is created.  Cases run in order; ``jobs`` accepts only 1."""
+    if jobs != 1:
+        _fail("jobs", f"cases run in order, so only 1 is accepted, got {jobs!r}")
+    tol = sc.tolerance if tol is None else _TOLERANCE("--tol", str(tol))
+    seed = sc.seed if seed is None else _SEED("--seed", str(seed))
     os.makedirs(out_dir, exist_ok=True)
-
-    entries = _BUILDERS[sc.kind](sc, seed, tol)
-
-    def timed(thunk):
-        t0 = time.perf_counter()
-        result = thunk()
-        return result, time.perf_counter() - t0
-
-    if jobs > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(timed, thunk) for _, thunk in entries]
-            results = [f.result() for f in futures]
-    else:
-        results = [timed(thunk) for _, thunk in entries]
 
     report_rows = []
     timing_rows = []
-    claw_field = None
     n_pass = 0
-    for (case_id, _), (result, elapsed) in zip(entries, results):
-        if sc.kind == "claw-run":
-            result, claw_field = result
-        *nums, passed = result
+    for case_id, thunk in KINDS[sc.kind].build(sc, seed, tol, out_dir):
+        t0 = time.perf_counter()
+        *nums, passed = thunk()
+        elapsed = time.perf_counter() - t0
         n_pass += bool(passed)
         report_rows.append(
             [sc.label, case_id]
@@ -585,13 +578,7 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
 
     _write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS, report_rows)
     _write_csv(os.path.join(out_dir, "timing.csv"), ("scenario", "case", "runtime_s"), timing_rows)
-
-    if claw_field is not None:
-        _write_field_csv(os.path.join(out_dir, "field.csv"), claw_field)
-    if sc.kind == "approx-demo":
-        _write_stairs_csv(os.path.join(out_dir, "stairs_case00.csv"), sc, seed)
-
-    return n_pass == len(entries), n_pass, len(entries)
+    return n_pass == len(report_rows), n_pass, len(report_rows)
 
 
 def _write_field_csv(path, fld):
@@ -607,9 +594,7 @@ def _write_field_csv(path, fld):
     _write_csv(path, ("x", "t", "u", "mass_drift"), rows)
 
 
-def _write_stairs_csv(path, sc, seed):
-    label, u, n, exc = cases.pwc_suite(seed, sc.n_cases)[0]
-    approx = approximate_vector(u, n, exc)
+def _write_stairs_csv(path, u, approx):
     lo, hi = u.components[0].domain.a, u.components[0].domain.b
     xs = np.linspace(lo, hi, 801)[1:-1]
     columns = [xs]

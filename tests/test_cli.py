@@ -1,11 +1,13 @@
 """Scenario files and the command line driver."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from bvcalc.cli import main
-from bvcalc.scenario import REPORT_COLUMNS
+from bvcalc.errors import ScenarioError
+from bvcalc.scenario import KINDS, REPORT_COLUMNS, parse_scenario, run_scenario
 
 EXPLICIT_CHAINRULE = """
     [scenario]
@@ -164,6 +166,28 @@ def read_report(out_dir):
             "[scenario]\nkind = coarea-check\ncases = 3\ndomain = 0 5\n",
             "[scenario] domain",
         ),
+        (
+            "claw-run-cases",
+            TINY_CLAW.replace("label = tiny-claw", "label = tiny-claw\n    cases = 7"),
+            "[scenario] cases",
+        ),
+        ("claw-run-alpha", TINY_CLAW + "    alpha = 0.5\n", "[claw] alpha"),
+        (
+            "unknown-flux-part",
+            EXPLICIT_CHAINRULE.replace("term1.K =", "term1.g = poly 5\n    term1.K ="),
+            "[flux] term1.g",
+        ),
+        (
+            "test-functions-alone",
+            "[scenario]\nkind = chainrule-verify\n\n[test_functions]\nphi1 = bump 0.1 0.9 1\n",
+            "[flux]",
+        ),
+        (
+            "explicit-chainrule-seed",
+            EXPLICIT_CHAINRULE.replace("tolerance = 1e-9", "tolerance = 1e-9\n    seed = 3"),
+            "[scenario] seed",
+        ),
+        ("coarea-with-claw", "[scenario]\nkind = coarea-check\n\n[claw]\ncells = 8\n", "[claw]"),
     ],
 )
 def test_parse_errors_name_the_field(tmp_path, capsys, name, body, fragment):
@@ -176,6 +200,35 @@ def test_parse_errors_name_the_field(tmp_path, capsys, name, body, fragment):
     assert not (tmp_path / "out").exists()
 
 
+# one file each kind reads, and a section that kind does not read
+KIND_FILES = {
+    "chainrule-verify": (EXPLICIT_CHAINRULE, "claw"),
+    "approx-demo": ("[scenario]\nkind = approx-demo\n", "flux"),
+    "coarea-check": ("[scenario]\nkind = coarea-check\n", "test_functions"),
+    "comparison-check": ("[scenario]\nkind = comparison-check\n", "u"),
+    "claw-run": (TINY_CLAW, "test_functions"),
+    "entropy-check": (TINY_ENTROPY, "solver"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kind_rejects_a_section_it_does_not_read(tmp_path, capsys, kind):
+    body, unread = KIND_FILES[kind]
+    body = textwrap.dedent(body)
+    assert parse_scenario(write_ini(tmp_path, body)).kind == kind
+    path = write_ini(tmp_path, body + f"\n[{unread}]\nx = 1\n", "extra.ini")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"[{unread}]: section not read by" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_scenario_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_scenario(write_ini(tmp_path, example)).kind == "entropy-check"
+
+
 def test_missing_file_is_a_scenario_error(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.ini")])
     assert rc == 2
@@ -184,7 +237,9 @@ def test_missing_file_is_a_scenario_error(tmp_path, capsys):
 
 def test_bad_flag_values(tmp_path, capsys):
     path = write_ini(tmp_path, EXPLICIT_CHAINRULE)
-    assert main(["run", path, "--jobs", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--jobs", "2"])
+    assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert main(["run", path, "--tol", "-3"]) == 2
     assert "--tol" in capsys.readouterr().err
@@ -194,7 +249,28 @@ def test_negative_seed_flag_is_rejected_before_any_output(tmp_path, capsys):
     path = write_ini(tmp_path, EXPLICIT_CHAINRULE)
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out), "--seed", "-5"]) == 2
-    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert "--seed: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_flag_is_rejected_before_any_output(tmp_path, capsys, value):
+    path = write_ini(tmp_path, SUITE_CHAINRULE)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--tol", value]) == 2
+    assert "--tol: expected finite numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override,value",
+    [("seed", -1), ("tol", 0.0), ("tol", float("inf")), ("tol", float("nan")), ("jobs", 2)],
+)
+def test_run_scenario_checks_overrides_before_any_output(tmp_path, override, value):
+    sc = parse_scenario(write_ini(tmp_path, SUITE_CHAINRULE))
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioError, match=override):
+        run_scenario(sc, str(out), **{override: value})
     assert not out.exists()
 
 
@@ -312,14 +388,13 @@ def test_requested_tolerance_reaches_the_chainrule_quadrature(tmp_path, capsys):
     assert all(float(r[col]) <= 1e-11 for r in rows)
 
 
-def test_reports_are_deterministic_across_runs_and_jobs(tmp_path):
+def test_reports_are_deterministic_across_runs(tmp_path):
     path = write_ini(tmp_path, SUITE_CHAINRULE)
-    outs = [tmp_path / f"out{i}" for i in range(3)]
+    outs = [tmp_path / f"out{i}" for i in range(2)]
     assert main(["run", path, "--out", str(outs[0])]) == 0
     assert main(["run", path, "--out", str(outs[1])]) == 0
-    assert main(["run", path, "--out", str(outs[2]), "--jobs", "3"]) == 0
     blobs = [(o / "report.csv").read_bytes() for o in outs]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1]
 
 
 def test_seed_override_changes_suite(tmp_path):
