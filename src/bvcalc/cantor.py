@@ -1,10 +1,11 @@
 """Standard Cantor-Lebesgue function and self-similar quadrature on [0, 1].
 
 Everything here works in the coordinates of the unit interval; affine
-rescaling onto a concrete support happens in the caller.  The singular
-measure mu_C is the distributional derivative of the Cantor function C:
-it splits equally over the two level-1 cells [0,1/3] and [2/3,1], which
-gives the fixed-point quadrature rule used by :func:`integrate_cantor_std`.
+rescaling onto a concrete support happens in ``CantorBase.integrate``.
+The singular measure mu_C is the distributional derivative of the Cantor
+function C: it splits equally over the two level-1 cells [0,1/3] and
+[2/3,1], which gives the fixed-point quadrature rule used by
+:func:`integrate_cantor_std`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _DYADIC_MIN = 2.0 ** -72
 
 _MAX_DEPTH = 24          # hard cap for quadrature depth (2^24 cells)
 _CACHE_DEPTH = 20        # midpoint arrays cached up to this depth
+_GUARD = 24              # extra levels descended at a restriction endpoint
 
 
 def _fraction_scan(fx):
@@ -197,28 +199,18 @@ def integrate_cantor_std(f, depth, breakpoints=()):
     descended around them so a discontinuity sitting inside the Cantor set
     cannot poison the O(3^-depth) (O(9^-depth) for C^2 f) convergence.
     """
-    depth = max(1, min(int(depth), _MAX_DEPTH))
-    bps = sorted(b for b in breakpoints if 0.0 < b < 1.0)
-    if not bps:
-        total = 0.0
-        count = 0
-        for mids in _mids_for(depth):
-            vals = _apply(f, mids)
-            total += float(np.sum(vals))
-            count += mids.size
-        return total / count
-    edges = [0.0, *bps, 1.0]
+    edges = [0.0, *sorted(b for b in breakpoints if 0.0 < b < 1.0), 1.0]
     return sum(
         integrate_cantor_std_restricted(f, lo, hi, depth)
         for lo, hi in zip(edges[:-1], edges[1:])
     )
 
 
-def integrate_cantor_std_restricted(f, lo, hi, depth, guard=24):
+def integrate_cantor_std_restricted(f, lo, hi, depth):
     """Quadrature of f against the standard Cantor measure restricted to
     [lo, hi] in [0,1].  Cells fully inside are handled by midpoint averaging
-    at residual depth; cells straddling an endpoint are descended ``guard``
-    levels past ``depth`` (mass of the unresolved chain <= 2^-(depth+guard))."""
+    at residual depth; cells straddling an endpoint are descended ``_GUARD``
+    levels past ``depth`` (mass of the unresolved chain <= 2^-(depth+_GUARD))."""
     depth = max(1, min(int(depth), _MAX_DEPTH))
     if hi <= lo:
         return 0.0
@@ -242,12 +234,13 @@ def integrate_cantor_std_restricted(f, lo, hi, depth, guard=24):
                 sub = 0.0
                 n = 0
                 for mids in _mids_for(res):
-                    pts = l + (r - l) * mids
+                    # the root cell is [0, 1]: no copy of a cached array
+                    pts = mids if lev == 0 else l + (r - l) * mids
                     sub += float(np.sum(_apply(f, pts)))
                     n += pts.size
                 total += weight * sub / n
             continue
-        if lev >= depth + guard:
+        if lev >= depth + _GUARD:
             # unresolved straddling cell: assign half its mass at the midpoint
             total += 2.0 ** -(lev + 1) * float(_apply(f, np.array([l + (r - l) * 0.5]))[0])
             continue

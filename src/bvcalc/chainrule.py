@@ -4,17 +4,18 @@ The main flux class, ``FluxModel``, is the finite sum
 B(x,w) = sum_k K_k(x) f_k(w) with each K_k a closed-form BV function of x
 and each f_k a C^1 function of w.  This class satisfies constructively all
 the structural hypotheses the identity needs: a finite exceptional set (the
-union of the K jump sets), a modulus measure built from Lipschitz bounds, a
-reference Cantor measure assembled from the K dictionary, and per-base
-density ratios for the singular x-part.  ``CompositeFlux`` is the
-composition B(x,w) = f2(K(x), w) with one BV coefficient.
+union of the K jump sets), a modulus measure built from Lipschitz bounds,
+and, per Cantor base of the K, the density of the singular x-part against
+that base.  ``CompositeFlux`` is the composition B(x,w) = f2(K(x), w) with
+one BV coefficient.
 
 Both implement one flux protocol: ``domain``, ``breakpoints()``,
 ``cantor_supports()`` and ``exceptional_set()``; the grid evaluators
 ``value_on_grid(xs, W, side)``, ``grad_x_on_grid(xs, W)`` and
 ``grad_w_on_grid(xs, W)``; the sided pointwise ``eval(x, w, side)`` for the
 jump brackets; and ``singular_densities()``, the density of the singular
-x-derivative against each Cantor base of the coefficients.
+x-derivative against each Cantor base of the coefficients.  Every
+integral against a Cantor base goes through ``CantorBase.integrate``.
 
 One private assembler computes the lhs and the five terms of the identity
 for any flux of the protocol, by quadrature aware of all breakpoints and
@@ -37,11 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cantor
 from .bvfunction import BVFunction, BVVector
 from .errors import DomainError
-from .measures import CantorTerm, RadonMeasure
-from .quadrature import integrate_interval
+from .quadrature import _merge_supports, integrate_interval
 
 _GRID_LIP_MARGIN = 1.05
 
@@ -132,21 +131,6 @@ class SmoothFunction:
 
         return SmoothFunction(value, grad, lip, label or "poly")
 
-    @staticmethod
-    def coordinate(i, label=""):
-        """f(w) = w_i."""
-
-        def value(w):
-            return np.asarray(w, dtype=float)[i]
-
-        def grad(w):
-            w = np.asarray(w, dtype=float)
-            g = np.zeros_like(w)
-            g[i] = 1.0
-            return g
-
-        return SmoothFunction(value, grad, lambda lo, hi: 1.0, label or f"w[{i}]")
-
 
 @dataclass(frozen=True)
 class FluxModel:
@@ -164,7 +148,7 @@ class FluxModel:
             if (K.domain.a, K.domain.b) != (d0.a, d0.b):
                 raise DomainError("flux terms must share the domain")
         object.__setattr__(self, "terms", terms)
-        self.reference_cantor()  # validates identical-or-disjoint supports
+        _merge_supports(self.cantor_supports())  # identical or disjoint
 
     @property
     def domain(self):
@@ -190,49 +174,17 @@ class FluxModel:
             sups.update(K.cantor_supports())
         return tuple(sorted(sups))
 
-    def cantor_dictionary(self):
-        """{base: [(term index, coefficient)]} over all K Cantor summands."""
-        out = {}
-        for k, (K, _) in enumerate(self.terms):
-            for base, coef in K.cantor_part:
-                out.setdefault(base, []).append((k, coef))
-        return out
-
-    def reference_cantor(self):
-        """Reference singular measure: per base, coefficient sum_k |c_k|;
-        None when no K carries a Cantor part (the singular term is vacuous)."""
-        dic = self.cantor_dictionary()
-        if not dic:
-            return None
-        terms = tuple(
-            CantorTerm(base, sum(abs(c) for _, c in pairs))
-            for base, pairs in sorted(dic.items(), key=lambda kv: kv[0].support.a)
-        )
-        return RadonMeasure(self.domain, None, (), terms)
-
-    def singular_ratio(self, base, w):
-        """Density of the singular x-derivative of B(., w) against the
-        reference measure on one base (a number: constant in x)."""
-        pairs = self.cantor_dictionary().get(base)
-        if not pairs:
-            return 0.0
-        lam = sum(abs(c) for _, c in pairs)
-        num = sum(
-            c * float(np.asarray(self.terms[k][1](np.asarray(w, dtype=float))))
-            for k, c in pairs
-        )
-        return num / lam
-
     def singular_densities(self):
         """Per Cantor base of the coefficients, (base, density): density(xs, W)
         = sum_k c_k f_k(W) is the singular x-derivative of B(., W) against
         the base's standard Cantor measure."""
-        terms = self.terms
+        groups = {}
+        for K, f in self.terms:
+            for base, c in K.cantor_part:
+                groups.setdefault(base, []).append((c, f))
         return tuple(
-            (base, lambda xs, W, pairs=pairs: sum(
-                c * np.asarray(terms[k][1](W)) for k, c in pairs
-            ))
-            for base, pairs in self.cantor_dictionary().items()
+            (base, lambda xs, W, pairs=pairs: sum(c * np.asarray(f(W)) for c, f in pairs))
+            for base, pairs in groups.items()
         )
 
     # -- evaluation ---------------------------------------------------------
@@ -341,8 +293,10 @@ class CompositeFlux:
 
 
 def flux_derivatives(B, x, w):
-    """Pointwise (x-gradient, state gradient, singular ratio per base) at
-    (x, w); x must avoid the exceptional set."""
+    """Pointwise (x-gradient, state gradient, singular density per base) at
+    (x, w); x must avoid the exceptional set.  The singular density is the
+    one of ``B.singular_densities()``, against the base's standard Cantor
+    measure."""
     x = float(x)
     if x in set(B.exceptional_set()):
         raise DomainError("pointwise x-derivative undefined on the exceptional set")
@@ -351,7 +305,7 @@ def flux_derivatives(B, x, w):
     W = w[:, None]
     gx = float(B.grad_x_on_grid(xs, W)[0])
     gw = B.grad_w_on_grid(xs, W)[:, 0]
-    psi = {base: B.singular_ratio(base, w) for base in B.cantor_dictionary()}
+    psi = {base: float(dens(xs, W)[0]) for base, dens in B.singular_densities()}
     return gx, gw, psi
 
 
@@ -359,8 +313,8 @@ def flux_derivatives(B, x, w):
 class ChainRuleReport:
     """Term-by-term evaluation, positive-form storage:
     residual = lhs + sum(terms).  ``singular_vacuous`` records that the
-    flux carries no Cantor part, so the reference measure was omitted and
-    the second slot is identically zero rather than a computed integral."""
+    flux carries no Cantor part, so the second slot is identically zero
+    rather than a computed integral."""
 
     lhs: float
     terms: tuple  # (grad_x, singular_x, grad_u, cantor_u, jump_sum)
@@ -398,24 +352,6 @@ def _layout(phi, *parts):
         bps.update(p.breakpoints())
         sups.update(p.cantor_supports())
     return (*_window(parts[0], phi), tuple(sorted(bps)), tuple(sorted(sups)))
-
-
-def _cantor_integral(f, base, depth, bps=(), window=None):
-    """integral of f(x) against the standard Cantor measure of ``base``:
-    over all of it, with the breakpoints inside its support mapped to
-    standard coordinates, or restricted to the x-interval ``window``."""
-
-    def g(ts):
-        return f(base.from_std(np.asarray(ts)))
-
-    if window is not None:
-        a, b = window
-        return cantor.integrate_cantor_std_restricted(
-            g, float(base.to_std(a)), float(base.to_std(b)), depth
-        )
-    sup = base.support
-    std_bps = [float(base.to_std(p)) for p in bps if sup.a < p < sup.b]
-    return cantor.integrate_cantor_std(g, depth, std_bps)
 
 
 def _lhs_integrand(B, u, phi):
@@ -484,16 +420,16 @@ def _assemble(B, u, phi, tol, g_diffuse=None, g=None):
     densities = B.singular_densities()
     t2 = 0.0
     for base, dens in densities:
-        t2 += _cantor_integral(
-            lambda xs, dens=dens: weight(xs) * dens(xs, u.values(xs)), base, depth, bps
+        t2 += base.integrate(
+            lambda xs, dens=dens: weight(xs) * dens(xs, u.values(xs)), depth, bps
         )
 
     t4 = 0.0
     for i, comp in enumerate(u.components):
         for base, coef in comp.cantor_part:
-            t4 += coef * _cantor_integral(
+            t4 += coef * base.integrate(
                 lambda xs, i=i: weight(xs) * B.grad_w_on_grid(xs, u.values(xs))[i],
-                base, depth, bps,
+                depth, bps,
             )
 
     t5 = 0.0
@@ -609,27 +545,32 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
         raise DomainError("need one state value per cell")
     lo, hi, bps, sups = _layout(phi, B)
     depth = _cantor_depth(tol)
-    dic = B.cantor_dictionary()
+    densities = B.singular_densities()
     total = 0.0
     for (x0, x1), v in zip(zip(pts[:-1], pts[1:]), vals):
+
+        def frozen(xs, v=v):
+            return np.repeat(v[:, None], len(xs), axis=1)
+
         c0, c1 = max(x0, lo), min(x1, hi)
         if c1 > c0:
 
-            def dens(xs, v=v):
+            def diffuse(xs):
                 xs = np.asarray(xs, dtype=float)
-                W = np.repeat(v[:, None], len(xs), axis=1)
-                return phi(xs) * B.grad_x_on_grid(xs, W)
+                return phi(xs) * B.grad_x_on_grid(xs, frozen(xs))
 
             total += integrate_interval(
-                dens, c0, c1, tol=tol, breakpoints=bps, cantor_supports=sups
+                diffuse, c0, c1, tol=tol, breakpoints=bps, cantor_supports=sups
             )
-        for base, pairs in dic.items():
+        for base, dens in densities:
             sup = base.support
             blo, bhi = max(x0, sup.a, lo), min(x1, sup.b, hi)
             if bhi <= blo:
                 continue
-            ratio = sum(c * float(np.asarray(B.terms[k][1](v))) for k, c in pairs)
-            total += ratio * _cantor_integral(phi, base, depth, window=(blo, bhi))
+            total += base.integrate(
+                lambda xs, dens=dens: phi(xs) * dens(xs, frozen(xs)),
+                depth, window=(blo, bhi),
+            )
     for i in range(1, len(pts) - 1):
         x = pts[i]
         if not lo < x < hi:
@@ -715,8 +656,8 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                 blo, bhi = max(s0, sup.a, lo), min(s1, sup.b, hi)
                 if bhi <= blo:
                     continue
-                total += t.coefficient * _cantor_integral(
-                    phi, t.base, depth, window=(blo, bhi)
+                total += t.coefficient * t.base.integrate(
+                    phi, depth, window=(blo, bhi)
                 )
         return total
 

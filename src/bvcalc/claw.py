@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cantor
 from .bvfunction import BVFunction
 from .errors import CFLError, DomainError, RangeError, RepresentationError
 from .quadrature import integrate_interval
@@ -744,28 +743,19 @@ def _slice_q_pairing(pair, edges, vals, phi_x, tol=1e-7):
                 breakpoints=tuple(sorted(set(bps) | set(inner))),
                 cantor_supports=flux.model.cantor_supports(),
             )
-    for base, pairs_ in flux.model.cantor_dictionary().items():
+    for base, dens in flux.model.singular_densities():
         sup = base.support
         for i in range(len(vals)):
             lo = max(float(edges[i]), sup.a)
             hi = min(float(edges[i + 1]), sup.b)
             if hi <= lo:
                 continue
-            v = float(vals[i])
-            coef = sum(
-                c * float(np.asarray(flux.model.terms[k][1](np.array([v]))))
-                for k, c in pairs_
-            )
-            if coef == 0.0:
-                continue
 
-            def c_int(ts, v=v):
-                xs = base.from_std(np.asarray(ts))
-                return phi_x(xs) * cantor_sign(xs, v)
+            def c_int(xs, v=float(vals[i])):
+                W = np.full((1, len(xs)), v)
+                return phi_x(xs) * dens(xs, W) * cantor_sign(xs, v)
 
-            total += coef * cantor.integrate_cantor_std_restricted(
-                c_int, float(base.to_std(lo)), float(base.to_std(hi)), 12
-            )
+            total += base.integrate(c_int, 12, window=(lo, hi))
     return total
 
 

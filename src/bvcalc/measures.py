@@ -311,6 +311,23 @@ class CantorBase:
     def from_std(self, ts):
         return self.support.a + self.width * np.asarray(ts, dtype=float)
 
+    def integrate(self, f, depth, breakpoints=(), window=None):
+        """Integral of ``f(xs)`` against this base measure at cell depth
+        ``depth``: over the support, descended around the ``breakpoints``
+        inside it, or restricted to the x-interval ``window``.  The one place
+        where integration maps x to the standard coordinates of ``cantor``."""
+
+        def g(ts):
+            return f(self.from_std(ts))
+
+        if window is not None:
+            lo, hi = window
+            return cantor.integrate_cantor_std_restricted(
+                g, float(self.to_std(lo)), float(self.to_std(hi)), depth
+            )
+        cuts = [float(self.to_std(b)) for b in breakpoints if self.support.contains(b)]
+        return cantor.integrate_cantor_std(g, depth, cuts)
+
     def profile(self, xs):
         """The rescaled Cantor function, by the exact digit scan: 0 left of
         the support, 1 right of it."""
@@ -533,18 +550,12 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_h
     for x, w in mu.atoms:
         total += w * _scalar_call(f, x)
     for t in mu.cantor_terms:
-        base = t.base
-        depth = cantor.depth_for(tol, lip=lip_hint, width=base.width)
+        depth = cantor.depth_for(tol, lip=lip_hint, width=t.base.width)
         cuts = tuple(bps) + tuple(t.weight_breakpoints)
-        std_bps = [float(base.to_std(b)) for b in cuts if base.support.a < b < base.support.b]
-        if t.weight is None:
-            def g(ts, base=base):
-                return _apply(f, base.from_std(np.asarray(ts)))
-        else:
-            def g(ts, base=base, wfun=t.weight):
-                xs = base.from_std(np.asarray(ts))
-                return _apply(f, xs) * _apply(wfun, xs)
-        total += t.coefficient * cantor.integrate_cantor_std(g, depth, std_bps)
+        def g(xs, wfun=t.weight):
+            vals = _apply(f, xs)
+            return vals if wfun is None else vals * _apply(wfun, xs)
+        total += t.coefficient * t.base.integrate(g, depth, cuts)
     return float(total)
 
 
@@ -567,9 +578,9 @@ def measure_total_variation(mu, tol=1e-10):
             total += abs(t.coefficient)
         else:
             depth = cantor.depth_for(tol, width=t.base.width)
-            def g(ts, base=t.base, wfun=t.weight):
-                return np.abs(_apply(wfun, base.from_std(np.asarray(ts))))
-            total += abs(t.coefficient) * cantor.integrate_cantor_std(g, depth)
+            def g(xs, wfun=t.weight):
+                return np.abs(_apply(wfun, xs))
+            total += abs(t.coefficient) * t.base.integrate(g, depth)
     return float(total)
 
 

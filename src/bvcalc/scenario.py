@@ -82,7 +82,7 @@ from .claw import (
     entropy_residual,
     solve_claw,
 )
-from .errors import ScenarioError
+from .errors import DomainError, RangeError, ScenarioError
 from .pwconst import approximate_vector
 
 REPORT_COLUMNS = (
@@ -379,7 +379,8 @@ def parse_scenario(path):
 # ---------------------------------------------------------------------------
 # case builders: (sc, seed, tol, out_dir) -> (case id, thunk) pairs; each
 # thunk writes its case's sidecar files, if any, and returns the row numbers
-# (lhs, t1..t5, residual, passed)
+# (lhs, t1..t5, residual, passed).  Builders run before out_dir exists and
+# do the work that can reject an input (the claw solve, the level checks).
 
 
 def _chainrule_row(B, u, phi, tol):
@@ -477,16 +478,24 @@ def _comparison_cases(sc, seed, tol, out_dir):
 
 
 def _claw_solve(sc):
+    """Flux and solved field; fails on [claw] values that [flux] or [u] refute."""
     w_lo, w_hi = sc.claw["range"]
-    flux = ScalarFlux(sc.flux, w_lo, w_hi)
-    return flux, solve_claw(
-        flux, sc.state, sc.claw["time"], sc.claw["cells"], cfl=sc.claw.get("cfl", 0.45)
-    )
+    try:
+        flux = ScalarFlux(sc.flux, w_lo, w_hi)
+    except DomainError as exc:
+        _fail("[claw] range", str(exc))
+    try:
+        return flux, solve_claw(
+            flux, sc.state, sc.claw["time"], sc.claw["cells"], cfl=sc.claw.get("cfl", 0.45)
+        )
+    except RangeError as exc:
+        _fail("[u] initial", f"{exc} ([claw] range = {w_lo:g} {w_hi:g})")
 
 
 def _claw_run_cases(sc, seed, tol, out_dir):
+    _, fld = _claw_solve(sc)
+
     def run():
-        _, fld = _claw_solve(sc)
         _write_field_csv(os.path.join(out_dir, "field.csv"), fld)
         defects = fld.mass_defects()
         drift = float(np.abs(defects).max()) if defects.size else 0.0
@@ -502,7 +511,10 @@ def _entropy_cases(sc, seed, tol, out_dir):
     flux, fld = _claw_solve(sc)
     out = []
     for alpha in sc.claw["alpha"]:
-        pair = adapted_entropy_pair(flux, alpha)
+        try:
+            pair = adapted_entropy_pair(flux, alpha)
+        except RangeError as exc:
+            _fail("[claw] alpha", f"{alpha:g}: {exc}")
         for i, phi in enumerate(sc.phis):
             def thunk(p=pair, f=phi, a=alpha):
                 res = entropy_residual(fld, p, f)
@@ -553,18 +565,19 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
 
     Returns (all passed, number passed, number of cases).  ``tol`` and
     ``seed`` override the scenario file.  They are checked like its fields,
-    named as the ``--tol`` / ``--seed`` flags that carry them, before
-    ``out_dir`` is created.  Cases run in order; ``jobs`` accepts only 1."""
+    named as the ``--tol`` / ``--seed`` flags that carry them, and the cases
+    are built before ``out_dir`` is created.  ``jobs`` accepts only 1."""
     if jobs != 1:
         _fail("jobs", f"cases run in order, so only 1 is accepted, got {jobs!r}")
     tol = sc.tolerance if tol is None else _TOLERANCE("--tol", str(tol))
     seed = sc.seed if seed is None else _SEED("--seed", str(seed))
+    built = KINDS[sc.kind].build(sc, seed, tol, out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     report_rows = []
     timing_rows = []
     n_pass = 0
-    for case_id, thunk in KINDS[sc.kind].build(sc, seed, tol, out_dir):
+    for case_id, thunk in built:
         t0 = time.perf_counter()
         *nums, passed = thunk()
         elapsed = time.perf_counter() - t0

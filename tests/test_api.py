@@ -1,6 +1,8 @@
-"""The package's public API: ``__all__`` lists exactly what ``__init__`` imports."""
+"""The package's public API: ``__all__`` lists exactly what ``__init__``
+imports, and the Cantor-measure integrals have one owner."""
 
 import ast
+import re
 from pathlib import Path
 
 import bvcalc
@@ -25,3 +27,16 @@ def test_every_exported_name_resolves():
 def test_all_matches_the_imported_public_names():
     assert len(set(bvcalc.__all__)) == len(bvcalc.__all__)
     assert set(bvcalc.__all__) == imported_public_names()
+
+
+def test_cantor_integrals_have_one_owner():
+    """Every integral against a Cantor base goes through
+    ``CantorBase.integrate``, and every flux gives its singular density
+    through ``singular_densities()``: the copies they replaced are gone."""
+    sources = {p.name: p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")}
+    for name in ("cantor_dictionary", "singular_ratio", "reference_cantor", "_cantor_integral"):
+        assert not [f for f, text in sources.items() if name in text], name
+    callers = {f for f, text in sources.items() if re.search(r"integrate_cantor_std\w*\(", text)}
+    assert callers <= {"cantor.py", "measures.py"}
+    assert {f for f, text in sources.items() if "from_std(" in text} == {"measures.py"}
+    assert "guard=" not in sources["cantor.py"]

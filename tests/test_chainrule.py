@@ -353,6 +353,29 @@ def test_direct_assembly_zero_mean_flux_jump():
     assert direct == pytest.approx(0.785 * phi_at(PHI, 0.5), abs=1e-9)
 
 
+def cantor_coefficient():
+    """K = 0.7 + a jump at 0.6 + 0.8 C on ]0, 1/3[."""
+    K = BVFunction.constant(0.0, 1.0, 0.7)
+    K = K + BVFunction.heaviside(0.0, 1.0, 0.6, 0.0, 0.4)
+    return K + BVFunction.cantor_fn(0.0, 1.0, support=(0.0, 1.0 / 3.0), coefficient=0.8)
+
+
+@pytest.mark.parametrize("composite", [False, True], ids=["model", "composite"])
+def test_direct_assembly_cantor_coefficient(composite):
+    """The Cantor branch of the direct assembly, for either protocol flux:
+    with a constant state it equals terms 1 + 2 + 5 of the report."""
+    K = cantor_coefficient()
+    if composite:
+        B = CompositeFlux(monomial((1, 2), label="y w^2"), K)
+    else:
+        B = FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 1.0), "w^2")),))
+    u = PiecewiseConstant((0.0, 1.0), (0.8,), ())
+    direct = pwc_direct_assembly(B, u, PHI)
+    t = chainrule_terms(B, u.to_bv(), PHI).terms
+    assert abs(t[1]) > 1e-2
+    assert direct == pytest.approx(t[0] + t[1] + t[4], abs=1e-9)
+
+
 def test_direct_assembly_needs_one_value_per_cell():
     B = identity_flux(BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0))
     with pytest.raises(DomainError):
@@ -419,6 +442,24 @@ def test_pointwise_derivatives_and_exceptional_guard():
     assert psi == {}
     with pytest.raises(DomainError):
         flux_derivatives(B, 0.5, (0.6,))
+
+
+def test_pointwise_singular_density_of_either_flux():
+    """psi maps each Cantor base to the density of the singular x-part
+    against that base: c f(w) for a one-term flux K(x) f(w), the value
+    singular_densities() gives at (x, w), and c df2/dy(K(x), w) for a
+    composite flux."""
+    K = cantor_coefficient()
+    f = SmoothFunction.poly1d((0.2, 0.0, 1.0), "0.2 + w^2")
+    w = np.array([0.6])
+    (base, dens), = FluxModel(((K, f),)).singular_densities()
+    _, _, psi = flux_derivatives(FluxModel(((K, f),)), 0.25, w)
+    assert psi == {base: 0.8 * f(w)}
+    assert psi[base] == float(dens(np.array([0.25]), w[:, None])[0])
+    _, gw, psi = flux_derivatives(CompositeFlux(monomial((1, 2), label="y w^2"), K), 0.25, w)
+    y = float(K.values(np.array([0.25]))[0])
+    assert gw[0] == pytest.approx(2.0 * y * 0.6)
+    assert psi == {base: pytest.approx(0.8 * 0.36)}
 
 
 def test_smooth_function_gradient_probe():

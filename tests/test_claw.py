@@ -405,6 +405,43 @@ def test_slice_pairing_matches_weak_form():
     assert assembled == pytest.approx(weak, abs=1e-10)
 
 
+def test_slice_pairing_cantor_part_matches_factored_form():
+    """K = 1 + 0.6 C on ]0.2, 0.8[: the slice's Cantor part integrates
+    phi times the flux's singular density; with K(x) f(w) that density is
+    the constant 0.6 f(v) per cell, so the sum factors as
+    sum over cells of 0.6 f(v) times the integral of phi sign against the
+    base, each taken by the standard restricted rule at depth 12."""
+    import dataclasses
+
+    from bvcalc import TestFunction, cantor
+
+    K = BVFunction.constant(0.0, 1.0, 1.0)
+    K = K + BVFunction.cantor_fn(0.0, 1.0, support=(0.2, 0.8), coefficient=0.6)
+    model = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),))
+    pair = adapted_entropy_pair(ScalarFlux(model, 0.1, 2.0), 1.0)
+    (base, _), = model.singular_densities()
+    edges = np.array([0.0, 0.3, 0.5, 0.75, 1.0])
+    vals = np.array([0.4, 1.1, 0.7, 1.6])
+    phi = TestFunction.poly_bump((0.05, 0.95), (1.0,))
+    sign = pair.q_diffuse[1]
+    a, width = base.support.a, base.width
+    factored = 0.0
+    for lo, hi, v in zip(edges[:-1], edges[1:], vals):
+        lo, hi = max(lo, 0.2), min(hi, 0.8)
+
+        def g(ts, v=v):
+            xs = a + width * np.asarray(ts, dtype=float)
+            return phi(xs) * sign(xs, v)
+
+        factored += 0.6 * v * cantor.integrate_cantor_std_restricted(
+            g, (lo - a) / width, (hi - a) / width, 12
+        )
+    assert abs(factored) > 1e-2
+    brackets = claw._slice_q_pairing(dataclasses.replace(pair, q_diffuse=None), edges, vals, phi)
+    got = claw._slice_q_pairing(pair, edges, vals, phi)
+    assert got == pytest.approx(brackets + factored, rel=1e-12)
+
+
 def test_affine_pair_needs_pwc_coefficients_for_residuals():
     """Smoothly varying coefficients leave the affine pair without a
     closed-form diffuse part; the residual assembly refuses it."""

@@ -188,6 +188,20 @@ def read_report(out_dir):
             "[scenario] seed",
         ),
         ("coarea-with-claw", "[scenario]\nkind = coarea-check\n\n[claw]\ncells = 8\n", "[claw]"),
+        # [claw] values that only the flux or the initial data refute
+        ("unattained-alpha", TINY_ENTROPY.replace("alpha = 0.6 1.0", "alpha = 100"), "[claw] alpha"),
+        (
+            "initial-leaves-range",
+            TINY_ENTROPY.replace("range = 0.1 2.5", "range = 1.0 2.5"),
+            "[u] initial: initial data leaves the working range ([claw] range",
+        ),
+        (
+            "flux-not-monotone-on-range",
+            TINY_CLAW.replace("term1.f = poly 0 1", "term1.f = poly 0 0 1").replace(
+                "range = 0.1 2.5", "range = -1 1"
+            ),
+            "[claw] range",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(tmp_path, capsys, name, body, fragment):

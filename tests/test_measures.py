@@ -17,6 +17,7 @@ from bvcalc import (
     mollified_measure_eval,
     radon_nikodym_cantor,
 )
+from bvcalc import cantor
 from bvcalc.measures import CantorTerm, kernel, kernel_cdf, kernel_deriv
 
 
@@ -160,6 +161,38 @@ def test_integrate_cantor_part_against_dyadic_oracle(coeffs):
     want = cantor_integral_oracle(f)
     got = integrate_measure(f, mu, tol=1e-10)
     assert got == pytest.approx(want, abs=1e-7)
+
+
+def wavy(xs):
+    xs = np.asarray(xs, dtype=float)
+    return np.cos(3.0 * xs) + xs * xs
+
+
+@pytest.mark.parametrize("depth", [10, 20])
+def test_unbroken_cantor_rule_is_the_midpoint_mean(depth):
+    """Without breakpoints the restricted descent starts and stops at the
+    root cell [0, 1]: the plain mean over the level-depth midpoints, bit for
+    bit."""
+    want = float(np.sum(wavy(cantor._std_mids(depth)))) / 2**depth
+    assert cantor.integrate_cantor_std(wavy, depth) == want
+
+
+def test_cantor_base_integrate_is_the_standard_rule_rescaled():
+    """CantorBase.integrate equals the standard rules called on the
+    integrand and cut points mapped to [0, 1] by hand, bit for bit."""
+    base = CantorBase(Interval(0.2, 0.8))
+    a, width = base.support.a, base.width
+
+    def g(ts):
+        return wavy(a + width * np.asarray(ts, dtype=float))
+
+    bps = (0.1, 0.5, 0.7, 0.9)
+    cuts = [(b - a) / width for b in bps if 0.2 < b < 0.8]
+    assert base.integrate(wavy, 12, bps) == cantor.integrate_cantor_std(g, 12, cuts)
+    lo, hi = 0.3, 0.65
+    assert base.integrate(wavy, 12, window=(lo, hi)) == (
+        cantor.integrate_cantor_std_restricted(g, (lo - a) / width, (hi - a) / width, 12)
+    )
 
 
 def test_integrate_rescaled_cantor_base():
