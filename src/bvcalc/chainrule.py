@@ -605,8 +605,8 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     vals = [float(v) for v in values]
     if len(vals) != len(pts) - 1:
         raise DomainError("need one state value per cell")
-    if B.dim != 1:
-        raise DomainError("comparison identity is scalar-state only")
+    if not isinstance(B, FluxModel) or B.dim != 1:
+        raise DomainError("comparison identity needs a scalar-state FluxModel (sum K_k f_k)")
     probe = np.linspace(B.domain.a, B.domain.b, 37)[1:-1]
     if np.abs(B.value_on_grid(probe, np.zeros((1, len(probe))))).max() > 1e-11:
         raise DomainError("comparison identity needs the flux to vanish at state zero")

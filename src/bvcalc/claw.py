@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvfunction import BVFunction
+from .chainrule import FluxModel
 from .errors import CFLError, DomainError, RangeError, RepresentationError
 from .quadrature import integrate_interval
 
@@ -32,6 +33,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # and side, and affine approximations per point or constancy cell.
 _LEVEL_CACHE_SIZE = 16
 _AFFINE_CACHE_SIZE = 1024
+_C_TOL = 1e-14  # bracket width at which the level inversion stops
+_C_PASSES = 200  # its cap: from |c| = 64 up one ulp is wider than _C_TOL
 
 
 def _star_sign(d, scale=1.0):
@@ -60,14 +63,16 @@ class ScalarFlux:
     state derivative may vanish at isolated points.  ``direction`` is +1
     for increasing, -1 for decreasing."""
 
-    model: object  # FluxModel with dim == 1
+    model: FluxModel  # with dim == 1
     w_lo: float
     w_hi: float
     direction: int = field(init=False)
 
     def __post_init__(self):
-        if self.model.dim != 1:
-            raise DomainError("conservation-law flux must have scalar state")
+        if not isinstance(self.model, FluxModel) or self.model.dim != 1:
+            raise DomainError(
+                "conservation-law flux needs a scalar-state FluxModel (sum K_k f_k)"
+            )
         if not self.w_hi > self.w_lo:
             raise DomainError("working range must be nondegenerate")
         dom = self.model.domain
@@ -136,46 +141,54 @@ class ScalarFlux:
         return best
 
 
-def c_alpha(flux, x, alpha, side="precise", tol=1e-14):
-    """The unique state c with B(x_side, c) = alpha, by bisection on the
-    working range.  RangeError when the level is not attained there."""
-    lo, hi = flux.w_lo, flux.w_hi
-    flo = flux.value(x, lo, side) - alpha
-    fhi = flux.value(x, hi, side) - alpha
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise RangeError(f"level {alpha} not attained by the flux at x={x} ({side})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = flux.value(x, mid, side) - alpha
-        if fm == 0.0 or hi - lo <= tol:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _invert(flux, xs, alpha, side):
+    """Level inversion at each point of ``xs`` on ``side`` (None: the a.e.
+    values), for one level or one per point: (states, attained mask).
 
-
-def c_alpha_values(flux, xs, alpha):
-    """Vectorized level inversion at many points (a.e. value: the sided
-    inversions agree off the flux jump set, and the right one is used on
-    it)."""
+    Per point: an end of the working range that hits the level is returned,
+    a same-sign bracket leaves the level unattained (state nan), and any
+    other bracket is halved until B(x, mid) hits the level or the bracket
+    is at most _C_TOL wide; that midpoint is returned."""
     xs = np.asarray(xs, dtype=float)
-    lo = np.full(xs.shape, float(flux.w_lo))
-    hi = np.full(xs.shape, float(flux.w_hi))
-    fhi = flux.values_on_grid(xs, hi) - alpha
-    for _ in range(80):
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xs.shape)
+    lo, hi = np.full(xs.shape, float(flux.w_lo)), np.full(xs.shape, float(flux.w_hi))
+    flo, fhi = (flux.values_on_grid(xs, w, side) - alpha for w in (lo, hi))
+    out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
+    attained = ~(flo * fhi > 0)
+    live = np.flatnonzero(attained & (flo != 0.0) & (fhi != 0.0))
+    x, a, lo, hi, fhi = xs[live], alpha[live], lo[live], hi[live], fhi[live]
+    for _ in range(_C_PASSES):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        fm = flux.values_on_grid(xs, mid) - alpha
-        take_hi = (fm > 0) == (fhi > 0)
-        hi = np.where(take_hi, mid, hi)
-        fhi = np.where(take_hi, fm, fhi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)
+        fm = flux.values_on_grid(x, mid, side) - a
+        done = (fm == 0.0) | (hi - lo <= _C_TOL)
+        up = (fm > 0) == (fhi > 0)
+        lo, hi, fhi = np.where(up, lo, mid), np.where(up, mid, hi), np.where(up, fm, fhi)
+        if done.any():
+            out[live[done]] = mid[done]
+            live, x, a, lo, hi, fhi = (v[~done] for v in (live, x, a, lo, hi, fhi))
+    out[live] = 0.5 * (lo + hi)
+    return out, attained
+
+
+def c_alpha_values(flux, xs, alpha, side=None):
+    """The state c with B(x_side, c) = alpha at each point of ``xs``, for
+    one level or one per point; side None takes the a.e. values
+    (right-continuous at flux jumps).  RangeError names the first point
+    where the level is not attained on the working range."""
+    xs = np.asarray(xs, dtype=float)
+    out, attained = _invert(flux, xs, alpha, side)
+    if not attained.all():
+        i = int(np.argmin(attained))
+        x, level = xs[i], np.broadcast_to(alpha, xs.shape)[i]
+        raise RangeError(f"level {level} not attained by the flux at x={x} ({side or 'a.e.'})")
+    return out
+
+
+def c_alpha(flux, x, alpha, side="precise"):
+    """The unique state c with B(x_side, c) = alpha: one point of c_alpha_values."""
+    return float(c_alpha_values(flux, [x], alpha, side)[0])
 
 
 def is_rankine_hugoniot(flux, x, u_minus, u_plus, tol=1e-10):
@@ -278,21 +291,16 @@ class EntropyFluxPair:
     def check_jump_dissipation(self, n_states=17, tol=1e-10):
         """q(x+, u+) - q(x-, u-) <= tol on constructed jump-condition
         pairs; returns (ok, worst difference, pairs checked)."""
-        worst = -math.inf
-        count = 0
+        uls = np.linspace(self.flux.w_lo, self.flux.w_hi, n_states)[1:-1]
+        diffs = []
         for x in self.flux.jump_points():
-            for ul in np.linspace(self.flux.w_lo, self.flux.w_hi, n_states)[1:-1]:
-                level = self.flux.value(x, float(ul), "left")
-                try:
-                    ur = c_alpha(self.flux, x, level, "right")
-                except RangeError:
-                    continue
-                diff = self.q(x, ur, "right") - self.q(x, float(ul), "left")
-                worst = max(worst, diff)
-                count += 1
-        if count == 0:
-            return True, 0.0, 0
-        return worst <= tol, worst, count
+            xs = np.full(uls.shape, float(x))
+            levels = self.flux.values_on_grid(xs, uls, "left")
+            urs, hit = _invert(self.flux, xs, levels, "right")
+            q_right = self.q_values(xs[hit], urs[hit], "right")
+            diffs += (q_right - self.q_values(xs[hit], uls[hit], "left")).tolist()
+        worst = max(diffs, default=0.0)
+        return worst <= tol, worst, len(diffs)
 
 
 def adapted_entropy_pair(flux, alpha):
@@ -305,17 +313,13 @@ def adapted_entropy_pair(flux, alpha):
     monotone flux both signs equal the sign of (carried level - alpha), so
     this holds on every jump-condition pair."""
     dom = flux.domain
-    for x in _off_points(np.linspace(dom.a, dom.b, 17)[1:-1], flux.jump_points()):
-        c_alpha(flux, float(x), alpha)  # fail early when not attained
+    probe = _off_points(np.linspace(dom.a, dom.b, 17)[1:-1], flux.jump_points())
+    c_alpha_values(flux, probe, alpha, "precise")  # fail early when not attained
 
     @functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
     def levels(key, side):
-        """c_alpha at each point of the grid whose bytes are ``key``: the
-        a.e. inversion for side None, else the exact sided one."""
-        xs = np.frombuffer(key)
-        if side is None:
-            return c_alpha_values(flux, xs, alpha)
-        return np.array([c_alpha(flux, x, alpha, side) for x in xs.tolist()])
+        """c_alpha on ``side`` at the grid whose bytes are ``key``."""
+        return c_alpha_values(flux, np.frombuffer(key), alpha, side)
 
     def c_on(xs, side=None):
         xs = np.asarray(xs, dtype=float)
@@ -437,20 +441,13 @@ def affine_entropy_approx(pair, flux, N, x, side="precise"):
     knot — so the approximation interpolates the entropy at every inverted
     level.  RangeError when fewer than two levels are attained."""
     C = flux.state_bound()
-    levels, knots = [], []
-    for i in range(-N, N + 1):
-        a_i = i * C / N
-        try:
-            c = c_alpha(flux, x, a_i, side)
-        except RangeError:
-            continue
-        levels.append(a_i)
-        knots.append(c)
-    if len(knots) < 2:
+    grid = np.arange(-N, N + 1) * C / N
+    knots, hit = _invert(flux, np.full(grid.shape, float(x)), grid, side)
+    if hit.sum() < 2:
         raise RangeError("fewer than two flux levels attained: index set too small")
-    order = np.argsort(knots)
-    cs = np.asarray(knots, dtype=float)[order]
-    lv = np.asarray(levels, dtype=float)[order]
+    order = np.argsort(knots[hit])
+    cs = knots[hit][order]
+    lv = grid[hit][order]
     eta_vals = np.asarray(pair.eta_sided(float(x), cs, side), dtype=float)
     delta = (eta_vals[1:] - eta_vals[:-1]) / (cs[1:] - cs[:-1])
     b = 0.5 * (delta[0] + delta[-1])

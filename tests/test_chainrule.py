@@ -11,6 +11,7 @@ from bvcalc import (
     DomainError,
     FluxModel,
     PiecewiseConstant,
+    ScalarFlux,
     SmoothFunction,
     TestFunction,
     chainrule_star_form,
@@ -415,6 +416,18 @@ def test_levelset_comparison_guards():
     )
     with pytest.raises(DomainError):
         levelset_comparison_pwc(planar, u, PHI)
+
+
+def test_factored_flux_machinery_rejects_a_composite_flux():
+    """The comparison identity and the conservation-law flux factor B as
+    sum K_k f_k, which a CompositeFlux f2(K, w) does not give."""
+    K = BVFunction.heaviside(0.0, 1.0, 0.5, 0.4, 1.0)
+    B = CompositeFlux(monomial((1, 1)), K)
+    u = PiecewiseConstant((0.0, 0.3, 1.0), (1.0, 2.0), (1.5,))
+    with pytest.raises(DomainError, match="needs a scalar-state FluxModel"):
+        ScalarFlux(B, 0.1, 2.0)
+    with pytest.raises(DomainError, match="needs a scalar-state FluxModel"):
+        levelset_comparison_pwc(B, u, PHI)
 
 
 # -- pointwise handles -------------------------------------------------------

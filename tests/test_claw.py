@@ -85,6 +85,107 @@ def test_level_inversion_vectorized_matches_pointwise():
     assert np.abs(got - want).max() < 1e-11
 
 
+def _reference_c_alpha(flux, x, alpha, side="precise", tol=1e-14):
+    """The one-point bisection the library used before the inversion was
+    vectorized, one flux evaluation per pass."""
+    lo, hi = flux.w_lo, flux.w_hi
+    flo = flux.value(x, lo, side) - alpha
+    fhi = flux.value(x, hi, side) - alpha
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise RangeError(f"level {alpha} not attained by the flux at x={x} ({side})")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = flux.value(x, mid, side) - alpha
+        if fm == 0.0 or hi - lo <= tol:
+            return mid
+        if (fm > 0) == (fhi > 0):
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _reference_ae_values(flux, xs, alpha):
+    """The a.e. inversion the library used before: 80 passes at every point."""
+    lo = np.full(xs.shape, float(flux.w_lo))
+    hi = np.full(xs.shape, float(flux.w_hi))
+    fhi = flux.values_on_grid(xs, hi) - alpha
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = flux.values_on_grid(xs, mid) - alpha
+        take_hi = (fm > 0) == (fhi > 0)
+        hi = np.where(take_hi, mid, hi)
+        fhi = np.where(take_hi, fm, fhi)
+        lo = np.where(take_hi, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def cubic_flux(w_hi):
+    """B(x, w) = (1 + x + H(x - 0.3)/2) (w/2 + w^3), jump at 0.3."""
+    K = BVFunction.from_poly(0.0, 1.0, (1.0, 1.0))
+    K = K + BVFunction.heaviside(0.0, 1.0, 0.3, 0.0, 0.5)
+    f = SmoothFunction.poly1d((0.0, 0.5, 0.0, 1.0), "w/2 + w^3")
+    return ScalarFlux(FluxModel(((K, f),)), 0.5, w_hi)
+
+
+@pytest.mark.parametrize("side", ["left", "right", "precise"])
+@pytest.mark.parametrize(
+    "flux, levels",
+    [
+        # 0.2 and 2.5 hit an end of the working range on one side of the jump
+        (step_flux(), (0.6, 1.0, 0.2, 2.5)),
+        # up to |c| = 1e3 one ulp is wider than the stopping width: the
+        # pass cap ends those brackets
+        (cubic_flux(1e3), (5.0, 1e4, 7.7e8, 1e9)),
+    ],
+    ids=["step", "cubic"],
+)
+def test_sided_inversion_is_the_reference_bisection(flux, levels, side):
+    jumps = list(flux.jump_points())
+    xs = np.concatenate((np.linspace(0.0, 1.0, 43)[1:-1], jumps, [0.25] + jumps))
+    for alpha in levels:
+        want = np.array([_reference_c_alpha(flux, float(x), alpha, side) for x in xs])
+        got = c_alpha_values(flux, xs, alpha, side)
+        np.testing.assert_array_equal(got, want)
+        assert c_alpha(flux, float(xs[-1]), alpha, side) == want[-1]
+    # one level per point
+    alphas = np.resize(np.asarray(levels), xs.shape)
+    want = [_reference_c_alpha(flux, float(x), a, side) for x, a in zip(xs, alphas)]
+    np.testing.assert_array_equal(c_alpha_values(flux, xs, alphas, side), want)
+
+
+@pytest.mark.parametrize(
+    "flux, levels, bound",
+    [
+        (step_flux(), (0.6, 1.0, 2.0), 2e-15),
+        # K varies with x, so the roots fill the range: the stop leaves the
+        # midpoint of a bracket at most _C_TOL wide, within half of it
+        (cubic_flux(3.0), (1.0, 2.0, 20.0), 0.5 * claw._C_TOL + 5e-16),
+    ],
+    ids=["step", "cubic"],
+)
+def test_ae_inversion_is_within_round_off_of_eighty_passes(flux, levels, bound):
+    xs = np.linspace(0.0, 1.0, 301)
+    for alpha in levels:
+        got = c_alpha_values(flux, xs, alpha)
+        assert np.abs(got - _reference_ae_values(flux, xs, alpha)).max() <= bound
+
+
+def test_inversion_names_the_first_unattained_point():
+    flux = step_flux()
+    xs = np.array([0.25, 0.5, 0.75, 0.9])
+    with pytest.raises(RangeError, match=r"level 5.5 not attained by the flux at x=0.75 \(right\)"):
+        c_alpha_values(flux, xs, np.array([1.0, 2.0, 5.5, 0.1]), "right")
+    with pytest.raises(RangeError, match=r"at x=0.25 \(a.e.\)"):
+        c_alpha_values(flux, xs, 9.0)
+    with pytest.raises(RangeError, match=r"level 9.0 .* x=0.5 \(left\)"):
+        c_alpha(flux, 0.5, 9.0, "left")
+
+
 def test_jump_condition_predicate():
     flux = step_flux()
     assert is_rankine_hugoniot(flux, 0.5, 1.0, 0.5)
@@ -164,6 +265,32 @@ def test_affine_coefficients(N, x, side):
     got = ae.eta(knots)
     want = pair.eta_sided(x, knots, side)
     assert np.abs(got - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("x,side", [(0.25, "precise"), (0.5, "left"), (0.5, "right")])
+def test_affine_coefficients_match_per_level_inversions(x, side):
+    """Levels a range cannot reach are skipped; the coefficients are those
+    built from one reference inversion per attained level."""
+    flux = step_flux()
+    pair = adapted_entropy_pair(flux, 0.9)
+    N = 16
+    C = flux.state_bound()
+    levels, knots = [], []
+    for i in range(-N, N + 1):
+        try:
+            knots.append(_reference_c_alpha(flux, x, i * C / N, side))
+        except RangeError:
+            continue
+        levels.append(i * C / N)
+    assert 2 < len(knots) < 2 * N + 1
+    ae = affine_entropy_approx(pair, flux, N, x, side)
+    assert ae.grid_knots == tuple(sorted(knots))
+    assert ae.levels == tuple(sorted(levels))[1:-1]
+    cs = np.sort(knots)
+    eta = np.abs(cs - _reference_c_alpha(flux, x, 0.9, side))
+    delta = np.diff(eta) / np.diff(cs)
+    assert ae.b == 0.5 * (delta[0] + delta[-1])
+    assert ae.kink_coeffs == tuple(np.maximum(0.5 * np.diff(delta), 0.0).tolist())
 
 
 def test_affine_approx_needs_two_levels():
@@ -358,21 +485,25 @@ def test_entropy_pair_level_cache_stays_bounded(monkeypatch):
 
 
 def test_bracket_levels_are_inverted_once_per_face_grid(monkeypatch):
-    """More than 2,048 live faces: the second slice reuses every sided
-    level inversion of the first."""
+    """More than 2,048 live faces: one array inversion per side, and the
+    second slice reuses both."""
     flux = step_flux()
     pair = adapted_entropy_pair(flux, 1.0)
     calls = []
-    monkeypatch.setattr(
-        claw, "c_alpha", lambda flux, x, alpha, side="precise": calls.append(x) or 1.0
-    )
+    real = claw.c_alpha_values
+
+    def counted(flux, xs, alpha, side=None):
+        calls.append((len(xs), side))
+        return real(flux, xs, alpha, side)
+
+    monkeypatch.setattr(claw, "c_alpha_values", counted)
     edges = np.linspace(0.0, 1.0, 2502)
     vals = np.full(2501, 1.2)
     phi_x = lambda xs: np.ones_like(xs)  # noqa: E731
     first = claw._slice_q_pairing(pair, edges, vals, phi_x)
-    assert len(calls) == 2 * 2500
+    assert sorted(calls) == [(2500, "left"), (2500, "right")]
     assert claw._slice_q_pairing(pair, edges, vals, phi_x) == first
-    assert len(calls) == 2 * 2500
+    assert len(calls) == 2
 
 
 def test_slice_pairing_matches_weak_form():

@@ -38,7 +38,7 @@ DIGESTS = {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",
     },
     "entropy_check": {
-        "report.csv": "726c7c399ab0cec2c69d63670bfefc600353533e8487956cc3d426d3288a9ab2",
+        "report.csv": "dd2fe9a9ca779c8d727c86158c6506e6dcaf9c8691ee91b0d8dd6abaf6745006",
     },
 }
 
