@@ -69,7 +69,6 @@ from .claw import (
     adapted_entropy_pair,
     affine_entropy_approx,
     affine_pair,
-    c_alpha,
     c_alpha_values,
     entropy_residual,
     is_rankine_hugoniot,
@@ -111,7 +110,6 @@ __all__ = [
     "affine_pair",
     "approximate_scalar",
     "approximate_vector",
-    "c_alpha",
     "c_alpha_values",
     "cantor_function_eval",
     "chainrule_lhs",

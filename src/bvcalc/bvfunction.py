@@ -30,22 +30,9 @@ from .measures import (
     kernel,
     measure_total_variation,
 )
-from .quadrature import _apply, integrate_interval
+from .quadrature import _apply, _bisect, integrate_interval
 
-_SIDES = ("left", "right", "precise", "stored")
-
-
-def _policy_theta(policy):
-    if policy == "left":
-        return 0.0
-    if policy == "right":
-        return 1.0
-    if policy == "precise":
-        return 0.5
-    th = float(policy)
-    if not 0.0 <= th <= 1.0:
-        raise DomainError("representative policy theta must lie in [0,1]")
-    return th
+_SIDES = ("left", "right", "precise")
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,6 @@ class BVFunction:
     domain: Interval
     smooth_part: PiecewisePolynomial = None
     cantor_part: tuple = ()  # of (CantorBase, coefficient)
-    policy: object = "precise"
 
     def __post_init__(self):
         if self.smooth_part is None:
@@ -73,43 +59,38 @@ class BVFunction:
             if coef != 0.0:
                 parts.append((base, float(coef)))
         object.__setattr__(self, "cantor_part", tuple(parts))
-        _policy_theta(self.policy)  # validate
         # identical-or-disjoint support discipline, via the measure constructor
         self.derivative()
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def from_poly(lo, hi, coeffs, policy="precise"):
+    def from_poly(lo, hi, coeffs):
         """u(x) = sum coeffs[k] x^k on ]lo, hi[."""
-        return BVFunction(
-            Interval(lo, hi), PiecewisePolynomial.from_global(lo, hi, coeffs), (), policy
-        )
+        return BVFunction(Interval(lo, hi), PiecewisePolynomial.from_global(lo, hi, coeffs))
 
     @staticmethod
     def constant(lo, hi, c):
         return BVFunction.from_poly(lo, hi, (c,))
 
     @staticmethod
-    def heaviside(lo, hi, x0, left=0.0, right=1.0, policy="precise"):
+    def heaviside(lo, hi, x0, left=0.0, right=1.0):
         """Jump at x0 from ``left`` to ``right``, constant elsewhere."""
         if not lo < x0 < hi:
             raise DomainError("jump location must be interior")
         return BVFunction(
             Interval(lo, hi),
             PiecewisePolynomial((lo, x0, hi), ((float(left),), (float(right),))),
-            (),
-            policy,
         )
 
     @staticmethod
-    def cantor_fn(lo, hi, support=None, coefficient=1.0, policy="precise"):
+    def cantor_fn(lo, hi, support=None, coefficient=1.0):
         """coefficient * (Cantor function rescaled to ``support``)."""
         if support is None:
             support = Interval(lo, hi)
         elif not isinstance(support, (Interval, CantorBase)):
             support = Interval(*support)
         base = support if isinstance(support, CantorBase) else CantorBase(support)
-        return BVFunction(Interval(lo, hi), None, ((base, coefficient),), policy)
+        return BVFunction(Interval(lo, hi), None, ((base, coefficient),))
 
     # -- structure ----------------------------------------------------------
     def breakpoints(self):
@@ -141,11 +122,11 @@ class BVFunction:
         return tuple(x for x, _, _ in self.jumps())
 
     # -- evaluation ---------------------------------------------------------
-    def at(self, xs, side="stored"):
+    def at(self, xs, side="precise"):
         """Exact sided evaluation at the points ``xs``: left or right
-        limits, the precise representative (their mean) or the stored
-        policy's combination.  This is the evaluation for jump sets and
-        interfaces; ``values`` is the a.e. one for quadrature."""
+        limits, or the precise representative (their mean).  This is the
+        evaluation for jump sets and interfaces; ``values`` is the a.e. one
+        for quadrature."""
         if side not in _SIDES:
             raise DomainError(f"side must be one of {_SIDES}")
         xs = np.asarray(xs, dtype=float)
@@ -162,16 +143,14 @@ class BVFunction:
             raise DomainError(f"interior evaluation defined on ]{a}, {b}[")
         l = self.smooth_part.at(xs, "left")
         r = self.smooth_part.at(xs, "right")
-        c = self._cantor(xs)
-        th = 0.5 if side == "precise" else _policy_theta(self.policy)
-        return (1.0 - th) * l + th * r + c
+        return 0.5 * l + 0.5 * r + self._cantor(xs)
 
-    def eval(self, x, side="stored"):
+    def eval(self, x, side="precise"):
         """One-sided / representative evaluation at a single point."""
         return float(self.at(np.array([float(x)]), side)[0])
 
     def __call__(self, x):
-        return self.eval(x, side="stored")
+        return self.eval(x)
 
     def values(self, xs):
         """Vectorized a.e. evaluation: right-continuous at jump points, with
@@ -179,9 +158,9 @@ class BVFunction:
         xs = np.asarray(xs, dtype=float)
         return self.smooth_part(xs) + self._cantor(xs)
 
-    def oscillation(self, samples=2048):
+    def oscillation(self):
         """max - min over a dense sample plus one-sided jump values."""
-        xs = np.linspace(self.domain.a, self.domain.b, samples)[1:-1]
+        xs = np.linspace(self.domain.a, self.domain.b, 2048)[1:-1]
         vals = [self.values(xs)]
         for x, l, r in self.jumps():
             vals.append(np.array([l, r]))
@@ -221,7 +200,6 @@ class BVFunction:
             self.domain,
             self.smooth_part + other.smooth_part,
             self._merge_cantor(other.cantor_part),
-            self.policy,
         )
 
     __radd__ = __add__
@@ -232,7 +210,6 @@ class BVFunction:
             self.domain,
             self.smooth_part.scale(k),
             tuple((b, k * c) for b, c in self.cantor_part),
-            self.policy,
         )
 
     def __sub__(self, other):
@@ -400,7 +377,7 @@ def integration_by_parts_residual(u, phi, tol=1e-9):
     return float(part1 + part2)
 
 
-def leibniz_product(v, w, tol=1e-9):
+def leibniz_product(v, w):
     """The derivative measure of the product, D(vw) = v* Dw + w* Dv.
 
     Pieces: a.c. densities combine by the product rule (with modulated
@@ -445,9 +422,9 @@ def leibniz_product(v, w, tol=1e-9):
     return star_side(v, w) + star_side(w, v)
 
 
-def leibniz_weak_residual(v, w, phi, tol=1e-9, product_measure=None):
+def leibniz_weak_residual(v, w, phi, tol=1e-9):
     """integral of phi dD(vw) plus integral of phi' v w dx; zero exactly."""
-    m = leibniz_product(v, w, tol=tol) if product_measure is None else product_measure
+    m = leibniz_product(v, w)
     sup = phi.support
     bps = tuple(sorted(set(v.breakpoints()) | set(w.breakpoints())))
     sups = tuple(set(v.cantor_supports()) | set(w.cantor_supports()))
@@ -561,17 +538,10 @@ def coarea_rhs(g, u, t_grid=None, tol=1e-9, g_breakpoints=()):
             if not mask.any():
                 continue
             tm = ts[mask]
-            # vectorized bisection for the monotone inverse
-            a = np.full_like(tm, x0)
-            b = np.full_like(tm, x1)
-            up = v1 > v0
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                vm = u.values(m)
-                take_left = (vm >= tm) if up else (vm <= tm)
-                b = np.where(take_left, m, b)
-                a = np.where(take_left, a, m)
-            xs = 0.5 * (a + b)
+            xs = _bisect(
+                lambda x, i: u.values(x) - tm[i],
+                np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm,
+            )
             out[mask] += _apply(g, xs)
         for xj, l, r in jumps:
             lo, hi = (l, r) if l < r else (r, l)

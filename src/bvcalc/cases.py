@@ -79,23 +79,20 @@ def _random_state_function(rng, d):
     return monomial_sum(terms)
 
 
-def _random_bv(rng, lo, hi, cantor_support=None, forced_jumps=(), max_jumps=3,
-               policy="precise"):
+def _random_bv(rng, lo, hi, cantor_support=None, forced_jumps=(), max_jumps=3):
     """Random BV function: quadratic part + a few jumps + optional Cantor
     summand on the shared per-case support."""
     coeffs = tuple(np.round(rng.uniform(-1.2, 1.2, int(rng.integers(1, 4))), 3))
-    u = BVFunction.from_poly(lo, hi, coeffs, policy=policy)
+    u = BVFunction.from_poly(lo, hi, coeffs)
     points = list(forced_jumps)
     for _ in range(int(rng.integers(0, max_jumps + 1 - len(points)))):
         points.append(float(rng.uniform(lo + 0.08, hi - 0.08)))
     for p in points:
         size = float(np.round(rng.uniform(0.3, 1.8), 3)) * rng.choice([-1.0, 1.0])
-        u = u + BVFunction.heaviside(lo, hi, p, left=0.0, right=size, policy=policy)
+        u = u + BVFunction.heaviside(lo, hi, p, left=0.0, right=size)
     if cantor_support is not None:
         coef = float(np.round(rng.uniform(0.4, 1.4), 3)) * rng.choice([-1.0, 1.0])
-        u = u + BVFunction.cantor_fn(
-            lo, hi, support=cantor_support, coefficient=coef, policy=policy
-        )
+        u = u + BVFunction.cantor_fn(lo, hi, support=cantor_support, coefficient=coef)
     return u
 
 

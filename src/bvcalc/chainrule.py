@@ -85,11 +85,11 @@ class SmoothFunction:
     def gradient(self, w):
         return np.asarray(self.grad(np.asarray(w, dtype=float)), dtype=float)
 
-    def lipschitz_bound(self, lo, hi, grid=33):
+    def lipschitz_bound(self, lo, hi):
         """Upper bound for |grad f| over the box [lo_i, hi_i]."""
         if self.lip is not None:
             return float(self.lip(np.atleast_1d(lo), np.atleast_1d(hi)))
-        pts = _box_grid(lo, hi, grid)
+        pts = _box_grid(lo, hi, 33)
         g = self.gradient(pts)
         norms = np.sqrt(np.sum(np.asarray(g) ** 2, axis=0))
         return float(norms.max() * _GRID_LIP_MARGIN)
@@ -328,9 +328,6 @@ class ChainRuleReport:
     def total(self):
         return float(sum(self.terms))
 
-    def __iter__(self):
-        return iter(self.terms)
-
 
 def _as_vector(u):
     return BVVector((u,)) if isinstance(u, BVFunction) else u
@@ -518,15 +515,6 @@ def composite_flux_lhs(f2, K, u, phi, tol=1e-8):
     return chainrule_lhs(CompositeFlux(f2, K), u, phi, tol)
 
 
-def _pwc_data(u):
-    """(partition points, per-cell values) from a PiecewiseConstant or a
-    raw (partition, values) pair."""
-    if hasattr(u, "partition") and hasattr(u, "values"):
-        return list(u.partition), list(u.values)
-    partition, values = u
-    return list(partition), list(values)
-
-
 def pwc_direct_assembly(B, u, phi, tol=1e-8):
     """Independent re-assembly of the composition's x-derivative pairing for
     a piecewise-constant state: per-cell restricted diffuse pairings at the
@@ -538,11 +526,8 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
     sum over J_u of phi(x) [B*(x, u(x+)) - B*(x, u(x-))]; the extra sum
     vanishes when every state jump sits where B* is state-independent (for
     instance at zero-average flux jumps), and for constant states."""
-    partition, values = _pwc_data(u)
-    pts = [float(p) for p in partition]
-    vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
-    if len(vals) != len(pts) - 1:
-        raise DomainError("need one state value per cell")
+    pts = list(u.partition)
+    vals = [np.atleast_1d(v) for v in u.values]
     lo, hi, bps, sups = _layout(phi, B)
     depth = _cantor_depth(tol)
     densities = B.singular_densities()
@@ -600,11 +585,7 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     the pairing of the closed cell indicator's precise representative
     against the x-derivative measure at the cell state.  Scalar state only;
     the flux must vanish at state zero."""
-    partition, values = _pwc_data(u)
-    pts = [float(p) for p in partition]
-    vals = [float(v) for v in values]
-    if len(vals) != len(pts) - 1:
-        raise DomainError("need one state value per cell")
+    pts, vals = list(u.partition), list(u.values)
     if not isinstance(B, FluxModel) or B.dim != 1:
         raise DomainError("comparison identity needs a scalar-state FluxModel (sum K_k f_k)")
     probe = np.linspace(B.domain.a, B.domain.b, 37)[1:-1]

@@ -2,13 +2,15 @@
 
 The law is u_t + B(x,u)_x = 0 with B a flux model that is strictly monotone
 in the state on a declared working range, so every flux level is inverted by
-bisection and the interface pairs satisfying the jump (Rankine-Hugoniot)
-condition can be constructed exactly.  The module provides the level
-inversion, adapted entropy/flux pairs built on it, their piecewise-affine
-approximations with certified nonnegative kink coefficients, a conservative
-first-order finite-volume solver whose interface flux enforces the jump
-pairing at flux discontinuities, and a measure-form entropy-residual
-checker evaluated slice by slice with the chain-rule machinery.
+the package's one bisection (``quadrature._bisect``) and the interface pairs
+satisfying the jump (Rankine-Hugoniot) condition can be constructed exactly.
+The module provides the level inversion ``c_alpha_values``, adapted
+entropy/flux pairs built on it (entropy and flux both sided), their
+piecewise-affine approximations with certified nonnegative kink
+coefficients, a conservative first-order finite-volume solver whose
+interface flux enforces the jump pairing at flux discontinuities, and a
+measure-form entropy-residual checker evaluated slice by slice with the
+chain-rule machinery.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .bvfunction import BVFunction
 from .chainrule import FluxModel
 from .errors import CFLError, DomainError, RangeError, RepresentationError
-from .quadrature import integrate_interval
+from .quadrature import _bisect, integrate_interval
 
 _KINK_BAND = 1e-12  # relative half-width of the starred-sign zero band
 
@@ -33,8 +35,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # and side, and affine approximations per point or constancy cell.
 _LEVEL_CACHE_SIZE = 16
 _AFFINE_CACHE_SIZE = 1024
-_C_TOL = 1e-14  # bracket width at which the level inversion stops
-_C_PASSES = 200  # its cap: from |c| = 64 up one ulp is wider than _C_TOL
 
 
 def _star_sign(d, scale=1.0):
@@ -147,8 +147,7 @@ def _invert(flux, xs, alpha, side):
 
     Per point: an end of the working range that hits the level is returned,
     a same-sign bracket leaves the level unattained (state nan), and any
-    other bracket is halved until B(x, mid) hits the level or the bracket
-    is at most _C_TOL wide; that midpoint is returned."""
+    other bracket goes to :func:`~bvcalc.quadrature._bisect`."""
     xs = np.asarray(xs, dtype=float)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xs.shape)
     lo, hi = np.full(xs.shape, float(flux.w_lo)), np.full(xs.shape, float(flux.w_hi))
@@ -156,19 +155,12 @@ def _invert(flux, xs, alpha, side):
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     attained = ~(flo * fhi > 0)
     live = np.flatnonzero(attained & (flo != 0.0) & (fhi != 0.0))
-    x, a, lo, hi, fhi = xs[live], alpha[live], lo[live], hi[live], fhi[live]
-    for _ in range(_C_PASSES):
-        if not live.size:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = flux.values_on_grid(x, mid, side) - a
-        done = (fm == 0.0) | (hi - lo <= _C_TOL)
-        up = (fm > 0) == (fhi > 0)
-        lo, hi, fhi = np.where(up, lo, mid), np.where(up, mid, hi), np.where(up, fm, fhi)
-        if done.any():
-            out[live[done]] = mid[done]
-            live, x, a, lo, hi, fhi = (v[~done] for v in (live, x, a, lo, hi, fhi))
-    out[live] = 0.5 * (lo + hi)
+    x, a = xs[live], alpha[live]
+
+    def g(w, i):
+        return flux.values_on_grid(x[i], w, side) - a[i]
+
+    out[live] = _bisect(g, lo[live], hi[live], fhi[live])
     return out, attained
 
 
@@ -186,11 +178,6 @@ def c_alpha_values(flux, xs, alpha, side=None):
     return out
 
 
-def c_alpha(flux, x, alpha, side="precise"):
-    """The unique state c with B(x_side, c) = alpha: one point of c_alpha_values."""
-    return float(c_alpha_values(flux, [x], alpha, side)[0])
-
-
 def is_rankine_hugoniot(flux, x, u_minus, u_plus, tol=1e-10):
     """Whether the sided flux values match across x (the jump condition)."""
     return abs(flux.value(x, u_minus, "left") - flux.value(x, u_plus, "right")) <= tol
@@ -200,8 +187,9 @@ def is_rankine_hugoniot(flux, x, u_minus, u_plus, tol=1e-10):
 class EntropyFluxPair:
     """Entropy/flux pair tied to one ScalarFlux.
 
-    ``eta_fn(xs, us)`` and ``eta_u_fn(xs, us)`` are vectorized a.e.
-    handles; ``q_fn(xs, us, side)`` is vectorized and one-sided in x.
+    ``eta_fn(xs, us, side)`` and ``q_fn(xs, us, side)`` are vectorized and
+    one-sided in x (side None: the a.e. values for eta); ``eta_u_fn(xs,
+    us)`` is the vectorized a.e. state derivative.
     ``q_diffuse`` describes the diffuse part of the x-derivative of
     x -> q(x, u) at frozen state: None means it vanishes inside
     flux-smooth cells (piecewise-constant coefficients), the string
@@ -213,22 +201,14 @@ class EntropyFluxPair:
     eta_u_fn: object
     q_fn: object
     q_diffuse: object = None
-    eta_sided_fn: object = None  # (x, us, side) -> values; exact at jump points
     label: str = field(default="", compare=False)
 
-    def eta(self, xs, us):
-        return np.asarray(
-            self.eta_fn(np.asarray(xs, dtype=float), np.asarray(us, dtype=float)),
-            dtype=float,
-        )
-
-    def eta_sided(self, x, us, side):
-        """Entropy profile at one point with an explicit side (needed on
-        the flux jump set, where the a.e. handle picks the right side)."""
+    def eta(self, xs, us, side=None):
+        """Entropy eta(xs_i, us_i), one-sided in x when ``side`` is given;
+        None takes the pair's a.e. values."""
+        xs = np.asarray(xs, dtype=float)
         us = np.asarray(us, dtype=float)
-        if self.eta_sided_fn is not None:
-            return np.asarray(self.eta_sided_fn(float(x), us, side), dtype=float)
-        return self.eta(np.full(us.shape, float(x)), us)
+        return np.asarray(self.eta_fn(xs, us, side), dtype=float)
 
     def eta_u(self, xs, us):
         return np.asarray(
@@ -258,12 +238,12 @@ class EntropyFluxPair:
             worst = min(worst, float(second.min()))
         return worst >= -tol, worst
 
-    def check_compatibility(self, samples=200, tol=1e-6, rng=None):
+    def check_compatibility(self, samples=200, tol=1e-6):
         """(state derivative of q) = eta_u * (state derivative of B) off
-        the flux jump set, by centered differences at random probes.
+        the flux jump set, by centered differences at seeded random probes.
         Probes whose difference stencil straddles an entropy kink (detected
         by a jump of eta_u across the stencil) are skipped."""
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         dom = self.flux.domain
         h = 1e-6 * (self.flux.w_hi - self.flux.w_lo)
         worst = 0.0
@@ -325,8 +305,8 @@ def adapted_entropy_pair(flux, alpha):
         xs = np.asarray(xs, dtype=float)
         return levels(xs.tobytes(), side).reshape(xs.shape)
 
-    def eta_fn(xs, us):
-        return np.abs(us - c_on(xs))
+    def eta_fn(xs, us, side):
+        return np.abs(us - c_on(xs, side))
 
     def eta_u_fn(xs, us):
         return _star_sign(us - c_on(xs))
@@ -352,38 +332,22 @@ def adapted_entropy_pair(flux, alpha):
             * flux.direction
         )
 
-    def eta_sided_fn(x, us, side):
-        return np.abs(us - c_alpha(flux, float(x), alpha, side))
-
-    def cuts(v, lo, hi, samples=65):
-        """Level crossings of B(., v) in [lo, hi]: sign changes of
-        B(., v) - alpha located between samples by bisection (quadrature
-        cut points for the sign factor)."""
-        xs = np.linspace(lo, hi, samples)
+    def cuts(v, lo, hi):
+        """Level crossings of B(., v) in [lo, hi] (quadrature cut points for
+        the sign factor): the zeros of B(., v) - alpha at the first 64 of 65
+        samples, and one bisected root wherever it changes sign between two."""
+        xs = np.linspace(lo, hi, 65)
         g = flux.values_on_grid(xs, np.full(len(xs), float(v))) - alpha
-        out = []
-        for a, b, fa, fb in zip(xs[:-1], xs[1:], g[:-1], g[1:]):
-            if fa == 0.0:
-                out.append(float(a))
-                continue
-            if fa * fb >= 0:
-                continue
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = flux.value(m, float(v)) - alpha
-                if fm == 0.0:
-                    break
-                if (fm > 0) == (fb > 0):
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            out.append(0.5 * (a + b))
-        return tuple(out)
+        k = np.flatnonzero(g[:-1] * g[1:] < 0)
+        roots = _bisect(
+            lambda x, i: flux.values_on_grid(x, np.full(len(x), float(v))) - alpha,
+            xs[k], xs[k + 1], g[k + 1],
+        )
+        return tuple(np.sort(np.concatenate((xs[:-1][g[:-1] == 0.0], roots))).tolist())
 
     return EntropyFluxPair(
         flux, eta_fn, eta_u_fn, q_fn,
         q_diffuse=(q_density, q_cantor_sign, cuts),
-        eta_sided_fn=eta_sided_fn,
         label=f"adapted[{alpha:.6g}]",
     )
 
@@ -448,7 +412,7 @@ def affine_entropy_approx(pair, flux, N, x, side="precise"):
     order = np.argsort(knots[hit])
     cs = knots[hit][order]
     lv = grid[hit][order]
-    eta_vals = np.asarray(pair.eta_sided(float(x), cs, side), dtype=float)
+    eta_vals = pair.eta(float(x), cs, side)
     delta = (eta_vals[1:] - eta_vals[:-1]) / (cs[1:] - cs[:-1])
     b = 0.5 * (delta[0] + delta[-1])
     # nonnegative for convex eta; clip the round-off of exactly-flat chords
@@ -498,10 +462,9 @@ def affine_pair(flux, base_pair, N):
                 cache.popitem(last=False)
         return cache[key]
 
-    def eta_fn(xs, us):
-        xs = np.asarray(xs, dtype=float)
-        us = np.asarray(us, dtype=float)
-        return np.array([float(at(x, "precise").eta(u)) for x, u in zip(xs, us)])
+    def eta_fn(xs, us, side):
+        xs, us = np.broadcast_arrays(xs, us)
+        return np.array([float(at(x, side or "precise").eta(u)) for x, u in zip(xs, us)])
 
     def eta_u_fn(xs, us):
         xs = np.asarray(xs, dtype=float)
@@ -511,14 +474,9 @@ def affine_pair(flux, base_pair, N):
     def q_fn(xs, us, side):
         return np.array([at(x, side).q(u) for x, u in zip(xs.tolist(), us.tolist())])
 
-    def eta_sided_fn(x, us, side):
-        ae = at(x, side)
-        return np.asarray([float(ae.eta(u)) for u in np.atleast_1d(us)])
-
     return EntropyFluxPair(
         flux, eta_fn, eta_u_fn, q_fn,
         q_diffuse=None if is_pwc else "unsupported",
-        eta_sided_fn=eta_sided_fn,
         label=f"affine[N={N}] of {base_pair.label}",
     )
 

@@ -87,13 +87,12 @@ class PiecewiseConstant:
             tv += abs(nv - c0) + abs(c1 - nv)
         return tv
 
-    def to_bv(self, policy="precise"):
-        """The same steps as a BVFunction (the policy replaces the stored
-        node values; one-sided limits and jumps are preserved exactly)."""
+    def to_bv(self):
+        """The same steps as a BVFunction (the precise representative
+        replaces the stored node values; one-sided limits and jumps are
+        preserved exactly)."""
         pp = PiecewisePolynomial(self.partition, tuple((v,) for v in self.values))
-        return BVFunction(
-            Interval(self.partition[0], self.partition[-1]), pp, (), policy
-        )
+        return BVFunction(Interval(self.partition[0], self.partition[-1]), pp)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class ExceptionalSet:
         return ExceptionalSet(self.points, min(int(k), len(self.points)))
 
 
-def _osc_delta(vc_vals, grid_h, eps_third, max_halvings=40):
+def _osc_delta(vc_vals, grid_h, eps_third):
     """Window width on which the sampled continuous part oscillates < eps/3,
     found by halving, then halved once more for safety.
 
@@ -139,7 +138,7 @@ def _osc_delta(vc_vals, grid_h, eps_third, max_halvings=40):
             worst = max(worst, float(block.max() - block.min()))
         return worst
 
-    for _ in range(max_halvings):
+    for _ in range(40):
         if osc_upper(delta) < 0.9 * eps_third:
             break
         delta *= 0.5
@@ -159,7 +158,7 @@ def _shift_off(x, forbidden, room, tol):
     raise DomainError("could not place a partition node off the forbidden set")
 
 
-def approximate_scalar(v, eps, exc=None, grid_points=4097):
+def approximate_scalar(v, eps, exc=None):
     """Piecewise-constant approximation with the five certified properties:
     big jumps retained with exact one-sided limits, total variation not
     increased, nodes avoiding the marked set, exact values on the marked
@@ -190,7 +189,7 @@ def approximate_scalar(v, eps, exc=None, grid_points=4097):
     smalls = sorted(x for x, _, _ in order[N:])
 
     # oscillation scale of the continuous part on a dense grid
-    xs = np.linspace(a, b, grid_points)[1:-1]
+    xs = np.linspace(a, b, 4097)[1:-1]
     vals = v.values(xs)
     if jumps:
         jx = np.array([x for x, _, _ in jumps])
@@ -251,12 +250,12 @@ def approximate_scalar(v, eps, exc=None, grid_points=4097):
     for i, (y0, y1) in enumerate(zip(nodes[:-1], nodes[1:])):
         inside = marked_arr[(marked_arr > y0) & (marked_arr < y1)]
         if inside.size:
-            sample[i], sides[i] = inside[0], "stored"
+            sample[i], sides[i] = inside[0], "precise"
     cells = np.empty(sample.size)
-    for side in ("stored", "left", "right"):
+    for side in ("precise", "left", "right"):
         hit = sides == side
         cells[hit] = v.at(sample[hit], side)
-    node_vals = v.at(pts[1:-1], "stored")
+    node_vals = v.at(pts[1:-1], "precise")
     return PiecewiseConstant(tuple(nodes), tuple(cells), tuple(node_vals))
 
 

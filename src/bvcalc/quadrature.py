@@ -40,6 +40,33 @@ _MAX_PASSES = 30
 _MAX_CELLS = 200_000
 _LEFTOVER_CAP = 13
 _REFINE_DEPTH = 10
+_ROOT_TOL = 1e-14  # bracket width at which a bisection stops
+_ROOT_PASSES = 200  # its cap: from |x| = 64 up one ulp is wider than _ROOT_TOL
+
+
+def _bisect(g, lo, hi, ghi):
+    """A root of g in each bracket [lo_i, hi_i] on whose ends g changes
+    sign; ``ghi`` is g at the hi ends and fixes each orientation.
+
+    ``g(xs, idx)`` is g of the brackets ``idx`` at ``xs``.  Each bracket is
+    halved until g(mid) == 0 or it is at most _ROOT_TOL wide, and that
+    midpoint is returned; finished brackets leave the live set."""
+    lo, hi, ghi = (np.array(v, dtype=float) for v in (lo, hi, ghi))
+    out = np.empty(lo.shape)
+    live = np.arange(lo.size)
+    for _ in range(_ROOT_PASSES):
+        if not live.size:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid, live)
+        done = (gm == 0.0) | (hi - lo <= _ROOT_TOL)
+        up = (gm > 0) == (ghi > 0)
+        lo, hi, ghi = np.where(up, lo, mid), np.where(up, mid, hi), np.where(up, gm, ghi)
+        if done.any():
+            out[live[done]] = mid[done]
+            live, lo, hi, ghi = (v[~done] for v in (live, lo, hi, ghi))
+    out[live] = 0.5 * (lo + hi)
+    return out
 
 
 def _leftover_level(tol):

@@ -281,7 +281,7 @@ def test_criterion_7e_affine_entropy_coefficients():
             ae = affine_entropy_approx(pair, flux, N, x, side)
             ok &= min(ae.kink_coeffs, default=0.0) >= 0.0
             knots = np.asarray(ae.grid_knots)
-            gap = np.abs(ae.eta(knots) - pair.eta_sided(x, knots, side)).max()
+            gap = np.abs(ae.eta(knots) - pair.eta(x, knots, side)).max()
             worst_interp = max(worst_interp, float(gap))
             ok &= gap <= 1e-10
     report(

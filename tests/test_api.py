@@ -1,9 +1,8 @@
 """The package's public API: ``__all__`` lists exactly what ``__init__``
-imports, the Cantor-measure integrals have one owner, and so does the level
-inversion."""
+imports, the Cantor-measure integrals have one owner, and every monotone
+inversion shares one bisection."""
 
 import ast
-import inspect
 import re
 from pathlib import Path
 
@@ -44,33 +43,39 @@ def test_cantor_integrals_have_one_owner():
     assert "guard=" not in sources["cantor.py"]
 
 
-def _calls_by_function(tree, name):
-    """Names of the innermost functions of ``tree`` that call ``name``."""
+def _callers(tree, name):
+    """The chain of enclosing function names of every call of ``name``."""
     out = []
 
-    def walk(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            owner = getattr(node, "name", "<lambda>")
+    def walk(node, owners):
+        if isinstance(node, ast.FunctionDef):
+            owners = owners + (node.name,)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
-            out.append(owner)
+            out.append(owners)
         for child in ast.iter_child_nodes(node):
-            walk(child, owner)
+            walk(child, owners)
 
-    walk(tree, None)
+    walk(tree, ())
     return out
 
 
 def test_level_inversion_has_one_bisection():
-    """``c_alpha`` is a one-point call of ``c_alpha_values``: it holds no
-    loop, takes no tolerance, and only the sided one-point entropy handle
-    calls it."""
-    from bvcalc import claw
-
-    loops = (ast.For, ast.While, ast.comprehension)
-    tree = ast.parse(inspect.getsource(claw.c_alpha))
-    assert not [n for n in ast.walk(tree) if isinstance(n, loops)]
-    assert "tol" not in inspect.signature(claw.c_alpha).parameters
-    callers = []
-    for path in Path(bvcalc.__file__).parent.glob("*.py"):
-        callers += _calls_by_function(ast.parse(path.read_text()), "c_alpha")
-    assert callers == ["eta_sided_fn"]
+    """Every inversion over states or x goes through ``quadrature._bisect``:
+    the c_alpha levels, the coarea level points and the adapted-flux cuts.
+    The one-point inversion and the fixed-pass loops it replaced are gone."""
+    sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
+    trees = [ast.parse(text) for text in sources]
+    assert sorted(c for tree in trees for c in _callers(tree, "_bisect")) == [
+        ("_invert",),
+        ("adapted_entropy_pair", "cuts"),
+        ("coarea_rhs", "located_sum"),
+    ]
+    names = {
+        getattr(node, key)
+        for tree in trees
+        for node in ast.walk(tree)
+        for key in ("id", "attr", "name", "arg")
+        if isinstance(getattr(node, key, None), str)
+    }
+    assert not names & {"c_alpha", "eta_sided", "eta_sided_fn"}
+    assert not [text for text in sources if "range(80)" in text or "range(60)" in text]

@@ -22,7 +22,9 @@ from bvcalc import (
     leibniz_weak_residual,
     measure_total_variation,
 )
+import bvcalc.bvfunction as bvfunction
 from bvcalc.cantor import cantor_function_eval
+from bvcalc.quadrature import _ROOT_TOL
 
 
 def staircase(lo=0.0, hi=1.0):
@@ -44,15 +46,8 @@ def test_sided_values_at_a_jump():
     assert u.eval(0.5, "right") == 3.0
     assert u.eval(0.5, "precise") == 2.0
     # off the jump all representatives agree
-    for side in ("left", "right", "precise", "stored"):
+    for side in ("left", "right", "precise"):
         assert u.eval(0.25, side) == 1.0
-
-
-def test_stored_policy_picks_a_convex_combination():
-    left = BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0, policy="left")
-    right = BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0, policy="right")
-    assert left.eval(0.5, "stored") == 0.0
-    assert right.eval(0.5, "stored") == 1.0
 
 
 def _cantor_digit_scan(t):
@@ -91,9 +86,7 @@ def _pointwise_eval(u, x, side):
         return l + c
     if side == "right":
         return r + c
-    th = {"precise": 0.5, "left": 0.0, "right": 1.0}.get(u.policy, u.policy)
-    th = 0.5 if side == "precise" else th
-    return (1.0 - th) * l + th * r + c
+    return 0.5 * l + 0.5 * r + c
 
 
 @given(
@@ -104,7 +97,6 @@ def _pointwise_eval(u, x, side):
     ),
     st.tuples(st.floats(min_value=0.0, max_value=0.45), st.floats(min_value=0.55, max_value=1.0)),
     st.floats(min_value=-1.5, max_value=1.5),
-    st.sampled_from(["precise", "left", "right", 0.3]),
     st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
 )
 @example(
@@ -112,7 +104,6 @@ def _pointwise_eval(u, x, side):
     jumps=[],
     support=(0.0, 1.0),
     coef=1.0,
-    policy="precise",
     # float neighbours of k/3^j for j = 20, 21: a float digit scan misses
     # these by up to 3e-11
     extra=[
@@ -124,11 +115,11 @@ def _pointwise_eval(u, x, side):
     ],
 )
 @settings(max_examples=40, deadline=None)
-def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coef, policy, extra):
-    u = BVFunction.from_poly(0.0, 1.0, tuple(coeffs), policy=policy)
+def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coef, extra):
+    u = BVFunction.from_poly(0.0, 1.0, tuple(coeffs))
     for x0, size in jumps:
-        u = u + BVFunction.heaviside(0.0, 1.0, x0, 0.0, size, policy=policy)
-    u = u + BVFunction.cantor_fn(0.0, 1.0, support=support, coefficient=coef, policy=policy)
+        u = u + BVFunction.heaviside(0.0, 1.0, x0, 0.0, size)
+    u = u + BVFunction.cantor_fn(0.0, 1.0, support=support, coefficient=coef)
     a, b = support
     w = b - a
     ternary = [a + w * k / 3**j for j in (1, 2, 5, 20) for k in (1, 2, 3**j - 1)]
@@ -141,7 +132,6 @@ def test_sided_values_match_the_pointwise_definition(coeffs, jumps, support, coe
         ("left", xs > 0.0),
         ("right", xs < 1.0),
         ("precise", (xs > 0.0) & (xs < 1.0)),
-        ("stored", (xs > 0.0) & (xs < 1.0)),
     ):
         pts = xs[keep]
         got = u.at(pts, side).tolist()
@@ -363,6 +353,57 @@ def test_coarea_with_discontinuous_weight_crossing_a_slope():
     want = 1.0 * 1.0 + 3.0 * 1.0  # g-weighted variation over the two halves
     assert lhs == pytest.approx(want, abs=1e-9)
     assert rhs == pytest.approx(want, abs=1e-9)
+
+
+def _reference_level_points(u, ts):
+    """The coarea level points as the library located them before the
+    shared bisection, 80 fixed passes on each monotone piece, summed over
+    the pieces whose range holds the level; and the count of those pieces."""
+    out, count = np.zeros_like(ts), np.zeros_like(ts)
+    for x0, x1, v0, v1, _, _ in bvfunction._monotone_pieces(u):
+        mask = (ts > min(v0, v1)) & (ts < max(v0, v1))
+        tm = ts[mask]
+        a, b = np.full_like(tm, x0), np.full_like(tm, x1)
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            vm = u.values(m)
+            take_left = (vm >= tm) if v1 > v0 else (vm <= tm)
+            b = np.where(take_left, m, b)
+            a = np.where(take_left, a, m)
+        out[mask] += 0.5 * (a + b)
+        count += mask
+    return out, count
+
+
+@pytest.mark.parametrize(
+    "u, pieces",
+    [
+        (BVFunction.from_poly(0.0, 1.0, (0.2, 1.3)), 1),
+        (BVFunction.from_poly(0.0, 1.0, (1.0, -0.5, 0.0, -0.4)), 1),
+        (BVFunction.from_poly(0.0, 1.0, (0.0, -1.0, 1.0)), 2),
+        (BVFunction.from_poly(0.0, 1.0, (0.0, 0.5)) + BVFunction.cantor_fn(0.0, 1.0, (0.2, 0.8)), 3),
+    ],
+    ids=["rising", "falling", "two pieces", "Cantor"],
+)
+def test_coarea_level_points_are_the_eighty_pass_points(u, pieces, monkeypatch):
+    """With g(x) = x and no jumps the level-counting integrand is the sum of
+    the located points; each is within half the stop width and one ulp of
+    the point the 80-pass loop found."""
+    integrands = []
+
+    def spy(f, *args, **kwargs):
+        integrands.append(f)
+        return real(f, *args, **kwargs)
+
+    real = bvfunction.integrate_interval
+    monkeypatch.setattr(bvfunction, "integrate_interval", spy)
+    coarea_rhs(lambda xs: xs, u)
+    assert len(bvfunction._monotone_pieces(u)) == pieces
+    vals = u.values(np.linspace(0.0, 1.0, 1001))
+    ts = np.random.default_rng(3).uniform(vals.min(), vals.max(), 400)
+    want, count = _reference_level_points(u, ts)
+    assert count.max() == (2 if pieces == 2 else 1)
+    assert np.all(np.abs(integrands[0](ts) - want) <= count * (0.5 * _ROOT_TOL + np.spacing(1.0)))
 
 
 # -- mollification of the function itself ------------------------------------

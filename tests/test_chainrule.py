@@ -378,9 +378,10 @@ def test_direct_assembly_cantor_coefficient(composite):
 
 
 def test_direct_assembly_needs_one_value_per_cell():
-    B = identity_flux(BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0))
-    with pytest.raises(DomainError):
-        pwc_direct_assembly(B, ((0.0, 0.5, 1.0), (1.0,)), PHI)
+    """The assembly takes a PiecewiseConstant, which refuses a partition
+    with a value count that does not match its cells."""
+    with pytest.raises(DomainError, match="one value per cell"):
+        PiecewiseConstant((0.0, 0.5, 1.0), (1.0,), (0.5,))
 
 
 # -- level-set comparison ----------------------------------------------------

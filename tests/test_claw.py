@@ -17,12 +17,12 @@ from bvcalc import (
     adapted_entropy_pair,
     affine_entropy_approx,
     affine_pair,
-    c_alpha,
     c_alpha_values,
     entropy_residual,
     is_rankine_hugoniot,
     solve_claw,
 )
+from bvcalc.quadrature import _ROOT_TOL
 
 
 def step_flux(lo=0.0, hi=1.0, w_lo=0.1, w_hi=2.5):
@@ -64,24 +64,24 @@ def test_monotone_certificate_rejects_parabola():
 
 def test_level_inversion_closed_forms():
     flux = step_flux()
-    assert c_alpha(flux, 0.25, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert c_alpha(flux, 0.5, 1.0, "left") == pytest.approx(1.0, abs=1e-12)
-    assert c_alpha(flux, 0.5, 1.0, "right") == pytest.approx(0.5, abs=1e-12)
+    assert c_alpha_values(flux, [0.25], 1.0, "precise")[0] == pytest.approx(1.0, abs=1e-12)
+    assert c_alpha_values(flux, [0.5], 1.0, "left")[0] == pytest.approx(1.0, abs=1e-12)
+    assert c_alpha_values(flux, [0.5], 1.0, "right")[0] == pytest.approx(0.5, abs=1e-12)
     K = BVFunction.from_poly(0.0, 1.0, (1.0, 1.0))
     cubic = ScalarFlux(
         FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 0.0, 1.0), "w^3")),)),
         0.5, 2.5,
     )
-    assert c_alpha(cubic, 0.6, 12.8) == pytest.approx(2.0, abs=1e-11)
+    assert c_alpha_values(cubic, [0.6], 12.8, "precise")[0] == pytest.approx(2.0, abs=1e-11)
     with pytest.raises(RangeError):
-        c_alpha(flux, 0.25, 100.0)
+        c_alpha_values(flux, [0.25], 100.0, "precise")
 
 
 def test_level_inversion_vectorized_matches_pointwise():
     flux = step_flux()
     xs = np.array([0.1, 0.25, 0.4, 0.6, 0.75, 0.9])
     got = c_alpha_values(flux, xs, 1.2)
-    want = np.array([c_alpha(flux, float(x), 1.2) for x in xs])
+    want = np.array([c_alpha_values(flux, [x], 1.2, "precise")[0] for x in xs])
     assert np.abs(got - want).max() < 1e-11
 
 
@@ -151,7 +151,7 @@ def test_sided_inversion_is_the_reference_bisection(flux, levels, side):
         want = np.array([_reference_c_alpha(flux, float(x), alpha, side) for x in xs])
         got = c_alpha_values(flux, xs, alpha, side)
         np.testing.assert_array_equal(got, want)
-        assert c_alpha(flux, float(xs[-1]), alpha, side) == want[-1]
+        assert c_alpha_values(flux, xs[-1:], alpha, side)[0] == want[-1]
     # one level per point
     alphas = np.resize(np.asarray(levels), xs.shape)
     want = [_reference_c_alpha(flux, float(x), a, side) for x, a in zip(xs, alphas)]
@@ -163,8 +163,8 @@ def test_sided_inversion_is_the_reference_bisection(flux, levels, side):
     [
         (step_flux(), (0.6, 1.0, 2.0), 2e-15),
         # K varies with x, so the roots fill the range: the stop leaves the
-        # midpoint of a bracket at most _C_TOL wide, within half of it
-        (cubic_flux(3.0), (1.0, 2.0, 20.0), 0.5 * claw._C_TOL + 5e-16),
+        # midpoint of a bracket at most _ROOT_TOL wide, within half of it
+        (cubic_flux(3.0), (1.0, 2.0, 20.0), 0.5 * _ROOT_TOL + 5e-16),
     ],
     ids=["step", "cubic"],
 )
@@ -183,7 +183,7 @@ def test_inversion_names_the_first_unattained_point():
     with pytest.raises(RangeError, match=r"at x=0.25 \(a.e.\)"):
         c_alpha_values(flux, xs, 9.0)
     with pytest.raises(RangeError, match=r"level 9.0 .* x=0.5 \(left\)"):
-        c_alpha(flux, 0.5, 9.0, "left")
+        c_alpha_values(flux, [0.5], 9.0, "left")
 
 
 def test_jump_condition_predicate():
@@ -199,7 +199,7 @@ def test_adapted_pair_pointwise_values():
     flux = step_flux()
     pair = adapted_entropy_pair(flux, 1.0)
     assert pair.eta(np.array([0.25]), np.array([1.3]))[0] == pytest.approx(0.3)
-    assert pair.eta_sided(0.5, np.array([1.3]), "right")[0] == pytest.approx(0.8)
+    assert pair.eta(0.5, np.array([1.3]), "right")[0] == pytest.approx(0.8)
     assert pair.q(0.25, 1.3, "precise") == pytest.approx(0.3)
     assert pair.q(0.5, 0.65, "right") == pytest.approx(0.3)
 
@@ -210,7 +210,7 @@ def test_adapted_flux_bracket_tracks_jump_defect(u_left):
     the pair's own jump-condition defect, for every adapted level."""
     flux = step_flux()
     level = flux.value(0.5, u_left, "left")
-    u_right = c_alpha(flux, 0.5, level, "right")
+    u_right = c_alpha_values(flux, [0.5], level, "right")[0]
     mismatch = abs(flux.value(0.5, u_right, "right") - level)
     assert mismatch <= 1e-12  # bisection round-off only
     for alpha in (0.4, 0.9, 1.7, 2.3):
@@ -263,7 +263,7 @@ def test_affine_coefficients(N, x, side):
         assert (lev / (C / N)) == pytest.approx(round(lev / (C / N)), abs=1e-9)
     knots = np.asarray(ae.grid_knots)
     got = ae.eta(knots)
-    want = pair.eta_sided(x, knots, side)
+    want = pair.eta(x, knots, side)
     assert np.abs(got - want).max() <= 1e-10
 
 
@@ -310,6 +310,9 @@ def test_affine_pair_handles():
     with pytest.raises(DomainError):
         pair.q(0.5, 1.0, "precise")
     assert np.isfinite(pair.q(0.5, 1.0, "left"))
+    for side in ("left", "right"):
+        want = affine_entropy_approx(base, flux, 64, 0.5, side).eta(us)
+        assert pair.eta(0.5, us, side).tolist() == want.tolist()
 
 
 # -- finite-volume solver ----------------------------------------------------
@@ -534,6 +537,52 @@ def test_slice_pairing_matches_weak_form():
         )
         weak -= val
     assert assembled == pytest.approx(weak, abs=1e-10)
+
+
+def _reference_cuts(flux, alpha, v, lo, hi):
+    """The adapted flux's cut points as the library found them before the
+    shared bisection: sample zeros, and 60 one-point passes per sign change
+    of the 65 samples."""
+    xs = np.linspace(lo, hi, 65)
+    g = flux.values_on_grid(xs, np.full(len(xs), float(v))) - alpha
+    out = []
+    for a, b, fa, fb in zip(xs[:-1], xs[1:], g[:-1], g[1:]):
+        if fa == 0.0:
+            out.append(float(a))
+            continue
+        if fa * fb >= 0:
+            continue
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = flux.value(m, float(v)) - alpha
+            if fm == 0.0:
+                break
+            if (fm > 0) == (fb > 0):
+                b, fb = m, fm
+            else:
+                a, fa = m, fm
+        out.append(0.5 * (a + b))
+    return out
+
+
+def test_cuts_are_the_scalar_loop_cuts():
+    """On fluxes whose K varies with x the array bisection finds the cut
+    points of the scalar loop to 1e-14, in ascending order: two crossings
+    of a bump, two exact sample zeros, a crossing at a flux jump and a
+    smooth one."""
+    K = BVFunction.from_poly(0.0, 1.0, (1.0, 4.0, -4.0))  # 1 -> 2 -> 1
+    bump = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    cases = [(bump, 1.5, 2), (bump, 1.75, 2), (cubic_flux(3.0), 2.0, 1), (cubic_flux(3.0), 3.0, 1)]
+    for flux, alpha, count in cases:
+        cuts = adapted_entropy_pair(flux, alpha).q_diffuse[2]
+        for lo, hi in ((0.0, 1.0), (0.2, 0.45), (0.31, 0.9)):
+            got = cuts(1.0, lo, hi)
+            want = _reference_cuts(flux, alpha, 1.0, lo, hi)
+            assert list(got) == sorted(got)
+            assert len(got) == len(want)
+            assert np.abs(np.subtract(got, want)).max(initial=0.0) <= 1e-14
+        assert len(cuts(1.0, 0.0, 1.0)) == count
+    assert adapted_entropy_pair(bump, 1.75).q_diffuse[2](1.0, 0.0, 1.0) == (0.25, 0.75)
 
 
 def test_slice_pairing_cantor_part_matches_factored_form():

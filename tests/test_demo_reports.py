@@ -32,7 +32,7 @@ DIGESTS = {
         "report.csv": "18728f67133f8738607f88b1a84add02dc75100b07199b42457cf5bd8f7de4b2",
     },
     "coarea_check": {
-        "report.csv": "5e2212561494f0f05f6d23550af44200e3447d2937975d676b8f7bf227d879a2",
+        "report.csv": "bd93687080ba26a8dc7295718c6239025248cd0ce4a11be930fe4383e9135974",
     },
     "comparison_check": {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",

@@ -1,5 +1,5 @@
-"""The quadrature cell layout against a list-based reference layout, and
-the refinement's acceptance rule.
+"""The quadrature cell layout against a list-based reference layout, the
+refinement's acceptance rule, and the shared bisection.
 
 ``build_cells`` tiles Cantor supports with array slices of the cached
 ``std_cells`` arrays.  The reference below builds the same layout one cell
@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 from bvcalc.cantor import std_cells
 from bvcalc.errors import QuadratureError
 from bvcalc.quadrature import (
+    _ROOT_PASSES,
+    _ROOT_TOL,
+    _bisect,
     _leftover_level,
     _merge_supports,
     build_cells,
@@ -226,3 +229,49 @@ def test_coarea_check_passes_on_seeds_with_a_flat_end(seed, tmp_path):
     first one also finishes its refinement on the last pass."""
     sc = parse_scenario(SCENARIOS / "coarea_check.ini")
     assert run_scenario(sc, str(tmp_path), seed=seed) == (True, 10, 10)
+
+
+# -- the shared bisection ----------------------------------------------------
+
+
+def test_bisect_returns_an_exact_midpoint_hit_and_drops_it():
+    seen = []
+
+    def g(xs, idx):
+        seen.append(idx.tolist())
+        return xs - np.array([0.5, 0.3])[idx]
+
+    got = _bisect(g, [0.0, 0.0], [1.0, 1.0], [0.5, 0.7])
+    assert got[0] == 0.5
+    assert abs(got[1] - 0.3) <= 0.5 * _ROOT_TOL
+    assert seen[0] == [0, 1]
+    assert len(seen) > 2 and all(idx == [1] for idx in seen[1:])
+
+
+def test_bisect_follows_a_decreasing_g():
+    roots = np.array([0.1, 1.0 / 3.0, 0.9])
+    got = _bisect(lambda xs, idx: roots[idx] - xs, np.zeros(3), np.ones(3), roots - 1.0)
+    assert np.abs(got - roots).max() <= 0.5 * _ROOT_TOL
+
+
+def test_bisect_without_brackets_evaluates_nothing():
+    def g(xs, idx):
+        raise AssertionError("no bracket to halve")
+
+    assert _bisect(g, [], [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("r, capped", [(0.7, False), (64.3, True), (-1000.3, True)])
+def test_bisect_pass_cap_ends_brackets_narrower_than_one_ulp(r, capped):
+    """From |x| = 64 up one ulp is wider than _ROOT_TOL, so a g without an
+    exact zero keeps its bracket live until the pass cap."""
+    calls = []
+
+    def g(xs, idx):
+        calls.append(len(xs))
+        return np.where(xs > r, 1.0, -1.0)
+
+    lo = np.floor(r)
+    got = _bisect(g, [lo], [lo + 1.0], [1.0])
+    assert (len(calls) == _ROOT_PASSES) == capped
+    assert abs(got[0] - r) <= 0.5 * _ROOT_TOL + np.spacing(abs(r))
