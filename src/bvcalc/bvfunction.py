@@ -24,8 +24,8 @@ from .measures import (
     ModulatedDensity,
     PiecewisePolynomial,
     RadonMeasure,
-    _poly_real_roots,
     _scalar_call,
+    _sign_changes,
     integrate_measure,
     kernel,
     measure_total_variation,
@@ -463,7 +463,7 @@ def _monotone_pieces(u):
     dpp = pp.derivative()
     for i, coeffs in enumerate(dpp.pieces):
         a, b = dpp.breakpoints[i], dpp.breakpoints[i + 1]
-        for r in _poly_real_roots(coeffs, 0.0, b - a):
+        for r in _sign_changes(coeffs, 0.0, b - a):
             cuts.add(a + r)
     cuts = sorted(cuts)
     v0s = u.at(cuts[:-1], "right").tolist()

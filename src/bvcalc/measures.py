@@ -16,7 +16,6 @@ ternary-aware quadrature exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numpy.polynomial import polynomial as npoly
 
 import numpy as np
 
@@ -26,10 +25,9 @@ from .errors import (
     DomainError,
     RepresentationError,
 )
-from .quadrature import _apply, integrate_interval, _merge_supports
+from .quadrature import _apply, _bisect, integrate_interval, _merge_supports
 
 _ATOL = 1e-14
-_NEGLIGIBLE = 1e-14  # relative size of a polynomial term below rounding level
 
 
 @dataclass(frozen=True)
@@ -88,26 +86,21 @@ def _poly_int(coeffs):
     return (0.0, *(c / (i + 1) for i, c in enumerate(coeffs)))
 
 
-def _poly_real_roots(coeffs, lo, hi):
-    """Real roots of the local polynomial inside (lo, hi), deduplicated.
+def _sign_changes(coeffs, lo, hi):
+    """Points in (lo, hi) where p(s) = sum(coeffs[k] s^k) changes sign,
+    ascending.
 
-    Leading terms below the rounding level of the piece's largest term on
-    the interval are dropped first: a negligible leading coefficient makes
-    the companion matrix so badly scaled that its eigenvalues lose the
-    real roots."""
-    c = np.asarray(coeffs, dtype=float)
-    terms = np.abs(c) * max(abs(lo), abs(hi)) ** np.arange(len(c))
-    keep = np.nonzero(terms > _NEGLIGIBLE * terms.max())[0]
-    c = c[: keep[-1] + 1] if keep.size else c[:0]
+    Derivative-sequence isolation: between consecutive sign changes of p'
+    the polynomial p is monotone, so each sign change of p has one bracket
+    there, and one ``_bisect`` call solves them all."""
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) <= 1:
         return []
-    roots = npoly.polyroots(c)
-    scale = max(1.0, hi - lo)
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 * scale and lo + 1e-13 * scale < r.real < hi - 1e-13 * scale:
-            out.append(float(r.real))
-    return sorted(set(np.round(out, 13)))
+    ends = np.array([lo, *_sign_changes(c[1:] * np.arange(1, len(c)), lo, hi), hi])
+    vals = _horner(c, ends)
+    k = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    roots = _bisect(lambda xs, idx: _horner(c, xs), ends[k], ends[k + 1], vals[k + 1])
+    return [float(r) for r in roots if lo < r < hi]
 
 
 @dataclass(frozen=True)
@@ -208,12 +201,17 @@ class PiecewisePolynomial:
             total += _horner(anti, x1 - a) - _horner(anti, x0 - a)
         return float(total)
 
+    def _sign_cuts(self):
+        """Per piece: its left end, its coefficients, and its ends with the
+        sign changes between them."""
+        for i, coeffs in enumerate(self.pieces):
+            a, b = self.breakpoints[i], self.breakpoints[i + 1]
+            yield a, coeffs, [a, *(a + r for r in _sign_changes(coeffs, 0.0, b - a)), b]
+
     def abs_integral(self):
         """Exact integral of |p| using per-piece root splitting."""
         total = 0.0
-        for i, coeffs in enumerate(self.pieces):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            cuts = [a, *(a + r for r in _poly_real_roots(coeffs, 0.0, b - a)), b]
+        for a, coeffs, cuts in self._sign_cuts():
             anti = _poly_int(coeffs)
             for x0, x1 in zip(cuts[:-1], cuts[1:]):
                 total += abs(_horner(anti, x1 - a) - _horner(anti, x0 - a))
@@ -223,9 +221,7 @@ class PiecewisePolynomial:
         """Piecewise polynomial equal to |self| a.e. (roots become breakpoints)."""
         bks = [self.lo]
         pieces = []
-        for i, coeffs in enumerate(self.pieces):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            cuts = [a, *(a + r for r in _poly_real_roots(coeffs, 0.0, b - a)), b]
+        for a, coeffs, cuts in self._sign_cuts():
             for x0, x1 in zip(cuts[:-1], cuts[1:]):
                 local = _poly_shift(coeffs, x0 - a)
                 mid_val = _horner(local, 0.5 * (x1 - x0))

@@ -596,14 +596,13 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
 
 def _write_field_csv(path, fld):
     """One row per (cell, step): x, t, u and the step's mass drift."""
-    centers = 0.5 * (fld.edges[:-1] + fld.edges[1:])
+    xs = [repr(x) for x in (0.5 * (fld.edges[:-1] + fld.edges[1:])).tolist()]
     defects = fld.mass_defects()
     rows = []
     for n in range(1, len(fld.times)):
         drift = _fmt(abs(defects[n - 1]))
         t = _fmt(fld.times[n])
-        for x, u in zip(centers, fld.states[n]):
-            rows.append([_fmt(x), t, _fmt(u), drift])
+        rows.extend([x, t, repr(u), drift] for x, u in zip(xs, fld.states[n].tolist()))
     _write_csv(path, ("x", "t", "u", "mass_drift"), rows)
 
 

@@ -61,12 +61,14 @@ def _callers(tree, name):
 
 def test_level_inversion_has_one_bisection():
     """Every inversion over states or x goes through ``quadrature._bisect``:
-    the c_alpha levels, the coarea level points and the adapted-flux cuts.
-    The one-point inversion and the fixed-pass loops it replaced are gone."""
+    the c_alpha levels, the coarea level points, the adapted-flux cuts and
+    the sign changes of a polynomial piece.  The one-point inversion, the
+    fixed-pass loops and the companion-matrix roots they replaced are gone."""
     sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
     trees = [ast.parse(text) for text in sources]
     assert sorted(c for tree in trees for c in _callers(tree, "_bisect")) == [
         ("_invert",),
+        ("_sign_changes",),
         ("adapted_entropy_pair", "cuts"),
         ("coarea_rhs", "located_sum"),
     ]
@@ -79,3 +81,4 @@ def test_level_inversion_has_one_bisection():
     }
     assert not names & {"c_alpha", "eta_sided", "eta_sided_fn"}
     assert not [text for text in sources if "range(80)" in text or "range(60)" in text]
+    assert not [text for text in sources if "polyroots" in text or "_NEGLIGIBLE" in text]

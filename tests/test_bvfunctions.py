@@ -212,6 +212,7 @@ def test_derivative_total_mass_telescopes():
 )
 @settings(max_examples=30, deadline=None)
 @example([0.0, 1.0, -1.0, 2.35e-170], 0.5, 0.5)
+@example([0.0, -0.1484375, 1.0, 1e-14], 0.5, 0.5)
 def test_variation_is_subadditive_under_addition(coeffs, x0, size):
     a = BVFunction.from_poly(0.0, 1.0, tuple(coeffs))
     b = BVFunction.heaviside(0.0, 1.0, x0, 0.0, size)
@@ -219,11 +220,21 @@ def test_variation_is_subadditive_under_addition(coeffs, x0, size):
     assert lhs <= a.total_variation() + b.total_variation() + 1e-9
 
 
-def test_variation_ignores_a_negligible_leading_coefficient():
-    # the cubic term is 1e-170 of the others; root-finding must still see
-    # the critical point at 1/2 of x - x^2
-    u = BVFunction.from_poly(0.0, 1.0, (0.0, 1.0, -1.0, 2.35e-170))
-    assert u.total_variation() == pytest.approx(0.5, abs=1e-12)
+@pytest.mark.parametrize(
+    "coeffs, tv",
+    [
+        # the cubic term is 1e-170 of the others; root-finding must still
+        # see the critical point at 1/2 of x - x^2
+        ((0.0, 1.0, -1.0, 2.35e-170), 0.5),
+        # a 1e-14 cubic term once moved the critical point of x^2 - 0.1484375x
+        # from 0.07421875 to 0.078125 and read the variation 3e-5 low
+        ((0.0, -0.1484375, 1.0, 1e-14), 0.86257934570313499),
+    ],
+    ids=["2.35e-170", "1e-14"],
+)
+def test_variation_ignores_a_negligible_leading_coefficient(coeffs, tv):
+    u = BVFunction.from_poly(0.0, 1.0, coeffs)
+    assert u.total_variation() == pytest.approx(tv, abs=1e-12)
 
 
 # -- test functions ----------------------------------------------------------

@@ -32,7 +32,7 @@ DIGESTS = {
         "report.csv": "18728f67133f8738607f88b1a84add02dc75100b07199b42457cf5bd8f7de4b2",
     },
     "coarea_check": {
-        "report.csv": "bd93687080ba26a8dc7295718c6239025248cd0ce4a11be930fe4383e9135974",
+        "report.csv": "4ab48c8a7eabf383d52d4330fcb459a3131061cd03370bff393c17b4ecef0192",
     },
     "comparison_check": {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",

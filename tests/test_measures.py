@@ -1,9 +1,12 @@
 """Measure layer: exact three-part decomposition and integration."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from bvcalc import (
@@ -18,7 +21,7 @@ from bvcalc import (
     radon_nikodym_cantor,
 )
 from bvcalc import cantor
-from bvcalc.measures import CantorTerm, kernel, kernel_cdf, kernel_deriv
+from bvcalc.measures import CantorTerm, _sign_changes, kernel, kernel_cdf, kernel_deriv
 
 
 def cantor_integral_oracle(f, lo=0.0, hi=1.0, depth=18):
@@ -94,6 +97,90 @@ def test_signed_ac_density_total_variation():
     # |x| over [-1, 1]
     assert measure_total_variation(mu) == pytest.approx(1.0, abs=1e-9)
     assert mu.total_mass() == pytest.approx(0.0, abs=1e-12)
+
+
+# -- sign changes against exact arithmetic -----------------------------------
+
+
+def _exact_value(p, x):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _exact_derivative(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _trimmed(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _exact_divmod(n, d):
+    """Quotient and remainder of exact polynomials (ascending, trimmed)."""
+    n, q = list(n), [Fraction(0)] * max(len(n) - len(d) + 1, 1)
+    for k in range(len(n) - len(d), -1, -1):
+        q[k] = n[k + len(d) - 1] / d[-1]
+        for j, dj in enumerate(d):
+            n[k + j] -= q[k] * dj
+    return _trimmed(q), _trimmed(n[: len(d) - 1])
+
+
+def _sturm_roots(s, lo, hi):
+    """Distinct roots in (lo, hi) of a square-free exact polynomial, all of
+    them simple and so all sign changes: the Sturm variations count those in
+    (lo, hi], less one if hi is a root."""
+    chain = [s, _exact_derivative(s)]
+    while chain[-1]:
+        chain.append([-c for c in _exact_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    assert len(chain[-1]) == 1, "the chain ends in gcd(s, s'), so s is not square-free"
+
+    def variations(x):
+        signs = [v > 0 for v in (_exact_value(q, x) for q in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) - (_exact_value(s, hi) == 0)
+
+
+@st.composite
+def polynomials_with_tiny_terms(draw):
+    """scale * prod(x - r) for distinct roots on a 1/8 grid, plus a leading
+    term of size 1e-14 or 2.35e-170; degrees 1 to 4.  The grid keeps the
+    roots simple and apart, which a float evaluation can resolve, and puts
+    some of them on lo = 0; hi lies between grid points."""
+    roots = draw(st.lists(st.sampled_from([k / 8 for k in range(-8, 17)]), max_size=4, unique=True))
+    scale = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+    coeffs = tuple(float(c) for c in scale * npoly.polyfromroots(roots))
+    if len(roots) < 4:
+        coeffs += (draw(st.sampled_from([0.0, 1e-14, -1e-14, 2.35e-170, -2.35e-170])),)
+    return coeffs, draw(st.sampled_from([0.6875, 1.0625, 1.9375]))
+
+
+@given(polynomials_with_tiny_terms())
+@settings(max_examples=60, deadline=None)
+@example(((-0.1484375, 2.0, 3e-14), 1.0))
+@example(((0.0, 1.0, -1.0, 2.35e-170), 1.0))
+def test_sign_changes_match_an_exact_sturm_count(case):
+    """The points returned are the exact polynomial's sign changes: as many
+    as its roots in (0, hi), all simple, and each within 2e-14 of one,
+    widened only by how far rounding in a float evaluation can move a sign
+    change (a Horner error bound over |p'|)."""
+    coeffs, hi = case
+    p = _trimmed(Fraction(c) for c in coeffs)
+    got = _sign_changes(coeffs, 0.0, hi)
+    assert got == sorted(got)
+    assert len(got) == _sturm_roots(p, Fraction(0), Fraction(hi))
+    rounding = Fraction(4 * len(p), 2**53)
+    for r in got:
+        x = Fraction(r)
+        bound = rounding * _exact_value([abs(c) for c in p], abs(x))
+        reach = Fraction(2e-14) + bound / abs(_exact_value(_exact_derivative(p), x))
+        assert _exact_value(p, x - reach) * _exact_value(p, x + reach) < 0, r
 
 
 @given(

@@ -176,6 +176,8 @@ def layouts(draw):
 @given(layouts())
 # leftover cells 3^-33 wide next to x = 1 round to zero width
 @example((0.0, 1.0, (0.9999745973682874, 0.13333333333333333), ((0.0, 0.4), (0.5, 1.0)), 1e-10))
+# a window one ulp wide gets no cells: the chain of edges ends at lo
+@example((0.33333333333333326, 0.3333333333333333, (0.33333333333333326, 0.3333333333333333), ((0.0, 1.0),), 1e-6))
 def test_layout_matches_the_reference_on_ternary_breakpoints(layout):
     smooth, mids = assert_same_layout(*layout)
     lo, hi = layout[:2]
@@ -188,7 +190,7 @@ def test_layout_matches_the_reference_on_ternary_breakpoints(layout):
         # is its left edge plus 3^-L, not the next gap's left edge)
         edges = np.concatenate(([lo], cells[:, 1]))
         np.testing.assert_allclose(cells[:, 0], edges[:-1], rtol=0, atol=1e-15)
-        assert abs(cells[-1, 1] - hi) <= 1e-15
+        assert abs(edges[-1] - hi) <= 1e-15
         assert abs(np.sum(cells[:, 1] - cells[:, 0]) - (hi - lo)) <= 1e-12
 
 
