@@ -24,7 +24,6 @@ from .measures import (
     ModulatedDensity,
     PiecewisePolynomial,
     RadonMeasure,
-    _scalar_call,
     _sign_changes,
     integrate_measure,
     kernel,
@@ -178,7 +177,7 @@ class BVFunction:
         return measure_total_variation(self.derivative())
 
     # -- algebra ------------------------------------------------------------
-    def _merge_cantor(self, other_part, sign=1.0):
+    def _merge_cantor(self, other_part):
         merged = dict()
         order = []
         for base, coef in self.cantor_part:
@@ -188,7 +187,7 @@ class BVFunction:
         for base, coef in other_part:
             if base not in merged:
                 order.append(base)
-            merged[base] = merged.get(base, 0.0) + sign * coef
+            merged[base] = merged.get(base, 0.0) + coef
         return tuple((b, merged[b]) for b in order if merged[b] != 0.0)
 
     def __add__(self, other):
@@ -514,18 +513,20 @@ def coarea_lhs(g, u, tol=1e-9, g_breakpoints=()):
     )
 
 
-def coarea_rhs(g, u, t_grid=None, tol=1e-9, g_breakpoints=()):
+def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     """Level-counting side: integral over levels t of the sum of g over
-    { x : the segment [u(x-), u(x+)] contains t }.
+    { x : the segment [u(x-), u(x+)] contains t }, on the level grid of
+    ``coarea_default_tgrid``.
 
     Monotone pieces contribute one located point per level (found by
     bisection); jump points contribute wherever t lies between the one-sided
     values; flat pieces are skipped (a null set of levels)."""
     pieces = [p for p in _monotone_pieces(u) if p[2] != p[3]]
     jumps = u.jumps()
-    if t_grid is None:
-        t_grid = coarea_default_tgrid(u, g_breakpoints)
-    t_grid = sorted(float(t) for t in t_grid)
+    if jumps:
+        at_jumps = _apply(g, np.array([x for x, _, _ in jumps])).tolist()
+        jumps = [(min(l, r), max(l, r), gx) for (_, l, r), gx in zip(jumps, at_jumps)]
+    t_grid = coarea_default_tgrid(u, g_breakpoints)
     if len(t_grid) < 2:
         return 0.0
 
@@ -543,11 +544,10 @@ def coarea_rhs(g, u, t_grid=None, tol=1e-9, g_breakpoints=()):
                 np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm,
             )
             out[mask] += _apply(g, xs)
-        for xj, l, r in jumps:
-            lo, hi = (l, r) if l < r else (r, l)
+        for lo, hi, gx in jumps:
             mask = (ts >= lo) & (ts <= hi)
             if mask.any():
-                out[mask] += _scalar_call(g, xj)
+                out[mask] += gx
         return out
 
     span = t_grid[-1] - t_grid[0]

@@ -142,21 +142,15 @@ def _std_mids(depth):
 def std_cells(depth):
     """Ternary tiling of [0,1]: gap intervals (C locally constant) up to
     ``depth`` plus the 2^depth leftover cells.  Returns four read-only arrays
-    ``(gap_lo, gap_hi, cell_lo, cell_hi)`` that tile [0,1]."""
-    gap_lo, gap_hi = [], []
-    lefts = np.array([0.0])
-    for k in range(depth):
-        w = 3.0 ** -(k + 1)
-        gap_lo.append(lefts + w)
-        gap_hi.append(lefts + 2.0 * w)
-        lefts = np.sort(np.concatenate((lefts, lefts + 2.0 * w)))
-    cell_lo = lefts
-    cell_hi = lefts + 3.0 ** -depth
+    ``(gap_lo, gap_hi, cell_lo, cell_hi)`` that tile [0,1]: the gaps are the
+    middle thirds of the cells of each level below ``depth``."""
+    lefts = [_std_lefts(k) for k in range(depth + 1)]
+    thirds = [3.0 ** -(k + 1) for k in range(depth)]
     arrays = (
-        np.sort(np.concatenate(gap_lo)) if gap_lo else np.empty(0),
-        np.sort(np.concatenate(gap_hi)) if gap_hi else np.empty(0),
-        cell_lo,
-        cell_hi,
+        np.sort(np.concatenate([a + w for a, w in zip(lefts, thirds)] or [[]])),
+        np.sort(np.concatenate([a + 2.0 * w for a, w in zip(lefts, thirds)] or [[]])),
+        lefts[-1],
+        lefts[-1] + 3.0 ** -depth,
     )
     for a in arrays:
         a.setflags(write=False)

@@ -23,7 +23,9 @@ Cantor supports; the lhs and the two diffuse gradient terms share one cell
 layout.  The product-flux, composite-flux and weighted forms are calls to
 it, and the starred rewriting reuses a finished report and recomputes only
 its two jump sums.  The piecewise-constant direct assembly and the
-level-set comparison identity are independent checks with their own sums.
+level-set comparison identity are independent checks with their own point
+sums; their per-cell parts, like those of the entropy-flux slices in
+``claw``, are calls of ``_window_pairing``.
 
 Sign convention: the five terms are stored in positive form (the plain
 integrals/sums, without the leading minus signs of the identity), so the
@@ -515,6 +517,31 @@ def composite_flux_lhs(f2, K, u, phi, tol=1e-8):
     return chainrule_lhs(CompositeFlux(f2, K), u, phi, tol)
 
 
+def _window_pairing(phi, lo, hi, density, singular, tol, breakpoints, supports):
+    """Pairing of ``phi`` with a measure on the window [lo, hi]: the a.c.
+    part with x-density ``density`` (None: none) by ``integrate_interval``,
+    plus, per ``(base, sigma)`` of ``singular``, the part with density
+    ``sigma`` against the base's Cantor measure, on the window's share of
+    the support at depth ``_cantor_depth(tol)``.  Both parts are cut at
+    ``breakpoints``; ``supports`` are the Cantor supports of the a.c.
+    integrand.  The per-cell part of the piecewise-constant assembly, of
+    the entropy-flux slice and of the level-set comparison."""
+    total = 0.0
+    if density is not None:
+        total += integrate_interval(
+            lambda xs: phi(xs) * density(xs), lo, hi, tol=tol,
+            breakpoints=breakpoints, cantor_supports=supports,
+        )
+    for base, sigma in singular:
+        a, b = max(lo, base.support.a), min(hi, base.support.b)
+        if b > a:
+            total += base.integrate(
+                lambda xs, sigma=sigma: phi(xs) * sigma(xs),
+                _cantor_depth(tol), breakpoints, window=(a, b),
+            )
+    return total
+
+
 def pwc_direct_assembly(B, u, phi, tol=1e-8):
     """Independent re-assembly of the composition's x-derivative pairing for
     a piecewise-constant state: per-cell restricted diffuse pairings at the
@@ -529,7 +556,6 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
     pts = list(u.partition)
     vals = [np.atleast_1d(v) for v in u.values]
     lo, hi, bps, sups = _layout(phi, B)
-    depth = _cantor_depth(tol)
     densities = B.singular_densities()
     total = 0.0
     for (x0, x1), v in zip(zip(pts[:-1], pts[1:]), vals):
@@ -537,25 +563,12 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
         def frozen(xs, v=v):
             return np.repeat(v[:, None], len(xs), axis=1)
 
-        c0, c1 = max(x0, lo), min(x1, hi)
-        if c1 > c0:
-
-            def diffuse(xs):
-                xs = np.asarray(xs, dtype=float)
-                return phi(xs) * B.grad_x_on_grid(xs, frozen(xs))
-
-            total += integrate_interval(
-                diffuse, c0, c1, tol=tol, breakpoints=bps, cantor_supports=sups
-            )
-        for base, dens in densities:
-            sup = base.support
-            blo, bhi = max(x0, sup.a, lo), min(x1, sup.b, hi)
-            if bhi <= blo:
-                continue
-            total += base.integrate(
-                lambda xs, dens=dens: phi(xs) * dens(xs, frozen(xs)),
-                depth, window=(blo, bhi),
-            )
+        total += _window_pairing(
+            phi, max(x0, lo), min(x1, hi),
+            lambda xs: B.grad_x_on_grid(xs, frozen(xs)),
+            tuple((base, lambda xs, dens=dens: dens(xs, frozen(xs))) for base, dens in densities),
+            tol, bps, sups,
+        )
     for i in range(1, len(pts) - 1):
         x = pts[i]
         if not lo < x < hi:
@@ -592,7 +605,6 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     if np.abs(B.value_on_grid(probe, np.zeros((1, len(probe))))).max() > 1e-11:
         raise DomainError("comparison identity needs the flux to vanish at state zero")
     lo, hi = _window(B, phi)
-    depth = _cantor_depth(tol)
 
     def indicator_pairing(region_cells, K):
         """integral of chi* phi dDK over the closed union of the listed
@@ -609,20 +621,16 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                 start = prev = i
         segs.append((pts[start], pts[prev + 1]))
         dK = K.derivative()
+        density = None if dK.ac.is_zero() else dK.ac
+        singular = tuple(
+            (t.base, lambda xs, c=t.coefficient: c) for t in dK.cantor_terms
+        )
         total = 0.0
         for s0, s1 in segs:
-            q0, q1 = max(s0, lo), min(s1, hi)
-            if not dK.ac.is_zero() and q1 > q0:
-
-                def ac_int(xs):
-                    xs = np.asarray(xs, dtype=float)
-                    return phi(xs) * dK.ac(xs)
-
-                total += integrate_interval(
-                    ac_int, q0, q1, tol=tol,
-                    breakpoints=K.breakpoints(),
-                    cantor_supports=K.cantor_supports(),
-                )
+            total += _window_pairing(
+                phi, max(s0, lo), min(s1, hi), density, singular, tol,
+                K.breakpoints(), K.cantor_supports(),
+            )
             for x, w in dK.atoms:
                 if s0 < x < s1:
                     wt = 1.0
@@ -632,14 +640,6 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                     continue
                 if lo < x < hi:
                     total += wt * _phi_at(phi, x) * w
-            for t in dK.cantor_terms:
-                sup = t.base.support
-                blo, bhi = max(s0, sup.a, lo), min(s1, sup.b, hi)
-                if bhi <= blo:
-                    continue
-                total += t.coefficient * t.base.integrate(
-                    phi, depth, window=(blo, bhi)
-                )
         return total
 
     crit = sorted(set([0.0] + vals))

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvfunction import BVFunction
-from .chainrule import FluxModel
+from .chainrule import FluxModel, _window_pairing
 from .errors import CFLError, DomainError, RangeError, RepresentationError
-from .quadrature import _bisect, integrate_interval
+# unused here; perfbench's tracer tests expect claw to bind integrate_interval
+from .quadrature import _bisect, integrate_interval  # noqa: F401
 
 _KINK_BAND = 1e-12  # relative half-width of the starred-sign zero band
+_OFF_EPS = 1e-9  # how close a sample may come to a flux jump
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -44,12 +46,12 @@ def _star_sign(d, scale=1.0):
     return np.where(np.abs(d) <= band, 0.0, np.sign(d))
 
 
-def _off_points(xs, bad, eps=1e-9):
+def _off_points(xs, bad):
     """Shift samples that collide with the listed points."""
     xs = np.array(xs, dtype=float)
     for p in bad:
-        hit = np.abs(xs - p) < eps
-        xs[hit] += 3 * eps
+        hit = np.abs(xs - p) < _OFF_EPS
+        xs[hit] += 3 * _OFF_EPS
     return xs
 
 
@@ -663,12 +665,13 @@ class SpaceTimeTest:
 
 def _slice_q_pairing(pair, edges, vals, phi_x, tol=1e-7):
     """Pairing of a spatial test slice against d(q(., u))_x for one
-    piecewise-constant state slice: per-cell diffuse pairings plus
-    interface brackets of the sided entropy-flux values."""
-    flux = pair.flux
+    piecewise-constant state slice: interface brackets of the sided
+    entropy-flux values plus, per cell, the diffuse and Cantor pairings of
+    ``chainrule._window_pairing``, cut at the level crossings where the
+    entropy flux's sign jumps."""
     total = 0.0
-    vals = np.asarray(vals, dtype=float)
-    inner = np.asarray(edges[1:-1], dtype=float)
+    edges, vals = np.asarray(edges, dtype=float), np.asarray(vals, dtype=float)
+    inner = edges[1:-1]
     pvs = phi_x(inner)
     live = pvs != 0.0
     q_right = pair.q_values(inner[live], vals[1:][live], "right")
@@ -683,34 +686,22 @@ def _slice_q_pairing(pair, edges, vals, phi_x, tol=1e-7):
             "use piecewise-constant flux coefficients"
         )
     density, cantor_sign, cuts = pair.q_diffuse
-    has_ac = any(not K.smooth_part.derivative().is_zero() for K, _ in flux.model.terms)
-    if has_ac:
-        bps = flux.model.breakpoints()
-        for i in range(len(vals)):
-            lo, hi = float(edges[i]), float(edges[i + 1])
-
-            def integrand(xs, v=float(vals[i])):
-                return phi_x(xs) * density(xs, v)
-
-            inner = cuts(float(vals[i]), lo, hi)
-            total += integrate_interval(
-                integrand, lo, hi, tol=tol,
-                breakpoints=tuple(sorted(set(bps) | set(inner))),
-                cantor_supports=flux.model.cantor_supports(),
-            )
-    for base, dens in flux.model.singular_densities():
-        sup = base.support
-        for i in range(len(vals)):
-            lo = max(float(edges[i]), sup.a)
-            hi = min(float(edges[i + 1]), sup.b)
-            if hi <= lo:
-                continue
-
-            def c_int(xs, v=float(vals[i])):
-                W = np.full((1, len(xs)), v)
-                return phi_x(xs) * dens(xs, W) * cantor_sign(xs, v)
-
-            total += base.integrate(c_int, 12, window=(lo, hi))
+    model = pair.flux.model
+    has_ac = any(not K.smooth_part.derivative().is_zero() for K, _ in model.terms)
+    singular = model.singular_densities()
+    if not has_ac and not singular:
+        return total
+    bps, sups = model.breakpoints(), model.cantor_supports()
+    for lo, hi, v in zip(edges[:-1].tolist(), edges[1:].tolist(), vals.tolist()):
+        total += _window_pairing(
+            phi_x, lo, hi,
+            (lambda xs: density(xs, v)) if has_ac else None,
+            tuple(
+                (base, lambda xs, d=dens: d(xs, np.full((1, len(xs)), v)) * cantor_sign(xs, v))
+                for base, dens in singular
+            ),
+            tol, tuple(sorted(set(bps) | set(cuts(v, lo, hi)))), sups,
+        )
     return total
 
 

@@ -92,7 +92,10 @@ def _sign_changes(coeffs, lo, hi):
 
     Derivative-sequence isolation: between consecutive sign changes of p'
     the polynomial p is monotone, so each sign change of p has one bracket
-    there, and one ``_bisect`` call solves them all."""
+    there, and one ``_bisect`` call solves them all.  A root of even
+    multiplicity is no sign change, but rounding can show it as two, in
+    the two brackets that meet at a critical point where |p| is within a
+    Horner rounding bound: such a pair is dropped."""
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) <= 1:
         return []
@@ -100,7 +103,16 @@ def _sign_changes(coeffs, lo, hi):
     vals = _horner(c, ends)
     k = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     roots = _bisect(lambda xs, idx: _horner(c, xs), ends[k], ends[k + 1], vals[k + 1])
-    return [float(r) for r in roots if lo < r < hi]
+    flat = np.abs(vals) <= len(c) * 2.0**-51 * _horner(np.abs(c), np.abs(ends))
+    out, prev = [], None  # prev: bracket of the last root still unpaired
+    for i, r in zip(k.tolist(), roots.tolist()):
+        if prev == i - 1 and flat[i]:
+            out.pop()
+            prev = None
+        else:
+            out.append(r)
+            prev = i
+    return [r for r in out if lo < r < hi]
 
 
 @dataclass(frozen=True)
@@ -309,20 +321,23 @@ class CantorBase:
 
     def integrate(self, f, depth, breakpoints=(), window=None):
         """Integral of ``f(xs)`` against this base measure at cell depth
-        ``depth``: over the support, descended around the ``breakpoints``
-        inside it, or restricted to the x-interval ``window``.  The one place
-        where integration maps x to the standard coordinates of ``cantor``."""
+        ``depth``, over the support or restricted to the x-interval
+        ``window``, descended around the ``breakpoints`` inside either.  The
+        one place where integration maps x to the standard coordinates of
+        ``cantor``."""
 
         def g(ts):
             return f(self.from_std(ts))
 
-        if window is not None:
-            lo, hi = window
-            return cantor.integrate_cantor_std_restricted(
-                g, float(self.to_std(lo)), float(self.to_std(hi)), depth
-            )
-        cuts = [float(self.to_std(b)) for b in breakpoints if self.support.contains(b)]
-        return cantor.integrate_cantor_std(g, depth, cuts)
+        lo, hi = (self.support.a, self.support.b) if window is None else window
+        cuts = [float(self.to_std(b)) for b in sorted(breakpoints) if lo < b < hi]
+        if window is None:
+            return cantor.integrate_cantor_std(g, depth, cuts)
+        edges = [float(self.to_std(lo)), *cuts, float(self.to_std(hi))]
+        return sum(
+            cantor.integrate_cantor_std_restricted(g, a, b, depth)
+            for a, b in zip(edges[:-1], edges[1:])
+        )
 
     def profile(self, xs):
         """The rescaled Cantor function, by the exact digit scan: 0 left of
@@ -519,13 +534,6 @@ class RadonMeasure:
         )
 
 
-def _scalar_call(f, x):
-    try:
-        return float(f(x))
-    except (TypeError, ValueError):
-        return float(np.asarray(f(np.array([float(x)])), dtype=float)[0])
-
-
 def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_hint=1.0):
     """integral of f d(mu) for bounded f, continuous except at declared points.
 
@@ -543,8 +551,10 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_h
             integrand, mu.interval.a, mu.interval.b, tol=tol,
             breakpoints=bps, cantor_supports=sups,
         )
-    for x, w in mu.atoms:
-        total += w * _scalar_call(f, x)
+    if mu.atoms:
+        xs, ws = zip(*mu.atoms)
+        for w, fx in zip(ws, _apply(f, np.array(xs)).tolist()):
+            total += w * fx
     for t in mu.cantor_terms:
         depth = cantor.depth_for(tol, lip=lip_hint, width=t.base.width)
         cuts = tuple(bps) + tuple(t.weight_breakpoints)

@@ -82,3 +82,28 @@ def test_level_inversion_has_one_bisection():
     assert not names & {"c_alpha", "eta_sided", "eta_sided_fn"}
     assert not [text for text in sources if "range(80)" in text or "range(60)" in text]
     assert not [text for text in sources if "polyroots" in text or "_NEGLIGIBLE" in text]
+
+
+def test_per_cell_pairings_share_one_window_pairing():
+    """The per-cell parts of the piecewise-constant assembly, the
+    entropy-flux slice and the level-set comparison all go through
+    ``chainrule._window_pairing``.  ``claw.py`` integrates against no
+    Cantor base itself, and no call of ``.integrate`` in ``claw.py`` or
+    ``chainrule.py`` passes a literal depth."""
+    src = Path(bvcalc.__file__).parent
+    trees = {name: ast.parse((src / name).read_text()) for name in ("claw.py", "chainrule.py")}
+    integrate_calls = {
+        name: [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "integrate"
+        ]
+        for name, tree in trees.items()
+    }
+    assert not integrate_calls["claw.py"]
+    for call in integrate_calls["chainrule.py"]:
+        assert not [a for a in call.args if isinstance(a, ast.Constant)], ast.unparse(call)
+    assert _callers(trees["claw.py"], "_window_pairing") == [("_slice_q_pairing",)]
+    assert sorted(_callers(trees["chainrule.py"], "_window_pairing")) == [
+        ("levelset_comparison_pwc", "indicator_pairing"),
+        ("pwc_direct_assembly",),
+    ]

@@ -366,6 +366,16 @@ def test_coarea_with_discontinuous_weight_crossing_a_slope():
     assert rhs == pytest.approx(want, abs=1e-9)
 
 
+def test_a_double_root_of_the_slope_keeps_one_monotone_piece():
+    """u' = (x - 1/2)^2 (x - 1/4) on ]0, 0.9[ turns at 1/4 only: two
+    monotone pieces, not four."""
+    slope = npoly.polyfromroots([0.5, 0.5, 0.25])
+    u = BVFunction.from_poly(0.0, 0.9, tuple(npoly.polyint(slope)))
+    pieces = bvfunction._monotone_pieces(u)
+    assert len(pieces) == 2
+    assert pieces[0][1] == pytest.approx(0.25, abs=1e-12)
+
+
 def _reference_level_points(u, ts):
     """The coarea level points as the library located them before the
     shared bisection, 80 fixed passes on each monotone piece, summed over

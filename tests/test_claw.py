@@ -22,7 +22,7 @@ from bvcalc import (
     is_rankine_hugoniot,
     solve_claw,
 )
-from bvcalc.quadrature import _ROOT_TOL
+from bvcalc.quadrature import _ROOT_TOL, integrate_interval
 
 
 def step_flux(lo=0.0, hi=1.0, w_lo=0.1, w_hi=2.5):
@@ -585,41 +585,74 @@ def test_cuts_are_the_scalar_loop_cuts():
     assert adapted_entropy_pair(bump, 1.75).q_diffuse[2](1.0, 0.0, 1.0) == (0.25, 0.75)
 
 
-def test_slice_pairing_cantor_part_matches_factored_form():
-    """K = 1 + 0.6 C on ]0.2, 0.8[: the slice's Cantor part integrates
-    phi times the flux's singular density; with K(x) f(w) that density is
-    the constant 0.6 f(v) per cell, so the sum factors as
-    sum over cells of 0.6 f(v) times the integral of phi sign against the
-    base, each taken by the standard restricted rule at depth 12."""
-    import dataclasses
-
-    from bvcalc import TestFunction, cantor
-
+def cantor_slope_flux():
+    """B(x, w) = K(x) w with K = 1 + 0.6 C on ]0.2, 0.8[: no a.c. x-part,
+    one Cantor part."""
     K = BVFunction.constant(0.0, 1.0, 1.0)
     K = K + BVFunction.cantor_fn(0.0, 1.0, support=(0.2, 0.8), coefficient=0.6)
-    model = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),))
-    pair = adapted_entropy_pair(ScalarFlux(model, 0.1, 2.0), 1.0)
-    (base, _), = model.singular_densities()
+    return ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.0)
+
+
+def _slice_weak_form(pair, alpha, edges, vals, phi):
+    """-int phi' q(., u) dx over a piecewise-constant slice of the flux
+    K(x) w of ``cantor_slope_flux``, per cell by ``integrate_interval`` with
+    the level crossings and the Cantor support declared.  The entropy flux
+    of ``pair``, the adapted pair at level ``alpha``, is taken in closed form,
+    q(x, v) = (K(x) v - alpha) sign(v - alpha / K(x)), and checked against
+    the pair's own at sample points."""
+    model = pair.flux.model
+    (K, _), = model.terms
+
+    def q(xs, v):
+        k = K.values(xs)
+        return (k * v - alpha) * np.sign(v - alpha / k)
+
+    xs = np.linspace(0.01, 0.99, 33)
+    for v in vals:
+        assert np.allclose(q(xs, v), pair.q_values(xs, np.full(xs.shape, v)), rtol=0, atol=1e-12)
+    total = 0.0
+    for lo, hi, v in zip(edges[:-1], edges[1:], vals):
+        total -= integrate_interval(
+            lambda xs, v=v: phi.prime(xs) * q(xs, v), lo, hi, tol=1e-12,
+            breakpoints=pair.q_diffuse[2](float(v), lo, hi) + model.breakpoints(),
+            cantor_supports=model.cantor_supports(),
+        )
+    return total
+
+
+def test_slice_pairing_cantor_part_matches_factored_form():
+    """K = 1 + 0.6 C on ]0.2, 0.8[: the slice's Cantor part, phi times
+    the singular density 0.6 v times the sign of B(., v) - alpha against
+    the base, cut at the level crossings, closes the weak form
+    -int phi' q(., u) dx.  An uncut rule that lets the sign jump inside a
+    Cantor cell is 4.4e-5 off here."""
+    import dataclasses
+
+    from bvcalc import TestFunction
+
+    pair = adapted_entropy_pair(cantor_slope_flux(), 1.0)
     edges = np.array([0.0, 0.3, 0.5, 0.75, 1.0])
     vals = np.array([0.4, 1.1, 0.7, 1.6])
     phi = TestFunction.poly_bump((0.05, 0.95), (1.0,))
-    sign = pair.q_diffuse[1]
-    a, width = base.support.a, base.width
-    factored = 0.0
-    for lo, hi, v in zip(edges[:-1], edges[1:], vals):
-        lo, hi = max(lo, 0.2), min(hi, 0.8)
-
-        def g(ts, v=v):
-            xs = a + width * np.asarray(ts, dtype=float)
-            return phi(xs) * sign(xs, v)
-
-        factored += 0.6 * v * cantor.integrate_cantor_std_restricted(
-            g, (lo - a) / width, (hi - a) / width, 12
-        )
-    assert abs(factored) > 1e-2
     brackets = claw._slice_q_pairing(dataclasses.replace(pair, q_diffuse=None), edges, vals, phi)
     got = claw._slice_q_pairing(pair, edges, vals, phi)
-    assert got == pytest.approx(brackets + factored, rel=1e-12)
+    assert abs(got - brackets) > 1e-2
+    assert got == pytest.approx(_slice_weak_form(pair, 1.0, edges, vals, phi), abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha, v", [(1.0, 0.8), (1.21, 1.1)])
+def test_one_cell_slice_pairing_cuts_the_cantor_part_at_the_level_crossing(alpha, v):
+    """One cell over the whole Cantor support, where B(., v) crosses the
+    level inside it: the pairing matches the weak form to 1e-9 at tol
+    1e-10 (6.8e-5 and 5.1e-5 off without the cut)."""
+    from bvcalc import TestFunction
+
+    pair = adapted_entropy_pair(cantor_slope_flux(), alpha)
+    edges, vals = np.array([0.0, 1.0]), np.array([v])
+    phi = TestFunction.poly_bump((0.05, 0.95), (1.0,))
+    assert len(pair.q_diffuse[2](v, 0.2, 0.8)) == 1
+    got = claw._slice_q_pairing(pair, edges, vals, phi, tol=1e-10)
+    assert got == pytest.approx(_slice_weak_form(pair, alpha, edges, vals, phi), abs=1e-9)
 
 
 def test_affine_pair_needs_pwc_coefficients_for_residuals():

@@ -113,6 +113,10 @@ def _exact_derivative(p):
     return [k * c for k, c in enumerate(p)][1:]
 
 
+def _exact_integral(p):
+    return [Fraction(0), *(c / (k + 1) for k, c in enumerate(p))]
+
+
 def _trimmed(p):
     p = list(p)
     while p and p[-1] == 0:
@@ -181,6 +185,35 @@ def test_sign_changes_match_an_exact_sturm_count(case):
         bound = rounding * _exact_value([abs(c) for c in p], abs(x))
         reach = Fraction(2e-14) + bound / abs(_exact_value(_exact_derivative(p), x))
         assert _exact_value(p, x - reach) * _exact_value(p, x + reach) < 0, r
+
+
+def test_a_double_root_is_no_sign_change():
+    """p = (x - 1/2)^2 (x - 1/4): the rounded p dips below zero around the
+    double root, and the close pair there is dropped; |p| keeps the one
+    cut at 1/4."""
+    coeffs = tuple(npoly.polyfromroots([0.5, 0.5, 0.25]))
+    got = _sign_changes(coeffs, 0.0, 0.9)
+    assert len(got) == 1 and got[0] == pytest.approx(0.25, abs=1e-12)
+    bks = PiecewisePolynomial.from_global(0.0, 0.9, coeffs).absolute().breakpoints
+    assert bks == pytest.approx((0.0, 0.25, 0.9), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "simple, double",
+    [((0.125, 0.875), 0.5), ((0.25, 0.5), 0.375), ((0.0625, 0.9375), 0.25)],
+)
+def test_a_double_root_between_simple_roots_keeps_both(simple, double):
+    """p = (x - a)(x - m)^2 (x - b), a < m < b on (0, 1): the two sign
+    changes at a and b stay, and abs_integral is the exact integral of |p|
+    split there."""
+    coeffs = tuple(npoly.polyfromroots([simple[0], double, double, simple[1]]))
+    got = _sign_changes(coeffs, 0.0, 1.0)
+    assert got == pytest.approx(list(simple), abs=1e-12)
+    anti = _exact_integral([Fraction(c) for c in coeffs])
+    edges = [Fraction(0), *(Fraction(r) for r in simple), Fraction(1)]
+    want = sum(abs(_exact_value(anti, b) - _exact_value(anti, a)) for a, b in zip(edges, edges[1:]))
+    pp = PiecewisePolynomial.from_global(0.0, 1.0, coeffs)
+    assert pp.abs_integral() == pytest.approx(float(want), rel=1e-13)
 
 
 @given(
@@ -266,7 +299,7 @@ def test_unbroken_cantor_rule_is_the_midpoint_mean(depth):
 
 def test_cantor_base_integrate_is_the_standard_rule_rescaled():
     """CantorBase.integrate equals the standard rules called on the
-    integrand and cut points mapped to [0, 1] by hand, bit for bit."""
+    integrand, cut points and window mapped to [0, 1] by hand, bit for bit."""
     base = CantorBase(Interval(0.2, 0.8))
     a, width = base.support.a, base.width
 
@@ -280,6 +313,32 @@ def test_cantor_base_integrate_is_the_standard_rule_rescaled():
     assert base.integrate(wavy, 12, window=(lo, hi)) == (
         cantor.integrate_cantor_std_restricted(g, (lo - a) / width, (hi - a) / width, 12)
     )
+    # inside a window the breakpoints split it; those on or past its edges
+    # are ignored
+    edges = [(x - a) / width for x in (0.22, 0.26, 0.5, 0.68, 0.75)]
+    want = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        want += cantor.integrate_cantor_std_restricted(g, lo, hi, 12)
+    bps = (0.1, 0.68, 0.22, 0.5, 0.26, 0.75, 0.9)
+    assert base.integrate(wavy, 12, bps, window=(0.22, 0.75)) == want
+
+
+@pytest.mark.parametrize("part", ["atom", "density"])
+def test_a_non_finite_integrand_raises(part):
+    """A NaN of f at an atom and one in the a.c. part both raise."""
+    from bvcalc import QuadratureError
+
+    if part == "atom":
+        mu = RadonMeasure(Interval(0.0, 1.0), None, ((0.25, 1.0), (0.5, 2.0)))
+    else:
+        mu = RadonMeasure(Interval(0.0, 1.0), PiecewisePolynomial.constant(0.0, 1.0, 1.0))
+
+    def f(xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(np.abs(xs - 0.5) < 0.1, np.nan, xs)
+
+    with pytest.raises(QuadratureError):
+        integrate_measure(f, mu)
 
 
 def test_integrate_rescaled_cantor_base():
