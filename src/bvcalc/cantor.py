@@ -157,15 +157,23 @@ def std_cells(depth):
     return arrays
 
 
-def _apply(f, xs):
-    """Evaluate a (hopefully vectorised) callable on an array, with a scalar
-    fallback, and reject non-finite values."""
+def _pointwise(f, xs):
+    """``f`` called on one point of ``xs`` at a time, in the shape of
+    ``xs``: the fallback for an integrand that does not take arrays."""
+    flat = xs.ravel()
+    return np.fromiter((float(f(x)) for x in flat), dtype=float, count=flat.size).reshape(xs.shape)
+
+
+def _apply(f, xs, stacked=False):
+    """Evaluate a (hopefully vectorised) callable on an array of any shape,
+    with a pointwise fallback, and reject non-finite values.  With
+    ``stacked`` the values may carry one leading axis of components."""
     try:
         vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
+        if vals.shape != xs.shape and not (stacked and vals.shape[1:] == xs.shape):
             raise TypeError
     except (TypeError, ValueError, IndexError):
-        vals = np.fromiter((float(f(x)) for x in xs), dtype=float, count=xs.size)
+        vals = _pointwise(f, xs)
     if not np.all(np.isfinite(vals)):
         from .errors import QuadratureError
         raise QuadratureError("integrand produced non-finite values")

@@ -11,21 +11,22 @@ one BV coefficient.
 
 Both implement one flux protocol: ``domain``, ``breakpoints()``,
 ``cantor_supports()`` and ``exceptional_set()``; the grid evaluators
-``value_on_grid(xs, W, side)``, ``grad_x_on_grid(xs, W)`` and
-``grad_w_on_grid(xs, W)``; the sided pointwise ``eval(x, w, side)`` for the
+``value_on_grid(xs, W, side)``, ``grad_x_on_grid(xs, W)``,
+``grad_w_on_grid(xs, W)`` and ``diffuse_on_grid(xs, W)`` (the three at
+once); the sided pointwise ``eval(x, w, side)`` for the
 jump brackets; and ``singular_densities()``, the density of the singular
 x-derivative against each Cantor base of the coefficients.  Every
 integral against a Cantor base goes through ``CantorBase.integrate``.
 
 One private assembler computes the lhs and the five terms of the identity
 for any flux of the protocol, by quadrature aware of all breakpoints and
-Cantor supports; the lhs and the two diffuse gradient terms share one cell
-layout.  The product-flux, composite-flux and weighted forms are calls to
-it, and the starred rewriting reuses a finished report and recomputes only
-its two jump sums.  The piecewise-constant direct assembly and the
-level-set comparison identity are independent checks with their own point
-sums; their per-cell parts, like those of the entropy-flux slices in
-``claw``, are calls of ``_window_pairing``.
+Cantor supports; the lhs and the two diffuse gradient terms are one
+stacked integrand.  The product-flux, composite-flux and weighted forms are
+calls to it, and the starred rewriting reuses a finished report and
+recomputes only its two jump sums.  The piecewise-constant direct
+assembly and the level-set comparison identity are independent checks with
+their own point sums; their per-cell parts, like those of the entropy-flux
+slices in ``claw``, are calls of ``_window_pairing``.
 
 Sign convention: the five terms are stored in positive form (the plain
 integrals/sums, without the leading minus signs of the identity), so the
@@ -190,18 +191,37 @@ class FluxModel:
         )
 
     # -- evaluation ---------------------------------------------------------
-    def value_on_grid(self, xs, W, side=None):
-        """B(xs_i, W[:, i]) vectorized; W has shape (dim, len(xs)), or (dim,)
-        for one state at every point.  With
-        ``side`` None the coefficients take their a.e. values (right-
-        continuous at jumps); otherwise their exact sided values
-        (``BVFunction.at``)."""
+    def coefficients(self, xs, side=None):
+        """Per term, K_k at the points ``xs``: the a.e. values (right-
+        continuous at jumps) with ``side`` None, otherwise the exact sided
+        values (``BVFunction.at``)."""
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape)
-        for K, f in self.terms:
-            k = K.values(xs) if side is None else K.at(xs, side)
+        return [K.values(xs) if side is None else K.at(xs, side) for K, _ in self.terms]
+
+    def combine(self, ks, W):
+        """sum_k ks[k] f_k(W), in term order, from the ``coefficients``."""
+        out = np.zeros(np.shape(ks[0]))
+        for k, (_, f) in zip(ks, self.terms):
             out += k * np.asarray(f(W))
         return out
+
+    def value_on_grid(self, xs, W, side=None):
+        """B(xs_i, W[:, i]) vectorized; W has shape (dim,) + xs.shape, or
+        (dim,) for one state at every point; ``side`` as in
+        ``coefficients``."""
+        return self.combine(self.coefficients(xs, side), W)
+
+    def diffuse_on_grid(self, xs, W):
+        """(B, a.e. x-gradient, state gradient) at (xs_i, W[:, i]), each
+        coefficient evaluated once: the grid evaluators in one pass."""
+        xs = np.asarray(xs, dtype=float)
+        val, gx, gw = np.zeros(xs.shape), np.zeros(xs.shape), np.zeros((self.dim,) + xs.shape)
+        for k, (K, f) in zip(self.coefficients(xs), self.terms):
+            fw = np.asarray(f(W))
+            val += k * fw
+            gx += K.smooth_part.derivative()(xs) * fw
+            gw += k[None, :] * np.asarray(f.grad(W))
+        return val, gx, gw
 
     def eval(self, x, w, side="precise"):
         """Pointwise flux value, one-sided in x, at a fixed state w."""
@@ -286,6 +306,12 @@ class CompositeFlux:
 
     def grad_w_on_grid(self, xs, W):
         return np.asarray(self.f2.grad(self._stacked(np.asarray(xs, dtype=float), W)))[1:]
+
+    def diffuse_on_grid(self, xs, W):
+        xs = np.asarray(xs, dtype=float)
+        Y = self._stacked(xs, W)
+        g = np.asarray(self.f2.grad(Y))
+        return np.asarray(self.f2(Y)), g[0] * self.K.smooth_part.derivative()(xs), g[1:]
 
     def singular_densities(self):
         return tuple(
@@ -399,19 +425,19 @@ def _assemble(B, u, phi, tol, g_diffuse=None, g=None):
 
     dpps = [c.smooth_part.derivative() for c in u.components]
 
-    def t1_integrand(xs):
-        return weight(xs) * B.grad_x_on_grid(xs, u.values(xs))
-
-    def t3_integrand(xs):
-        gw = B.grad_w_on_grid(xs, u.values(xs))
-        out = np.zeros_like(xs)
+    def diffuse(xs):
+        """The t1, t3 (and lhs) integrands, stacked: u, phi and the flux
+        coefficients are evaluated once per node."""
+        val, gx, gw = B.diffuse_on_grid(xs, u.values(xs))
+        wx = weight(xs)
+        t3 = np.zeros_like(xs)
         for i, dpp in enumerate(dpps):
-            out += gw[i] * dpp(xs)
-        return weight(xs) * out
+            t3 += gw[i] * dpp(xs)
+        rows = [wx * gx, wx * t3]
+        if g is None:
+            rows.append(phi.prime(xs) * val)
+        return np.stack(rows)
 
-    diffuse = (t1_integrand, t3_integrand)
-    if g is None:
-        diffuse += (_lhs_integrand(B, u, phi),)
     t1, t3, *lhs = integrate_interval(
         diffuse, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
     )
@@ -561,7 +587,7 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
     for (x0, x1), v in zip(zip(pts[:-1], pts[1:]), vals):
 
         def frozen(xs, v=v):
-            return np.repeat(v[:, None], len(xs), axis=1)
+            return np.repeat(v, np.size(xs)).reshape(v.shape + np.shape(xs))
 
         total += _window_pairing(
             phi, max(x0, lo), min(x1, hi),

@@ -153,14 +153,17 @@ def _invert(flux, xs, alpha, side):
     xs = np.asarray(xs, dtype=float)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xs.shape)
     lo, hi = np.full(xs.shape, float(flux.w_lo)), np.full(xs.shape, float(flux.w_hi))
-    flo, fhi = (flux.values_on_grid(xs, w, side) - alpha for w in (lo, hi))
+    # only the state changes between bisection passes: K is evaluated once
+    model = flux.model
+    ks = model.coefficients(xs, side)
+    flo, fhi = (model.combine(ks, w[None, :]) - alpha for w in (lo, hi))
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     attained = ~(flo * fhi > 0)
     live = np.flatnonzero(attained & (flo != 0.0) & (fhi != 0.0))
-    x, a = xs[live], alpha[live]
+    ks, a = [k[live] for k in ks], alpha[live]
 
     def g(w, i):
-        return flux.values_on_grid(x[i], w, side) - a[i]
+        return model.combine([k[i] for k in ks], w[None, :]) - a[i]
 
     out[live] = _bisect(g, lo[live], hi[live], fhi[live])
     return out, attained
@@ -323,7 +326,7 @@ def adapted_entropy_pair(flux, alpha):
         factor is locally constant off the level crossing (where the
         leading factor vanishes), so the density is sign * x-gradient."""
         xs = np.asarray(xs, dtype=float)
-        W = np.full((1, len(xs)), float(v))
+        W = np.full((1,) + xs.shape, float(v))
         s = np.sign(flux.values_on_grid(xs, W[0]) - alpha) * flux.direction
         return s * flux.model.grad_x_on_grid(xs, W)
 
@@ -697,7 +700,7 @@ def _slice_q_pairing(pair, edges, vals, phi_x, tol=1e-7):
             phi_x, lo, hi,
             (lambda xs: density(xs, v)) if has_ac else None,
             tuple(
-                (base, lambda xs, d=dens: d(xs, np.full((1, len(xs)), v)) * cantor_sign(xs, v))
+                (base, lambda xs, d=dens: d(xs, np.full((1,) + xs.shape, v)) * cantor_sign(xs, v))
                 for base, dens in singular
             ),
             tol, tuple(sorted(set(bps) | set(cuts(v, lo, hi)))), sups,

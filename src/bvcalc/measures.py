@@ -54,6 +54,11 @@ class Interval:
         return self.a <= other.a and other.b <= self.b
 
 
+def _rows_ascend(xs):
+    """Whether ``xs`` is 2-D with nondecreasing rows (a NaN fails)."""
+    return xs.ndim == 2 and bool(np.all(xs[:, 1:] >= xs[:, :-1]))
+
+
 def _horner(coeffs, s):
     """sum(coeffs[k] s^k), by the same float operations as npoly.polyval."""
     out = coeffs[-1] + s * 0
@@ -166,15 +171,26 @@ class PiecewisePolynomial:
     def at(self, xs, side="right"):
         """Sided values at the points ``xs``: a point on a breakpoint takes
         the piece to its right (``side="right"``, the plain value) or to its
-        left (``side="left"``); points outside use the end pieces."""
+        left (``side="left"``); points outside use the end pieces.
+
+        A 2-D ``xs`` with ascending rows is looked up once per row, at its
+        two end nodes: searchsorted is monotone, so a row whose ends share
+        a piece lies in it.  The other rows go node by node."""
         xs = np.asarray(xs, dtype=float)
         if len(self.pieces) == 1:
             return np.asarray(_horner(self.pieces[0], xs - self.breakpoints[0]))
-        idx = np.searchsorted(self._inner, xs, side=side)
+        if _rows_ascend(xs):
+            ends = np.searchsorted(self._inner, xs[:, [0, -1]], side=side)
+            idx = np.where(ends[:, 0] == ends[:, 1], ends[:, 0], -1)
+        else:
+            idx = np.searchsorted(self._inner, xs, side=side)
         out = np.empty(xs.shape)
-        for i in np.flatnonzero(np.bincount(idx.ravel(), minlength=len(self.pieces))).tolist():
+        for i in (np.flatnonzero(np.bincount(idx.ravel() + 1)) - 1).tolist():
             m = idx == i
-            out[m] = _horner(self.pieces[i], xs[m] - self.breakpoints[i])
+            if i < 0:
+                out[m] = self.at(xs[m].ravel(), side).reshape(-1, xs.shape[1])
+            else:
+                out[m] = _horner(self.pieces[i], xs[m] - self.breakpoints[i])
         return out
 
     def __call__(self, x):
@@ -341,9 +357,21 @@ class CantorBase:
 
     def profile(self, xs):
         """The rescaled Cantor function, by the exact digit scan: 0 left of
-        the support, 1 right of it."""
+        the support, 1 right of it.
+
+        A 2-D ``xs`` with ascending rows is scanned at each row's two end
+        nodes first: the scan is monotone, so a row whose ends agree is
+        constant.  The other rows are scanned node by node."""
         # fmax maps NaN to 0, as left of the support
-        return cantor.cantor_function_eval(np.fmin(np.fmax(self.to_std(xs), 0.0), 1.0))
+        ts = np.fmin(np.fmax(self.to_std(xs), 0.0), 1.0)
+        if not _rows_ascend(ts):
+            return cantor.cantor_function_eval(ts)
+        ends = cantor.cantor_function_eval(ts[:, [0, -1]])
+        out = np.repeat(ends[:, :1], ts.shape[1], axis=1)
+        mixed = ends[:, 0] != ends[:, 1]
+        if mixed.any():
+            out[mixed] = cantor.cantor_function_eval(ts[mixed])
+        return out
 
     def mass(self, lo, hi):
         """Measure of [lo, hi] (the base measure is non-atomic)."""

@@ -21,7 +21,10 @@ tree around it and splits at it.
 
 Smooth cells are refined adaptively: a 7/15-point Gauss-Legendre pair gives
 the error estimate, failing cells are bisected, everything evaluated batched
-across cells.
+across cells.  Each pass evaluates the integrand once, on a ``(cells, 21)``
+array whose rows hold a cell's GL-7 and GL-15 nodes ascending (the two rules
+share the midpoint); an integrand may return a leading stack axis ``(k, ...)``,
+and each of its k components is then refined on its own.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ from .errors import DomainError, QuadratureError
 
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
+# one ascending row of nodes per cell, and the columns of each rule in it
+_NODES, _COLS = np.unique(np.concatenate((_GL_LO[0], _GL_HI[0])), return_inverse=True)
+_LO_COLS, _HI_COLS = _COLS[:7], _COLS[7:]
+_BLOCK = 512  # cells per integrand call: bounds the integrand's temporaries
 
 _MAX_PASSES = 30
 _MAX_CELLS = 200_000
@@ -200,54 +207,97 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
     return np.concatenate(smooth), np.concatenate(mids)
 
 
-def _panel(f, lo_arr, hi_arr, rule):
-    nodes, wts = rule
-    mid = 0.5 * (lo_arr + hi_arr)
-    half = 0.5 * (hi_arr - lo_arr)
-    xs = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = _apply(f, xs.ravel()).reshape(xs.shape)
-    return (vals @ wts) * half
+def _panel(f, lo, hi):
+    """Values of ``f`` at the ``_NODES`` of each cell [lo_i, hi_i]: an
+    (n, 21) array, or (k, n, 21) for a stacked integrand, filled by one
+    call per block of cells."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    vals = None
+    for s in range(0, lo.size, _BLOCK):
+        xs = mid[s:s + _BLOCK, None] + half[s:s + _BLOCK, None] * _NODES
+        block = _apply(f, xs, stacked=True)
+        if vals is None:
+            vals = np.empty(block.shape[:-2] + (lo.size, _NODES.size))
+        vals[..., s:s + _BLOCK, :] = block
+    return vals
+
+
+def _union(live):
+    """The cells of the components' live ``(lo, hi)`` sets, once each, and
+    per component its rows in them (None: every row, in order)."""
+    sets = [c for c in live if c[0].size]
+    lo, hi = sets[0]
+    if all(np.array_equal(lo, a) and np.array_equal(hi, b) for a, b in sets[1:]):
+        return lo, hi, [None] * len(live)
+    cells, inv = np.unique(
+        np.concatenate([np.column_stack(c) for c in live]), axis=0, return_inverse=True
+    )
+    rows = np.split(inv.reshape(-1), np.cumsum([c[0].size for c in live])[:-1])
+    return cells[:, 0], cells[:, 1], rows
 
 
 def integrate_cells(f, smooth, mids, tol):
     """Adaptive GL-7/15 over the smooth cells plus midpoint rule on ``mids``,
     both (n, 2) arrays of cells as :func:`build_cells` returns them.  A cell
     passes when its error estimate meets its width's share of tol/2; on the
-    last pass the rest pass if their estimates sum to at most the other tol/2."""
-    total = 0.0
-    if len(mids):
-        lo_m, hi_m = mids[:, 0], mids[:, 1]
-        centers = 0.5 * (lo_m + hi_m)
-        total += float(np.sum(_apply(f, centers) * (hi_m - lo_m)))
-    if not len(smooth):
-        return total
-    lo, hi = smooth[:, 0], smooth[:, 1]
-    total_len = max(float(np.sum(hi - lo)), 1e-300)
+    last pass the rest pass if their estimates sum to at most the other tol/2.
+
+    For a stacked integrand (values ``(k, ...)``) a k-tuple is returned.
+    Each component keeps its own passing cells and refinement, so its float
+    operations are those of integrating it alone; each pass evaluates the
+    integrand once on the union of the components' cells."""
+    # per component: its integral so far (None until an evaluation shows
+    # how many components there are) and its live smooth cells
+    totals, live = None, [(smooth[:, 0], smooth[:, 1])]
+    total_len = max(float(np.sum(smooth[:, 1] - smooth[:, 0])), 1e-300)
+    if len(mids) or not len(smooth):
+        lo, hi = mids[:, 0], mids[:, 1]
+        vals = _apply(f, 0.5 * (lo + hi), stacked=True)
+        stacked = vals.ndim > 1
+        # 0.0 + keeps an all -0.0 sum from coming back as -0.0
+        totals = [0.0 + float(np.sum(v * (hi - lo))) for v in (vals if stacked else [vals])]
+        live *= len(totals)
     for npass in range(1, _MAX_PASSES + 1):
-        if lo.size > _MAX_CELLS:
-            raise QuadratureError("quadrature cell budget exceeded")
-        coarse = _panel(f, lo, hi, _GL_LO)
-        fine = _panel(f, lo, hi, _GL_HI)
-        err = np.abs(fine - coarse)
-        budget = 0.5 * tol * (hi - lo) / total_len
-        ok = err <= np.maximum(budget, 1e-17 * np.abs(fine))
-        if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tol:
-            ok[:] = True
-        total += float(np.sum(fine[ok]))
-        lo, hi = lo[~ok], hi[~ok]
-        if not lo.size or npass == _MAX_PASSES:
+        if not any(c[0].size for c in live):
             break
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate((lo, mid))
-        hi = np.concatenate((mid, hi))
-        order = np.argsort(lo)
-        lo, hi = lo[order], hi[order]
-    if lo.size:
+        if any(c[0].size > _MAX_CELLS for c in live):
+            raise QuadratureError("quadrature cell budget exceeded")
+        ulo, uhi, rows = _union(live)
+        vals = _panel(f, ulo, uhi)
+        if totals is None:
+            stacked = vals.ndim > 2
+            totals = [0.0] * (len(vals) if stacked else 1)
+            live, rows = live * len(totals), rows * len(totals)
+        for c, ((lo, hi), r) in enumerate(zip(live, rows)):
+            if not lo.size:
+                continue
+            v = vals[c] if stacked else vals
+            v = v if r is None else v[r]
+            half = 0.5 * (hi - lo)
+            coarse = (np.take(v, _LO_COLS, axis=1) @ _GL_LO[1]) * half
+            fine = (np.take(v, _HI_COLS, axis=1) @ _GL_HI[1]) * half
+            err = np.abs(fine - coarse)
+            budget = 0.5 * tol * (hi - lo) / total_len
+            ok = err <= np.maximum(budget, 1e-17 * np.abs(fine))
+            if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tol:
+                ok[:] = True
+            totals[c] += float(np.sum(fine[ok]))
+            lo, hi = lo[~ok], hi[~ok]
+            if lo.size and npass < _MAX_PASSES:
+                mid = 0.5 * (lo + hi)
+                lo = np.concatenate((lo, mid))
+                hi = np.concatenate((mid, hi))
+                order = np.argsort(lo)
+                lo, hi = lo[order], hi[order]
+            live[c] = (lo, hi)
+    failing = next((c[0].size for c in live if c[0].size), 0)
+    if failing:
         raise QuadratureError(
-            f"tolerance {tol:g} unreachable: {lo.size} cells still failing "
+            f"tolerance {tol:g} unreachable: {failing} cells still failing "
             f"after {_MAX_PASSES} refinement passes"
         )
-    return total
+    return tuple(totals) if stacked else totals[0]
 
 
 def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
@@ -257,15 +307,10 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     kink; ``cantor_supports`` every (lo, hi) support of a Cantor-function
     summand appearing anywhere inside ``f``.
 
-    ``f`` may also be a tuple of integrands sharing those breakpoints and
-    supports: the decomposition is then built once, each integrand is
-    refined on its own, and a tuple with one integral per integrand is
-    returned.
+    ``f`` is called on float arrays of any shape.  A stacked integrand,
+    whose values carry a leading axis of k components, gives a k-tuple:
+    the components share the decomposition and each evaluation, and each
+    is refined on its own (see :func:`integrate_cells`).
     """
-    fs = f if isinstance(f, tuple) else (f,)
-    if hi <= lo:
-        out = (0.0,) * len(fs)
-    else:
-        smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
-        out = tuple(integrate_cells(g, smooth, mids, tol) for g in fs)
-    return out if isinstance(f, tuple) else out[0]
+    smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
+    return integrate_cells(f, smooth, mids, tol)

@@ -416,7 +416,7 @@ def _approx_row(u, n, exc, tol, stairs):
     bound = 3.0 * np.sqrt(d) / n
     lo, hi = u.components[0].domain.a, u.components[0].domain.b
     xs = np.linspace(lo, hi, 1501)[1:-1]
-    err2 = np.zeros(xs.size)
+    err2 = np.zeros(xs.shape)
     tv_excess = 0.0
     jump_err = 0.0
     for comp, ap in zip(u.components, approx):

@@ -468,3 +468,53 @@ def test_vector_components_share_the_domain():
                 BVFunction.from_poly(0.0, 2.0, (1.0,)),
             )
         )
+
+
+# -- cell-shaped nodes -------------------------------------------------------
+
+_CUT = 0.2 + 0.6 / 3.0  # a jump at a point of the Cantor set of ]0.2, 0.8[
+_ROW_U = (
+    BVFunction.from_poly(0.0, 1.0, (0.3, -1.1, 0.7))
+    + BVFunction.heaviside(0.0, 1.0, _CUT, 0.0, 0.9)
+    + BVFunction.heaviside(0.0, 1.0, 0.61, 0.0, -0.4)
+    + BVFunction.cantor_fn(0.0, 1.0, support=(0.2, 0.8), coefficient=1.3)
+)
+_ROW_CENTERS = [
+    0.0, 1.0, 0.2, 0.8, 0.61, _CUT,
+    *(0.2 + 0.6 * k / 3**j for j in (1, 2, 7, 30) for k in (1, 2, 3**j - 1)),
+]
+
+
+@st.composite
+def _node_rows(draw):
+    """Rows of 21 nodes, ascending unless shuffled: cells around breakpoints
+    and Cantor points, from wide to narrower than 1e-16, some with a NaN,
+    some outside the support or the domain."""
+    from bvcalc.quadrature import _NODES
+
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        c = draw(st.sampled_from(_ROW_CENTERS) | st.floats(-0.2, 1.2))
+        w = draw(st.sampled_from([0.0, 1e-17, 4e-16, 1e-9, 1e-4, 0.02, 0.3]))
+        row = c + w * _NODES
+        kind = draw(st.sampled_from(["ascending", "ascending", "shuffled", "nan"]))
+        if kind == "shuffled":
+            row = row[draw(st.permutations(range(row.size)))]
+        elif kind == "nan":
+            row[draw(st.integers(0, row.size - 1))] = np.nan
+        rows.append(row)
+    return np.array(rows)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(_node_rows())
+@settings(max_examples=150, deadline=None)
+def test_cell_shaped_nodes_give_the_pointwise_bits(xs):
+    """One lookup per ascending row must give what a lookup per node does."""
+    base, _ = _ROW_U.cantor_part[0]
+    pp = _ROW_U.smooth_part
+    for f in (base.profile, _ROW_U.values, pp.at, lambda x: pp.at(x, "left")):
+        assert _same_bits(f(xs), f(xs.ravel()).reshape(xs.shape))

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from bvcalc import cantor
 from bvcalc.cli import main
+from bvcalc.scenario import parse_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -56,3 +58,19 @@ def test_demo_outputs_are_byte_identical(name, tmp_path, capsys):
         if p.name != "timing.csv"
     }
     assert written == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_demo_scenarios_make_no_pointwise_calls(name, tmp_path, monkeypatch):
+    """Every integrand of the demos takes node arrays of any shape, so the
+    one-point-at-a-time fallback of ``cantor._apply`` is never reached."""
+    hits = []
+    fallback = cantor._pointwise
+
+    def spy(f, xs):
+        hits.append(xs.size)
+        return fallback(f, xs)
+
+    monkeypatch.setattr(cantor, "_pointwise", spy)
+    run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path))
+    assert hits == []

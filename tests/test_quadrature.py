@@ -199,10 +199,45 @@ def test_window_inside_one_leftover_cell_is_exact(tol):
     cell = 3.0 ** -_leftover_level(tol)
     lo, hi = 0.2 * cell, 0.7 * cell
     one, x = integrate_interval(
-        (np.ones_like, lambda t: t), lo, hi, tol, cantor_supports=((0.0, 1.0),)
+        lambda t: np.stack((np.ones_like(t), t)), lo, hi, tol, cantor_supports=((0.0, 1.0),)
     )
     assert abs(one - (hi - lo)) <= 1e-15
     assert abs(x - 0.5 * (hi * hi - lo * lo)) <= 1e-15
+
+
+COMPONENTS = {
+    "cubic": lambda t: 1.0 + t * (0.5 - t * t),  # passes on the first pass
+    "wiggle": lambda t: np.sin(40.0 * t) * np.exp(t),  # refines for a few passes
+    "sqrt": lambda t: np.sqrt(np.abs(t)),  # its kink cell passes on the last pass
+    "step": lambda t: np.where(t > 0.3, 1.0, 0.0),  # undeclared: fails at 1e-12
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(layouts(), st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=1, max_size=4))
+@example((0.0, 1.0, (), (), 1e-10), ["cubic", "wiggle", "sqrt"])
+@example((-0.1, 1.0, (), (), 1e-12), ["wiggle", "step", "cubic", "step"])
+def test_stacked_components_integrate_as_if_alone(layout, names):
+    """Each component of a stacked integrand keeps its own passing cells
+    and refinement: its integral has the bits of integrating it alone, and
+    a component that fails raises the error it raises alone."""
+    lo, hi, points, supports, tol = layout
+    smooth, mids = build_cells(lo, hi, points, supports, tol)
+    fs = [COMPONENTS[n] for n in names]
+    alone = []
+    for f in fs:
+        try:
+            alone.append(repr(integrate_cells(f, smooth, mids, tol)))
+        except QuadratureError as err:
+            alone.append(err)
+    errors = [str(a) for a in alone if isinstance(a, QuadratureError)]
+    stacked = lambda t: np.stack([f(t) for f in fs])  # noqa: E731
+    if errors:
+        with pytest.raises(QuadratureError) as err:
+            integrate_cells(stacked, smooth, mids, tol)
+        assert str(err.value) == errors[0]
+    else:
+        assert [repr(v) for v in integrate_cells(stacked, smooth, mids, tol)] == alone
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13])
