@@ -20,10 +20,10 @@ integral against a Cantor base goes through ``CantorBase.integrate``.
 
 One private assembler computes the lhs and the five terms of the identity
 for any flux of the protocol, by quadrature aware of all breakpoints and
-Cantor supports; the lhs and the two diffuse gradient terms are one
-stacked integrand.  The product-flux, composite-flux and weighted forms are
-calls to it, and the starred rewriting reuses a finished report and
-recomputes only its two jump sums.  The piecewise-constant direct
+Cantor supports; the lhs and the two diffuse gradient terms of every test
+function of a case are one stacked integrand.  The product-flux,
+composite-flux and weighted forms are calls to it, and the starred
+rewriting reuses a finished report and recomputes only its two jump sums.  The piecewise-constant direct
 assembly and the level-set comparison identity are independent checks with
 their own point sums; their per-cell parts, like those of the entropy-flux
 slices in ``claw``, are calls of ``_window_pairing``.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +158,11 @@ class FluxModel:
     def domain(self):
         return self.terms[0][0].domain
 
+    @cached_property
+    def _slopes(self):
+        """Per term, the a.e. derivative of K_k's smooth part."""
+        return tuple(K.smooth_part.derivative() for K, _ in self.terms)
+
     # -- structure ----------------------------------------------------------
     def exceptional_set(self):
         """The finite exceptional x-set: union of the K jump sets."""
@@ -216,10 +222,10 @@ class FluxModel:
         coefficient evaluated once: the grid evaluators in one pass."""
         xs = np.asarray(xs, dtype=float)
         val, gx, gw = np.zeros(xs.shape), np.zeros(xs.shape), np.zeros((self.dim,) + xs.shape)
-        for k, (K, f) in zip(self.coefficients(xs), self.terms):
+        for k, slope, (_, f) in zip(self.coefficients(xs), self._slopes, self.terms):
             fw = np.asarray(f(W))
             val += k * fw
-            gx += K.smooth_part.derivative()(xs) * fw
+            gx += slope(xs) * fw
             gw += k[None, :] * np.asarray(f.grad(W))
         return val, gx, gw
 
@@ -243,8 +249,8 @@ class FluxModel:
         """a.e. x-gradient at (xs_i, W[:, i])."""
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
-        for K, f in self.terms:
-            out += K.smooth_part.derivative()(xs) * np.asarray(f(W))
+        for slope, (_, f) in zip(self._slopes, self.terms):
+            out += slope(xs) * np.asarray(f(W))
         return out
 
     def grad_w_on_grid(self, xs, W):
@@ -279,6 +285,11 @@ class CompositeFlux:
     def domain(self):
         return self.K.domain
 
+    @cached_property
+    def _slope(self):
+        """The a.e. derivative of K's smooth part."""
+        return self.K.smooth_part.derivative()
+
     def breakpoints(self):
         return self.K.breakpoints()
 
@@ -302,7 +313,7 @@ class CompositeFlux:
     def grad_x_on_grid(self, xs, W):
         xs = np.asarray(xs, dtype=float)
         gy = np.asarray(self.f2.grad(self._stacked(xs, W)))[0]
-        return gy * self.K.smooth_part.derivative()(xs)
+        return gy * self._slope(xs)
 
     def grad_w_on_grid(self, xs, W):
         return np.asarray(self.f2.grad(self._stacked(np.asarray(xs, dtype=float), W)))[1:]
@@ -311,7 +322,7 @@ class CompositeFlux:
         xs = np.asarray(xs, dtype=float)
         Y = self._stacked(xs, W)
         g = np.asarray(self.f2.grad(Y))
-        return np.asarray(self.f2(Y)), g[0] * self.K.smooth_part.derivative()(xs), g[1:]
+        return np.asarray(self.f2(Y)), g[0] * self._slope(xs), g[1:]
 
     def singular_densities(self):
         return tuple(
@@ -403,76 +414,94 @@ def _jump_bracket(B, u, x):
     return B.eval(x, u.right(x), "right") - B.eval(x, u.left(x), "left")
 
 
-def _assemble(B, u, phi, tol, g_diffuse=None, g=None):
-    """The lhs and the five positive-form terms for any flux of the protocol.
+def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
+    """Per test function of ``phis``, the lhs and the five positive-form
+    terms, for any flux of the protocol.
 
-    With a BV weight ``g`` the diffuse terms see phi times ``g_diffuse`` (a
-    vectorized representative of g), the jump sum sees phi g*, the layout
-    gains g's breakpoints and supports, and the lhs is not computed
-    (reported as None)."""
+    Each phi keeps its own layout, and its diffuse terms are components of
+    one stacked integrand that evaluates u, the flux and u' once per node
+    for all of them.  With a BV weight ``g`` the diffuse terms see phi times
+    ``g_diffuse`` (a vectorized representative of g), the jump sum sees
+    phi g*, the layout gains g's breakpoints and supports, and the lhs is
+    not computed (reported as None)."""
     u = _as_vector(u)
     if (u.domain.a, u.domain.b) != (B.domain.a, B.domain.b):
         raise DomainError("state and flux must share the domain")
-    lo, hi, bps, sups = _layout(phi, B, u, *(() if g is None else (g,)))
+    layouts = [_layout(phi, B, u, *(() if g is None else (g,))) for phi in phis]
     depth = _cantor_depth(tol)
+    per_phi = 2 if g is not None else 3  # t1, t3 (and lhs)
 
-    def weight(xs):
+    def weight(phi, xs):
         return phi(xs) if g is None else phi(xs) * g_diffuse(xs)
 
-    def atom(x):
+    def atom(phi, x):
         a = _phi_at(phi, x)
         return a if g is None else a * g.eval(x, "precise")
 
     dpps = [c.smooth_part.derivative() for c in u.components]
 
     def diffuse(xs):
-        """The t1, t3 (and lhs) integrands, stacked: u, phi and the flux
-        coefficients are evaluated once per node."""
+        """The t1, t3 (and lhs) integrands of every phi, stacked: u, u' and
+        the flux are evaluated once per node."""
         val, gx, gw = B.diffuse_on_grid(xs, u.values(xs))
-        wx = weight(xs)
         t3 = np.zeros_like(xs)
         for i, dpp in enumerate(dpps):
             t3 += gw[i] * dpp(xs)
-        rows = [wx * gx, wx * t3]
-        if g is None:
-            rows.append(phi.prime(xs) * val)
-        return np.stack(rows)
+        out = np.empty((per_phi * len(phis),) + np.shape(xs))
+        for j, phi in enumerate(phis):
+            wx = weight(phi, xs)
+            np.multiply(wx, gx, out=out[per_phi * j])
+            np.multiply(wx, t3, out=out[per_phi * j + 1])
+            if g is None:
+                np.multiply(phi.prime(xs), val, out=out[per_phi * j + 2])
+        return out
 
-    t1, t3, *lhs = integrate_interval(
+    lo, hi, bps, sups = zip(*layouts)
+    diffuse_terms = integrate_interval(
         diffuse, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
     )
 
     densities = B.singular_densities()
-    t2 = 0.0
-    for base, dens in densities:
-        t2 += base.integrate(
-            lambda xs, dens=dens: weight(xs) * dens(xs, u.values(xs)), depth, bps
-        )
+    reports = []
+    for j, (phi, (lo, hi, bps, _)) in enumerate(zip(phis, layouts)):
+        t1, t3, *lhs = diffuse_terms[per_phi * j:per_phi * (j + 1)]
 
-    t4 = 0.0
-    for i, comp in enumerate(u.components):
-        for base, coef in comp.cantor_part:
-            t4 += coef * base.integrate(
-                lambda xs, i=i: weight(xs) * B.grad_w_on_grid(xs, u.values(xs))[i],
+        t2 = 0.0
+        for base, dens in densities:
+            t2 += base.integrate(
+                lambda xs, dens=dens, phi=phi: weight(phi, xs) * dens(xs, u.values(xs)),
                 depth, bps,
             )
 
-    t5 = 0.0
-    for x in sorted(set(B.exceptional_set()) | set(u.jump_set())):
-        if lo < x < hi:
-            t5 += atom(x) * _jump_bracket(B, u, x)
+        t4 = 0.0
+        for i, comp in enumerate(u.components):
+            for base, coef in comp.cantor_part:
+                t4 += coef * base.integrate(
+                    lambda xs, i=i, phi=phi: weight(phi, xs) * B.grad_w_on_grid(xs, u.values(xs))[i],
+                    depth, bps,
+                )
 
-    return ChainRuleReport(
-        lhs[0] if lhs else None,
-        (float(t1), float(t2), float(t3), float(t4), float(t5)),
-        singular_vacuous=not densities,
-    )
+        t5 = 0.0
+        for x in sorted(set(B.exceptional_set()) | set(u.jump_set())):
+            if lo < x < hi:
+                t5 += atom(phi, x) * _jump_bracket(B, u, x)
+
+        reports.append(ChainRuleReport(
+            lhs[0] if lhs else None,
+            (float(t1), float(t2), float(t3), float(t4), float(t5)),
+            singular_vacuous=not densities,
+        ))
+    return reports
 
 
 def chainrule_terms(B, u, phi, tol=1e-8):
     """The five terms of the identity (positive form) plus the lhs, for a
-    ``FluxModel`` or a ``CompositeFlux``."""
-    return _assemble(B, u, phi, tol)
+    ``FluxModel`` or a ``CompositeFlux``.  ``phi`` may be a sequence of
+    test functions: then a tuple of their reports, each with the bits of
+    its own call, from one evaluation of u and B per quadrature node."""
+    if isinstance(phi, (list, tuple)):
+        return tuple(_assemble(B, u, phi, tol))
+    return _assemble(B, u, (phi,), tol)[0]
 
 
 def verify_chainrule(B, u, phi, tol=1e-8):
@@ -518,8 +547,8 @@ def weighted_chainrule(B, u, g, phi, tol=1e-8):
     representative throughout, sum of the five g-weighted terms)."""
     if not set(g.jump_set()) <= set(B.exceptional_set()):
         raise DomainError("weight jumps must lie inside the flux exceptional set")
-    pairing = _assemble(B, u, phi, tol, lambda xs: g.at(xs, "precise"), g)
-    weighted = _assemble(B, u, phi, tol, g.values, g)
+    (pairing,) = _assemble(B, u, (phi,), tol, lambda xs: g.at(xs, "precise"), g)
+    (weighted,) = _assemble(B, u, (phi,), tol, g.values, g)
     return pairing.total, weighted.total
 
 

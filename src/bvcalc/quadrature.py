@@ -21,10 +21,17 @@ tree around it and splits at it.
 
 Smooth cells are refined adaptively: a 7/15-point Gauss-Legendre pair gives
 the error estimate, failing cells are bisected, everything evaluated batched
-across cells.  Each pass evaluates the integrand once, on a ``(cells, 21)``
-array whose rows hold a cell's GL-7 and GL-15 nodes ascending (the two rules
-share the midpoint); an integrand may return a leading stack axis ``(k, ...)``,
-and each of its k components is then refined on its own.
+across cells.  Each pass evaluates the integrand once, in blocks of cells, on
+``(cells, 21)`` arrays whose rows hold a cell's GL-7 and GL-15 nodes
+ascending (the two rules share the midpoint).  Each block is reduced at once
+to its two rule sums per cell, each a fixed-order sum over the cell's own
+nodes, so a cell's sums have the same bits whatever else the block holds.
+
+An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
+components is then refined on its own, and the components may split into
+groups with a layout each (one test function's window, say): every pass
+evaluates the union of the components' live cells once, and each component
+keeps the float operations of integrating it alone.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
 # one ascending row of nodes per cell, and the columns of each rule in it
 _NODES, _COLS = np.unique(np.concatenate((_GL_LO[0], _GL_HI[0])), return_inverse=True)
-_LO_COLS, _HI_COLS = _COLS[:7], _COLS[7:]
+_RULES = ((_COLS[:7], _GL_LO[1]), (_COLS[7:], _GL_HI[1]))
 _BLOCK = 512  # cells per integrand call: bounds the integrand's temporaries
 
 _MAX_PASSES = 30
@@ -208,33 +215,61 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
 
 
 def _panel(f, lo, hi):
-    """Values of ``f`` at the ``_NODES`` of each cell [lo_i, hi_i]: an
-    (n, 21) array, or (k, n, 21) for a stacked integrand, filled by one
-    call per block of cells."""
+    """The GL-7 and GL-15 sums of ``f`` on each cell [lo_i, hi_i], before
+    the half-width factor: a (2, n) array, or (2, k, n) for a stacked
+    integrand, from one call per block of cells.  Each sum runs over its
+    row's own nodes in a fixed order, so its bits do not depend on the
+    block or on the other rows."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    vals = None
+    sums = None
     for s in range(0, lo.size, _BLOCK):
         xs = mid[s:s + _BLOCK, None] + half[s:s + _BLOCK, None] * _NODES
         block = _apply(f, xs, stacked=True)
-        if vals is None:
-            vals = np.empty(block.shape[:-2] + (lo.size, _NODES.size))
-        vals[..., s:s + _BLOCK, :] = block
-    return vals
+        if sums is None:
+            sums = np.empty((2,) + block.shape[:-2] + (lo.size,))
+        for out, (cols, w) in zip(sums, _RULES):
+            out[..., s:s + _BLOCK] = (block.take(cols, axis=-1) * w).sum(axis=-1)
+    return sums
 
 
-def _union(live):
-    """The cells of the components' live ``(lo, hi)`` sets, once each, and
-    per component its rows in them (None: every row, in order)."""
-    sets = [c for c in live if c[0].size]
-    lo, hi = sets[0]
-    if all(np.array_equal(lo, a) and np.array_equal(hi, b) for a, b in sets[1:]):
-        return lo, hi, [None] * len(live)
-    cells, inv = np.unique(
-        np.concatenate([np.column_stack(c) for c in live]), axis=0, return_inverse=True
-    )
-    rows = np.split(inv.reshape(-1), np.cumsum([c[0].size for c in live])[:-1])
-    return cells[:, 0], cells[:, 1], rows
+def _union(sets):
+    """The cells of the ``(lo, hi)`` cell sets, once each, and per set its
+    rows in them (None: every row, in order; empty sets have no rows).  A
+    set that several components share is keyed once; a cell's key is its
+    (lo, hi) pair read as one complex number."""
+    distinct = list({id(c): c for c in sets if c[0].size}.values())
+    if len(distinct) <= 1:
+        return (distinct[0] if distinct else (np.empty(0), np.empty(0))), [None] * len(sets)
+    keys = [np.column_stack(c).view(complex).ravel() for c in distinct]
+    cells, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    rows = np.split(inv.reshape(-1), np.cumsum([c[0].size for c in distinct])[:-1])
+    rows = dict(zip(map(id, distinct), rows))
+    return (cells.real, cells.imag), [rows.get(id(c)) for c in sets]
+
+
+def _spread(groups, k):
+    """Per component of k, the entry of its group: the components split
+    into ``len(groups)`` equal consecutive groups."""
+    if k % len(groups):
+        raise DomainError(f"{k} components do not split into {len(groups)} layouts")
+    return [groups[c * len(groups) // k] for c in range(k)]
+
+
+def _midpoint_rule(f, mids):
+    """Per component, the midpoint rule over its group's ``(lo, hi)`` cells
+    in ``mids`` (their union evaluated once), and whether ``f`` is
+    stacked."""
+    (ulo, uhi), rows = _union(mids)
+    vals = _apply(f, 0.5 * (ulo + uhi), stacked=True)
+    stacked = vals.ndim > 1
+    vals = vals if stacked else vals[None]
+    mids, rows = _spread(mids, len(vals)), _spread(rows, len(vals))
+    # 0.0 + keeps an all -0.0 sum from coming back as -0.0
+    return [
+        0.0 + float(np.sum((v if r is None else v[r]) * (hi - lo))) if lo.size else 0.0
+        for v, r, (lo, hi) in zip(vals, rows, mids)
+    ], stacked
 
 
 def integrate_cells(f, smooth, mids, tol):
@@ -244,41 +279,47 @@ def integrate_cells(f, smooth, mids, tol):
     last pass the rest pass if their estimates sum to at most the other tol/2.
 
     For a stacked integrand (values ``(k, ...)``) a k-tuple is returned.
-    Each component keeps its own passing cells and refinement, so its float
-    operations are those of integrating it alone; each pass evaluates the
-    integrand once on the union of the components' cells."""
-    # per component: its integral so far (None until an evaluation shows
-    # how many components there are) and its live smooth cells
-    totals, live = None, [(smooth[:, 0], smooth[:, 1])]
-    total_len = max(float(np.sum(smooth[:, 1] - smooth[:, 0])), 1e-300)
-    if len(mids) or not len(smooth):
-        lo, hi = mids[:, 0], mids[:, 1]
-        vals = _apply(f, 0.5 * (lo + hi), stacked=True)
-        stacked = vals.ndim > 1
-        # 0.0 + keeps an all -0.0 sum from coming back as -0.0
-        totals = [0.0 + float(np.sum(v * (hi - lo))) for v in (vals if stacked else [vals])]
-        live *= len(totals)
+    ``smooth`` and ``mids`` may also be sequences of g layouts; the k
+    components then split into g equal consecutive groups, group j on
+    layout j.  Each component keeps its own cells, budget, passing cells,
+    refinement and error, so its float operations are those of integrating
+    it alone; each pass evaluates the integrand once on the union of the
+    components' live cells, and the midpoint cells' union is evaluated once.
+    Of the components that fail, the first one's error is raised."""
+    if isinstance(smooth, np.ndarray):
+        smooth, mids = [smooth], [mids]
+    # per group until an evaluation shows how many components there are,
+    # then per component: live smooth cells, error, integral so far
+    live = [(c[:, 0], c[:, 1]) for c in smooth]
+    errors, totals = [None] * len(live), None
+    total_len = [max(float(np.sum(hi - lo)), 1e-300) for lo, hi in live]
+    if any(map(len, mids)) or not any(map(len, smooth)):
+        totals, stacked = _midpoint_rule(f, [(c[:, 0], c[:, 1]) for c in mids])
+        live, errors, total_len = (_spread(v, len(totals)) for v in (live, errors, total_len))
     for npass in range(1, _MAX_PASSES + 1):
-        if not any(c[0].size for c in live):
+        for c, (lo, hi) in enumerate(live):
+            if lo.size > _MAX_CELLS:
+                errors[c], live[c] = QuadratureError("quadrature cell budget exceeded"), (lo[:0], hi[:0])
+        if not any(lo.size for lo, _ in live):
             break
-        if any(c[0].size > _MAX_CELLS for c in live):
-            raise QuadratureError("quadrature cell budget exceeded")
-        ulo, uhi, rows = _union(live)
-        vals = _panel(f, ulo, uhi)
+        (ulo, uhi), rows = _union(live)
+        sums = _panel(f, ulo, uhi)
         if totals is None:
-            stacked = vals.ndim > 2
-            totals = [0.0] * (len(vals) if stacked else 1)
-            live, rows = live * len(totals), rows * len(totals)
+            stacked = sums.ndim > 2
+            k = sums.shape[1] if stacked else 1
+            live, errors, total_len, rows = (
+                _spread(v, k) for v in (live, errors, total_len, rows)
+            )
+            totals = [0.0] * k
+        sums = sums if stacked else sums[:, None]
         for c, ((lo, hi), r) in enumerate(zip(live, rows)):
             if not lo.size:
                 continue
-            v = vals[c] if stacked else vals
-            v = v if r is None else v[r]
             half = 0.5 * (hi - lo)
-            coarse = (np.take(v, _LO_COLS, axis=1) @ _GL_LO[1]) * half
-            fine = (np.take(v, _HI_COLS, axis=1) @ _GL_HI[1]) * half
+            v = sums[:, c] if r is None else sums[:, c, r]
+            coarse, fine = v[0] * half, v[1] * half
             err = np.abs(fine - coarse)
-            budget = 0.5 * tol * (hi - lo) / total_len
+            budget = 0.5 * tol * (hi - lo) / total_len[c]
             ok = err <= np.maximum(budget, 1e-17 * np.abs(fine))
             if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tol:
                 ok[:] = True
@@ -291,12 +332,15 @@ def integrate_cells(f, smooth, mids, tol):
                 order = np.argsort(lo)
                 lo, hi = lo[order], hi[order]
             live[c] = (lo, hi)
-    failing = next((c[0].size for c in live if c[0].size), 0)
-    if failing:
-        raise QuadratureError(
-            f"tolerance {tol:g} unreachable: {failing} cells still failing "
-            f"after {_MAX_PASSES} refinement passes"
-        )
+    for c, (lo, _) in enumerate(live):
+        if lo.size and errors[c] is None:
+            errors[c] = QuadratureError(
+                f"tolerance {tol:g} unreachable: {lo.size} cells still failing "
+                f"after {_MAX_PASSES} refinement passes"
+            )
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
     return tuple(totals) if stacked else totals[0]
 
 
@@ -309,8 +353,16 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
 
     ``f`` is called on float arrays of any shape.  A stacked integrand,
     whose values carry a leading axis of k components, gives a k-tuple:
-    the components share the decomposition and each evaluation, and each
-    is refined on its own (see :func:`integrate_cells`).
+    each component is refined on its own (see :func:`integrate_cells`).
+    ``lo`` and ``hi`` may then be sequences of g windows, with
+    ``breakpoints`` and ``cantor_supports`` one sequence per window: window
+    j's layout serves the j-th of g equal consecutive groups of components,
+    and every pass evaluates the integrand once for all of them.
     """
-    smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
+    if np.ndim(lo):
+        smooth, mids = zip(*(
+            build_cells(*window, tol) for window in zip(lo, hi, breakpoints, cantor_supports)
+        ))
+    else:
+        smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
     return integrate_cells(f, smooth, mids, tol)

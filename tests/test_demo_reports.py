@@ -24,17 +24,17 @@ DIGESTS = {
         "stairs_case00.csv": "f37c7ee5866510dcc81b20c75e3e350308031f5a0a63bb6dd9b4dc1a3439717b",
     },
     "chainrule_heaviside": {
-        "report.csv": "4883f2b62ada71ad40bf2a5b65599b4f758603c3834e1d9a34ee47c1248ca6e4",
+        "report.csv": "6cd56cdaca6ba8625b62aa67ab53c57ed68a74dc92541f867a0291f5f26f686a",
     },
     "chainrule_suite": {
-        "report.csv": "65491a9cacf98983b491af03039d2d9c78eb704ec89f4993ea82c92d3c2bd79e",
+        "report.csv": "fae42bec8222b48b402ae54067a69b3e83c88a33b5df84c57e2c7c14e527d38d",
     },
     "claw_burgers": {
         "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",
         "report.csv": "18728f67133f8738607f88b1a84add02dc75100b07199b42457cf5bd8f7de4b2",
     },
     "coarea_check": {
-        "report.csv": "4ab48c8a7eabf383d52d4330fcb459a3131061cd03370bff393c17b4ecef0192",
+        "report.csv": "806ff124bcf435b57e3648f066f2b6c57a681ed4ff946f7552a8fb9544b06a10",
     },
     "comparison_check": {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",

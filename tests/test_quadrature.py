@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bvcalc import quadrature
 from bvcalc.cantor import std_cells
 from bvcalc.errors import QuadratureError
 from bvcalc.quadrature import (
@@ -213,31 +214,85 @@ COMPONENTS = {
 }
 
 
-@settings(max_examples=25, deadline=None)
-@given(layouts(), st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=1, max_size=4))
-@example((0.0, 1.0, (), (), 1e-10), ["cubic", "wiggle", "sqrt"])
-@example((-0.1, 1.0, (), (), 1e-12), ["wiggle", "step", "cubic", "step"])
-def test_stacked_components_integrate_as_if_alone(layout, names):
-    """Each component of a stacked integrand keeps its own passing cells
-    and refinement: its integral has the bits of integrating it alone, and
-    a component that fails raises the error it raises alone."""
-    lo, hi, points, supports, tol = layout
-    smooth, mids = build_cells(lo, hi, points, supports, tol)
-    fs = [COMPONENTS[n] for n in names]
-    alone = []
-    for f in fs:
+def _alone(fs, windows, tol):
+    """Per component, the repr of integrating it alone on its group's
+    window, or the error that raises."""
+    per = len(fs) // len(windows)
+    out = []
+    for c, f in enumerate(fs):
+        lo, hi, points, supports = windows[c // per]
         try:
-            alone.append(repr(integrate_cells(f, smooth, mids, tol)))
+            out.append(repr(integrate_interval(f, lo, hi, tol, points, supports)))
         except QuadratureError as err:
-            alone.append(err)
+            out.append(err)
+    return out
+
+
+def _assert_stacked_as_alone(fs, windows, tol, alone):
     errors = [str(a) for a in alone if isinstance(a, QuadratureError)]
     stacked = lambda t: np.stack([f(t) for f in fs])  # noqa: E731
+    lo, hi, points, supports = zip(*windows)
     if errors:
         with pytest.raises(QuadratureError) as err:
-            integrate_cells(stacked, smooth, mids, tol)
+            integrate_interval(stacked, lo, hi, tol, points, supports)
         assert str(err.value) == errors[0]
     else:
-        assert [repr(v) for v in integrate_cells(stacked, smooth, mids, tol)] == alone
+        assert [repr(v) for v in integrate_interval(stacked, lo, hi, tol, points, supports)] == alone
+
+
+@st.composite
+def stacks(draw):
+    """1 to 3 windows with 1 or 2 components each, and a tolerance."""
+    windows = [layout[:4] for layout in draw(st.lists(layouts(), min_size=1, max_size=3))]
+    n = draw(st.integers(1, 2)) * len(windows)
+    names = draw(st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=n, max_size=n))
+    return windows, names, draw(st.sampled_from((1e-6, 1e-8, 1e-10, 1e-12)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(stacks())
+# one window: plain cells, a kink cell accepted on the last pass
+@example(([(0.0, 1.0, (), ())], ["cubic", "wiggle", "sqrt"], 1e-10))
+# windows, breakpoints and Cantor supports (midpoint cells) all differ; the
+# sqrt component's endpoint cell passes on the last pass
+@example((
+    [(0.0, 1.0, (), ()), (0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.0, 0.7, (0.5,), ((0.2, 0.65),))],
+    ["cubic", "wiggle", "sqrt"], 1e-10,
+))
+# two components per window, two of them failing
+@example((
+    [(-0.1, 1.0, (), ()), (0.2, 1.2, (0.5,), ((0.0, 0.4), (0.5, 1.0)))],
+    ["wiggle", "step", "cubic", "step"], 1e-12,
+))
+def test_stacked_components_integrate_as_if_alone(stack):
+    """Each component of a stacked integrand keeps its own layout, passing
+    cells and refinement: its integral has the bits of integrating it
+    alone, and of the components that fail alone the first one's error is
+    raised.  The components split into equal consecutive groups, one per
+    window."""
+    windows, names, tol = stack
+    fs = [COMPONENTS[n] for n in names]
+    _assert_stacked_as_alone(fs, windows, tol, _alone(fs, windows, tol))
+
+
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_block_size_leaves_the_bits_alone(block, monkeypatch):
+    """A Gauss sum runs over one cell's own nodes in a fixed order, so the
+    bits do not depend on how many cells share an integrand call."""
+    windows = [(0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.1, 0.9, (0.5,), ((0.2, 0.65),))]
+    fs = [COMPONENTS[n] for n in ("sqrt", "wiggle", "cubic", "wiggle")]
+    alone = _alone(fs, windows, 1e-8)
+    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    assert _alone(fs, windows, 1e-8) == alone
+    _assert_stacked_as_alone(fs, windows, 1e-8, alone)
+
+
+def test_quadrature_sums_use_no_blas():
+    """The panel sums are fixed-order elementwise reductions: a BLAS
+    product's bits for one row can depend on how many rows it is given."""
+    text = Path(quadrature.__file__).read_text()
+    for token in ("@", "np.dot", "np.einsum"):
+        assert token not in text
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13])
