@@ -10,6 +10,7 @@ function C: it splits equally over the two level-1 cells [0,1/3] and
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +33,7 @@ _DYADIC_MIN = 2.0 ** -72
 _MAX_DEPTH = 24          # hard cap for quadrature depth (2^24 cells)
 _CACHE_DEPTH = 20        # midpoint arrays cached up to this depth
 _GUARD = 24              # extra levels descended at a restriction endpoint
+_LEAF_BLOCK = 1 << 15    # nodes per integrand call when leaves are batched
 
 
 def _fraction_scan(fx):
@@ -200,53 +202,136 @@ def integrate_cantor_std(f, depth, breakpoints=()):
     ``breakpoints``: points of [0,1] where f may jump; the cell tree is
     descended around them so a discontinuity sitting inside the Cantor set
     cannot poison the O(3^-depth) (O(9^-depth) for C^2 f) convergence.
+    A stacked f may be given one sequence per group of components, as
+    :func:`integrate_cantor_std_restricted` takes them with one window per
+    group.
     """
-    edges = [0.0, *sorted(b for b in breakpoints if 0.0 < b < 1.0), 1.0]
-    return sum(
-        integrate_cantor_std_restricted(f, lo, hi, depth)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
+    if _grouped(breakpoints):
+        n = len(breakpoints)
+        return integrate_cantor_std_restricted(f, [0.0] * n, [1.0] * n, depth, breakpoints)
+    return integrate_cantor_std_restricted(f, 0.0, 1.0, depth, breakpoints)
 
 
-def integrate_cantor_std_restricted(f, lo, hi, depth):
-    """Quadrature of f against the standard Cantor measure restricted to
-    [lo, hi] in [0,1].  Cells fully inside are handled by midpoint averaging
-    at residual depth; cells straddling an endpoint are descended ``_GUARD``
-    levels past ``depth`` (mass of the unresolved chain <= 2^-(depth+_GUARD))."""
-    depth = max(1, min(int(depth), _MAX_DEPTH))
+def _grouped(breakpoints):
+    """Whether ``breakpoints`` is one sequence per group of components."""
+    return len(breakpoints) > 0 and np.ndim(breakpoints[0]) > 0
+
+
+def _leaves(lo, hi, depth):
+    """The leaves of the cell tree on [lo, hi] in the order the rule sums
+    them, as ``(lev, k, res, weight)``: the level-``lev`` cell
+    [k 3^-lev, (k + 1) 3^-lev] and its residual depth.  A cell fully inside
+    is a leaf at residual depth ``depth - lev`` (at least 0); a cell that
+    straddles an end is descended ``_GUARD`` levels past ``depth``, and what
+    is left of it is a one-point leaf of half its mass."""
     if hi <= lo:
-        return 0.0
+        return []
     lo = max(0.0, float(lo))
     hi = min(1.0, float(hi))
-    total = 0.0
-    stack = [(Fraction(0), 0)]
+    leaves = []
+    stack = [(0, 0)]
     while stack:
-        left, lev = stack.pop()
-        w = Fraction(1, 3 ** lev)
-        l = float(left)
-        r = float(left + w)
+        k, lev = stack.pop()
+        # int / int is correctly rounded, as float(Fraction(k, 3**lev)) is
+        l, r = k / 3 ** lev, (k + 1) / 3 ** lev
         if r <= lo or l >= hi:
             continue
         if lo <= l and r <= hi:
-            res = max(depth - lev, 0)
-            weight = 2.0 ** -lev
-            if res == 0:
-                total += weight * float(_apply(f, np.array([l + (r - l) * 0.5]))[0])
-            else:
-                sub = 0.0
-                n = 0
-                for mids in _mids_for(res):
-                    # the root cell is [0, 1]: no copy of a cached array
-                    pts = mids if lev == 0 else l + (r - l) * mids
-                    sub += float(np.sum(_apply(f, pts)))
-                    n += pts.size
-                total += weight * sub / n
-            continue
-        if lev >= depth + _GUARD:
-            # unresolved straddling cell: assign half its mass at the midpoint
-            total += 2.0 ** -(lev + 1) * float(_apply(f, np.array([l + (r - l) * 0.5]))[0])
-            continue
-        child_w = Fraction(1, 3 ** (lev + 1))
-        stack.append((left, lev + 1))
-        stack.append((left + 2 * child_w, lev + 1))
-    return total
+            leaves.append((lev, k, max(depth - lev, 0), 2.0 ** -lev))
+        elif lev >= depth + _GUARD:
+            leaves.append((lev, k, 0, 2.0 ** -(lev + 1)))
+        else:
+            stack += [(3 * k, lev + 1), (3 * k + 2, lev + 1)]
+    return leaves
+
+
+def _batches(chunks, limit):
+    """The ``(leaf, nodes)`` chunks in consecutive lists of at most
+    ``limit`` nodes (a larger chunk alone)."""
+    batch, size = [], 0
+    for chunk in chunks:
+        if batch and size + chunk[1].size > limit:
+            yield batch
+            batch, size = [], 0
+        batch.append(chunk)
+        size += chunk[1].size
+    if batch:
+        yield batch
+
+
+def _leaf_sums(f, keys):
+    """Per leaf ``(lev, k, res)`` of ``keys``, the sum of f over its 2^res
+    midpoints, as a (components, keys) array, and whether f is stacked.
+
+    Leaves go to the integrand together, grouped by residual depth, in
+    calls of at most ``_LEAF_BLOCK`` nodes; a leaf deeper than the midpoint
+    cache goes in chunks of that depth, one call each.  A leaf's sum is 0.0
+    plus the ``np.sum`` of each of its chunks over its own nodes, in order,
+    so it has the bits of evaluating the leaf alone."""
+
+    def chunks():
+        for i in sorted(range(len(keys)), key=lambda i: keys[i][2]):
+            lev, k, res = keys[i]
+            l, r = k / 3 ** lev, (k + 1) / 3 ** lev
+            for mids in _mids_for(res):
+                # the root cell is [0, 1]: no copy of a cached array
+                yield i, mids if lev == 0 else l + (r - l) * mids
+
+    sums, vals = None, None
+    for batch in _batches(chunks(), _LEAF_BLOCK):
+        xs = batch[0][1] if len(batch) == 1 else np.concatenate([nodes for _, nodes in batch])
+        vals = _apply(f, xs, stacked=True)
+        rows = vals if vals.ndim > 1 else vals[None]
+        if sums is None:
+            sums = np.zeros((len(rows), len(keys)))
+        start = 0
+        for n, group in itertools.groupby(batch, key=lambda c: c[1].size):
+            idx = [i for i, _ in group]
+            stop = start + n * len(idx)
+            np.add.at(sums, (slice(None), idx), rows[:, start:stop].reshape(len(rows), -1, n).sum(axis=-1))
+            start = stop
+    if vals is None:
+        # no leaf: one empty call tells the number of components
+        vals = _apply(f, np.empty(0), stacked=True)
+        sums = np.empty((len(vals) if vals.ndim > 1 else 1, 0))
+    return sums, vals.ndim > 1
+
+
+def integrate_cantor_std_restricted(f, lo, hi, depth, breakpoints=()):
+    """Quadrature of f against the standard Cantor measure restricted to
+    [lo, hi] in [0,1], summed over the pieces between the ``breakpoints``
+    strictly inside.  On each piece, cells fully inside are handled by
+    midpoint averaging at residual depth; cells straddling an end are
+    descended ``_GUARD`` levels past ``depth`` (mass of the unresolved chain
+    <= 2^-(depth+_GUARD)).
+
+    A stacked integrand (values ``(k, ...)``) gives a k-tuple.  ``lo`` and
+    ``hi`` may then be sequences of g windows, with ``breakpoints`` one
+    sequence per window: window j serves the j-th of g equal consecutive
+    groups of components.  Every window keeps its own cell tree, and each
+    component sums its leaves in its own order, so it gets the bits of
+    integrating it alone; a leaf that several windows share is evaluated
+    once, and all leaves go to the integrand together."""
+    depth = max(1, min(int(depth), _MAX_DEPTH))
+    windows = zip(lo, hi, breakpoints) if np.ndim(lo) else [(lo, hi, breakpoints)]
+    keys, groups = {}, []
+    for a, b, cuts in windows:
+        edges = [a, *sorted(c for c in cuts if a < c < b), b]
+        groups.append([
+            [(keys.setdefault((lev, k, res), len(keys)), w, 1 << res)
+             for lev, k, res, w in _leaves(p, q, depth)]
+            for p, q in zip(edges[:-1], edges[1:])
+        ])
+    sums, stacked = _leaf_sums(f, list(keys))
+    if len(sums) % len(groups):
+        raise DomainError(f"{len(sums)} components do not split into {len(groups)} windows")
+    totals = []
+    for c, row in enumerate(sums.tolist()):
+        parts = []
+        for leaves in groups[c * len(groups) // len(sums)]:
+            total = 0.0
+            for i, w, n in leaves:
+                total += w * row[i] / n
+            parts.append(total)
+        totals.append(sum(parts))
+    return tuple(totals) if stacked else totals[0]

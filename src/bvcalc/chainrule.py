@@ -21,7 +21,8 @@ integral against a Cantor base goes through ``CantorBase.integrate``.
 One private assembler computes the lhs and the five terms of the identity
 for any flux of the protocol, by quadrature aware of all breakpoints and
 Cantor supports; the lhs and the two diffuse gradient terms of every test
-function of a case are one stacked integrand.  The product-flux,
+function of a case are one stacked integrand, its two singular terms one
+per Cantor base, and each jump bracket is taken once.  The product-flux,
 composite-flux and weighted forms are calls to it, and the starred
 rewriting reuses a finished report and recomputes only its two jump sums.  The piecewise-constant direct
 assembly and the level-set comparison identity are independent checks with
@@ -414,25 +415,45 @@ def _jump_bracket(B, u, x):
     return B.eval(x, u.right(x), "right") - B.eval(x, u.left(x), "left")
 
 
+def _row_span(xs, lo, hi):
+    """The rows of ``xs`` from the first to the last one that meets
+    [lo, hi]: ``xs`` is 1-D, one node a row, or 2-D with ascending rows."""
+    rows = xs if xs.ndim == 2 else xs[:, None]
+    meets = np.flatnonzero((rows[:, -1] >= lo) & (rows[:, 0] <= hi))
+    return slice(meets[0], meets[-1] + 1) if meets.size else slice(0, 0)
+
+
 def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     """Per test function of ``phis``, the lhs and the five positive-form
     terms, for any flux of the protocol.
 
-    Each phi keeps its own layout, and its diffuse terms are components of
-    one stacked integrand that evaluates u, the flux and u' once per node
-    for all of them.  With a BV weight ``g`` the diffuse terms see phi times
-    ``g_diffuse`` (a vectorized representative of g), the jump sum sees
-    phi g*, the layout gains g's breakpoints and supports, and the lhs is
-    not computed (reported as None)."""
+    Each phi keeps its own layout, cuts and points, and u and the flux are
+    evaluated once per node for all of them: the diffuse terms are
+    components of one stacked integrand, the singular terms of one per
+    Cantor base, and each jump bracket is taken once.  With a BV weight
+    ``g`` the diffuse and singular terms see phi times ``g_diffuse`` (a
+    vectorized representative of g), the jump sum sees phi g*, the layout
+    gains g's breakpoints and supports, and the lhs is not computed
+    (reported as None)."""
     u = _as_vector(u)
     if (u.domain.a, u.domain.b) != (B.domain.a, B.domain.b):
         raise DomainError("state and flux must share the domain")
     layouts = [_layout(phi, B, u, *(() if g is None else (g,))) for phi in phis]
+    lo, hi, bps, sups = zip(*layouts)
     depth = _cantor_depth(tol)
     per_phi = 2 if g is not None else 3  # t1, t3 (and lhs)
 
-    def weight(phi, xs):
-        return phi(xs) if g is None else phi(xs) * g_diffuse(xs)
+    def weights(xs, spans=False):
+        """Per phi, its span of rows of ``xs`` and the weight on it: phi,
+        times g with a weight.  With ``spans`` only the rows that meet the
+        phi's window are evaluated; the weight is 0 on the rest, where no
+        component of that phi reads."""
+        gd = None if g is None else g_diffuse(xs)
+        for phi, a, b in zip(phis, lo, hi):
+            span = _row_span(xs, a, b) if spans else slice(None)
+            wx = np.zeros_like(xs)
+            wx[span] = phi(xs[span]) if g is None else phi(xs[span]) * gd[span]
+            yield phi, span, wx
 
     def atom(phi, x):
         a = _phi_at(phi, x)
@@ -447,44 +468,67 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         t3 = np.zeros_like(xs)
         for i, dpp in enumerate(dpps):
             t3 += gw[i] * dpp(xs)
-        out = np.empty((per_phi * len(phis),) + np.shape(xs))
-        for j, phi in enumerate(phis):
-            wx = weight(phi, xs)
+        out = np.zeros((per_phi * len(phis),) + np.shape(xs))
+        for j, (phi, span, wx) in enumerate(weights(xs, spans=True)):
             np.multiply(wx, gx, out=out[per_phi * j])
             np.multiply(wx, t3, out=out[per_phi * j + 1])
             if g is None:
-                np.multiply(phi.prime(xs), val, out=out[per_phi * j + 2])
+                np.multiply(phi.prime(xs[span]), val[span], out=out[per_phi * j + 2][span])
         return out
 
-    lo, hi, bps, sups = zip(*layouts)
     diffuse_terms = integrate_interval(
         diffuse, lo, hi, tol=tol, breakpoints=bps, cantor_supports=sups
     )
 
+    # the singular terms: per Cantor base, the factors paired against it,
+    # t2's density (a callable of xs and W) or t4's row of the state
+    # gradient (an index), and where each of t2's and t4's parts reads
     densities = B.singular_densities()
+    factors, t2_at, t4_at = {}, [], []
+    for base, dens in densities:
+        t2_at.append((base, len(factors.setdefault(base, []))))
+        factors[base].append(dens)
+    for i, comp in enumerate(u.components):
+        for base, coef in comp.cantor_part:
+            t4_at.append((base, len(factors.setdefault(base, [])), coef))
+            factors[base].append(i)
+
+    def singular(rows):
+        def integrand(xs):
+            W = u.values(xs)
+            gw = B.grad_w_on_grid(xs, W) if any(isinstance(r, int) for r in rows) else None
+            vals = [gw[r] if isinstance(r, int) else r(xs, W) for r in rows]
+            out = np.empty((len(rows) * len(phis),) + xs.shape)
+            for j, (_, _, wx) in enumerate(weights(xs)):
+                for q, v in enumerate(vals):
+                    np.multiply(wx, v, out=out[len(rows) * j + q])
+            return out
+
+        return integrand
+
+    pairings = {base: base.integrate(singular(rows), depth, bps) for base, rows in factors.items()}
+
+    jumps = sorted(set(B.exceptional_set()) | set(u.jump_set()))
+    brackets = {
+        x: _jump_bracket(B, u, x) for x in jumps if any(a < x < b for a, b in zip(lo, hi))
+    }
+
     reports = []
-    for j, (phi, (lo, hi, bps, _)) in enumerate(zip(phis, layouts)):
+    for j, phi in enumerate(phis):
         t1, t3, *lhs = diffuse_terms[per_phi * j:per_phi * (j + 1)]
 
         t2 = 0.0
-        for base, dens in densities:
-            t2 += base.integrate(
-                lambda xs, dens=dens, phi=phi: weight(phi, xs) * dens(xs, u.values(xs)),
-                depth, bps,
-            )
+        for base, q in t2_at:
+            t2 += pairings[base][len(factors[base]) * j + q]
 
         t4 = 0.0
-        for i, comp in enumerate(u.components):
-            for base, coef in comp.cantor_part:
-                t4 += coef * base.integrate(
-                    lambda xs, i=i, phi=phi: weight(phi, xs) * B.grad_w_on_grid(xs, u.values(xs))[i],
-                    depth, bps,
-                )
+        for base, q, coef in t4_at:
+            t4 += coef * pairings[base][len(factors[base]) * j + q]
 
         t5 = 0.0
-        for x in sorted(set(B.exceptional_set()) | set(u.jump_set())):
-            if lo < x < hi:
-                t5 += atom(phi, x) * _jump_bracket(B, u, x)
+        for x in jumps:
+            if lo[j] < x < hi[j]:
+                t5 += atom(phi, x) * brackets[x]
 
         reports.append(ChainRuleReport(
             lhs[0] if lhs else None,

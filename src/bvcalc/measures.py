@@ -340,20 +340,27 @@ class CantorBase:
         ``depth``, over the support or restricted to the x-interval
         ``window``, descended around the ``breakpoints`` inside either.  The
         one place where integration maps x to the standard coordinates of
-        ``cantor``."""
+        ``cantor``.
+
+        Over the support, a stacked ``f`` may be given one breakpoint
+        sequence per group of components, as ``cantor.integrate_cantor_std``
+        takes them."""
 
         def g(ts):
             return f(self.from_std(ts))
 
         lo, hi = (self.support.a, self.support.b) if window is None else window
-        cuts = [float(self.to_std(b)) for b in sorted(breakpoints) if lo < b < hi]
-        if window is None:
-            return cantor.integrate_cantor_std(g, depth, cuts)
-        edges = [float(self.to_std(lo)), *cuts, float(self.to_std(hi))]
-        return sum(
-            cantor.integrate_cantor_std_restricted(g, a, b, depth)
-            for a, b in zip(edges[:-1], edges[1:])
-        )
+
+        def cuts(bps):
+            return [float(self.to_std(b)) for b in sorted(bps) if lo < b < hi]
+
+        if window is not None:
+            return cantor.integrate_cantor_std_restricted(
+                g, float(self.to_std(lo)), float(self.to_std(hi)), depth, cuts(breakpoints)
+            )
+        if cantor._grouped(breakpoints):
+            return cantor.integrate_cantor_std(g, depth, [cuts(b) for b in breakpoints])
+        return cantor.integrate_cantor_std(g, depth, cuts(breakpoints))
 
     def profile(self, xs):
         """The rescaled Cantor function, by the exact digit scan: 0 left of

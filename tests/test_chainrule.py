@@ -208,20 +208,98 @@ def test_chainrule_terms_golden_values(case):
     assert (repr(rep.lhs), repr(rep.terms)) == GOLDEN[name]
 
 
+def singular_jump_case():
+    """A flux and a state that both carry a Cantor part on [1/4, 3/4], a
+    state jump on the flux's jump set and one off it, and five test
+    functions: three reach every part, two of them with a support end on a
+    Cantor point (x = 3/8 and 5/8 are t = 1/4 and 3/4 of the support), one
+    misses the Cantor support, one holds no jump."""
+    K = BVFunction.from_poly(0.0, 1.0, (0.5, 0.3))
+    K = K + BVFunction.cantor_fn(0.0, 1.0, support=(0.25, 0.75), coefficient=0.6)
+    K = K + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 0.4)
+    u = BVFunction.from_poly(0.0, 1.0, (0.2, 0.7))
+    u = u + BVFunction.cantor_fn(0.0, 1.0, support=(0.25, 0.75), coefficient=0.4)
+    u = u + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, -0.3)
+    u = u + BVFunction.heaviside(0.0, 1.0, 0.85, 0.0, 0.25)
+    phis = tuple(
+        TestFunction.poly_bump(sup, (1.0, 0.4))
+        for sup in ((0.05, 0.95), (0.375, 0.9), (0.1, 0.625), (0.78, 0.97), (0.3, 0.45))
+    )
+    return K, u, phis
+
+
 def _batch_cases():
     for seed in (1, 2):
         for label, B, u, phis in chainrule_suite(seed, 4):
             yield pytest.param(B, u, phis, id=f"seed{seed}-{label}")
     sc = parse_scenario(SCENARIOS / "chainrule_heaviside.ini")
     yield pytest.param(sc.flux, sc.state, sc.phis, id="chainrule_heaviside")
+    K, u, phis = singular_jump_case()
+    B = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0, 0.5), "w + w^2/2")),))
+    yield pytest.param(B, u, phis, id="singular-jump-product")
+    yield pytest.param(CompositeFlux(monomial((1, 2), label="y w^2"), K), u, phis, id="singular-jump-composite")
 
 
 @pytest.mark.parametrize("B, u, phis", _batch_cases())
 def test_many_phis_in_one_call_give_the_bits_of_one_call_each(B, u, phis):
-    """The test functions of a case share each node's u and B, but each
-    keeps its own layout, so each report has the bits of its own call."""
+    """The test functions of a case share each node's u and B, each Cantor
+    node's too, and each jump bracket, but each keeps its own layout, cuts
+    and points, so each report has the bits of its own call."""
     batched = chainrule_terms(B, u, tuple(phis), tol=1e-9)
     assert [repr(r) for r in batched] == [repr(chainrule_terms(B, u, p, tol=1e-9)) for p in phis]
+
+
+def test_singular_jump_case_reaches_every_slot():
+    """In the explicit batch case t2, t4 and t5 are all nonzero where the
+    support reaches the Cantor part and a jump, and t2 and t4 vanish for
+    the test function that misses the Cantor support."""
+    K, u, phis = singular_jump_case()
+    B = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0, 0.5), "w + w^2/2")),))
+    reports = chainrule_terms(B, u, phis, tol=1e-9)
+    for rep in reports[:3]:
+        _, t2, _, t4, t5 = rep.terms
+        assert t2 != 0.0 and t4 != 0.0 and t5 != 0.0
+    _, t2, _, t4, t5 = reports[3].terms
+    assert t2 == t4 == 0.0 and t5 != 0.0
+    assert reports[4].terms[4] == 0.0
+    for rep in reports:
+        assert abs(rep.residual) <= 1e-8
+
+
+def test_singular_and_jump_costs_do_not_grow_with_the_test_functions(monkeypatch):
+    """A five-phi call makes as many Cantor-rule integrand calls as a
+    one-phi call, one per Cantor base, and takes each jump bracket once:
+    two sided flux values per distinct jump point inside some window."""
+    from bvcalc import cantor
+
+    calls = {"apply": 0, "eval": 0}
+    apply, flux_eval = cantor._apply, FluxModel.eval
+
+    def counted_apply(*args, **kwargs):
+        calls["apply"] += 1
+        return apply(*args, **kwargs)
+
+    def counted_eval(self, *args, **kwargs):
+        calls["eval"] += 1
+        return flux_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(cantor, "_apply", counted_apply)
+    monkeypatch.setattr(FluxModel, "eval", counted_eval)
+    K, u, phis = singular_jump_case()
+    B = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0, 0.5), "w + w^2/2")),))
+
+    def counts(arg):
+        calls.update(apply=0, eval=0)
+        chainrule_terms(B, u, arg, tol=1e-9)
+        return dict(calls)
+
+    one, each = counts(phis[0]), [counts(p) for p in phis]
+    five = counts(phis)
+    assert five["apply"] == one["apply"] == 1
+    # jump points 0.5 and 0.85: one call takes 2 brackets of 2 sided values,
+    # one call per phi 2 + 2 + 1 + 1 + 0 brackets
+    assert five["eval"] == 4
+    assert sum(c["eval"] for c in each) == 12
 
 
 def test_one_cell_layout_per_case_and_sided_jump_brackets(monkeypatch):

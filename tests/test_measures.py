@@ -323,6 +323,77 @@ def test_cantor_base_integrate_is_the_standard_rule_rescaled():
     assert base.integrate(wavy, 12, bps, window=(0.22, 0.75)) == want
 
 
+def reference_restricted(f, lo, hi, depth):
+    """The restricted Cantor rule as a plain loop over ``Fraction`` cells,
+    one integrand call per leaf: the reference the batched rule must match
+    bit for bit."""
+    depth = max(1, min(int(depth), cantor._MAX_DEPTH))
+    if hi <= lo:
+        return 0.0
+    lo, hi = max(0.0, float(lo)), min(1.0, float(hi))
+    total = 0.0
+    stack = [(Fraction(0), 0)]
+    while stack:
+        left, lev = stack.pop()
+        l, r = float(left), float(left + Fraction(1, 3**lev))
+        if r <= lo or l >= hi:
+            continue
+        if lo <= l and r <= hi:
+            res = max(depth - lev, 0)
+            sub, n = 0.0, 0
+            for mids in cantor._mids_for(res):
+                pts = l + (r - l) * mids
+                sub += float(np.sum(f(pts)))
+                n += pts.size
+            total += 2.0**-lev * sub / n
+        elif lev >= depth + cantor._GUARD:
+            total += 2.0 ** -(lev + 1) * float(f(np.array([l + (r - l) * 0.5]))[0])
+        else:
+            stack += [(left, lev + 1), (left + Fraction(2, 3 ** (lev + 1)), lev + 1)]
+    return total
+
+
+def _step(ts):
+    ts = np.asarray(ts, dtype=float)
+    return np.where(ts < 0.25, 1.0 - ts, np.sin(5.0 * ts))
+
+
+# cut points in gaps and on Cantor points (1/4 and 3/4 reach guard depth)
+_CUTS = st.sampled_from([0.0, 0.25, 0.75, 1.0 / 3.0, 2.0 / 3.0, 1.0, 0.5, 0.1]) | st.floats(0.0, 1.0)
+
+
+@given(
+    depth=st.integers(1, 17),
+    windows=st.lists(
+        st.tuples(_CUTS, _CUTS, st.lists(_CUTS, max_size=4)), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=40, deadline=None)
+@example(depth=10, windows=[(0.0, 1.0, []), (0.25, 0.75, [1.0 / 3.0, 0.5]), (0.1, 0.9, [0.25])])
+@example(depth=17, windows=[(0.0, 1.0, [0.75]), (0.0, 1.0, [])])
+@example(depth=1, windows=[(0.6, 0.2, [0.3]), (1.0 / 3.0, 2.0 / 3.0, [0.5])])
+def test_one_cut_set_per_window_gives_each_component_its_own_bits(depth, windows):
+    """A stacked integrand with one window and cut set per group of
+    components: each component gets the bits of its own one-window call,
+    which is the sum of the reference rule on the pieces between its
+    cuts."""
+    lo, hi, cuts = zip(*windows)
+
+    def stacked(ts):
+        return np.concatenate([np.stack([wavy(ts), _step(ts)])] * len(windows))
+
+    got = cantor.integrate_cantor_std_restricted(stacked, lo, hi, depth, cuts)
+    want = []
+    for a, b, c in windows:
+        for f in (wavy, _step):
+            alone = cantor.integrate_cantor_std_restricted(f, a, b, depth, c)
+            edges = [a, *sorted(x for x in c if a < x < b), b]
+            pieces = [reference_restricted(f, p, q, depth) for p, q in zip(edges[:-1], edges[1:])]
+            assert alone == sum(pieces)
+            want.append(alone)
+    assert got == tuple(want)
+
+
 @pytest.mark.parametrize("part", ["atom", "density"])
 def test_a_non_finite_integrand_raises(part):
     """A NaN of f at an atom and one in the a.c. part both raise."""
