@@ -31,7 +31,15 @@ from .quadrature import _bisect, integrate_interval  # noqa: F401
 _KINK_BAND = 1e-12  # relative half-width of the starred-sign zero band
 _OFF_EPS = 1e-9  # how close a sample may come to a flux jump
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Gauss-Legendre 12 on [-1, 1], the bits of numpy's routine, by the
+# nonnegative nodes and their weights
+_GL_HALF = np.array([
+    (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+     0.9041172563704748, 0.9815606342467192),
+    (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+     0.10693932599531907, 0.04717533638651141),
+])
+_GL_NODES, _GL_WEIGHTS = np.concatenate((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF), axis=1)
 
 # Entries kept by the entropy-pair caches: level inversions per sample grid
 # and side, and affine approximations per point or constancy cell.

@@ -19,19 +19,19 @@ in integration order.  Gap and leftover cells are affine images of the cached
 breakpoint or a window edge take the Python path that refines the ternary
 tree around it and splits at it.
 
-Smooth cells are refined adaptively: a 7/15-point Gauss-Legendre pair gives
-the error estimate, failing cells are bisected, everything evaluated batched
-across cells.  Each pass evaluates the integrand once, in blocks of cells, on
-``(cells, 21)`` arrays whose rows hold a cell's GL-7 and GL-15 nodes
-ascending (the two rules share the midpoint).  Each block is reduced at once
-to its two rule sums per cell, each a fixed-order sum over the cell's own
-nodes, so a cell's sums have the same bits whatever else the block holds.
+Smooth cells are refined adaptively by the nested Gauss 3 / Kronrod 7 /
+Patterson 15 rules (Kronrod 1965; Patterson 1968), whose nodes each hold the
+previous rule's.  Each pass evaluates the integrand in blocks of cells on
+``(cells, 7)`` rows of K7 nodes; a cell takes K7 if |K7 - G3| meets its share
+of tol, else P15 from ``(cells, 8)`` rows of the other nodes if |P15 - K7|
+does, else it is bisected.  Every sum is a fixed-order sum over the cell's
+own nodes, so it has the same bits whatever else the block holds.
 
 An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
 components is then refined on its own, and the components may split into
-groups with a layout each (one test function's window, say): every pass
-evaluates the union of the components' live cells once, and each component
-keeps the float operations of integrating it alone.
+groups with a layout each (one test function's window, say): a pass evaluates
+the union of their live cells, then of those failing K7, once each, and each
+component keeps the float operations of integrating it alone.
 """
 
 from __future__ import annotations
@@ -43,11 +43,22 @@ import numpy as np
 from .cantor import std_cells, _apply
 from .errors import DomainError, QuadratureError
 
-_GL_LO = np.polynomial.legendre.leggauss(7)
-_GL_HI = np.polynomial.legendre.leggauss(15)
-# one ascending row of nodes per cell, and the columns of each rule in it
-_NODES, _COLS = np.unique(np.concatenate((_GL_LO[0], _GL_HI[0])), return_inverse=True)
-_RULES = ((_COLS[:7], _GL_LO[1]), (_COLS[7:], _GL_HI[1]))
+# The nested rules on [-1, 1] by their nonnegative nodes: a node, then the G3,
+# K7 and P15 weights there (0.0 off the rule).  Rows 0-3 are K7's nodes, 4-7
+# P15's others; a cell's rows of each are summed to G3, K7 and P15 in parts.
+_HALF = np.array([
+    (0.0, 0.88888888888888889, 0.45091653865847414, 0.22551049979820669),
+    (0.43424374934680256, 0.0, 0.40139741477596222, 0.20062852937698902),
+    (0.77459666924148338, 0.55555555555555556, 0.26848808986833344, 0.13441525524378422),
+    (0.96049126870802028, 0.0, 0.10465622602646727, 0.051603282997079740),
+    (0.22338668642896688, 0.0, 0.0, 0.21915685840158750),
+    (0.62110294673722640, 0.0, 0.0, 0.17151190913639138),
+    (0.88845923287225700, 0.0, 0.0, 0.092927195315124538),
+    (0.99383196321275502, 0.0, 0.0, 0.017001719629940260),
+])
+_MIRROR = np.array([-1.0, 1.0, 1.0, 1.0])  # a node's image at -x keeps its weights
+_K7, *_K7_RULES = np.concatenate((_HALF[3:0:-1] * _MIRROR, _HALF[:4])).T
+_P8, *_, _P8_RULE = np.concatenate((_HALF[:3:-1] * _MIRROR, _HALF[4:])).T
 _BLOCK = 512  # cells per integrand call: bounds the integrand's temporaries
 
 _MAX_PASSES = 30
@@ -214,22 +225,24 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
     return np.concatenate(smooth), np.concatenate(mids)
 
 
-def _panel(f, lo, hi):
-    """The GL-7 and GL-15 sums of ``f`` on each cell [lo_i, hi_i], before
-    the half-width factor: a (2, n) array, or (2, k, n) for a stacked
-    integrand, from one call per block of cells.  Each sum runs over its
-    row's own nodes in a fixed order, so its bits do not depend on the
-    block or on the other rows."""
+def _panel(f, lo, hi, nodes, rules):
+    """The sums of ``f`` on each cell [lo_i, hi_i] at its ``nodes`` (on
+    [-1, 1]) under each weight row of ``rules``, before the half-width
+    factor: an (r, n) array, or (r, k, n) for a stacked integrand, from one
+    call per block of cells.  Each sum runs over its row's own nodes in a
+    fixed order whatever the block: numpy sums the last axis of a C-ordered
+    array so, but of an F-ordered one (as fancy indexing gives) in another
+    order from 8 columns up, and a one-row block is both."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     sums = None
     for s in range(0, lo.size, _BLOCK):
-        xs = mid[s:s + _BLOCK, None] + half[s:s + _BLOCK, None] * _NODES
+        xs = mid[s:s + _BLOCK, None] + half[s:s + _BLOCK, None] * nodes
         block = _apply(f, xs, stacked=True)
         if sums is None:
-            sums = np.empty((2,) + block.shape[:-2] + (lo.size,))
-        for out, (cols, w) in zip(sums, _RULES):
-            out[..., s:s + _BLOCK] = (block.take(cols, axis=-1) * w).sum(axis=-1)
+            sums = np.empty((len(rules),) + block.shape[:-2] + (lo.size,))
+        for out, w in zip(sums, rules):
+            out[..., s:s + _BLOCK] = np.multiply(block, w, order="C").sum(axis=-1)
     return sums
 
 
@@ -273,10 +286,11 @@ def _midpoint_rule(f, mids):
 
 
 def integrate_cells(f, smooth, mids, tol):
-    """Adaptive GL-7/15 over the smooth cells plus midpoint rule on ``mids``,
-    both (n, 2) arrays of cells as :func:`build_cells` returns them.  A cell
-    passes when its error estimate meets its width's share of tol/2; on the
-    last pass the rest pass if their estimates sum to at most the other tol/2.
+    """Adaptive G3/K7/P15 over the smooth cells plus midpoint rule on
+    ``mids``, both (n, 2) arrays of cells as :func:`build_cells` returns
+    them.  A cell passes with K7 when |K7 - G3| meets its width's share of
+    tol/2, else with P15 when |P15 - K7| does, else it is bisected; on the
+    last pass the rest pass if their |P15 - K7| sum to at most the other tol/2.
 
     For a stacked integrand (values ``(k, ...)``) a k-tuple is returned.
     ``smooth`` and ``mids`` may also be sequences of g layouts; the k
@@ -284,7 +298,8 @@ def integrate_cells(f, smooth, mids, tol):
     layout j.  Each component keeps its own cells, budget, passing cells,
     refinement and error, so its float operations are those of integrating
     it alone; each pass evaluates the integrand once on the union of the
-    components' live cells, and the midpoint cells' union is evaluated once.
+    components' live cells and once on the union of those that fail K7, and
+    the midpoint cells' union is evaluated once.
     Of the components that fail, the first one's error is raised."""
     if isinstance(smooth, np.ndarray):
         smooth, mids = [smooth], [mids]
@@ -303,7 +318,7 @@ def integrate_cells(f, smooth, mids, tol):
         if not any(lo.size for lo, _ in live):
             break
         (ulo, uhi), rows = _union(live)
-        sums = _panel(f, ulo, uhi)
+        sums = _panel(f, ulo, uhi, _K7, _K7_RULES)
         if totals is None:
             stacked = sums.ndim > 2
             k = sums.shape[1] if stacked else 1
@@ -312,18 +327,33 @@ def integrate_cells(f, smooth, mids, tol):
             )
             totals = [0.0] * k
         sums = sums if stacked else sums[:, None]
+        # K7 against G3, and the union rows that fail in some component
+        steps, need = [], np.zeros(ulo.size, dtype=bool)
         for c, ((lo, hi), r) in enumerate(zip(live, rows)):
-            if not lo.size:
-                continue
+            r = np.arange(lo.size) if r is None else r
             half = 0.5 * (hi - lo)
-            v = sums[:, c] if r is None else sums[:, c, r]
-            coarse, fine = v[0] * half, v[1] * half
-            err = np.abs(fine - coarse)
+            val = sums[1, c, r] * half
+            err = np.abs(val - sums[0, c, r] * half)
             budget = 0.5 * tol * (hi - lo) / total_len[c]
-            ok = err <= np.maximum(budget, 1e-17 * np.abs(fine))
+            ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
+            need[r[~ok]] = True
+            steps.append((r, half, val, err, budget, ok))
+        # P15 on those rows, from their 8 other nodes; a boolean mask, as
+        # np.unique would import numpy.ma
+        if need.any():
+            more = _panel(f, ulo[need], uhi[need], _P8, (_P8_RULE,))[0]
+            more, at = (more if stacked else more[None]), np.cumsum(need) - 1
+        for c, (r, half, val, err, budget, ok) in enumerate(steps):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                p15 = (sums[2, c, r[bad]] + more[c, at[r[bad]]]) * half[bad]
+                err[bad] = np.abs(p15 - val[bad])
+                ok[bad] = err[bad] <= np.maximum(budget[bad], 1e-17 * np.abs(p15))
+                val[bad] = p15
             if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tol:
                 ok[:] = True
-            totals[c] += float(np.sum(fine[ok]))
+            totals[c] += float(np.sum(val[ok]))
+            lo, hi = live[c]
             lo, hi = lo[~ok], hi[~ok]
             if lo.size and npass < _MAX_PASSES:
                 mid = 0.5 * (lo + hi)

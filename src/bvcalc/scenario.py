@@ -600,15 +600,16 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
 
 
 def _write_field_csv(path, fld):
-    """One row per (cell, step): x, t, u and the step's mass drift."""
+    """One row per (cell, step): x, t, u and the step's mass drift.  The
+    fields are float reprs, which ``csv`` never quotes, so lines are joined."""
     xs = [repr(x) for x in (0.5 * (fld.edges[:-1] + fld.edges[1:])).tolist()]
     defects = fld.mass_defects()
-    rows = []
-    for n in range(1, len(fld.times)):
-        drift = _fmt(abs(defects[n - 1]))
-        t = _fmt(fld.times[n])
-        rows.extend([x, t, repr(u), drift] for x, u in zip(xs, fld.states[n].tolist()))
-    _write_csv(path, ("x", "t", "u", "mass_drift"), rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("x,t,u,mass_drift\n")
+        for n in range(1, len(fld.times)):
+            drift = "," + _fmt(abs(defects[n - 1])) + "\n"
+            t = "," + _fmt(fld.times[n]) + ","
+            fh.writelines(x + t + repr(u) + drift for x, u in zip(xs, fld.states[n].tolist()))
 
 
 def _write_stairs_csv(path, u, approx):

@@ -487,16 +487,18 @@ _ROW_CENTERS = [
 
 @st.composite
 def _node_rows(draw):
-    """Rows of 21 nodes, ascending unless shuffled: cells around breakpoints
+    """Rows of the 7 Kronrod or the 8 Patterson nodes, the two row shapes
+    the panels send, ascending unless shuffled: cells around breakpoints
     and Cantor points, from wide to narrower than 1e-16, some with a NaN,
     some outside the support or the domain."""
-    from bvcalc.quadrature import _NODES
+    from bvcalc.quadrature import _K7, _P8
 
+    nodes = draw(st.sampled_from((_K7, _P8)))
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         c = draw(st.sampled_from(_ROW_CENTERS) | st.floats(-0.2, 1.2))
         w = draw(st.sampled_from([0.0, 1e-17, 4e-16, 1e-9, 1e-4, 0.02, 0.3]))
-        row = c + w * _NODES
+        row = c + w * nodes
         kind = draw(st.sampled_from(["ascending", "ascending", "shuffled", "nan"]))
         if kind == "shuffled":
             row = row[draw(st.permutations(range(row.size)))]

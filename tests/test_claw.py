@@ -25,6 +25,14 @@ from bvcalc import (
 from bvcalc.quadrature import _ROOT_TOL, integrate_interval
 
 
+def test_gauss_legendre_12_literals_are_numpys_bits():
+    """The entropy residual's GL-12 rule is written out as literals, so no
+    LAPACK call runs at import; its bits are those of numpy's rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert claw._GL_NODES.tobytes() == nodes.tobytes()
+    assert claw._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def step_flux(lo=0.0, hi=1.0, w_lo=0.1, w_hi=2.5):
     """B(x, w) = (1 + H(x - 1/2)) w: linear state, one flux jump."""
     K = BVFunction.constant(lo, hi, 1.0) + BVFunction.heaviside(lo, hi, 0.5, 0.0, 1.0)

@@ -24,17 +24,17 @@ DIGESTS = {
         "stairs_case00.csv": "f37c7ee5866510dcc81b20c75e3e350308031f5a0a63bb6dd9b4dc1a3439717b",
     },
     "chainrule_heaviside": {
-        "report.csv": "6cd56cdaca6ba8625b62aa67ab53c57ed68a74dc92541f867a0291f5f26f686a",
+        "report.csv": "e71c52a172061bf305f71e5dc08f6a5274e24a495054a33555f895cb0c5f4536",
     },
     "chainrule_suite": {
-        "report.csv": "fae42bec8222b48b402ae54067a69b3e83c88a33b5df84c57e2c7c14e527d38d",
+        "report.csv": "be34970be1d86efe31f9b7a950eee0574777609845737f964c06cc0ebdc80af4",
     },
     "claw_burgers": {
         "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",
         "report.csv": "18728f67133f8738607f88b1a84add02dc75100b07199b42457cf5bd8f7de4b2",
     },
     "coarea_check": {
-        "report.csv": "806ff124bcf435b57e3648f066f2b6c57a681ed4ff946f7552a8fb9544b06a10",
+        "report.csv": "5a055b8ef0537e22eb6ae31a3627f360559569bde44c0e4e093b69fb3da32364",
     },
     "comparison_check": {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",

@@ -8,6 +8,7 @@ float and in the order of the cells, because ``integrate_cells`` sums in that
 order and ``report.csv`` bytes depend on it.
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -293,6 +294,97 @@ def test_quadrature_sums_use_no_blas():
     text = Path(quadrature.__file__).read_text()
     for token in ("@", "np.dot", "np.einsum"):
         assert token not in text
+
+
+def test_the_library_computes_no_gauss_rule():
+    """Gauss nodes and weights are literals: numpy's leggauss runs LAPACK
+    at import, whose bits may depend on the CPU."""
+    for path in Path(quadrature.__file__).parent.glob("*.py"):
+        assert "leggauss" not in path.read_text(), path.name
+
+
+def _nested_rules():
+    """G3, K7 and P15 as (nodes, weights) from the panel literals."""
+    g3, k7, p15 = quadrature._K7_RULES
+    return (
+        (quadrature._K7[g3 != 0.0], g3[g3 != 0.0]),
+        (quadrature._K7, k7),
+        (np.concatenate((quadrature._K7, quadrature._P8)), np.concatenate((p15, quadrature._P8_RULE))),
+    )
+
+
+def test_nested_rule_literals():
+    """Read as the exact rationals of their floats, G3, K7 and P15
+    integrate x^k over [-1, 1] to 1e-15 up to degree 5, 11 and 23, and
+    their weights sum to 2; each rule's nodes are bit for bit among the
+    next one's, and G3 is numpy's Gauss-Legendre 3 to 1 ulp."""
+    rules = _nested_rules()
+    for (nodes, weights), degree in zip(rules, (5, 11, 23)):
+        xs, ws = [Fraction(x) for x in nodes], [Fraction(w) for w in weights]
+        assert abs(sum(ws) - 2) <= 1e-15
+        for k in range(degree + 1):
+            exact = Fraction(2, k + 1) if k % 2 == 0 else 0
+            assert abs(sum(w * x**k for x, w in zip(xs, ws)) - exact) <= 1e-15, (degree, k)
+    for (inner, _), (outer, _) in zip(rules, rules[1:]):
+        assert set(inner.view(np.int64)) <= set(outer.view(np.int64))
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    np.testing.assert_array_max_ulp(rules[0][0], nodes, 1)
+    np.testing.assert_array_max_ulp(rules[0][1], weights, 1)
+
+
+@pytest.mark.parametrize("power, points", [(5, 7), (9, 15), (11, 15)])
+def test_a_cell_evaluates_each_node_once(power, points, monkeypatch):
+    """On one cell at tol 1e-10, K7 meets x^5 and x^9 and x^11 need P15: 7
+    integrand points, or 7 + 8 with none evaluated twice."""
+    seen = []
+    apply = quadrature._apply
+
+    def spy(f, xs, stacked=False):
+        seen.append(xs.size)
+        return apply(f, xs, stacked)
+
+    monkeypatch.setattr(quadrature, "_apply", spy)
+    value = integrate_cells(lambda t: t**power, np.array([[0.0, 1.0]]), np.empty((0, 2)), 1e-10)
+    assert sum(seen) == points
+    assert abs(value - 1.0 / (power + 1)) <= 1e-15
+
+
+@st.composite
+def closed_forms(draw):
+    """(f, lo, hi, exact integral, tol) with [lo, hi] in [-1, 1]: e^(ct) with
+    |c| <= 3, sin(wt) with w <= 80, or a polynomial of degree <= 30 with
+    coefficients of absolute sum 1."""
+    lo, hi = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2, unique=True)))
+    tol = draw(st.sampled_from((1e-6, 1e-8, 1e-10, 1e-12)))
+    kind = draw(st.sampled_from(("exp", "sin", "poly")))
+    if kind == "exp":
+        c = draw(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3))
+        return lambda t: np.exp(c * t), lo, hi, (math.exp(c * hi) - math.exp(c * lo)) / c, tol
+    if kind == "sin":
+        w = draw(st.floats(0.1, 80.0))
+        return lambda t: np.sin(w * t), lo, hi, (math.cos(w * lo) - math.cos(w * hi)) / w, tol
+    coefs = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=31))
+    scale = sum(map(abs, coefs))
+    coefs = [c / scale for c in coefs] if scale else [1.0]
+
+    def poly(t):
+        out = np.zeros_like(t)
+        for c in reversed(coefs):
+            out = out * t + c
+        return out
+
+    exact = sum(
+        Fraction(c) * (Fraction(hi) ** (k + 1) - Fraction(lo) ** (k + 1)) / (k + 1)
+        for k, c in enumerate(coefs)
+    )
+    return poly, lo, hi, float(exact), tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_forms())
+def test_closed_form_integrals_meet_the_tolerance(case):
+    f, lo, hi, exact, tol = case
+    assert abs(integrate_interval(f, lo, hi, tol) - exact) <= tol
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13])
