@@ -10,7 +10,9 @@ structure for every weak identity in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .measures import (
     ModulatedDensity,
     PiecewisePolynomial,
     RadonMeasure,
+    _horner,
     _sign_changes,
     integrate_measure,
     kernel,
@@ -36,7 +39,10 @@ _SIDES = ("left", "right", "precise")
 
 @dataclass(frozen=True)
 class BVFunction:
-    """BV function u = smooth_part + sum coef * CantorFunction(base)."""
+    """BV function u = smooth_part + sum coef * CantorFunction(base).
+
+    ``jumps()`` and ``derivative()`` are computed once per instance and
+    kept in its ``__dict__`` (immutable values, outside ``==`` and hash)."""
 
     domain: Interval
     smooth_part: PiecewisePolynomial = None
@@ -106,6 +112,10 @@ class BVFunction:
 
     def jumps(self):
         """Tuple of (x, left value, right value) at actual jump points."""
+        return self._jumps
+
+    @cached_property
+    def _jumps(self):
         bps = np.asarray(self.breakpoints(), dtype=float)
         if not bps.size:
             return ()
@@ -169,6 +179,10 @@ class BVFunction:
     # -- calculus -----------------------------------------------------------
     def derivative(self):
         """The distributional derivative as a RadonMeasure."""
+        return self._derivative
+
+    @cached_property
+    def _derivative(self):
         atoms = tuple((x, r - l) for x, l, r in self.jumps())
         terms = tuple(CantorTerm(base, coef) for base, coef in self.cantor_part)
         return RadonMeasure(self.domain, self.smooth_part.derivative(), atoms, terms)
@@ -521,7 +535,18 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     Monotone pieces contribute one located point per level (found by
     bisection); jump points contribute wherever t lies between the one-sided
     values; flat pieces are skipped (a null set of levels)."""
-    pieces = [p for p in _monotone_pieces(u) if p[2] != p[3]]
+    pp = u.smooth_part
+    pieces = []
+    for x0, x1, v0, v1, base, _ in _monotone_pieces(u):
+        if v0 != v1:
+            # [x0, x1] lies in one polynomial piece k, which its bisection
+            # evaluates alone; u.values gives an inner breakpoint x1 to piece
+            # k + 1, and a midpoint rounds onto x1 once a bracket is one ulp
+            # wide (below |x| = 64 too).  Off the Cantor supports the Cantor
+            # part is constant on the piece.
+            k = bisect_right(pp.breakpoints, x0) - 1
+            flat = None if base is not None else u._cantor(np.array([x0]))
+            pieces.append((x0, x1, v0, v1, k, x1 in u.breakpoints(), flat))
     jumps = u.jumps()
     if jumps:
         at_jumps = _apply(g, np.array([x for x, _, _ in jumps])).tolist()
@@ -533,16 +558,24 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     def located_sum(ts):
         ts = np.asarray(ts, dtype=float)
         out = np.zeros_like(ts)
-        for x0, x1, v0, v1, _, _ in pieces:
+        for x0, x1, v0, v1, k, x1_inner, flat in pieces:
             lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
             mask = (ts > lo) & (ts < hi)
             if not mask.any():
                 continue
             tm = ts[mask]
-            xs = _bisect(
-                lambda x, i: u.values(x) - tm[i],
-                np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm,
-            )
+
+            def level_gap(x, i):
+                """u.values(x) - tm[i], by the same float operations on the
+                one polynomial piece that holds x."""
+                s = _horner(pp.pieces[k], x - pp.breakpoints[k])
+                if x1_inner:
+                    on = x == x1
+                    if on.any():
+                        s[on] = _horner(pp.pieces[k + 1], x[on] - x1)
+                return (s + (u._cantor(x) if flat is None else flat)) - tm[i]
+
+            xs = _bisect(level_gap, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm)
             out[mask] += _apply(g, xs)
         for lo, hi, gx in jumps:
             mask = (ts >= lo) & (ts <= hi)

@@ -41,8 +41,9 @@ _GL_HALF = np.array([
 ])
 _GL_NODES, _GL_WEIGHTS = np.concatenate((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF), axis=1)
 
-# Entries kept by the entropy-pair caches: level inversions per sample grid
-# and side, and affine approximations per point or constancy cell.
+# Entries kept by the entropy-pair caches: level inversions and coefficient
+# values per sample grid and side, and affine approximations per point or
+# constancy cell.
 _LEVEL_CACHE_SIZE = 16
 _AFFINE_CACHE_SIZE = 1024
 
@@ -318,6 +319,12 @@ def adapted_entropy_pair(flux, alpha):
         xs = np.asarray(xs, dtype=float)
         return levels(xs.tobytes(), side).reshape(xs.shape)
 
+    @functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+    def coefficients(key, side):
+        """K on ``side`` at the grid whose bytes are ``key``: a residual's
+        slices share their face grid, so only the states change."""
+        return flux.model.coefficients(np.frombuffer(key), side)
+
     def eta_fn(xs, us, side):
         return np.abs(us - c_on(xs, side))
 
@@ -327,7 +334,8 @@ def adapted_entropy_pair(flux, alpha):
     def q_fn(xs, us, side):
         c = c_on(xs, side)
         s = _star_sign(us - c, scale=np.maximum(np.abs(us), np.abs(c)))
-        return (flux.values_on_grid(xs, us, side) - alpha) * s
+        ks = [k.reshape(xs.shape) for k in coefficients(xs.tobytes(), side)]
+        return (flux.model.combine(ks, us[None, :]) - alpha) * s
 
     def q_density(xs, v):
         """a.e. density of the diffuse x-derivative of q(., v): the sign
@@ -529,11 +537,13 @@ class ClawField:
     def mass_defects(self):
         """Per-step conservation defect: mass change corrected by the
         boundary flux difference (interior fluxes telescope away)."""
+        widths = self.widths
+        masses = [float(np.dot(row, widths)) for row in self.states]
         out = []
         for n in range(len(self.times) - 1):
             dt = self.times[n + 1] - self.times[n]
             boundary = dt * (self.traces[n][-1] - self.traces[n][0])
-            out.append(self.mass(n + 1) - self.mass(n) + boundary)
+            out.append(masses[n + 1] - masses[n] + boundary)
         return np.asarray(out)
 
     def slice_values(self, n):
@@ -572,27 +582,41 @@ def _snapped_edges(flux, cells):
     return edges
 
 
-def _interface_flux(flux, edges, u):
+def _interface_flux(flux, edges):
     """Upwind interface fluxes with the jump coupling: at a flux-jump
     interface the upwind sided value is carried across, so the implied
     cross-interface states form a jump-condition pair by construction.
-    Zero-gradient ghost states close the boundary."""
-    n = len(u)
+    Zero-gradient ghost states close the boundary.
+
+    Returns F(u), the fluxes at ``edges`` for the cell states u.  The face
+    groups, their upwind cells and K at their faces on each group's side
+    depend only on the edges and the flux direction, so they are built here
+    once; F(u) only combines them with the upwind states, by the float
+    operations of ``flux.values_on_grid``."""
+    n = len(edges) - 1
     faces = np.arange(n + 1)
     if flux.direction > 0:
-        states = u[np.maximum(faces - 1, 0)]
+        src = np.maximum(faces - 1, 0)
         inflow, outflow, upwind, downwind = 0, n, "left", "right"
     else:
-        states = u[np.minimum(faces, n - 1)]
+        src = np.minimum(faces, n - 1)
         inflow, outflow, upwind, downwind = n, 0, "right", "left"
     carried = np.isin(edges, flux.jump_points())
     carried[outflow] = True
     precise = ~carried
     precise[inflow] = False
-    F = np.empty(n + 1)
-    for mask, side in ((faces == inflow, downwind), (carried, upwind), (precise, "precise")):
-        F[mask] = flux.values_on_grid(edges[mask], states[mask], side)
-    return F
+    groups = tuple(
+        (mask, src[mask], flux.model.coefficients(edges[mask], side))
+        for mask, side in ((faces == inflow, downwind), (carried, upwind), (precise, "precise"))
+    )
+
+    def fluxes(u):
+        F = np.empty(n + 1)
+        for mask, cells, ks in groups:
+            F[mask] = flux.model.combine(ks, u[cells][None, :])
+        return F
+
+    return fluxes
 
 
 def solve_claw(flux, u0, T, cells, cfl=0.45):
@@ -625,8 +649,9 @@ def solve_claw(flux, u0, T, cells, cfl=0.45):
     times = [0.0]
     states = [u.copy()]
     traces = []
+    interface_flux = _interface_flux(flux, edges)
     for n in range(steps):
-        F = _interface_flux(flux, edges, u)
+        F = interface_flux(u)
         u = u - dt * (F[1:] - F[:-1]) / widths
         traces.append(F)
         times.append(dt * (n + 1))

@@ -1,11 +1,12 @@
 """BV functions: representatives, derivative measures, weak identities."""
 
 import bisect
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
@@ -13,7 +14,11 @@ from scipy.integrate import quad
 from bvcalc import (
     BVFunction,
     BVVector,
+    CantorBase,
     DomainError,
+    Interval,
+    PiecewisePolynomial,
+    RepresentationError,
     TestFunction,
     coarea_lhs,
     coarea_rhs,
@@ -24,7 +29,7 @@ from bvcalc import (
 )
 import bvcalc.bvfunction as bvfunction
 from bvcalc.cantor import cantor_function_eval
-from bvcalc.quadrature import _ROOT_TOL
+from bvcalc.quadrature import _ROOT_TOL, _bisect
 
 
 def staircase(lo=0.0, hi=1.0):
@@ -173,6 +178,26 @@ def test_jump_listing_includes_cantor_offset():
     assert r1 - l1 == pytest.approx(0.6, abs=1e-14)
     assert r2 - l2 == pytest.approx(-0.4, abs=1e-14)
     assert l1 == pytest.approx(0.09 + 0.5 * cantor_function_eval(0.3), abs=1e-12)
+
+
+def test_jumps_and_derivative_are_computed_once_per_function():
+    """Both are kept on the instance: later calls return the same object,
+    equal to a fresh computation.  The kept values take no part in ``==``
+    or hash, and ``dataclasses.replace`` computes its own."""
+    u = staircase()
+    fresh = BVFunction._jumps.func(u), BVFunction._derivative.func(u)
+    assert u.jumps() is u.jumps() and u.jumps() == fresh[0]
+    assert u.derivative() is u.derivative() and u.derivative() == fresh[1]
+    v = staircase()
+    vars(v).pop("_jumps")
+    vars(v).pop("_derivative")
+    assert u == v and hash(u) == hash(v)
+    assert v.jumps() == u.jumps() and v.derivative() == u.derivative()
+    w = dataclasses.replace(u)
+    assert w == u and w.jumps() is not u.jumps() and w.derivative() is not u.derivative()
+    moved = dataclasses.replace(u, smooth_part=u.smooth_part.scale(2.0))
+    assert moved.jumps() == BVFunction._jumps.func(moved) != u.jumps()
+    assert moved.derivative() == BVFunction._derivative.func(moved) != u.derivative()
 
 
 # -- variation and the derivative measure ------------------------------------
@@ -425,6 +450,77 @@ def test_coarea_level_points_are_the_eighty_pass_points(u, pieces, monkeypatch):
     want, count = _reference_level_points(u, ts)
     assert count.max() == (2 if pieces == 2 else 1)
     assert np.all(np.abs(integrands[0](ts) - want) <= count * (0.5 * _ROOT_TOL + np.spacing(1.0)))
+
+
+def _recording(g, calls):
+    """``g`` recording every (x, g(x)) the bisection asks for in ``calls``."""
+
+    def rec(x, i):
+        v = g(x, i)
+        calls.append((x.tobytes(), v.tobytes()))
+        return v
+
+    return rec
+
+
+@given(
+    lo=st.sampled_from([0.0, 20.0, 40.0, 100.0, -101.0]),
+    cuts=st.sets(st.integers(1, 15), max_size=4),
+    polys=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), min_size=5, max_size=5),
+    cantor=st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(9, 15), st.floats(-1.0, 1.0))),
+    fracs=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+@example(
+    # a jump at 100.5 (an even float: a one-ulp bracket's midpoint rounds
+    # onto it) and a Cantor summand beyond |x| = 64
+    lo=100.0,
+    cuts={8},
+    polys=[[0.0, 1.0], [-1.0, 1.0], [0.0], [0.0], [0.0]],
+    cantor=(10, 14, 0.3),
+    fracs=[0.25, 0.5],
+)
+@settings(max_examples=40, deadline=None)
+def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, cantor, fracs):
+    """The coarea bisection evaluates u on the one polynomial piece that
+    holds each monotone piece, and sees bit for bit the values of u.values:
+    every level point, and every (x, u(x) - t) the bisection asks for, are
+    those of the same bisection through u.values.  Levels just inside each
+    piece's range put roots in its last ulps, where a midpoint can land on a
+    breakpoint."""
+    bk = (lo, *(lo + k / 16 for k in sorted(cuts)), lo + 1.0)
+    pp = PiecewisePolynomial(bk, tuple(polys[: len(bk) - 1]))
+    parts = ()
+    if cantor is not None:
+        a, b, coef = cantor
+        parts = ((CantorBase(Interval(lo + a / 16, lo + b / 16)), coef),)
+    u = BVFunction(Interval(lo, lo + 1.0), pp, parts)
+    try:
+        pieces = [p for p in bvfunction._monotone_pieces(u) if p[2] != p[3]]
+    except RepresentationError:
+        assume(False)
+    levels = []
+    for x0, x1, v0, v1, _, _ in pieces:
+        inside = u.values(np.array([np.nextafter(x1, x0), np.nextafter(x0, x1)]))
+        levels += [0.5 * (inside[0] + v1), 0.5 * (inside[1] + v0)]
+        levels += [v0 + f * (v1 - v0) for f in fracs]
+    ts = np.array(levels)
+
+    grabbed, got = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bvfunction, "integrate_interval", lambda f, *a, **k: grabbed.append(f) or 0.0)
+        mp.setattr(bvfunction, "_bisect", lambda g, *a: got.append([]) or _bisect(_recording(g, got[-1]), *a))
+        coarea_rhs(lambda xs: xs, u)
+        assume(grabbed)
+        grabbed[0](ts)
+
+    want = []
+    for x0, x1, v0, v1, _, _ in pieces:
+        tm = ts[(ts > min(v0, v1)) & (ts < max(v0, v1))]
+        if tm.size:
+            want.append([])
+            g = _recording(lambda x, i: u.values(x) - tm[i], want[-1])
+            _bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm)
+    assert got == want
 
 
 # -- mollification of the function itself ------------------------------------

@@ -40,6 +40,12 @@ def step_flux(lo=0.0, hi=1.0, w_lo=0.1, w_hi=2.5):
     return ScalarFlux(model, w_lo, w_hi)
 
 
+def falling_step_flux():
+    """B(x, w) = -(2 - H(x - 1/2)) w: decreasing in the state, one jump."""
+    K = BVFunction.constant(0.0, 1.0, -2.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0)
+    return ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+
+
 def burgers_flux(lo=-1.0, hi=2.0, w_lo=0.1, w_hi=2.0):
     K = BVFunction.constant(lo, hi, 1.0)
     model = FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 0.5), "w^2/2")),))
@@ -391,8 +397,7 @@ def test_decreasing_flux_mirrors_the_increasing_solve():
     u0 = BVFunction.from_poly(0.0, 1.0, (1.3,))
     u0 = u0 + BVFunction.heaviside(0.0, 1.0, 0.35, 0.0, -0.9)
     field = solve_claw(step_flux(), u0, 0.2, 40)
-    K = BVFunction.constant(0.0, 1.0, -2.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0)
-    falling = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    falling = falling_step_flux()
     assert falling.direction == -1
     v0 = BVFunction.from_poly(0.0, 1.0, (0.4,))
     v0 = v0 + BVFunction.heaviside(0.0, 1.0, 0.65, 0.0, 0.9)
@@ -419,6 +424,72 @@ def test_burgers_solve_evaluates_the_flux_on_arrays_only(monkeypatch):
     field = solve_claw(burgers_flux(), u0, 0.25, 200)
     assert len(field.times) > 50
     assert calls == []
+
+
+def _reference_steps(flux, field):
+    """States and traces of ``field``'s solve, stepped again with every
+    face group evaluated by ``flux.values_on_grid`` on each step."""
+    edges, u = field.edges, field.states[0]
+    n, widths, dt = len(u), np.diff(edges), field.times[1]
+    faces = np.arange(n + 1)
+    if flux.direction > 0:
+        src, inflow, outflow, upwind, downwind = np.maximum(faces - 1, 0), 0, n, "left", "right"
+    else:
+        src, inflow, outflow, upwind, downwind = np.minimum(faces, n - 1), n, 0, "right", "left"
+    carried = np.isin(edges, flux.jump_points())
+    carried[outflow] = True
+    precise = ~carried
+    precise[inflow] = False
+    states, traces = [u], []
+    for _ in range(len(field.times) - 1):
+        F = np.empty(n + 1)
+        for mask, side in ((faces == inflow, downwind), (carried, upwind), (precise, "precise")):
+            F[mask] = flux.values_on_grid(edges[mask], u[src][mask], side)
+        u = u - dt * (F[1:] - F[:-1]) / widths
+        states.append(u)
+        traces.append(F)
+    return np.asarray(states), np.asarray(traces)
+
+
+@pytest.mark.parametrize("make_flux", [step_flux, falling_step_flux], ids=["increasing", "decreasing"])
+def test_solve_evaluates_the_coefficients_once(make_flux, monkeypatch):
+    """The flux jump is snapped onto an edge.  States and traces are bit for
+    bit those of a loop that evaluates the flux at the faces on every step,
+    and K is evaluated as often for a longer solve as for a shorter one."""
+    flux = make_flux()
+    u0 = BVFunction.from_poly(0.0, 1.0, (1.3,))
+    u0 = u0 + BVFunction.heaviside(0.0, 1.0, 0.35, 0.0, -0.9)
+    counts = []
+    for T in (0.05, 0.2):
+        calls = []
+        for name in ("at", "values"):
+            real = getattr(BVFunction, name)
+            monkeypatch.setattr(
+                BVFunction, name,
+                lambda self, *a, real=real, **k: calls.append(self) or real(self, *a, **k),
+            )
+        field = solve_claw(flux, u0, T, 40)
+        monkeypatch.undo()
+        assert 0.5 in field.edges.tolist()
+        states, traces = _reference_steps(flux, field)
+        assert field.states.tobytes() == states.tobytes()
+        assert field.traces.tobytes() == traces.tobytes()
+        counts.append((len(field.times), len(calls)))
+    assert counts[0][0] < counts[1][0]
+    assert counts[0][1] == counts[1][1]
+
+
+def test_mass_defects_take_each_mass_once(monkeypatch):
+    """One dot product per time level, with the bits of ``field.mass``."""
+    field = solve_claw(step_flux(), BVFunction.constant(0.0, 1.0, 1.0), 0.05, 20)
+    t = field.times
+    want = [field.mass(n + 1) - field.mass(n) + (t[n + 1] - t[n]) * (F[-1] - F[0])
+            for n, F in enumerate(field.traces)]
+    calls = []
+    real = np.dot
+    monkeypatch.setattr(claw.np, "dot", lambda *a: calls.append(a) or real(*a))
+    assert field.mass_defects().tolist() == want
+    assert len(calls) == len(t)
 
 
 def test_field_slices():
@@ -515,6 +586,32 @@ def test_bracket_levels_are_inverted_once_per_face_grid(monkeypatch):
     assert sorted(calls) == [(2500, "left"), (2500, "right")]
     assert claw._slice_q_pairing(pair, edges, vals, phi_x) == first
     assert len(calls) == 2
+
+
+def test_entropy_flux_evaluates_k_once_per_face_grid(monkeypatch):
+    """Later states on a face grid and side reuse K at those faces, with the
+    bits of ``flux.values_on_grid``."""
+    flux, alpha = step_flux(), 1.0
+    pair = adapted_entropy_pair(flux, alpha)
+    xs = np.linspace(0.05, 0.95, 37)
+    states = (np.full(37, 1.2), np.linspace(0.3, 2.2, 37))
+    want = {}
+    for side in ("left", "right", "precise"):
+        c = c_alpha_values(flux, xs, alpha, side)
+        for j, us in enumerate(states):
+            s = claw._star_sign(us - c, scale=np.maximum(np.abs(us), np.abs(c)))
+            want[side, j] = ((flux.values_on_grid(xs, us, side) - alpha) * s).tobytes()
+    calls = []
+    real = FluxModel.coefficients
+    monkeypatch.setattr(
+        FluxModel, "coefficients", lambda self, *a: calls.append(a) or real(self, *a)
+    )
+    for j, us in enumerate(states):
+        for side in ("left", "right", "precise"):
+            assert pair.q_values(xs, us, side).tobytes() == want[side, j]
+        if j == 0:
+            first = len(calls)
+    assert len(calls) == first
 
 
 def test_slice_pairing_matches_weak_form():
