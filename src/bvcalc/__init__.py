@@ -48,16 +48,11 @@ from .chainrule import (
     CompositeFlux,
     FluxModel,
     SmoothFunction,
-    chainrule_lhs,
     chainrule_star_form,
     chainrule_terms,
-    composite_flux_lhs,
-    composite_flux_terms,
     flux_derivatives,
     levelset_comparison_pwc,
-    product_flux_terms,
     pwc_direct_assembly,
-    verify_chainrule,
     weighted_chainrule,
 )
 from .claw import (
@@ -112,13 +107,10 @@ __all__ = [
     "approximate_vector",
     "c_alpha_values",
     "cantor_function_eval",
-    "chainrule_lhs",
     "chainrule_star_form",
     "chainrule_terms",
     "coarea_lhs",
     "coarea_rhs",
-    "composite_flux_lhs",
-    "composite_flux_terms",
     "entropy_residual",
     "flux_derivatives",
     "integrate_cantor_std",
@@ -133,11 +125,9 @@ __all__ = [
     "measure_total_variation",
     "mollified_measure_eval",
     "parse_scenario",
-    "product_flux_terms",
     "pwc_direct_assembly",
     "radon_nikodym_cantor",
     "run_scenario",
     "solve_claw",
-    "verify_chainrule",
     "weighted_chainrule",
 ]

@@ -32,7 +32,7 @@ from .measures import (
     kernel,
     measure_total_variation,
 )
-from .quadrature import _apply, _bisect, integrate_interval
+from .quadrature import _apply, _bisect, _merge_supports, integrate_interval
 
 _SIDES = ("left", "right", "precise")
 
@@ -41,8 +41,9 @@ _SIDES = ("left", "right", "precise")
 class BVFunction:
     """BV function u = smooth_part + sum coef * CantorFunction(base).
 
-    ``jumps()`` and ``derivative()`` are computed once per instance and
-    kept in its ``__dict__`` (immutable values, outside ``==`` and hash)."""
+    ``jumps()`` and ``derivative()`` are computed on first use, once per
+    instance, and kept in its ``__dict__`` (immutable values, outside
+    ``==`` and hash)."""
 
     domain: Interval
     smooth_part: PiecewisePolynomial = None
@@ -64,8 +65,7 @@ class BVFunction:
             if coef != 0.0:
                 parts.append((base, float(coef)))
         object.__setattr__(self, "cantor_part", tuple(parts))
-        # identical-or-disjoint support discipline, via the measure constructor
-        self.derivative()
+        _merge_supports(self.cantor_supports())  # identical or disjoint
 
     # -- constructors -------------------------------------------------------
     @staticmethod

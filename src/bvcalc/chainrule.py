@@ -11,23 +11,24 @@ one BV coefficient.
 
 Both implement one flux protocol: ``domain``, ``breakpoints()``,
 ``cantor_supports()`` and ``exceptional_set()``; the grid evaluators
-``value_on_grid(xs, W, side)``, ``grad_x_on_grid(xs, W)``,
-``grad_w_on_grid(xs, W)`` and ``diffuse_on_grid(xs, W)`` (the three at
-once); the sided pointwise ``eval(x, w, side)`` for the
-jump brackets; and ``singular_densities()``, the density of the singular
-x-derivative against each Cantor base of the coefficients.  Every
-integral against a Cantor base goes through ``CantorBase.integrate``.
+``value_on_grid(xs, W, side)`` and ``diffuse_on_grid(xs, W)`` (B with its
+a.e. x-gradient and its state gradient, at once); the sided pointwise
+``eval(x, w, side)`` for the jump brackets; and ``singular_densities()``,
+the density of the singular x-derivative against each Cantor base of the
+coefficients.  Every integral against a Cantor base goes through
+``CantorBase.integrate``.
 
 One private assembler computes the lhs and the five terms of the identity
 for any flux of the protocol, by quadrature aware of all breakpoints and
 Cantor supports; the lhs and the two diffuse gradient terms of every test
 function of a case are one stacked integrand, its two singular terms one
-per Cantor base, and each jump bracket is taken once.  The product-flux,
-composite-flux and weighted forms are calls to it, and the starred
-rewriting reuses a finished report and recomputes only its two jump sums.  The piecewise-constant direct
-assembly and the level-set comparison identity are independent checks with
-their own point sums; their per-cell parts, like those of the entropy-flux
-slices in ``claw``, are calls of ``_window_pairing``.
+per Cantor base, and each jump bracket is taken once.  ``chainrule_terms``
+and the weighted form are calls to it, and the starred rewriting reuses a
+finished report and recomputes only its two jump sums.  The
+piecewise-constant direct assembly and the level-set comparison identity
+are independent checks with their own point sums; their per-cell parts,
+like those of the entropy-flux slices in ``claw``, are calls of
+``_window_pairing``.
 
 Sign convention: the five terms are stored in positive form (the plain
 integrals/sums, without the leading minus signs of the identity), so the
@@ -246,22 +247,6 @@ class FluxModel:
             out = m if out is None else out + m
         return out
 
-    def grad_x_on_grid(self, xs, W):
-        """a.e. x-gradient at (xs_i, W[:, i])."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape)
-        for slope, (_, f) in zip(self._slopes, self.terms):
-            out += slope(xs) * np.asarray(f(W))
-        return out
-
-    def grad_w_on_grid(self, xs, W):
-        """State gradient at (xs_i, W[:, i]); shape (dim, len(xs))."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros((self.dim,) + xs.shape)
-        for K, f in self.terms:
-            out += K.values(xs)[None, :] * np.asarray(f.grad(W))
-        return out
-
     def modulus_measure(self, lo, hi):
         """Constructed state-modulus measure sum_k Lip_k |DK_k|, with the
         Lipschitz bounds taken over the state box [lo, hi]."""
@@ -311,14 +296,6 @@ class CompositeFlux:
         W = np.asarray(w, dtype=float)[:, None]
         return float(self.value_on_grid(np.array([float(x)]), W, side)[0])
 
-    def grad_x_on_grid(self, xs, W):
-        xs = np.asarray(xs, dtype=float)
-        gy = np.asarray(self.f2.grad(self._stacked(xs, W)))[0]
-        return gy * self._slope(xs)
-
-    def grad_w_on_grid(self, xs, W):
-        return np.asarray(self.f2.grad(self._stacked(np.asarray(xs, dtype=float), W)))[1:]
-
     def diffuse_on_grid(self, xs, W):
         xs = np.asarray(xs, dtype=float)
         Y = self._stacked(xs, W)
@@ -343,10 +320,9 @@ def flux_derivatives(B, x, w):
     w = np.asarray(w, dtype=float)
     xs = np.array([x])
     W = w[:, None]
-    gx = float(B.grad_x_on_grid(xs, W)[0])
-    gw = B.grad_w_on_grid(xs, W)[:, 0]
+    _, gx, gw = B.diffuse_on_grid(xs, W)
     psi = {base: float(dens(xs, W)[0]) for base, dens in B.singular_densities()}
-    return gx, gw, psi
+    return float(gx[0]), gw[:, 0], psi
 
 
 @dataclass(frozen=True)
@@ -389,25 +365,6 @@ def _layout(phi, *parts):
         bps.update(p.breakpoints())
         sups.update(p.cantor_supports())
     return (*_window(parts[0], phi), tuple(sorted(bps)), tuple(sorted(sups)))
-
-
-def _lhs_integrand(B, u, phi):
-    def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return phi.prime(xs) * B.value_on_grid(xs, u.values(xs))
-
-    return integrand
-
-
-def chainrule_lhs(B, u, phi, tol=1e-8):
-    """integral of phi'(x) B(x, u(x)) dx, subdivided at every discontinuity
-    and Cantor support (representatives never matter off null sets here)."""
-    u = _as_vector(u)
-    lo, hi, bps, sups = _layout(phi, B, u)
-    return integrate_interval(
-        _lhs_integrand(B, u, phi), lo, hi, tol=tol,
-        breakpoints=bps, cantor_supports=sups,
-    )
 
 
 def _jump_bracket(B, u, x):
@@ -496,7 +453,7 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     def singular(rows):
         def integrand(xs):
             W = u.values(xs)
-            gw = B.grad_w_on_grid(xs, W) if any(isinstance(r, int) for r in rows) else None
+            gw = B.diffuse_on_grid(xs, W)[2] if any(isinstance(r, int) for r in rows) else None
             vals = [gw[r] if isinstance(r, int) else r(xs, W) for r in rows]
             out = np.empty((len(rows) * len(phis),) + xs.shape)
             for j, (_, _, wx) in enumerate(weights(xs)):
@@ -548,11 +505,6 @@ def chainrule_terms(B, u, phi, tol=1e-8):
     return _assemble(B, u, (phi,), tol)[0]
 
 
-def verify_chainrule(B, u, phi, tol=1e-8):
-    """|lhs + sum of terms| for the given case."""
-    return abs(chainrule_terms(B, u, phi, tol=tol).residual)
-
-
 def chainrule_star_form(B, u, phi, report):
     """Total of the starred rewriting, given the case's ``chainrule_terms``
     report: its diffuse terms unchanged, the jump sum split into an
@@ -594,26 +546,6 @@ def weighted_chainrule(B, u, g, phi, tol=1e-8):
     (pairing,) = _assemble(B, u, (phi,), tol, lambda xs: g.at(xs, "precise"), g)
     (weighted,) = _assemble(B, u, (phi,), tol, g.values, g)
     return pairing.total, weighted.total
-
-
-def product_flux_terms(K, f, u, phi, tol=1e-8):
-    """Product-form flux K(x) f(u) in the five standard slots.  Its K-starred
-    Leibniz split of the jumps, f(u)* [K] plus K* [f(u)], equals the plain
-    one-sided bracket identically, so this is the report of the one-term
-    ``FluxModel``."""
-    return chainrule_terms(FluxModel(((K, f),), dim=_as_vector(u).dim), u, phi, tol)
-
-
-def composite_flux_terms(f2, K, u, phi, tol=1e-8):
-    """Composite flux B(x, w) = f2(K(x), w): total of the identity in
-    positive form (see ``CompositeFlux``)."""
-    return chainrule_terms(CompositeFlux(f2, K), u, phi, tol).total
-
-
-def composite_flux_lhs(f2, K, u, phi, tol=1e-8):
-    """integral of phi'(x) f2(K(x), u(x)) dx by handle-based quadrature (the
-    composition leaves the closed-form class; the integral does not care)."""
-    return chainrule_lhs(CompositeFlux(f2, K), u, phi, tol)
 
 
 def _window_pairing(phi, lo, hi, density, singular, tol, breakpoints, supports):
@@ -664,7 +596,7 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
 
         total += _window_pairing(
             phi, max(x0, lo), min(x1, hi),
-            lambda xs: B.grad_x_on_grid(xs, frozen(xs)),
+            lambda xs: B.diffuse_on_grid(xs, frozen(xs))[1],
             tuple((base, lambda xs, dens=dens: dens(xs, frozen(xs))) for base, dens in densities),
             tol, bps, sups,
         )

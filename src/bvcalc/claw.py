@@ -64,6 +64,12 @@ def _off_points(xs, bad):
     return xs
 
 
+def _space_state_grid(xs, ws):
+    """(points, states) pairing every state of ``ws`` with every point of
+    ``xs``, state by state: one grid call for a sampled space-state box."""
+    return np.tile(xs, len(ws)), np.repeat(ws, len(xs))[None, :]
+
+
 @dataclass(frozen=True)
 class ScalarFlux:
     """Flux model with scalar state, certified strictly monotone in the
@@ -91,9 +97,7 @@ class ScalarFlux:
             np.linspace(dom.a, dom.b, 41)[1:-1], self.model.exceptional_set()
         )
         ws = np.linspace(self.w_lo, self.w_hi, 33)
-        vals = np.stack(
-            [self.model.value_on_grid(xs, np.full((1, len(xs)), w)) for w in ws]
-        )
+        vals = self.model.value_on_grid(*_space_state_grid(xs, ws)).reshape(len(ws), -1)
         diffs = np.diff(vals, axis=0)
         if np.all(diffs > 0):
             direction = 1
@@ -127,12 +131,8 @@ class ScalarFlux:
         the sided values at jump points included)."""
         dom = self.model.domain
         xs = np.linspace(dom.a, dom.b, 129)
-        best = 0.0
-        for w in np.linspace(self.w_lo, self.w_hi, 33):
-            best = max(
-                best,
-                float(np.abs(self.values_on_grid(xs, np.full(len(xs), w))).max()),
-            )
+        ws = np.linspace(self.w_lo, self.w_hi, 33)
+        best = float(np.abs(self.model.value_on_grid(*_space_state_grid(xs, ws))).max())
         for x in self.jump_points():
             for side in ("left", "right"):
                 for w in (self.w_lo, self.w_hi):
@@ -145,11 +145,9 @@ class ScalarFlux:
         xs = _off_points(
             np.linspace(dom.a, dom.b, 65)[1:-1], self.model.exceptional_set()
         )
-        best = 0.0
-        for w in np.linspace(self.w_lo, self.w_hi, 17):
-            W = np.full((1, len(xs)), w)
-            best = max(best, float(np.abs(self.model.grad_w_on_grid(xs, W)[0]).max()))
-        return best
+        ws = np.linspace(self.w_lo, self.w_hi, 17)
+        _, _, gw = self.model.diffuse_on_grid(*_space_state_grid(xs, ws))
+        return float(np.abs(gw).max())
 
 
 def _invert(flux, xs, alpha, side):
@@ -274,9 +272,7 @@ class EntropyFluxPair:
             if abs(s_hi - s_lo) > 0.5:
                 continue
             qd = (self.q(x, u + h) - self.q(x, u - h)) / (2 * h)
-            bu = float(
-                self.flux.model.grad_w_on_grid(np.array([x]), np.array([[u]]))[0, 0]
-            )
+            bu = float(self.flux.model.diffuse_on_grid(np.array([x]), np.array([[u]]))[2][0, 0])
             target = float(self.eta_u(np.array([x]), np.array([u]))[0]) * bu
             worst = max(worst, abs(qd - target) / max(1.0, abs(target)))
             used += 1
@@ -342,9 +338,8 @@ def adapted_entropy_pair(flux, alpha):
         factor is locally constant off the level crossing (where the
         leading factor vanishes), so the density is sign * x-gradient."""
         xs = np.asarray(xs, dtype=float)
-        W = np.full((1,) + xs.shape, float(v))
-        s = np.sign(flux.values_on_grid(xs, W[0]) - alpha) * flux.direction
-        return s * flux.model.grad_x_on_grid(xs, W)
+        val, gx, _ = flux.model.diffuse_on_grid(xs, np.full((1,) + xs.shape, float(v)))
+        return np.sign(val - alpha) * flux.direction * gx
 
     def q_cantor_sign(xs, v):
         xs = np.asarray(xs, dtype=float)

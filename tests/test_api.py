@@ -107,3 +107,29 @@ def test_per_cell_pairings_share_one_window_pairing():
         ("levelset_comparison_pwc", "indicator_pairing"),
         ("pwc_direct_assembly",),
     ]
+
+
+def test_one_chain_rule_surface():
+    """Both flux classes expose the one flux protocol and no gradient twin
+    of ``diffuse_on_grid``; no wrapper around the term assembler is left,
+    and in ``chainrule.py`` only the assembler and the window pairing call
+    ``integrate_interval``, so the lhs has one quadrature path."""
+    protocol = {
+        "domain", "breakpoints", "cantor_supports", "exceptional_set",
+        "value_on_grid", "diffuse_on_grid", "eval", "singular_densities",
+    }
+    for cls in (bvcalc.FluxModel, bvcalc.CompositeFlux):
+        assert protocol <= set(dir(cls)), cls.__name__
+    src = Path(bvcalc.__file__).parent
+    sources = {p.name: p.read_text() for p in src.glob("*.py")}
+    gone = (
+        "grad_x_on_grid", "grad_w_on_grid", "chainrule_lhs", "_lhs_integrand",
+        "verify_chainrule", "product_flux_terms", "composite_flux_",
+    )
+    for name in gone:
+        assert not [f for f, text in sources.items() if name in text], name
+    tree = ast.parse(sources["chainrule.py"])
+    assert sorted(_callers(tree, "integrate_interval")) == [
+        ("_assemble",),
+        ("_window_pairing",),
+    ]

@@ -18,13 +18,9 @@ from bvcalc import (
     TestFunction,
     chainrule_star_form,
     chainrule_terms,
-    composite_flux_lhs,
-    composite_flux_terms,
     flux_derivatives,
     levelset_comparison_pwc,
-    product_flux_terms,
     pwc_direct_assembly,
-    verify_chainrule,
     weighted_chainrule,
 )
 from bvcalc import quadrature
@@ -141,7 +137,7 @@ def test_random_cases_close(case):
         assert abs(rep.residual) <= bound
         star = chainrule_star_form(B, u, phi, rep)
         assert abs(rep.lhs + star) <= 2.0 * bound
-        assert verify_chainrule(B, u, phi, tol=1e-8) == abs(rep.residual)
+        assert chainrule_terms(B, u, phi, tol=1e-8) == rep
 
 
 def golden_cases():
@@ -328,18 +324,20 @@ def test_one_cell_layout_per_case_and_sided_jump_brackets(monkeypatch):
 
 
 def test_product_form_matches_general_report():
-    """Single-term flux: the product assembly reproduces every slot."""
-    K = BVFunction.heaviside(0.0, 1.0, 0.35, 0.6, 1.4)
-    K = K + BVFunction.cantor_fn(0.0, 1.0, support=(0.5, 1.0), coefficient=0.7)
+    """A product flux K f split as K1 f + K2 f with K1 + K2 = K reproduces
+    every slot of the one-term flux, the Cantor slot included."""
+    K1 = BVFunction.heaviside(0.0, 1.0, 0.35, 0.6, 1.4)
+    K2 = BVFunction.cantor_fn(0.0, 1.0, support=(0.5, 1.0), coefficient=0.7)
     f = SmoothFunction.poly1d((0.0, 1.0, 0.3), "w + 0.3 w^2")
     u = BVFunction.from_poly(0.0, 1.0, (0.1, 0.8))
     u = u + BVFunction.heaviside(0.0, 1.0, 0.7, 0.0, 0.45)
-    general = chainrule_terms(FluxModel(((K, f),)), u, PHI, tol=1e-9)
-    product = product_flux_terms(K, f, u, PHI, tol=1e-9)
-    assert product.lhs == pytest.approx(general.lhs, abs=1e-9)
-    for got, want in zip(product.terms, general.terms):
+    summed = chainrule_terms(FluxModel(((K1 + K2, f),)), u, PHI, tol=1e-9)
+    split = chainrule_terms(FluxModel(((K1, f), (K2, f))), u, PHI, tol=1e-9)
+    assert abs(summed.terms[1]) > 1e-2
+    assert split.lhs == pytest.approx(summed.lhs, abs=1e-9)
+    for got, want in zip(split.terms, summed.terms):
         assert got == pytest.approx(want, abs=2e-9)
-    assert abs(product.residual) <= 1e-8
+    assert abs(split.residual) <= 1e-8
 
 
 def test_composite_form_matches_product_flux():
@@ -349,8 +347,8 @@ def test_composite_form_matches_product_flux():
     u = BVFunction.from_poly(0.0, 1.0, (0.3, 0.5))
     u = u + BVFunction.heaviside(0.0, 1.0, 0.7, 0.0, -0.4)
     f2 = monomial((1, 2), label="y w^2")
-    total = composite_flux_terms(f2, K, u, PHI, tol=1e-9)
-    lhs = composite_flux_lhs(f2, K, u, PHI, tol=1e-9)
+    composite = chainrule_terms(CompositeFlux(f2, K), u, PHI, tol=1e-9)
+    total, lhs = composite.total, composite.lhs
     assert abs(lhs + total) <= 1e-8
     rep = chainrule_terms(
         FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 1.0), "w^2")),)),
@@ -374,11 +372,9 @@ def test_composite_form_with_a_cantor_coefficient():
         u, PHI, tol=1e-9,
     )
     assert abs(rep.terms[1]) > 1e-2
-    total = composite_flux_terms(f2, K, u, PHI, tol=1e-9)
-    lhs = composite_flux_lhs(f2, K, u, PHI, tol=1e-9)
-    assert total == pytest.approx(rep.total, abs=1e-8)
-    assert lhs == pytest.approx(rep.lhs, abs=1e-8)
     composite = chainrule_terms(CompositeFlux(f2, K), u, PHI, tol=1e-9)
+    assert composite.total == pytest.approx(rep.total, abs=1e-8)
+    assert composite.lhs == pytest.approx(rep.lhs, abs=1e-8)
     for got, want in zip(composite.terms, rep.terms):
         assert got == pytest.approx(want, abs=1e-8)
     assert not composite.singular_vacuous
