@@ -509,8 +509,13 @@ def coarea_default_tgrid(u, x_cuts=()):
 
     ``x_cuts`` marks x-points where the weight is discontinuous: the levels
     at which a located point sweeps past such a point are critical too."""
+    return _coarea_tgrid(u, _monotone_pieces(u), x_cuts)
+
+
+def _coarea_tgrid(u, pieces, x_cuts):
+    """:func:`coarea_default_tgrid` from u's ``_monotone_pieces``."""
     vals = set()
-    for x0, x1, v0, v1, _, _ in _monotone_pieces(u):
+    for x0, x1, v0, v1, _, _ in pieces:
         vals.update((v0, v1))
     for _, l, r in u.jumps():
         vals.update((l, r))
@@ -532,12 +537,15 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     { x : the segment [u(x-), u(x+)] contains t }, on the level grid of
     ``coarea_default_tgrid``.
 
-    Monotone pieces contribute one located point per level (found by
-    bisection); jump points contribute wherever t lies between the one-sided
-    values; flat pieces are skipped (a null set of levels)."""
+    Monotone pieces contribute one located point per level (found by one
+    bisection for every piece's levels); jump points contribute wherever t
+    lies between the one-sided values; flat pieces are skipped (a null set
+    of levels).  Every level cell is one window of one stacked quadrature,
+    to its share of tol."""
     pp = u.smooth_part
+    monotone = _monotone_pieces(u)
     pieces = []
-    for x0, x1, v0, v1, base, _ in _monotone_pieces(u):
+    for x0, x1, v0, v1, base, _ in monotone:
         if v0 != v1:
             # [x0, x1] lies in one polynomial piece k, which its bisection
             # evaluates alone; u.values gives an inner breakpoint x1 to piece
@@ -547,46 +555,63 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
             k = bisect_right(pp.breakpoints, x0) - 1
             flat = None if base is not None else u._cantor(np.array([x0]))
             pieces.append((x0, x1, v0, v1, k, x1 in u.breakpoints(), flat))
+    x0s, x1s, v0s, v1s = (np.array([p[i] for p in pieces], dtype=float) for i in range(4))
+    lows, highs = np.minimum(v0s, v1s), np.maximum(v0s, v1s)
     jumps = u.jumps()
-    if jumps:
-        at_jumps = _apply(g, np.array([x for x, _, _ in jumps])).tolist()
-        jumps = [(min(l, r), max(l, r), gx) for (_, l, r), gx in zip(jumps, at_jumps)]
-    t_grid = coarea_default_tgrid(u, g_breakpoints)
-    if len(t_grid) < 2:
-        return 0.0
+    jlo = np.array([min(l, r) for _, l, r in jumps], dtype=float)
+    jhi = np.array([max(l, r) for _, l, r in jumps], dtype=float)
+    jg = _apply(g, np.array([x for x, _, _ in jumps])) if jumps else np.empty(0)
+    t_grid = _coarea_tgrid(u, monotone, g_breakpoints)
 
     def located_sum(ts):
         ts = np.asarray(ts, dtype=float)
-        out = np.zeros_like(ts)
-        for x0, x1, v0, v1, k, x1_inner, flat in pieces:
-            lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-            mask = (ts > lo) & (ts < hi)
-            if not mask.any():
-                continue
-            tm = ts[mask]
+        flat_ts = ts.ravel()
+        out = np.zeros(flat_ts.size)
+        # the brackets of every piece's levels, piece by piece, in level order
+        piece, at = np.nonzero((flat_ts > lows[:, None]) & (flat_ts < highs[:, None]))
+        if at.size:
+            tm = flat_ts[at]
+            bounds = np.searchsorted(piece, np.arange(len(pieces) + 1))
 
             def level_gap(x, i):
                 """u.values(x) - tm[i], by the same float operations on the
-                one polynomial piece that holds x."""
-                s = _horner(pp.pieces[k], x - pp.breakpoints[k])
-                if x1_inner:
-                    on = x == x1
-                    if on.any():
-                        s[on] = _horner(pp.pieces[k + 1], x[on] - x1)
-                return (s + (u._cantor(x) if flat is None else flat)) - tm[i]
+                one polynomial piece that holds x, piece by piece."""
+                gap = np.empty(x.size)
+                cuts = np.searchsorted(i, bounds)
+                for (_, x1, _, _, k, x1_inner, flat), a, b in zip(pieces, cuts[:-1], cuts[1:]):
+                    if a == b:
+                        continue
+                    xp = x[a:b]
+                    s = _horner(pp.pieces[k], xp - pp.breakpoints[k])
+                    if x1_inner:
+                        on = xp == x1
+                        if on.any():
+                            s[on] = _horner(pp.pieces[k + 1], xp[on] - x1)
+                    gap[a:b] = (s + (u._cantor(xp) if flat is None else flat)) - tm[i[a:b]]
+                return gap
 
-            xs = _bisect(level_gap, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm)
-            out[mask] += _apply(g, xs)
-        for lo, hi, gx in jumps:
-            mask = (ts >= lo) & (ts <= hi)
-            if mask.any():
-                out[mask] += gx
-        return out
+            xs = _bisect(level_gap, x0s[piece], x1s[piece], v1s[piece] - tm)
+            # one add per piece and level, in piece order
+            np.add.at(out, at, _apply(g, xs))
+        jump, at = np.nonzero((flat_ts >= jlo[:, None]) & (flat_ts <= jhi[:, None]))
+        np.add.at(out, at, jg[jump])
+        return out.reshape(ts.shape)
 
+    cells = [(t0, t1) for t0, t1 in zip(t_grid[:-1], t_grid[1:]) if t1 - t0 >= 1e-15]
+    if not cells:
+        return 0.0
     span = t_grid[-1] - t_grid[0]
+    lo, hi = zip(*cells)
+    windows = len(cells)
+    totals = integrate_interval(
+        lambda ts: np.broadcast_to(located_sum(ts), (windows,) + np.shape(ts)),
+        lo,
+        hi,
+        tol=[tol * (t1 - t0) / span for t0, t1 in cells],
+        breakpoints=[()] * windows,
+        cantor_supports=[()] * windows,
+    )
     total = 0.0
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        if t1 - t0 < 1e-15:
-            continue
-        total += integrate_interval(located_sum, t0, t1, tol=tol * (t1 - t0) / span)
+    for part in totals:
+        total += part
     return float(total)

@@ -34,16 +34,15 @@ class PiecewiseConstant:
     node_values: tuple
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.partition)
-        if any(y <= x for x, y in zip(pts, pts[1:])):
+        pts = np.asarray(self.partition, dtype=float)
+        if np.any(pts[1:] <= pts[:-1]):
             raise DomainError("partition must be strictly increasing")
         if len(self.values) != len(pts) - 1:
             raise DomainError("need one value per cell")
         if len(self.node_values) != len(pts) - 2:
             raise DomainError("need one value per interior node")
-        object.__setattr__(self, "partition", pts)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "node_values", tuple(float(v) for v in self.node_values))
+        for name in ("partition", "values", "node_values"):
+            object.__setattr__(self, name, tuple(np.asarray(getattr(self, name), dtype=float).tolist()))
 
     def __call__(self, x):
         return float(self.eval_array(np.atleast_1d(float(x)))[0])
@@ -81,11 +80,11 @@ class PiecewiseConstant:
         )
 
     def total_variation(self):
-        """Pointwise variation, node values included."""
-        tv = 0.0
-        for c0, nv, c1 in zip(self.values[:-1], self.node_values, self.values[1:]):
-            tv += abs(nv - c0) + abs(c1 - nv)
-        return tv
+        """Pointwise variation, node values included, summed node by node
+        in order (``cumsum`` adds one term at a time)."""
+        cells, nodes = np.asarray(self.values), np.asarray(self.node_values)
+        steps = np.abs(nodes - cells[:-1]) + np.abs(cells[1:] - nodes)
+        return float(np.cumsum(steps)[-1]) if steps.size else 0.0
 
     def to_bv(self):
         """The same steps as a BVFunction (the precise representative
@@ -121,6 +120,21 @@ class ExceptionalSet:
         return ExceptionalSet(self.points, min(int(k), len(self.points)))
 
 
+def _osc_upper(vals, k):
+    """The largest oscillation of ``vals`` over the blocks
+    ``vals[s : s + 2k + 1]`` for s = 0, k, 2k, ... below len(vals) - 1.
+
+    Block i is stride-k chunks i and i + 1 and the head of chunk i + 2;
+    padding with the last sample makes every block whole."""
+    m = -(-(len(vals) - 1) // k)
+    padded = np.concatenate((vals, np.full(2 * k, vals[-1])))
+    heads = np.arange(0, (m + 2) * k, k)
+    top, bot = np.maximum.reduceat(padded, heads), np.minimum.reduceat(padded, heads)
+    tops = np.maximum(np.maximum(top[:m], top[1 : m + 1]), padded[heads[2:]])
+    bots = np.minimum(np.minimum(bot[:m], bot[1 : m + 1]), padded[heads[2:]])
+    return float(np.max(tops - bots))
+
+
 def _osc_delta(vc_vals, grid_h, eps_third):
     """Window width on which the sampled continuous part oscillates < eps/3,
     found by halving, then halved once more for safety.
@@ -129,17 +143,9 @@ def _osc_delta(vc_vals, grid_h, eps_third):
     over-covers every width-k window, so the accepted delta is conservative."""
     n = len(vc_vals)
     delta = (n - 1) * grid_h
-
-    def osc_upper(width):
-        k = max(1, min(n - 1, int(np.ceil(width / grid_h))))
-        worst = 0.0
-        for start in range(0, n - 1, k):
-            block = vc_vals[start : start + 2 * k + 1]
-            worst = max(worst, float(block.max() - block.min()))
-        return worst
-
     for _ in range(40):
-        if osc_upper(delta) < 0.9 * eps_third:
+        k = max(1, min(n - 1, int(np.ceil(delta / grid_h))))
+        if _osc_upper(vc_vals, k) < 0.9 * eps_third:
             break
         delta *= 0.5
     else:
@@ -156,6 +162,39 @@ def _shift_off(x, forbidden, room, tol):
             return y
         y -= step
     raise DomainError("could not place a partition node off the forbidden set")
+
+
+def _refine(augmented, delta, forbidden, tol):
+    """The nodes of the mesh that cuts each [x0, x1] of ``augmented`` into
+    k = ceil((x1 - x0) / (delta/2)) equal cells, as a list; the inner
+    nodes within tol of a forbidden point are nudged off it."""
+    nodes = [augmented[0]]
+    points = np.asarray(forbidden, dtype=float)
+    for x0, x1 in zip(augmented[:-1], augmented[1:]):
+        k = int(np.ceil((x1 - x0) / (0.5 * delta)))
+        ys = x0 + (x1 - x0) * np.arange(1, k) / k
+        for j in np.flatnonzero((np.abs(ys[:, None] - points) <= tol).any(axis=1)):
+            ys[j] = _shift_off(float(ys[j]), forbidden, (x1 - x0) / k, tol)
+        nodes += ys.tolist()
+        nodes.append(x1)
+    return nodes
+
+
+def _cell_samples(pts, marked, bigs):
+    """Per cell of the ascending nodes ``pts``, the point its value is read
+    at and the side: the first marked point inside ("precise"), else the
+    right node if it is a big jump ("left"), else the left node ("right")."""
+    marked = np.asarray(marked, dtype=float)
+    sample = pts[:-1].copy()
+    sides = np.full(sample.size, "right", dtype=object)
+    before_big = np.isin(pts[1:], bigs)
+    sample[before_big] = pts[1:][before_big]
+    sides[before_big] = "left"
+    first = np.searchsorted(marked, pts[:-1], side="right")
+    held = np.flatnonzero(first < marked.size)
+    held = held[marked[first[held]] < pts[1:][held]]
+    sample[held], sides[held] = marked[first[held]], "precise"
+    return sample, sides
 
 
 def approximate_scalar(v, eps, exc=None):
@@ -213,14 +252,7 @@ def approximate_scalar(v, eps, exc=None):
             augmented.append(_shift_off(0.5 * (x0 + x1), forbidden, x1 - x0, tol))
         augmented.append(x1)
 
-    # mesh refinement to spacing delta/2, nudged off the forbidden set
-    nodes = [augmented[0]]
-    for x0, x1 in zip(augmented[:-1], augmented[1:]):
-        k = int(np.ceil((x1 - x0) / (0.5 * delta)))
-        for j in range(1, k):
-            y = x0 + (x1 - x0) * j / k
-            nodes.append(_shift_off(y, forbidden, (x1 - x0) / k, tol))
-        nodes.append(x1)
+    nodes = _refine(augmented, delta, forbidden, tol)
 
     # isolate each marked-prefix point: alone in its cell, away from big nodes
     marked = sorted(exc.prefix)
@@ -240,17 +272,8 @@ def approximate_scalar(v, eps, exc=None):
         nodes = sorted(set(nodes) | set(extra))
 
     # cell values by the three-case rule, node values by the representative
-    marked_arr = np.asarray(marked)
     pts = np.asarray(nodes, dtype=float)
-    sample = pts[:-1].copy()
-    sides = np.full(sample.size, "right", dtype=object)
-    before_big = np.isin(pts[1:], bigs)
-    sample[before_big] = pts[1:][before_big]
-    sides[before_big] = "left"
-    for i, (y0, y1) in enumerate(zip(nodes[:-1], nodes[1:])):
-        inside = marked_arr[(marked_arr > y0) & (marked_arr < y1)]
-        if inside.size:
-            sample[i], sides[i] = inside[0], "precise"
+    sample, sides = _cell_samples(pts, marked, bigs)
     cells = np.empty(sample.size)
     for side in ("precise", "left", "right"):
         hit = sides == side

@@ -293,16 +293,20 @@ def integrate_cells(f, smooth, mids, tol):
     last pass the rest pass if their |P15 - K7| sum to at most the other tol/2.
 
     For a stacked integrand (values ``(k, ...)``) a k-tuple is returned.
-    ``smooth`` and ``mids`` may also be sequences of g layouts; the k
-    components then split into g equal consecutive groups, group j on
-    layout j.  Each component keeps its own cells, budget, passing cells,
-    refinement and error, so its float operations are those of integrating
-    it alone; each pass evaluates the integrand once on the union of the
-    components' live cells and once on the union of those that fail K7, and
-    the midpoint cells' union is evaluated once.
+    ``smooth`` and ``mids`` may also be sequences of g layouts, and ``tol``
+    a sequence of g tolerances; the k components then split into g equal
+    consecutive groups, group j on layout j to tolerance j.  Each component
+    keeps its own cells, budget, passing cells, refinement and error, so its
+    float operations are those of integrating it alone; each pass evaluates
+    the integrand once on the union of the components' live cells and once
+    on the union of those that fail K7, and the midpoint cells' union is
+    evaluated once.
     Of the components that fail, the first one's error is raised."""
     if isinstance(smooth, np.ndarray):
         smooth, mids = [smooth], [mids]
+    tols = list(tol) if np.ndim(tol) else [tol] * len(smooth)
+    if len(tols) != len(smooth):
+        raise DomainError(f"{len(tols)} tolerances for {len(smooth)} layouts")
     # per group until an evaluation shows how many components there are,
     # then per component: live smooth cells, error, integral so far
     live = [(c[:, 0], c[:, 1]) for c in smooth]
@@ -310,7 +314,9 @@ def integrate_cells(f, smooth, mids, tol):
     total_len = [max(float(np.sum(hi - lo)), 1e-300) for lo, hi in live]
     if any(map(len, mids)) or not any(map(len, smooth)):
         totals, stacked = _midpoint_rule(f, [(c[:, 0], c[:, 1]) for c in mids])
-        live, errors, total_len = (_spread(v, len(totals)) for v in (live, errors, total_len))
+        live, errors, total_len, tols = (
+            _spread(v, len(totals)) for v in (live, errors, total_len, tols)
+        )
     for npass in range(1, _MAX_PASSES + 1):
         for c, (lo, hi) in enumerate(live):
             if lo.size > _MAX_CELLS:
@@ -322,8 +328,8 @@ def integrate_cells(f, smooth, mids, tol):
         if totals is None:
             stacked = sums.ndim > 2
             k = sums.shape[1] if stacked else 1
-            live, errors, total_len, rows = (
-                _spread(v, k) for v in (live, errors, total_len, rows)
+            live, errors, total_len, tols, rows = (
+                _spread(v, k) for v in (live, errors, total_len, tols, rows)
             )
             totals = [0.0] * k
         sums = sums if stacked else sums[:, None]
@@ -334,7 +340,7 @@ def integrate_cells(f, smooth, mids, tol):
             half = 0.5 * (hi - lo)
             val = sums[1, c, r] * half
             err = np.abs(val - sums[0, c, r] * half)
-            budget = 0.5 * tol * (hi - lo) / total_len[c]
+            budget = 0.5 * tols[c] * (hi - lo) / total_len[c]
             ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
             need[r[~ok]] = True
             steps.append((r, half, val, err, budget, ok))
@@ -350,7 +356,7 @@ def integrate_cells(f, smooth, mids, tol):
                 err[bad] = np.abs(p15 - val[bad])
                 ok[bad] = err[bad] <= np.maximum(budget[bad], 1e-17 * np.abs(p15))
                 val[bad] = p15
-            if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tol:
+            if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tols[c]:
                 ok[:] = True
             totals[c] += float(np.sum(val[ok]))
             lo, hi = live[c]
@@ -365,7 +371,7 @@ def integrate_cells(f, smooth, mids, tol):
     for c, (lo, _) in enumerate(live):
         if lo.size and errors[c] is None:
             errors[c] = QuadratureError(
-                f"tolerance {tol:g} unreachable: {lo.size} cells still failing "
+                f"tolerance {tols[c]:g} unreachable: {lo.size} cells still failing "
                 f"after {_MAX_PASSES} refinement passes"
             )
     error = next((e for e in errors if e is not None), None)
@@ -385,13 +391,15 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     whose values carry a leading axis of k components, gives a k-tuple:
     each component is refined on its own (see :func:`integrate_cells`).
     ``lo`` and ``hi`` may then be sequences of g windows, with
-    ``breakpoints`` and ``cantor_supports`` one sequence per window: window
-    j's layout serves the j-th of g equal consecutive groups of components,
-    and every pass evaluates the integrand once for all of them.
+    ``breakpoints`` and ``cantor_supports`` one sequence per window and
+    ``tol`` one tolerance or one per window: window j's layout serves the
+    j-th of g equal consecutive groups of components, and every pass
+    evaluates the integrand once for all of them.
     """
     if np.ndim(lo):
+        tol = tol if np.ndim(tol) else [tol] * len(lo)
         smooth, mids = zip(*(
-            build_cells(*window, tol) for window in zip(lo, hi, breakpoints, cantor_supports)
+            build_cells(*window) for window in zip(lo, hi, breakpoints, cantor_supports, tol)
         ))
     else:
         smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)

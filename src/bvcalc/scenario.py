@@ -439,10 +439,11 @@ def _approx_row(u, n, exc, tol, stairs):
         for comp, ap in zip(u.components, approx):
             marked_err = max(marked_err, abs(ap(p) - comp.eval(p, "precise")))
     clearance_bad = 0.0
+    marked = np.asarray(exc.points, dtype=float)
     for ap in approx:
-        for node in ap.partition[1:-1]:
-            if any(abs(node - p) <= 1e-13 for p in exc.points):
-                clearance_bad = 1.0
+        nodes = np.asarray(ap.partition[1:-1], dtype=float)
+        if (np.abs(nodes[:, None] - marked) <= 1e-13).any():
+            clearance_bad = 1.0
     residual = max(sup_err - bound, tv_excess, marked_err, clearance_bad, jump_err, 0.0)
     return (sup_err, bound, tv_excess, marked_err, clearance_bad, jump_err, residual, residual <= tol)
 

@@ -29,7 +29,7 @@ from bvcalc import (
 )
 import bvcalc.bvfunction as bvfunction
 from bvcalc.cantor import cantor_function_eval
-from bvcalc.quadrature import _ROOT_TOL, _bisect
+from bvcalc.quadrature import _ROOT_TOL, _bisect, integrate_interval
 
 
 def staircase(lo=0.0, hi=1.0):
@@ -451,12 +451,14 @@ def test_coarea_level_points_are_the_eighty_pass_points(u, pieces, monkeypatch):
     assert np.all(np.abs(integrands[0](ts) - want) <= count * (0.5 * _ROOT_TOL + np.spacing(1.0)))
 
 
-def _recording(g, calls):
-    """``g`` recording every (x, g(x)) the bisection asks for in ``calls``."""
+def _recording(g, calls, first=0):
+    """``g`` recording every (x, g(x)) the bisection asks for in ``calls``,
+    per bracket: bracket i of this bisection is bracket first + i there."""
 
     def rec(x, i):
         v = g(x, i)
-        calls.append((x.tobytes(), v.tobytes()))
+        for j, xj, vj in zip(i.tolist(), x.tolist(), v.tolist()):
+            calls.setdefault(first + j, []).append((xj.hex(), vj.hex()))
         return v
 
     return rec
@@ -483,9 +485,10 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
     """The coarea bisection evaluates u on the one polynomial piece that
     holds each monotone piece, and sees bit for bit the values of u.values:
     every level point, and every (x, u(x) - t) the bisection asks for, are
-    those of the same bisection through u.values.  Levels just inside each
-    piece's range put roots in its last ulps, where a midpoint can land on a
-    breakpoint."""
+    those of the same bisection through u.values, bracket by bracket (one
+    bisection holds the brackets of every piece, piece after piece).
+    Levels just inside each piece's range put roots in its last ulps, where
+    a midpoint can land on a breakpoint."""
     bk = (lo, *(lo + k / 16 for k in sorted(cuts)), lo + 1.0)
     pp = PiecewisePolynomial(bk, tuple(polys[: len(bk) - 1]))
     parts = ()
@@ -504,22 +507,56 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
         levels += [v0 + f * (v1 - v0) for f in fracs]
     ts = np.array(levels)
 
-    grabbed, got = [], []
+    grabbed, got, located = [], {}, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bvfunction, "integrate_interval", lambda f, *a, **k: grabbed.append(f) or 0.0)
-        mp.setattr(bvfunction, "_bisect", lambda g, *a: got.append([]) or _bisect(_recording(g, got[-1]), *a))
+        mp.setattr(
+            bvfunction, "integrate_interval", lambda f, lo, *a, **k: grabbed.append(f) or (0.0,) * len(lo)
+        )
+        mp.setattr(bvfunction, "_bisect", lambda g, *a: located.append(_bisect(_recording(g, got), *a)) or located[-1])
         coarea_rhs(lambda xs: xs, u)
         assume(grabbed)
         grabbed[0](ts)
 
-    want = []
+    want, want_located = {}, []
     for x0, x1, v0, v1, _, _ in pieces:
         tm = ts[(ts > min(v0, v1)) & (ts < max(v0, v1))]
         if tm.size:
-            want.append([])
-            g = _recording(lambda x, i: u.values(x) - tm[i], want[-1])
-            _bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm)
+            g = _recording(lambda x, i: u.values(x) - tm[i], want, sum(map(len, want_located)))
+            want_located.append(_bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm))
     assert got == want
+    assert b"".join(x.tobytes() for x in located) == b"".join(x.tobytes() for x in want_located)
+
+
+def test_coarea_rhs_makes_one_quadrature_and_one_bisection_per_evaluation():
+    """coarea_rhs integrates every level cell in one stacked call, and each
+    evaluation of its level-counting integrand bisects the levels of every
+    monotone piece at once: one _bisect call if some level lies inside a
+    piece's range, none otherwise."""
+    # two monotone pieces (a maximum at 1/3), a jump, and a weight cut
+    u = BVFunction.from_poly(0.0, 1.0, (0.0, 1.0, -1.5)) + BVFunction.heaviside(0.0, 1.0, 0.7, 0.0, 0.4)
+    ranges = [(min(p[2], p[3]), max(p[2], p[3])) for p in bvfunction._monotone_pieces(u) if p[2] != p[3]]
+    assert len(ranges) == 3
+    quadratures, bisections, per_call = [], [], []
+
+    def spy_interval(f, *a, **k):
+        def counted(ts):
+            before = len(bisections)
+            out = f(ts)
+            inside = any(np.any((ts > lo) & (ts < hi)) for lo, hi in ranges)
+            per_call.append((len(bisections) - before, int(inside)))
+            return out
+
+        quadratures.append(a)
+        return integrate_interval(counted, *a, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bvfunction, "integrate_interval", spy_interval)
+        mp.setattr(bvfunction, "_bisect", lambda *a: bisections.append(a) or _bisect(*a))
+        coarea_rhs(lambda xs: np.where(xs < 0.5, 1.0, 2.0), u, g_breakpoints=(0.5,))
+    assert len(quadratures) == 1
+    assert len(bvfunction.coarea_default_tgrid(u, (0.5,))) > 3
+    assert per_call and all(made == want for made, want in per_call)
+    assert any(want for _, want in per_call)
 
 
 # -- mollification of the function itself ------------------------------------

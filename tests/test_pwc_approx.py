@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from bvcalc import cases, pwconst
 from bvcalc import (
     BVFunction,
     BVVector,
@@ -160,3 +163,85 @@ def test_suite_case_has_all_five_properties(case):
         # (iv) exact representative on the marked prefix
         for p in exc.points[: exc.prefix_len]:
             assert ap(p) == pytest.approx(comp.eval(p, "precise"), abs=1e-12)
+
+
+# -- the array-built mesh against the per-node loops -------------------------
+
+
+def _reference_osc_upper(vals, k):
+    worst = 0.0
+    for start in range(0, len(vals) - 1, k):
+        block = vals[start : start + 2 * k + 1]
+        worst = max(worst, float(block.max() - block.min()))
+    return worst
+
+
+def _reference_refine(augmented, delta, forbidden, tol):
+    nodes = [augmented[0]]
+    for x0, x1 in zip(augmented[:-1], augmented[1:]):
+        k = int(np.ceil((x1 - x0) / (0.5 * delta)))
+        for j in range(1, k):
+            y = x0 + (x1 - x0) * j / k
+            nodes.append(pwconst._shift_off(y, forbidden, (x1 - x0) / k, tol))
+        nodes.append(x1)
+    return nodes
+
+
+def _reference_cell_samples(pts, marked, bigs):
+    marked_arr = np.asarray(marked)
+    sample = pts[:-1].copy()
+    sides = np.full(sample.size, "right", dtype=object)
+    before_big = np.isin(pts[1:], bigs)
+    sample[before_big] = pts[1:][before_big]
+    sides[before_big] = "left"
+    for i, (y0, y1) in enumerate(zip(pts[:-1], pts[1:])):
+        inside = marked_arr[(marked_arr > y0) & (marked_arr < y1)]
+        if inside.size:
+            sample[i], sides[i] = inside[0], "precise"
+    return sample, sides
+
+
+@settings(max_examples=50, deadline=None)
+@given(vals=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60), k=st.integers(1, 59))
+def test_block_oscillation_matches_the_per_block_loop(vals, k):
+    vals = np.array(vals)
+    k = min(k, vals.size - 1)
+    assert repr(pwconst._osc_upper(vals, k)) == repr(_reference_osc_upper(vals, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 48),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    prefix=st.integers(0, 6),
+)
+@example(seed=4, n=30, picks=[0, 1, 7, 100], prefix=2)  # a Cantor summand
+def test_array_mesh_matches_the_per_node_loops(seed, n, picks, prefix):
+    """The array-built mesh, the searchsorted cell samples and the reduceat
+    oscillation give bit for bit the partition, cell values and node values
+    of the per-node, per-cell and per-block loops.  The marked points sit
+    exactly on nodes of the mesh built without them, so that those nodes
+    are nudged off them."""
+    rng = np.random.default_rng(seed)
+    u = cases._random_bv(rng, 0.0, 1.0, cantor_support=(0.0, 1.0) if seed % 4 == 0 else None)
+    eps = 3.0 / n
+    mesh = sorted(set(approximate_scalar(u, eps).partition[1:-1]) - set(u.jump_set()))
+    assume(mesh)
+    marked = sorted({mesh[p % len(mesh)] for p in picks})
+    exc = ExceptionalSet(tuple(marked), prefix_len=min(prefix, len(marked)))
+    shifts = []
+    with pytest.MonkeyPatch.context() as mp:
+        shift_off = pwconst._shift_off
+        mp.setattr(pwconst, "_shift_off", lambda *a: shifts.append(a) or shift_off(*a))
+        new = approximate_scalar(u, eps, exc)
+    assert shifts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pwconst, "_osc_upper", _reference_osc_upper)
+        mp.setattr(pwconst, "_refine", _reference_refine)
+        mp.setattr(pwconst, "_cell_samples", _reference_cell_samples)
+        old = approximate_scalar(u, eps, exc)
+    assert repr(new.partition) == repr(old.partition)
+    assert repr(new.values) == repr(old.values)
+    assert repr(new.node_values) == repr(old.node_values)
+    assert not set(new.partition) & set(marked)

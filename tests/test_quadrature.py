@@ -217,13 +217,15 @@ COMPONENTS = {
 
 def _alone(fs, windows, tol):
     """Per component, the repr of integrating it alone on its group's
-    window, or the error that raises."""
+    window to its window's tol (``tol``: one, or one per window), or the
+    error that raises."""
     per = len(fs) // len(windows)
+    tols = tol if np.ndim(tol) else [tol] * len(windows)
     out = []
     for c, f in enumerate(fs):
         lo, hi, points, supports = windows[c // per]
         try:
-            out.append(repr(integrate_interval(f, lo, hi, tol, points, supports)))
+            out.append(repr(integrate_interval(f, lo, hi, tols[c // per], points, supports)))
         except QuadratureError as err:
             out.append(err)
     return out
@@ -241,13 +243,18 @@ def _assert_stacked_as_alone(fs, windows, tol, alone):
         assert [repr(v) for v in integrate_interval(stacked, lo, hi, tol, points, supports)] == alone
 
 
+TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
+
+
 @st.composite
 def stacks(draw):
-    """1 to 3 windows with 1 or 2 components each, and a tolerance."""
+    """1 to 3 windows with 1 or 2 components each, and a tolerance: one,
+    or one per window."""
     windows = [layout[:4] for layout in draw(st.lists(layouts(), min_size=1, max_size=3))]
     n = draw(st.integers(1, 2)) * len(windows)
     names = draw(st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=n, max_size=n))
-    return windows, names, draw(st.sampled_from((1e-6, 1e-8, 1e-10, 1e-12)))
+    per_window = st.lists(st.sampled_from(TOLS), min_size=len(windows), max_size=len(windows))
+    return windows, names, draw(st.one_of(st.sampled_from(TOLS), per_window))
 
 
 @settings(max_examples=25, deadline=None)
@@ -265,11 +272,22 @@ def stacks(draw):
     [(-0.1, 1.0, (), ()), (0.2, 1.2, (0.5,), ((0.0, 0.4), (0.5, 1.0)))],
     ["wiggle", "step", "cubic", "step"], 1e-12,
 ))
+# one window twice, to two tols: its step passes at 1e-6 and fails at 1e-12
+@example((
+    [(-0.1, 1.0, (), ()), (-0.1, 1.0, (), ())],
+    ["step", "wiggle", "step", "cubic"], [1e-6, 1e-12],
+))
+# three windows, each to its own tol
+@example((
+    [(0.0, 1.0, (), ()), (0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.0, 0.7, (0.5,), ((0.2, 0.65),))],
+    ["wiggle", "sqrt", "wiggle"], [1e-6, 1e-10, 1e-12],
+))
 def test_stacked_components_integrate_as_if_alone(stack):
-    """Each component of a stacked integrand keeps its own layout, passing
-    cells and refinement: its integral has the bits of integrating it
-    alone, and of the components that fail alone the first one's error is
-    raised.  The components split into equal consecutive groups, one per
+    """Each component of a stacked integrand keeps its own layout, tol,
+    passing cells and refinement: its integral has the bits of integrating
+    it alone, and of the components that fail alone the first one's error,
+    which names its tol, is raised.  The components split into equal
+    consecutive groups, one per window, and a tol may be given per
     window."""
     windows, names, tol = stack
     fs = [COMPONENTS[n] for n in names]
