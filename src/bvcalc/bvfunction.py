@@ -158,9 +158,6 @@ class BVFunction:
         """One-sided / representative evaluation at a single point."""
         return float(self.at(np.array([float(x)]), side)[0])
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def values(self, xs):
         """Vectorized a.e. evaluation: right-continuous at jump points, with
         no domain check; on the interior it equals ``at(xs, "right")``."""
@@ -205,8 +202,6 @@ class BVFunction:
         return tuple((b, merged[b]) for b in order if merged[b] != 0.0)
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = BVFunction.constant(self.domain.a, self.domain.b, other)
         if (other.domain.a, other.domain.b) != (self.domain.a, self.domain.b):
             raise DomainError("BV functions on different domains")
         return BVFunction(
@@ -214,24 +209,6 @@ class BVFunction:
             self.smooth_part + other.smooth_part,
             self._merge_cantor(other.cantor_part),
         )
-
-    __radd__ = __add__
-
-    def scale(self, k):
-        k = float(k)
-        return BVFunction(
-            self.domain,
-            self.smooth_part.scale(k),
-            tuple((b, k * c) for b, c in self.cantor_part),
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        return self + other.scale(-1.0)
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     # -- mollification ------------------------------------------------------
     def mollify(self, eps, x, tol=1e-10):
@@ -278,10 +255,6 @@ class BVVector:
     def domain(self):
         return self.components[0].domain
 
-    @property
-    def dim(self):
-        return len(self.components)
-
     def jump_set(self):
         pts = set()
         for u in self.components:
@@ -310,11 +283,6 @@ class BVVector:
 
     def right(self, x):
         return np.array([u.eval(x, "right") for u in self.components])
-
-    def total_variation(self):
-        """Vector TV: integral of the euclidean norm is bounded by the sum;
-        this returns the (exactly computable) sum of component TVs."""
-        return float(sum(u.total_variation() for u in self.components))
 
 
 @dataclass(frozen=True)

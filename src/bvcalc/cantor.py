@@ -88,19 +88,15 @@ def _dyadic_scan(ts, live, out):
 
 def cantor_function_eval(x):
     """Exact value of the Cantor-Lebesgue function at ``x`` in [0, 1]; a
-    float or Fraction gives a float, an array gives an array.
+    float gives a float, an array gives an array.
 
     The ternary digits of each point are scanned exactly (the float is the
     dyadic rational it represents): digits 0/2 are emitted as binary 0/1
     until the first digit 1, which appends a final binary 1.  Output is
     exact whenever it is a representable dyadic rational.  Zero and points
-    of [2^-72, 1[ are scanned in uint64, points of ]0, 2^-72[ (and
-    Fractions) in :class:`fractions.Fraction`.
+    of [2^-72, 1[ are scanned in uint64, points of ]0, 2^-72[ in
+    :class:`fractions.Fraction`.
     """
-    if isinstance(x, Fraction):
-        if x < 0 or x > 1:
-            raise DomainError(f"cantor function argument {x!r} outside [0, 1]")
-        return 1.0 if x == 1 else _fraction_scan(x)
     ts = np.asarray(x, dtype=float)
     bad = ~((ts >= 0.0) & (ts <= 1.0))
     if bad.any():

@@ -44,9 +44,7 @@ def monomial(powers, coeff=1.0, label=""):
             g[i] = term
         return g
 
-    return SmoothFunction(
-        value, grad, None, label or "w^" + "".join(map(str, powers))
-    )
+    return SmoothFunction(value, grad, label or "w^" + "".join(map(str, powers)))
 
 
 def monomial_sum(terms, label=""):
@@ -59,7 +57,7 @@ def monomial_sum(terms, label=""):
     def grad(w):
         return sum(np.asarray(p.grad(w)) for p in parts)
 
-    return SmoothFunction(value, grad, None, label or "+".join(p.label for p in parts))
+    return SmoothFunction(value, grad, label or "+".join(p.label for p in parts))
 
 
 def _random_state_function(rng, d):

@@ -75,14 +75,11 @@ class SmoothFunction:
     """C^1 function of the state vector with closed-form gradient.
 
     ``value`` maps an array of shape (d,) or (d, N) to a scalar / (N,);
-    ``grad`` maps the same inputs to (d,) / (d, N).  ``lip`` optionally
-    supplies an explicit Lipschitz bound over a box (callable of the two
-    corner vectors); without it a dense-grid gradient bound with a safety
-    margin is used."""
+    ``grad`` maps the same inputs to (d,) / (d, N).  Lipschitz bounds over
+    a box come from a dense-grid gradient bound with a safety margin."""
 
     value: object
     grad: object
-    lip: object = None
     label: str = field(default="", compare=False)
 
     def __call__(self, w):
@@ -93,8 +90,6 @@ class SmoothFunction:
 
     def lipschitz_bound(self, lo, hi):
         """Upper bound for |grad f| over the box [lo_i, hi_i]."""
-        if self.lip is not None:
-            return float(self.lip(np.atleast_1d(lo), np.atleast_1d(hi)))
         pts = _box_grid(lo, hi, 33)
         g = self.gradient(pts)
         norms = np.sqrt(np.sum(np.asarray(g) ** 2, axis=0))
@@ -118,8 +113,7 @@ class SmoothFunction:
     # -- common factories ---------------------------------------------------
     @staticmethod
     def poly1d(coeffs, label=""):
-        """Univariate polynomial of w[0], with a dense-sampled derivative
-        bound as the Lipschitz constant (d = 1)."""
+        """Univariate polynomial of w[0] (d = 1)."""
         c = np.asarray(coeffs, dtype=float)
         dc = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
 
@@ -130,12 +124,7 @@ class SmoothFunction:
             w0 = np.asarray(w, dtype=float)[0]
             return np.polynomial.polynomial.polyval(w0, dc)[None, ...]
 
-        def lip(lo, hi):
-            ts = np.linspace(lo[0], hi[0], 257)
-            vals = np.abs(np.polynomial.polynomial.polyval(ts, dc))
-            return float(vals.max()) * _GRID_LIP_MARGIN
-
-        return SmoothFunction(value, grad, lip, label or "poly")
+        return SmoothFunction(value, grad, label or "poly")
 
 
 @dataclass(frozen=True)

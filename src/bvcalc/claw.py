@@ -572,8 +572,8 @@ def _snapped_edges(flux, cells):
         j = int(np.argmin(np.abs(edges - p)))
         j = min(max(j, 1), cells - 1)
         edges[j] = p
-    if np.any(np.diff(edges) <= 0):
-        raise DomainError("grid snapping collapsed a cell; use more cells")
+    if not set(flux.jump_points()) <= set(edges.tolist()):
+        raise DomainError("two flux jumps share their nearest grid edge; use more cells")
     return edges
 
 
@@ -629,10 +629,9 @@ def solve_claw(flux, u0, T, cells, cfl=0.45):
         raise DomainError("need at least 4 cells")
     edges = _snapped_edges(flux, cells)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    if isinstance(u0, BVFunction):
-        u = u0.values(centers)
-    else:
-        u = np.asarray([float(u0(float(x))) for x in centers])
+    if not isinstance(u0, BVFunction):
+        raise DomainError("the initial datum must be a BVFunction")
+    u = u0.values(centers)
     if u.min() < flux.w_lo - 1e-12 or u.max() > flux.w_hi + 1e-12:
         raise RangeError("initial data leaves the working range")
     speed = flux.speed_bound()

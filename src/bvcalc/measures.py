@@ -45,12 +45,10 @@ class Interval:
     def length(self):
         return self.b - self.a
 
-    def contains(self, x, strict=True):
-        return (self.a < x < self.b) if strict else (self.a <= x <= self.b)
+    def contains(self, x):
+        return self.a < x < self.b
 
-    def contains_interval(self, other, strict=False):
-        if strict:
-            return self.a < other.a and other.b < self.b
+    def contains_interval(self, other):
         return self.a <= other.a and other.b <= self.b
 
 
@@ -198,12 +196,6 @@ class PiecewisePolynomial:
         out = self.at(np.atleast_1d(xs))
         return float(out[0]) if xs.ndim == 0 else out
 
-    def right_limit(self, x):
-        return float(self.at(np.array([float(x)]), "right")[0])
-
-    def left_limit(self, x):
-        return float(self.at(np.array([float(x)]), "left")[0])
-
     # -- calculus -----------------------------------------------------------
     def derivative(self):
         return PiecewisePolynomial(
@@ -292,9 +284,6 @@ class PiecewisePolynomial:
                 for i in range(n)
             )
         return self._binary(other, add)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
 
     def multiply(self, other):
         return self._binary(other, lambda c1, c2: tuple(np.convolve(c1, c2)))
@@ -525,12 +514,6 @@ class RadonMeasure:
                 ModulatedDensity(m.factor.scale(k), m.base) for m in self.ac_modulated
             ),
         )
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
 
     def total_mass(self):
         return integrate_measure(lambda xs: np.ones_like(np.asarray(xs, float)), self)

@@ -43,31 +43,33 @@ class PiecewiseConstant:
             raise DomainError("need one value per interior node")
         for name in ("partition", "values", "node_values"):
             object.__setattr__(self, name, tuple(np.asarray(getattr(self, name), dtype=float).tolist()))
+        object.__setattr__(self, "_pts", np.array(self.partition))
+        object.__setattr__(self, "_cells", np.array(self.values))
+        object.__setattr__(self, "_nodes", np.array(self.node_values))
 
     def __call__(self, x):
         return float(self.eval_array(np.atleast_1d(float(x)))[0])
 
     def eval_array(self, xs):
         xs = np.asarray(xs, dtype=float)
-        pts = np.asarray(self.partition)
-        idx = np.clip(np.searchsorted(pts, xs, side="right") - 1, 0, len(self.values) - 1)
-        out = np.asarray(self.values)[idx].copy()
+        idx = np.clip(np.searchsorted(self._pts, xs, side="right") - 1, 0, len(self.values) - 1)
+        out = self._cells[idx]
         # exact hits on interior nodes carry their stored values
-        nodes = pts[1:-1]
+        nodes = self._pts[1:-1]
         if nodes.size:
             pos = np.searchsorted(nodes, xs)
             sel = np.minimum(pos, nodes.size - 1)
             exact = (pos < nodes.size) & (xs == nodes[sel])
-            out[exact] = np.asarray(self.node_values)[pos[exact]]
+            out[exact] = self._nodes[pos[exact]]
         return out
 
     def left_limit(self, x):
-        i = int(np.searchsorted(self.partition, float(x), side="left")) - 1
+        i = int(np.searchsorted(self._pts, float(x), side="left")) - 1
         i = min(max(i, 0), len(self.values) - 1)
         return self.values[i]
 
     def right_limit(self, x):
-        i = int(np.searchsorted(self.partition, float(x), side="right")) - 1
+        i = int(np.searchsorted(self._pts, float(x), side="right")) - 1
         i = min(max(i, 0), len(self.values) - 1)
         return self.values[i]
 
@@ -82,7 +84,7 @@ class PiecewiseConstant:
     def total_variation(self):
         """Pointwise variation, node values included, summed node by node
         in order (``cumsum`` adds one term at a time)."""
-        cells, nodes = np.asarray(self.values), np.asarray(self.node_values)
+        cells, nodes = self._cells, self._nodes
         steps = np.abs(nodes - cells[:-1]) + np.abs(cells[1:] - nodes)
         return float(np.cumsum(steps)[-1]) if steps.size else 0.0
 
@@ -269,7 +271,8 @@ def approximate_scalar(v, eps, exc=None):
         if y1 in bigset:
             q = max(inside)
             extra.append(_shift_off(0.5 * (q + y1), forbidden, y1 - q, tol))
-        nodes = sorted(set(nodes) | set(extra))
+        if extra:
+            nodes = sorted(set(nodes) | set(extra))
 
     # cell values by the three-case rule, node values by the representative
     pts = np.asarray(nodes, dtype=float)

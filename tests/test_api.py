@@ -1,8 +1,11 @@
 """The package's public API: ``__all__`` lists exactly what ``__init__``
-imports, the Cantor-measure integrals have one owner, and every monotone
-inversion shares one bisection."""
+imports, the Cantor-measure integrals have one owner, every monotone
+inversion shares one bisection, and the operators and knobs that nothing
+reached stay deleted."""
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -133,3 +136,29 @@ def test_one_chain_rule_surface():
         ("_assemble",),
         ("_window_pairing",),
     ]
+
+
+def _defined(cls):
+    """Names a class defines itself, not through ``object``."""
+    return set().union(*(vars(c) for c in cls.__mro__ if c is not object))
+
+
+def test_no_unreached_operators_or_knobs():
+    """The operators, scalar-input twins and one-valued knobs that nothing
+    reached are gone: the array path is the one way in."""
+    gone = {
+        bvcalc.BVFunction: {"__call__", "scale", "__sub__", "__neg__", "__radd__"},
+        bvcalc.BVVector: {"dim", "total_variation"},
+        bvcalc.PiecewisePolynomial: {"right_limit", "left_limit", "__sub__"},
+        bvcalc.RadonMeasure: {"__neg__", "__sub__"},
+    }
+    for cls, names in gone.items():
+        assert not names & _defined(cls), cls.__name__
+    assert "lip" not in {f.name for f in dataclasses.fields(bvcalc.SmoothFunction)}
+    assert list(inspect.signature(bvcalc.Interval.contains).parameters) == ["self", "x"]
+    assert list(inspect.signature(bvcalc.Interval.contains_interval).parameters) == [
+        "self", "other",
+    ]
+    assert "isinstance" not in inspect.getsource(bvcalc.cantor_function_eval)
+    assert "isinstance(other" not in inspect.getsource(bvcalc.BVFunction.__add__)
+    assert "u0(" not in inspect.getsource(bvcalc.solve_claw)

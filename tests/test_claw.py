@@ -357,6 +357,29 @@ def test_snapped_grid_contains_flux_jump():
     assert np.all(np.diff(field.edges) > 0)
 
 
+def test_flux_jumps_sharing_a_grid_edge_are_rejected():
+    """Jumps at 0.3 and 0.32 both snap to the edge 0.25 of a 4-cell grid:
+    the second would overwrite the first and leave a jump inside a cell."""
+    K = (
+        BVFunction.constant(0.0, 1.0, 1.0)
+        + BVFunction.heaviside(0.0, 1.0, 0.3, 0.0, 0.5)
+        + BVFunction.heaviside(0.0, 1.0, 0.32, 0.0, 0.5)
+    )
+    flux = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    u0 = BVFunction.constant(0.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="use more cells"):
+        solve_claw(flux, u0, 0.1, 4)
+    with pytest.raises(DomainError, match="use more cells"):
+        ClawField.from_function(flux, lambda xs, t: np.ones_like(xs), 0.1, 4, 2)
+    edges = solve_claw(flux, u0, 0.1, 50).edges.tolist()
+    assert {0.3, 0.32} <= set(edges)
+
+
+def test_solver_takes_a_bv_initial_datum_only():
+    with pytest.raises(DomainError, match="BVFunction"):
+        solve_claw(step_flux(), lambda x: 1.0, 0.1, 50)
+
+
 def test_mass_defects_at_round_off():
     flux = burgers_flux()
     u0 = BVFunction.from_poly(-1.0, 2.0, (1.5,))

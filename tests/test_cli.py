@@ -243,6 +243,18 @@ def test_readme_scenario_example_parses(tmp_path):
     assert parse_scenario(write_ini(tmp_path, example)).kind == "entropy-check"
 
 
+def test_library_error_exits_2_before_any_output(tmp_path, capsys):
+    """Two flux jumps that snap to one edge of a 4-cell grid: the solver's
+    DomainError reaches the command line as exit 2, with no report."""
+    body = TINY_CLAW.replace("jump 0.5 1", "jump 0.3 0.5 + jump 0.32 0.5")
+    body = body.replace("cells = 24", "cells = 4")
+    path = write_ini(tmp_path, body)
+    rc = main(["run", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("bvcalc: DomainError:")
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 def test_missing_file_is_a_scenario_error(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.ini")])
     assert rc == 2

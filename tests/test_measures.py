@@ -53,8 +53,8 @@ def test_piecewise_polynomial_integral_against_quad():
 
 def test_one_sided_limits_at_interior_node():
     pp = PiecewisePolynomial((0.0, 0.5, 1.0), ((1.0,), (3.0,)))
-    assert pp.left_limit(0.5) == 1.0
-    assert pp.right_limit(0.5) == 3.0
+    assert pp.at([0.5], "left")[0] == 1.0
+    assert pp.at([0.5], "right")[0] == 3.0
     assert pp(np.array([0.5]))[0] == 3.0  # array evaluation is right-continuous
 
 
