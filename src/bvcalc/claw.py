@@ -9,8 +9,11 @@ entropy/flux pairs built on it (entropy and flux both sided), their
 piecewise-affine approximations with certified nonnegative kink
 coefficients, a conservative first-order finite-volume solver whose
 interface flux enforces the jump pairing at flux discontinuities, and a
-measure-form entropy-residual checker evaluated slice by slice with the
-chain-rule machinery.
+measure-form entropy-residual checker.  The checker stacks blocks of time
+slices: one test-function call per grid with a column of times, one level
+inversion per grid and side, and one entropy call over the stacked states;
+only per-cell pairings against a diffuse or Cantor x-part of the entropy
+flux run slice by slice, with the chain-rule machinery.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ _GL_NODES, _GL_WEIGHTS = np.concatenate((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _G
 # constancy cell.
 _LEVEL_CACHE_SIZE = 16
 _AFFINE_CACHE_SIZE = 1024
+# test values at the Gauss nodes per block of entropy-residual slices: bounds
+# the stacked temporaries
+_BLOCK_VALUES = 1 << 14
 
 
 def _star_sign(d, scale=1.0):
@@ -150,6 +156,24 @@ class ScalarFlux:
         return float(np.abs(gw).max())
 
 
+def _range_gaps(flux, ks, alpha):
+    """B - alpha at the low and at the high end of the working range, from
+    K at the points: the level is attained where the two share no strict
+    sign."""
+    shape = (1,) + alpha.shape
+    return tuple(
+        flux.model.combine(ks, np.full(shape, float(w))) - alpha for w in (flux.w_lo, flux.w_hi)
+    )
+
+
+def _require_attained(xs, alpha, side, attained):
+    """RangeError naming the first point of ``xs`` whose level is not attained."""
+    if not attained.all():
+        i = int(np.argmin(attained))
+        x, level = xs[i], np.broadcast_to(alpha, xs.shape)[i]
+        raise RangeError(f"level {level} not attained by the flux at x={x} ({side or 'a.e.'})")
+
+
 def _invert(flux, xs, alpha, side):
     """Level inversion at each point of ``xs`` on ``side`` (None: the a.e.
     values), for one level or one per point: (states, attained mask).
@@ -163,7 +187,7 @@ def _invert(flux, xs, alpha, side):
     # only the state changes between bisection passes: K is evaluated once
     model = flux.model
     ks = model.coefficients(xs, side)
-    flo, fhi = (model.combine(ks, w[None, :]) - alpha for w in (lo, hi))
+    flo, fhi = _range_gaps(flux, ks, alpha)
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     attained = ~(flo * fhi > 0)
     live = np.flatnonzero(attained & (flo != 0.0) & (fhi != 0.0))
@@ -183,10 +207,7 @@ def c_alpha_values(flux, xs, alpha, side=None):
     where the level is not attained on the working range."""
     xs = np.asarray(xs, dtype=float)
     out, attained = _invert(flux, xs, alpha, side)
-    if not attained.all():
-        i = int(np.argmin(attained))
-        x, level = xs[i], np.broadcast_to(alpha, xs.shape)[i]
-        raise RangeError(f"level {level} not attained by the flux at x={x} ({side or 'a.e.'})")
+    _require_attained(xs, alpha, side, attained)
     return out
 
 
@@ -201,7 +222,9 @@ class EntropyFluxPair:
 
     ``eta_fn(xs, us, side)`` and ``q_fn(xs, us, side)`` are vectorized and
     one-sided in x (side None: the a.e. values for eta); ``eta_u_fn(xs,
-    us)`` is the vectorized a.e. state derivative.
+    us)`` is the vectorized a.e. state derivative.  eta_fn and q_fn take
+    ``xs`` of shape (m,) and ``us`` of shape (..., m): the points broadcast
+    against any stack of states, such as one row per time level.
     ``q_diffuse`` describes the diffuse part of the x-derivative of
     x -> q(x, u) at frozen state: None means it vanishes inside
     flux-smooth cells (piecewise-constant coefficients), the string
@@ -304,7 +327,11 @@ def adapted_entropy_pair(flux, alpha):
     this holds on every jump-condition pair."""
     dom = flux.domain
     probe = _off_points(np.linspace(dom.a, dom.b, 17)[1:-1], flux.jump_points())
-    c_alpha_values(flux, probe, alpha, "precise")  # fail early when not attained
+    # fail early when not attained: the range ends decide it, no bisection
+    flo, fhi = _range_gaps(
+        flux, flux.model.coefficients(probe, "precise"), np.full(probe.shape, float(alpha))
+    )
+    _require_attained(probe, alpha, "precise", ~(flo * fhi > 0))
 
     @functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
     def levels(key, side):
@@ -330,8 +357,9 @@ def adapted_entropy_pair(flux, alpha):
     def q_fn(xs, us, side):
         c = c_on(xs, side)
         s = _star_sign(us - c, scale=np.maximum(np.abs(us), np.abs(c)))
-        ks = [k.reshape(xs.shape) for k in coefficients(xs.tobytes(), side)]
-        return (flux.model.combine(ks, us[None, :]) - alpha) * s
+        # combine sizes its sum by K: K is shaped to the stack of states here
+        ks = [np.broadcast_to(k, us.shape) for k in coefficients(xs.tobytes(), side)]
+        return (flux.model.combine(ks, us[None]) - alpha) * s
 
     def q_density(xs, v):
         """a.e. density of the diffuse x-derivative of q(., v): the sign
@@ -480,7 +508,8 @@ def affine_pair(flux, base_pair, N):
 
     def eta_fn(xs, us, side):
         xs, us = np.broadcast_arrays(xs, us)
-        return np.array([float(at(x, side or "precise").eta(u)) for x, u in zip(xs, us)])
+        vals = [float(at(x, side or "precise").eta(u)) for x, u in zip(xs.ravel(), us.ravel())]
+        return np.reshape(vals, us.shape)
 
     def eta_u_fn(xs, us):
         xs = np.asarray(xs, dtype=float)
@@ -488,7 +517,9 @@ def affine_pair(flux, base_pair, N):
         return np.array([float(at(x, "precise").eta_u(u)) for x, u in zip(xs, us)])
 
     def q_fn(xs, us, side):
-        return np.array([at(x, side).q(u) for x, u in zip(xs.tolist(), us.tolist())])
+        xs, us = np.broadcast_arrays(xs, us)
+        vals = [at(x, side).q(u) for x, u in zip(xs.ravel().tolist(), us.ravel().tolist())]
+        return np.reshape(vals, us.shape)
 
     return EntropyFluxPair(
         flux, eta_fn, eta_u_fn, q_fn,
@@ -661,21 +692,23 @@ def solve_claw(flux, u0, T, cells, cfl=0.45):
 
 @dataclass(frozen=True)
 class SpaceTimeTest:
-    """Nonnegative test function on a space-time box, vectorized in x."""
+    """Nonnegative test function on a space-time box, vectorized in x.
+
+    ``t`` is one time or an array of times (say a column) that broadcasts
+    against ``xs``; ``fn`` gets it as an array either way."""
 
     x_support: tuple
     t_support: tuple
-    fn: object  # (xs, t) -> values
+    fn: object  # (xs, t) -> values, t a scalar or an array
     label: str = field(default="", compare=False)
 
     def __call__(self, xs, t):
         xs = np.asarray(xs, dtype=float)
         x0, x1 = self.x_support
         t0, t1 = self.t_support
-        if not t0 < t < t1:
-            return np.zeros_like(xs)
+        t = np.asarray(t, dtype=float)
         out = np.asarray(self.fn(xs, t), dtype=float)
-        return np.where((xs > x0) & (xs < x1), out, 0.0)
+        return np.where((xs > x0) & (xs < x1) & (t > t0) & (t < t1), out, 0.0)
 
     @staticmethod
     def bump(x_support, t_support, amplitude=1.0, label=""):
@@ -683,31 +716,45 @@ class SpaceTimeTest:
         x0, x1 = x_support
         t0, t1 = t_support
 
+        def t_factor(t):
+            st = (2.0 * (t - t0) / (t1 - t0)) - 1.0
+            return max(0.0, 1.0 - st * st) ** 2
+
         def fn(xs, t):
             sx = (2.0 * (np.asarray(xs, dtype=float) - x0) / (x1 - x0)) - 1.0
-            st = (2.0 * (t - t0) / (t1 - t0)) - 1.0
             gx = np.clip(1.0 - sx * sx, 0.0, None) ** 2
-            gt = max(0.0, 1.0 - st * st) ** 2
+            # one scalar power per time: numpy's array square can differ
+            # from it in the last bit
+            gt = np.reshape([t_factor(s) for s in np.ravel(t)], np.shape(t))
             return amplitude * gx * gt
 
         return SpaceTimeTest((x0, x1), (t0, t1), fn, label or "bump")
 
 
-def _slice_q_pairing(pair, edges, vals, phi_x, tol=1e-7):
+def _bracket_sums(pair, xs, left, right, pvs):
+    """Per slice of a stack, the interface brackets of the sided entropy
+    flux against the test values ``pvs`` (slices, faces) at the faces
+    ``xs``, with ``left``/``right`` the cell states on either side: the sum
+    of pv * (q(x+, right) - q(x-, left)) over the faces where pv != 0, in
+    face order.  Two ``q_values`` calls serve the whole stack."""
+    q_jump = pair.q_values(xs, right, "right") - pair.q_values(xs, left, "left")
+    sums = []
+    for terms, keep in zip(pvs * q_jump, pvs != 0.0):
+        total = 0.0
+        for term in terms[keep].tolist():
+            total += term
+        sums.append(total)
+    return sums
+
+
+def _slice_q_pairing(pair, edges, vals, phi_x, brackets, tol=1e-7):
     """Pairing of a spatial test slice against d(q(., u))_x for one
-    piecewise-constant state slice: interface brackets of the sided
-    entropy-flux values plus, per cell, the diffuse and Cantor pairings of
+    piecewise-constant state slice: the interface brackets of the sided
+    entropy-flux values (``brackets``, the slice's ``_bracket_sums``) plus,
+    per cell, the diffuse and Cantor pairings of
     ``chainrule._window_pairing``, cut at the level crossings where the
     entropy flux's sign jumps."""
-    total = 0.0
-    edges, vals = np.asarray(edges, dtype=float), np.asarray(vals, dtype=float)
-    inner = edges[1:-1]
-    pvs = phi_x(inner)
-    live = pvs != 0.0
-    q_right = pair.q_values(inner[live], vals[1:][live], "right")
-    q_left = pair.q_values(inner[live], vals[:-1][live], "left")
-    for pv, qr, ql in zip(pvs[live].tolist(), q_right.tolist(), q_left.tolist()):
-        total += pv * (qr - ql)
+    total = brackets
     if pair.q_diffuse is None:
         return total
     if pair.q_diffuse == "unsupported":
@@ -741,33 +788,52 @@ def entropy_residual(field, pair, phi, tol=1e-7):
     the entropy against mid-step test values, plus the per-slice pairing
     against the x-derivative of the composed entropy flux, weighted by the
     step length.  Nonpositive up to discretization for entropic fields;
-    strictly positive on entropy-violating shocks."""
+    strictly positive on entropy-violating shocks.
+
+    The slices are taken in blocks of at most _BLOCK_VALUES test values at
+    the Gauss nodes.  Per block, phi is evaluated once on the centers, the
+    edges and the nodes with a column of slice midpoints; eta is taken once
+    on the live nodes, over every state level of the block, and the face
+    brackets come from one ``q_values`` call per side on the live faces, so
+    an adapted pair inverts its levels once per grid and side.  So
+    ``pair``'s eta_fn and q_fn get points of shape (m,) with states of shape
+    (levels, m), and ``phi`` gets a (slices, 1) column of times.  The totals
+    are added in slice order: the Gauss rows of the live cells, then the
+    step length times the bracket sum plus any per-cell window pairings."""
     edges = field.edges
     centers = field.centers
-    # per-cell Gauss panels, one row each, frozen once (the level inversions
-    # behind the entropy handles are cached on the live rows)
+    inner = edges[1:-1]
+    # per-cell Gauss panels, one row each
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * _GL_NODES
     weights = half[:, None] * _GL_WEIGHTS
+    times, states = field.times, field.states
+    t_mids = 0.5 * (times[:-1] + times[1:])
+    dts = (times[1:] - times[:-1]).tolist()
+    block = max(1, _BLOCK_VALUES // nodes.size)
     total = 0.0
-    for n in range(len(field.times) - 1):
-        t_mid = 0.5 * (field.times[n] + field.times[n + 1])
-
-        def phi_x(xs, t_mid=t_mid):
-            return phi(xs, t_mid)
-
-        if not phi_x(centers).any() and not phi_x(edges).any():
+    for start in range(0, len(t_mids), block):
+        ts = t_mids[start:start + block, None]
+        pe = phi(edges, ts)
+        used = np.flatnonzero(phi(centers, ts).any(axis=1) | pe.any(axis=1))
+        if not used.size:
             continue
-        v0 = field.slice_values(n)
-        v1 = field.slice_values(n + 1)
-        pv = phi_x(nodes)
-        live = pv.any(axis=1)
-        xs = nodes[live].ravel()
-        e1 = pair.eta(xs, np.repeat(v1[live], nodes.shape[1]))
-        e0 = pair.eta(xs, np.repeat(v0[live], nodes.shape[1]))
-        rows = pv[live] * (e1 - e0).reshape(-1, nodes.shape[1])
-        for wts, row in zip(weights[live], rows):
-            total += float(np.dot(wts, row))
-        dt = float(field.times[n + 1] - field.times[n])
-        total += dt * _slice_q_pairing(pair, edges, v0, phi_x, tol=tol)
+        ts, pf, steps = ts[used], pe[used, 1:-1], start + used
+        pv = phi(nodes.ravel(), ts).reshape((len(used),) + nodes.shape)
+        rows = pv.any(axis=2)
+        live, faces = rows.any(axis=0), (pf != 0.0).any(axis=0)
+        xs, fx = nodes[live].ravel(), inner[faces]
+        # eta on each state level the block reaches, once
+        first = steps[0]
+        eta = pair.eta(xs, np.repeat(states[first:steps[-1] + 2, live], nodes.shape[1], axis=1))
+        k = steps - first
+        prods = pv[:, live] * (eta[k + 1] - eta[k]).reshape(len(used), -1, nodes.shape[1])
+        dots = np.matmul(prods[:, :, None, :], weights[live][:, :, None])[:, :, 0, 0]
+        v0 = states[steps]
+        brackets = _bracket_sums(pair, fx, v0[:, :-1][:, faces], v0[:, 1:][:, faces], pf[:, faces])
+        for j, n in enumerate(steps.tolist()):
+            for d in dots[j][rows[j, live]].tolist():
+                total += d
+            phi_x = functools.partial(phi, t=ts[j, 0])
+            total += dts[n] * _slice_q_pairing(pair, edges, v0[j], phi_x, brackets[j], tol)
     return float(total)

@@ -496,6 +496,10 @@ def _claw_solve(sc):
         )
     except RangeError as exc:
         _fail("[u] initial", f"{exc} ([claw] range = {w_lo:g} {w_hi:g})")
+    except DomainError as exc:
+        # past the parsed checks (time > 0, cells >= 4, a BV datum) the
+        # solver's DomainError is the grid's: flux jumps sharing an edge
+        _fail("[claw] cells", str(exc))
 
 
 def _claw_run_cases(sc, seed, tol, out_dir):

@@ -22,7 +22,7 @@ from bvcalc import (
     is_rankine_hugoniot,
     solve_claw,
 )
-from bvcalc.quadrature import _ROOT_TOL, integrate_interval
+from bvcalc.quadrature import _ROOT_TOL, _bisect, integrate_interval
 
 
 def test_gauss_legendre_12_literals_are_numpys_bits():
@@ -198,6 +198,22 @@ def test_inversion_names_the_first_unattained_point():
         c_alpha_values(flux, xs, 9.0)
     with pytest.raises(RangeError, match=r"level 9.0 .* x=0.5 \(left\)"):
         c_alpha_values(flux, [0.5], 9.0, "left")
+
+
+def test_adapted_pair_probe_needs_no_bisection(monkeypatch):
+    """The fail-early probe reads the level's attainment off the range ends
+    and names the first probe point, as the full inversion did.  Right of
+    the step flux's jump the low end of the range hits 0.2 exactly, which
+    counts as attained."""
+    calls = []
+    monkeypatch.setattr(claw, "_bisect", lambda *a: calls.append(a) or _bisect(*a))
+    adapted_entropy_pair(step_flux(), 1.0)
+    pair = adapted_entropy_pair(step_flux(), 0.2)
+    assert not calls
+    assert pair.eta(np.array([0.75]), np.array([0.1]))[0] == 0.0
+    want = r"^level 50.0 not attained by the flux at x=0.0625 \(precise\)$"
+    with pytest.raises(RangeError, match=want):
+        adapted_entropy_pair(step_flux(), 50.0)
 
 
 def test_jump_condition_predicate():
@@ -568,6 +584,136 @@ def test_expansion_shock_produces_entropy(burgers_fields, alpha):
     assert res > 1e-2
 
 
+def test_space_time_test_takes_a_column_of_times():
+    """A (slices, n) call with a column of times gives the bits of the
+    per-slice scalar calls: times outside the t-support and at its ends
+    included, and enough times that a squared t factor taken by numpy's
+    array square (not the scalar power) would differ somewhere."""
+    phi = SpaceTimeTest.bump((0.1, 0.9), (0.05, 0.35), 1.7)
+    xs = np.array([0.0, 0.1, 0.3, 0.5, 0.9, 1.0])
+    ts = np.concatenate((
+        [-0.1, 0.0, 0.05, 0.35, 0.5], np.random.default_rng(3).uniform(0.05, 0.35, 20_000)
+    ))
+    got = phi(xs, ts[:, None])
+    want = np.array([phi(xs, t) for t in ts])
+    assert got.shape == (len(ts), len(xs))
+    assert got.tobytes() == want.tobytes()
+    assert not got[:4].any() and not got[:, [0, 1, 4, 5]].any()
+
+
+def _one_slice_pairing(pair, edges, vals, phi_x, tol=1e-7):
+    """One state slice's pairing against d(q(., u))_x: its brackets at the
+    faces where the test slice is nonzero, then its per-cell pairings."""
+    inner = edges[1:-1]
+    pvs = phi_x(inner)
+    live = pvs != 0.0
+    brackets = claw._bracket_sums(
+        pair, inner[live], vals[None, :-1][:, live], vals[None, 1:][:, live], pvs[None, live]
+    )[0]
+    return claw._slice_q_pairing(pair, edges, vals, phi_x, brackets, tol)
+
+
+def _slice_by_slice_residual(field, pair, phi, tol=1e-7):
+    """The entropy residual summed one time slice at a time: per slice, the
+    Gauss rows of the live cells by np.dot, then the step length times the
+    slice's q pairing."""
+    edges, centers = field.edges, field.centers
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * claw._GL_NODES
+    weights = half[:, None] * claw._GL_WEIGHTS
+    total = 0.0
+    for n in range(len(field.times) - 1):
+        t_mid = 0.5 * (field.times[n] + field.times[n + 1])
+
+        def phi_x(xs, t=t_mid):
+            return phi(xs, t)
+
+        if not phi_x(centers).any() and not phi_x(edges).any():
+            continue
+        v0, v1 = field.states[n], field.states[n + 1]
+        pv = phi_x(nodes)
+        live = pv.any(axis=1)
+        xs = nodes[live].ravel()
+        e1 = pair.eta(xs, np.repeat(v1[live], 12))
+        e0 = pair.eta(xs, np.repeat(v0[live], 12))
+        for wts, row in zip(weights[live], pv[live] * (e1 - e0).reshape(-1, 12)):
+            total += float(np.dot(wts, row))
+        dt = float(field.times[n + 1] - field.times[n])
+        total += dt * _one_slice_pairing(pair, edges, v0, phi_x, tol=tol)
+    return total
+
+
+@pytest.mark.parametrize("case", ["step", "affine", "smooth"])
+def test_stacked_residual_is_the_slice_by_slice_sum(case, monkeypatch):
+    """Blocks of stacked slices (four slices each here) give the bits of
+    the slice-by-slice sum: for a piecewise-constant flux, its affine pair,
+    and a flux whose K varies in x (per-cell window pairings)."""
+    monkeypatch.setattr(claw, "_BLOCK_VALUES", 12 * 12 * 4)
+    if case == "smooth":
+        K = BVFunction.from_poly(0.0, 1.0, (1.0, 0.5))
+        flux = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.0)
+    else:
+        flux = step_flux()
+    u0 = BVFunction.from_poly(0.0, 1.0, (0.7, 0.4)) + BVFunction.heaviside(0.0, 1.0, 0.35, 0.0, 0.5)
+    field = solve_claw(flux, u0, 0.3, 12)
+    assert len(field.times) - 1 > 8
+    phi = SpaceTimeTest.bump((0.05, 0.8), (0.01, 0.27), 1.3)
+    for alpha in (1.0, 1.4):
+        pair = adapted_entropy_pair(flux, alpha)
+        if case == "affine":
+            pair = affine_pair(flux, pair, 8)
+        got = entropy_residual(field, pair, phi, tol=1e-6)
+        assert got == _slice_by_slice_residual(field, pair, phi, tol=1e-6)
+        assert got != 0.0
+
+
+def test_entropy_residual_makes_one_bisection_per_grid_and_side(monkeypatch):
+    """A piecewise-constant flux: building the pair and its residual over
+    two blocks of slices invert the levels once at the live nodes and once
+    on each side of the live faces."""
+    flux = step_flux()
+    u0 = BVFunction.constant(0.0, 1.0, 0.8) + BVFunction.heaviside(0.0, 1.0, 0.3, 0.0, 0.6)
+    field = solve_claw(flux, u0, 0.3, 40)
+    assert len(field.times) - 1 > claw._BLOCK_VALUES // (40 * 12)
+    phi = SpaceTimeTest.bump((0.1, 0.9), (0.02, 0.28), 1.0)
+    calls = []
+    monkeypatch.setattr(claw, "_bisect", lambda *a: calls.append(a) or _bisect(*a))
+    for alpha in (0.6, 0.9, 1.3):
+        before = len(calls)
+        entropy_residual(field, adapted_entropy_pair(flux, alpha), phi)
+        assert len(calls) - before == 3
+
+
+def test_unattained_level_past_the_probe_raises_from_the_stacked_slices():
+    """K = 30 on (0.2, 0.24), between two probe points, leaves level 1 not
+    attained there.  The test function reaches the face at 0.2 but no node
+    of that cell in the early slices, and the whole cell later.  The
+    slice-by-slice sum meets the face first; a block of stacked slices
+    inverts the union of its live nodes first, so it names the cell's first
+    Gauss node.  Both raise, at a point where the level is not attained."""
+    K = (
+        BVFunction.constant(0.0, 1.0, 1.0)
+        + BVFunction.heaviside(0.0, 1.0, 0.2, 0.0, 29.0)
+        + BVFunction.heaviside(0.0, 1.0, 0.24, 0.0, -29.0)
+    )
+    flux = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    pair = adapted_entropy_pair(flux, 1.0)
+    edges = np.linspace(0.0, 1.0, 26)
+    field = ClawField(flux, edges, np.linspace(0.0, 1.0, 5), np.ones((5, 25)), np.zeros((4, 26)))
+
+    def fn(xs, t):
+        x1 = np.where(t < 0.5, 0.2003, 0.3)  # the cell's first node is at 0.20037
+        sx = 2.0 * (xs - 0.1) / (x1 - 0.1) - 1.0
+        return np.clip(1.0 - sx * sx, 0.0, None) ** 2
+
+    phi = SpaceTimeTest((0.1, 0.3), (0.0, 1.0), fn)
+    assert phi(edges[5], 0.125) > 0.0 and not phi(0.2 + 0.02 * (1 + claw._GL_NODES), 0.125).any()
+    with pytest.raises(RangeError, match=r"level 1.0 not attained by the flux at x=0.2 \(right\)"):
+        _slice_by_slice_residual(field, pair, phi)
+    with pytest.raises(RangeError, match=r"level 1.0 not attained by the flux at x=0.2003\d* \(a.e.\)"):
+        entropy_residual(field, pair, phi)
+
+
 def test_entropy_pair_level_cache_stays_bounded(monkeypatch):
     """1,000 distinct grids: exactly the newest _LEVEL_CACHE_SIZE of them
     are kept, and an older one is inverted again."""
@@ -605,9 +751,9 @@ def test_bracket_levels_are_inverted_once_per_face_grid(monkeypatch):
     edges = np.linspace(0.0, 1.0, 2502)
     vals = np.full(2501, 1.2)
     phi_x = lambda xs: np.ones_like(xs)  # noqa: E731
-    first = claw._slice_q_pairing(pair, edges, vals, phi_x)
+    first = _one_slice_pairing(pair, edges, vals, phi_x)
     assert sorted(calls) == [(2500, "left"), (2500, "right")]
-    assert claw._slice_q_pairing(pair, edges, vals, phi_x) == first
+    assert _one_slice_pairing(pair, edges, vals, phi_x) == first
     assert len(calls) == 2
 
 
@@ -643,7 +789,6 @@ def test_slice_pairing_matches_weak_form():
     from scipy.integrate import quad
 
     from bvcalc import TestFunction
-    from bvcalc.claw import _slice_q_pairing
 
     K1 = BVFunction.from_poly(0.0, 1.0, (0.5, 1.0))
     K2 = BVFunction.heaviside(0.0, 1.0, 0.6, 0.0, 0.8)
@@ -656,7 +801,7 @@ def test_slice_pairing_matches_weak_form():
     edges = np.array([0.0, 0.3, 0.6, 0.85, 1.0])
     vals = np.array([0.4, 1.1, 0.7, 1.6])
     phi = TestFunction.poly_bump((0.05, 0.95), (1.0,))
-    assembled = _slice_q_pairing(pair, edges, vals, phi, tol=1e-10)
+    assembled = _one_slice_pairing(pair, edges, vals, phi, tol=1e-10)
     weak = 0.0
     for (a, b), v in zip(zip(edges[:-1], edges[1:]), vals):
         val, _ = quad(
@@ -762,8 +907,8 @@ def test_slice_pairing_cantor_part_matches_factored_form():
     edges = np.array([0.0, 0.3, 0.5, 0.75, 1.0])
     vals = np.array([0.4, 1.1, 0.7, 1.6])
     phi = TestFunction.poly_bump((0.05, 0.95), (1.0,))
-    brackets = claw._slice_q_pairing(dataclasses.replace(pair, q_diffuse=None), edges, vals, phi)
-    got = claw._slice_q_pairing(pair, edges, vals, phi)
+    brackets = _one_slice_pairing(dataclasses.replace(pair, q_diffuse=None), edges, vals, phi)
+    got = _one_slice_pairing(pair, edges, vals, phi)
     assert abs(got - brackets) > 1e-2
     assert got == pytest.approx(_slice_weak_form(pair, 1.0, edges, vals, phi), abs=1e-9)
 
@@ -779,7 +924,7 @@ def test_one_cell_slice_pairing_cuts_the_cantor_part_at_the_level_crossing(alpha
     edges, vals = np.array([0.0, 1.0]), np.array([v])
     phi = TestFunction.poly_bump((0.05, 0.95), (1.0,))
     assert len(pair.q_diffuse[2](v, 0.2, 0.8)) == 1
-    got = claw._slice_q_pairing(pair, edges, vals, phi, tol=1e-10)
+    got = _one_slice_pairing(pair, edges, vals, phi, tol=1e-10)
     assert got == pytest.approx(_slice_weak_form(pair, alpha, edges, vals, phi), abs=1e-9)
 
 

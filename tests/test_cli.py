@@ -245,13 +245,16 @@ def test_readme_scenario_example_parses(tmp_path):
 
 def test_library_error_exits_2_before_any_output(tmp_path, capsys):
     """Two flux jumps that snap to one edge of a 4-cell grid: the solver's
-    DomainError reaches the command line as exit 2, with no report."""
+    DomainError reaches the command line as exit 2 naming ``[claw] cells``,
+    with no report."""
     body = TINY_CLAW.replace("jump 0.5 1", "jump 0.3 0.5 + jump 0.32 0.5")
     body = body.replace("cells = 24", "cells = 4")
     path = write_ini(tmp_path, body)
     rc = main(["run", path, "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("bvcalc: DomainError:")
+    assert capsys.readouterr().err.startswith(
+        "bvcalc: scenario error: [claw] cells: two flux jumps share their nearest grid edge"
+    )
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
