@@ -39,7 +39,6 @@ from .bvfunction import (
     coarea_lhs,
     coarea_rhs,
     integration_by_parts_residual,
-    leibniz_product,
     leibniz_weak_residual,
 )
 from .pwconst import ExceptionalSet, PiecewiseConstant, approximate_scalar, approximate_vector
@@ -119,7 +118,6 @@ __all__ = [
     "integrate_measure",
     "integration_by_parts_residual",
     "is_rankine_hugoniot",
-    "leibniz_product",
     "leibniz_weak_residual",
     "levelset_comparison_pwc",
     "measure_total_variation",

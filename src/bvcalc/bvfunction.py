@@ -23,10 +23,10 @@ from .measures import (
     CantorBase,
     CantorTerm,
     Interval,
-    ModulatedDensity,
     PiecewisePolynomial,
     RadonMeasure,
     _horner,
+    _merge_bases,
     _sign_changes,
     integrate_measure,
     kernel,
@@ -58,13 +58,10 @@ class BVFunction:
             )
         if (self.smooth_part.lo, self.smooth_part.hi) != (self.domain.a, self.domain.b):
             raise DomainError("smooth part must cover the whole domain")
-        parts = []
-        for base, coef in self.cantor_part:
+        for base, _ in self.cantor_part:
             if not self.domain.contains_interval(base.support):
                 raise DomainError("Cantor summand support must lie inside the domain")
-            if coef != 0.0:
-                parts.append((base, float(coef)))
-        object.__setattr__(self, "cantor_part", tuple(parts))
+        object.__setattr__(self, "cantor_part", _merge_bases(self.cantor_part))
         _merge_supports(self.cantor_supports())  # identical or disjoint
 
     # -- constructors -------------------------------------------------------
@@ -188,26 +185,13 @@ class BVFunction:
         return measure_total_variation(self.derivative())
 
     # -- algebra ------------------------------------------------------------
-    def _merge_cantor(self, other_part):
-        merged = dict()
-        order = []
-        for base, coef in self.cantor_part:
-            if base not in merged:
-                order.append(base)
-            merged[base] = merged.get(base, 0.0) + coef
-        for base, coef in other_part:
-            if base not in merged:
-                order.append(base)
-            merged[base] = merged.get(base, 0.0) + coef
-        return tuple((b, merged[b]) for b in order if merged[b] != 0.0)
-
     def __add__(self, other):
         if (other.domain.a, other.domain.b) != (self.domain.a, self.domain.b):
             raise DomainError("BV functions on different domains")
         return BVFunction(
             self.domain,
             self.smooth_part + other.smooth_part,
-            self._merge_cantor(other.cantor_part),
+            self.cantor_part + other.cantor_part,
         )
 
     # -- mollification ------------------------------------------------------
@@ -358,60 +342,28 @@ def integration_by_parts_residual(u, phi, tol=1e-9):
     return float(part1 + part2)
 
 
-def leibniz_product(v, w):
-    """The derivative measure of the product, D(vw) = v* Dw + w* Dv.
+def leibniz_weak_residual(v, w, phi, tol=1e-9):
+    """integral of phi dD(vw) plus integral of phi' v w dx; zero exactly.
 
-    Pieces: a.c. densities combine by the product rule (with modulated
-    pp-times-Cantor-function densities when one factor has Cantor summands);
-    each jump atom at x weighs v*(x)[w] + w*(x)[v]; Cantor coefficients pick
-    up the other factor's continuous value as a weight density."""
+    By Vol'pert's product rule D(vw) = v* Dw + w* Dv, the first integral is
+    two plain pairings, of phi v* with Dw and of phi w* with Dv; each
+    integrand declares its own factor's breakpoints and Cantor supports."""
     if (v.domain.a, v.domain.b) != (w.domain.a, w.domain.b):
         raise DomainError("factors must share the domain")
-    v_bases = {b for b, _ in v.cantor_part}
-    w_bases = {b for b, _ in w.cantor_part}
-    if v_bases & w_bases:
+    if {b for b, _ in v.cantor_part} & {b for b, _ in w.cantor_part}:
         raise RepresentationError(
             "product of two Cantor summands on the same base is outside the class"
         )
-    dom = v.domain
-
-    def star_side(f, other):
-        """Assemble f* times D(other) part by part."""
-        d_other = other.derivative()
-        # a.c.: f_pp * other_pp'  +  sum f-cantor-coef * C_base * other_pp'
-        dens = d_other.ac
-        ac = f.smooth_part.multiply(dens)
-        modulated = tuple(
-            ModulatedDensity(dens.scale(coef), base)
-            for base, coef in f.cantor_part
-            if not dens.is_zero()
-        )
-        # atoms: weight f*(x) [other]
-        atoms = tuple((x, f.eval(x, "precise") * (r - l)) for x, l, r in other.jumps())
-        # Cantor: coefficient scaled by the weight density f* on the support
-        terms = tuple(
-            CantorTerm(
-                t.base,
-                t.coefficient,
-                weight=lambda xs: f.at(xs, "precise"),
-                weight_breakpoints=f.breakpoints(),
-            )
-            for t in d_other.cantor_terms
-        )
-        return RadonMeasure(dom, ac, atoms, terms, modulated)
-
-    return star_side(v, w) + star_side(w, v)
-
-
-def leibniz_weak_residual(v, w, phi, tol=1e-9):
-    """integral of phi dD(vw) plus integral of phi' v w dx; zero exactly."""
-    m = leibniz_product(v, w)
     sup = phi.support
-    bps = tuple(sorted(set(v.breakpoints()) | set(w.breakpoints())))
-    sups = tuple(set(v.cantor_supports()) | set(w.cantor_supports()))
-    part1 = integrate_measure(
-        phi, m, tol=tol, breakpoints=(sup.a, sup.b) + bps, cantor_supports=sups
-    )
+    part1 = 0.0
+    for f, other in ((v, w), (w, v)):
+        part1 += integrate_measure(
+            lambda xs, f=f: phi(xs) * f.at(xs, "precise"),
+            other.derivative(),
+            tol=tol,
+            breakpoints=(sup.a, sup.b) + f.breakpoints(),
+            cantor_supports=f.cantor_supports(),
+        )
 
     def integrand(xs):
         return phi.prime(xs) * v.values(xs) * w.values(xs)
@@ -421,8 +373,8 @@ def leibniz_weak_residual(v, w, phi, tol=1e-9):
         max(sup.a, v.domain.a),
         min(sup.b, v.domain.b),
         tol=tol,
-        breakpoints=bps,
-        cantor_supports=sups,
+        breakpoints=tuple(sorted(set(v.breakpoints()) | set(w.breakpoints()))),
+        cantor_supports=v.cantor_supports() + w.cantor_supports(),
     )
     return float(part1 + part2)
 

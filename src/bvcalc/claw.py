@@ -174,9 +174,10 @@ def _require_attained(xs, alpha, side, attained):
         raise RangeError(f"level {level} not attained by the flux at x={x} ({side or 'a.e.'})")
 
 
-def _invert(flux, xs, alpha, side):
-    """Level inversion at each point of ``xs`` on ``side`` (None: the a.e.
-    values), for one level or one per point: (states, attained mask).
+def _invert(flux, xs, alpha, ks):
+    """Level inversion at each point of ``xs``, for one level or one per
+    point, from K at the points on one side (``flux.model.coefficients``):
+    (states, attained mask).
 
     Per point: an end of the working range that hits the level is returned,
     a same-sign bracket leaves the level unattained (state nan), and any
@@ -184,9 +185,8 @@ def _invert(flux, xs, alpha, side):
     xs = np.asarray(xs, dtype=float)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xs.shape)
     lo, hi = np.full(xs.shape, float(flux.w_lo)), np.full(xs.shape, float(flux.w_hi))
-    # only the state changes between bisection passes: K is evaluated once
+    # only the state changes between bisection passes: K comes in once
     model = flux.model
-    ks = model.coefficients(xs, side)
     flo, fhi = _range_gaps(flux, ks, alpha)
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     attained = ~(flo * fhi > 0)
@@ -206,7 +206,7 @@ def c_alpha_values(flux, xs, alpha, side=None):
     (right-continuous at flux jumps).  RangeError names the first point
     where the level is not attained on the working range."""
     xs = np.asarray(xs, dtype=float)
-    out, attained = _invert(flux, xs, alpha, side)
+    out, attained = _invert(flux, xs, alpha, flux.model.coefficients(xs, side))
     _require_attained(xs, alpha, side, attained)
     return out
 
@@ -309,7 +309,7 @@ class EntropyFluxPair:
         for x in self.flux.jump_points():
             xs = np.full(uls.shape, float(x))
             levels = self.flux.values_on_grid(xs, uls, "left")
-            urs, hit = _invert(self.flux, xs, levels, "right")
+            urs, hit = _invert(self.flux, xs, levels, self.flux.model.coefficients(xs, "right"))
             q_right = self.q_values(xs[hit], urs[hit], "right")
             diffs += (q_right - self.q_values(xs[hit], uls[hit], "left")).tolist()
         worst = max(diffs, default=0.0)
@@ -334,19 +334,18 @@ def adapted_entropy_pair(flux, alpha):
     _require_attained(probe, alpha, "precise", ~(flo * fhi > 0))
 
     @functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
-    def levels(key, side):
-        """c_alpha on ``side`` at the grid whose bytes are ``key``."""
-        return c_alpha_values(flux, np.frombuffer(key), alpha, side)
+    def on_grid(key, side):
+        """K and c_alpha on ``side`` at the grid whose bytes are ``key``: a
+        residual's slices share their face grid, so only the states change."""
+        xs = np.frombuffer(key)
+        ks = flux.model.coefficients(xs, side)
+        levels, attained = _invert(flux, xs, alpha, ks)
+        _require_attained(xs, alpha, side, attained)
+        return ks, levels
 
     def c_on(xs, side=None):
         xs = np.asarray(xs, dtype=float)
-        return levels(xs.tobytes(), side).reshape(xs.shape)
-
-    @functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
-    def coefficients(key, side):
-        """K on ``side`` at the grid whose bytes are ``key``: a residual's
-        slices share their face grid, so only the states change."""
-        return flux.model.coefficients(np.frombuffer(key), side)
+        return on_grid(xs.tobytes(), side)[1].reshape(xs.shape)
 
     def eta_fn(xs, us, side):
         return np.abs(us - c_on(xs, side))
@@ -358,7 +357,7 @@ def adapted_entropy_pair(flux, alpha):
         c = c_on(xs, side)
         s = _star_sign(us - c, scale=np.maximum(np.abs(us), np.abs(c)))
         # combine sizes its sum by K: K is shaped to the stack of states here
-        ks = [np.broadcast_to(k, us.shape) for k in coefficients(xs.tobytes(), side)]
+        ks = [np.broadcast_to(k, us.shape) for k in on_grid(xs.tobytes(), side)[0]]
         return (flux.model.combine(ks, us[None]) - alpha) * s
 
     def q_density(xs, v):
@@ -450,7 +449,8 @@ def affine_entropy_approx(pair, flux, N, x, side="precise"):
     level.  RangeError when fewer than two levels are attained."""
     C = flux.state_bound()
     grid = np.arange(-N, N + 1) * C / N
-    knots, hit = _invert(flux, np.full(grid.shape, float(x)), grid, side)
+    xs = np.full(grid.shape, float(x))
+    knots, hit = _invert(flux, xs, grid, flux.model.coefficients(xs, side))
     if hit.sum() < 2:
         raise RangeError("fewer than two flux levels attained: index set too small")
     order = np.argsort(knots[hit])

@@ -3,10 +3,9 @@
 A measure here is a finite signed combination of three mutually singular
 parts: an absolutely continuous part with piecewise-polynomial density, a
 finite atomic part, and Cantor parts (affine copies of the standard Cantor
-measure, scaled by coefficients).  Two extension slots keep products inside
-the class: Cantor terms may carry a bounded ``weight`` density with respect
-to their base measure, and the a.c. part may carry "modulated" density terms
-``pp(x) * CantorFunction(x)`` (both show up in Leibniz products).
+measure, scaled by coefficients, one per base).  A weight such as the other
+factor of a product belongs to the integrand, which declares its own
+breakpoints and Cantor supports to ``integrate_measure``.
 
 All Cantor supports appearing in one computation must be identical or
 disjoint; this is what keeps total variation additive across parts and the
@@ -285,9 +284,6 @@ class PiecewisePolynomial:
             )
         return self._binary(other, add)
 
-    def multiply(self, other):
-        return self._binary(other, lambda c1, c2: tuple(np.convolve(c1, c2)))
-
     def scale(self, k):
         return PiecewisePolynomial(
             self.breakpoints, tuple(tuple(k * c for c in p) for p in self.pieces)
@@ -379,16 +375,15 @@ class CantorBase:
 class CantorTerm:
     base: CantorBase
     coefficient: float
-    weight: object = None  # optional callable density w.r.t. the base measure
-    weight_breakpoints: tuple = ()  # declared discontinuities of that density
 
 
-@dataclass(frozen=True)
-class ModulatedDensity:
-    """dx-density term factor(x) * CantorFunction_base(x)."""
-
-    factor: PiecewisePolynomial
-    base: CantorBase
+def _merge_bases(parts):
+    """(base, coefficient) pairs summed per base in first-seen order, as
+    0.0 + c1 + c2 + ..., with the zero sums dropped."""
+    merged = {}
+    for base, coef in parts:
+        merged[base] = merged.get(base, 0.0) + float(coef)
+    return tuple((base, coef) for base, coef in merged.items() if coef != 0.0)
 
 
 def _merge_atoms(atoms):
@@ -413,7 +408,6 @@ class RadonMeasure:
     ac: PiecewisePolynomial = None
     atoms: tuple = ()
     cantor_terms: tuple = ()
-    ac_modulated: tuple = ()
 
     def __post_init__(self):
         if self.ac is None:
@@ -424,46 +418,26 @@ class RadonMeasure:
         for x, _ in self.atoms:
             if not self.interval.contains(x):
                 raise DomainError(f"atom at {x} outside ]{self.interval.a}, {self.interval.b}[")
-        terms = []
         for t in self.cantor_terms:
             if not self.interval.contains_interval(t.base.support):
                 raise DomainError("Cantor support outside the interval")
-            if t.coefficient != 0.0 or t.weight is not None:
-                terms.append(t)
-        object.__setattr__(self, "cantor_terms", tuple(terms))
+        merged = _merge_bases((t.base, t.coefficient) for t in self.cantor_terms)
+        object.__setattr__(self, "cantor_terms", tuple(CantorTerm(*bc) for bc in merged))
         _merge_supports(self.cantor_supports())  # raises on partial overlap
 
     # -- structure ----------------------------------------------------------
     def cantor_supports(self):
-        sup = [(t.base.support.a, t.base.support.b) for t in self.cantor_terms]
-        sup += [(m.base.support.a, m.base.support.b) for m in self.ac_modulated]
-        return tuple(sup)
+        return tuple((t.base.support.a, t.base.support.b) for t in self.cantor_terms)
 
     def breakpoints(self):
-        pts = set(self.ac.breakpoints[1:-1])
-        for m in self.ac_modulated:
-            pts.update(m.factor.breakpoints[1:-1])
-        return tuple(sorted(pts))
+        return self.ac.breakpoints[1:-1]
 
     def is_purely_cantor(self):
-        return (
-            self.ac.is_zero()
-            and not self.atoms
-            and not self.ac_modulated
-            and all(t.weight is None for t in self.cantor_terms)
-        )
-
-    def density(self, xs):
-        """dx-density of the a.c. part (plain + modulated terms)."""
-        xs = np.asarray(xs, dtype=float)
-        out = self.ac(xs)
-        for m in self.ac_modulated:
-            out = out + m.factor(xs) * m.base.profile(xs)
-        return out
+        return self.ac.is_zero() and not self.atoms
 
     # -- parts --------------------------------------------------------------
     def absolutely_continuous_part(self):
-        return RadonMeasure(self.interval, self.ac, (), (), self.ac_modulated)
+        return RadonMeasure(self.interval, self.ac)
 
     def atomic_part(self):
         return RadonMeasure(self.interval, None, self.atoms, ())
@@ -478,27 +452,11 @@ class RadonMeasure:
 
     def __add__(self, other):
         self._require_same_interval(other)
-        terms = list(other.cantor_terms)
-        merged = []
-        for t in self.cantor_terms:
-            hit = None
-            if t.weight is None:
-                for j, o in enumerate(terms):
-                    if o.weight is None and o.base == t.base:
-                        hit = j
-                        break
-            if hit is None:
-                merged.append(t)
-            else:
-                o = terms.pop(hit)
-                merged.append(CantorTerm(t.base, t.coefficient + o.coefficient))
-        merged.extend(terms)
         return RadonMeasure(
             self.interval,
             self.ac + other.ac,
             self.atoms + other.atoms,
-            tuple(merged),
-            self.ac_modulated + other.ac_modulated,
+            self.cantor_terms + other.cantor_terms,
         )
 
     def scale(self, k):
@@ -507,12 +465,7 @@ class RadonMeasure:
             self.interval,
             self.ac.scale(k),
             tuple((x, k * w) for x, w in self.atoms),
-            tuple(
-                CantorTerm(t.base, k * t.coefficient, t.weight) for t in self.cantor_terms
-            ),
-            tuple(
-                ModulatedDensity(m.factor.scale(k), m.base) for m in self.ac_modulated
-            ),
+            tuple(CantorTerm(t.base, k * t.coefficient) for t in self.cantor_terms),
         )
 
     def total_mass(self):
@@ -522,28 +475,15 @@ class RadonMeasure:
         """Measure of [lo, hi]; atoms exactly at lo/hi count fully (callers
         building partition oracles should avoid boundary atoms)."""
         total = self.ac.integrate(lo, hi)
-        for m in self.ac_modulated:
-            total += integrate_interval(
-                lambda xs, m=m: m.factor(xs) * m.base.profile(xs),
-                max(lo, self.interval.a),
-                min(hi, self.interval.b),
-                tol=1e-11,
-                breakpoints=m.factor.breakpoints[1:-1],
-                cantor_supports=[(m.base.support.a, m.base.support.b)],
-            )
         for x, w in self.atoms:
             if lo <= x <= hi:
                 total += w
         for t in self.cantor_terms:
-            if t.weight is not None:
-                raise RepresentationError("mass of weighted Cantor term not supported")
             total += t.coefficient * t.base.mass(lo, hi)
         return float(total)
 
     def tv_measure(self):
-        """The measure |mu| (plain parts only)."""
-        if self.ac_modulated or any(t.weight is not None for t in self.cantor_terms):
-            raise RepresentationError("tv_measure needs plain (unweighted) parts")
+        """The measure |mu|."""
         return RadonMeasure(
             self.interval,
             self.ac.absolute(),
@@ -562,9 +502,9 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_h
     bps = tuple(breakpoints) + mu.breakpoints()
     sups = tuple(cantor_supports) + mu.cantor_supports()
     total = 0.0
-    if not mu.ac.is_zero() or mu.ac_modulated:
+    if not mu.ac.is_zero():
         def integrand(xs):
-            return _apply(f, xs) * mu.density(xs)
+            return _apply(f, xs) * mu.ac(xs)
         total += integrate_interval(
             integrand, mu.interval.a, mu.interval.b, tol=tol,
             breakpoints=bps, cantor_supports=sups,
@@ -575,36 +515,16 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_h
             total += w * fx
     for t in mu.cantor_terms:
         depth = cantor.depth_for(tol, lip=lip_hint, width=t.base.width)
-        cuts = tuple(bps) + tuple(t.weight_breakpoints)
-        def g(xs, wfun=t.weight):
-            vals = _apply(f, xs)
-            return vals if wfun is None else vals * _apply(wfun, xs)
-        total += t.coefficient * t.base.integrate(g, depth, cuts)
+        total += t.coefficient * t.base.integrate(lambda xs: _apply(f, xs), depth, bps)
     return float(total)
 
 
-def measure_total_variation(mu, tol=1e-10):
-    """Total variation |mu|(]a,b[); exact for plain parts, quadrature-based
-    for modulated/weighted extensions."""
-    total = 0.0
-    if mu.ac_modulated:
-        def absdens(xs):
-            return np.abs(mu.density(xs))
-        total += integrate_interval(
-            absdens, mu.interval.a, mu.interval.b, tol=tol,
-            breakpoints=mu.breakpoints(), cantor_supports=mu.cantor_supports(),
-        )
-    else:
-        total += mu.ac.abs_integral()
-    total += sum(abs(w) for _, w in mu.atoms)
+def measure_total_variation(mu):
+    """Total variation |mu|(]a,b[), exactly: the parts are mutually singular
+    and the Cantor bases distinct."""
+    total = mu.ac.abs_integral() + sum(abs(w) for _, w in mu.atoms)
     for t in mu.cantor_terms:
-        if t.weight is None:
-            total += abs(t.coefficient)
-        else:
-            depth = cantor.depth_for(tol, width=t.base.width)
-            def g(xs, wfun=t.weight):
-                return np.abs(_apply(wfun, xs))
-            total += abs(t.coefficient) * t.base.integrate(g, depth)
+        total += abs(t.coefficient)
     return float(total)
 
 
@@ -616,19 +536,17 @@ def radon_nikodym_cantor(nu, lam):
     charges a base that ``lam`` does not."""
     for name, m in (("nu", nu), ("lam", lam)):
         if not m.is_purely_cantor():
-            raise RepresentationError(f"{name} must be purely Cantor (plain terms)")
-    lam_coefs = {}
-    for t in lam.cantor_terms:
-        if t.coefficient <= 0.0:
-            raise AbsoluteContinuityError("reference measure needs strictly positive coefficients")
-        lam_coefs[t.base] = lam_coefs.get(t.base, 0.0) + t.coefficient
+            raise RepresentationError(f"{name} must be purely Cantor")
+    lam_coefs = {t.base: t.coefficient for t in lam.cantor_terms}
+    if any(c <= 0.0 for c in lam_coefs.values()):
+        raise AbsoluteContinuityError("reference measure needs strictly positive coefficients")
     out = {base: 0.0 for base in lam_coefs}
     for t in nu.cantor_terms:
         if t.base not in lam_coefs:
             raise AbsoluteContinuityError(
                 f"nu charges Cantor base on {t.base.support} where lam vanishes"
             )
-        out[t.base] += t.coefficient / lam_coefs[t.base]
+        out[t.base] = t.coefficient / lam_coefs[t.base]
     return out
 
 

@@ -162,3 +162,20 @@ def test_no_unreached_operators_or_knobs():
     assert "isinstance" not in inspect.getsource(bvcalc.cantor_function_eval)
     assert "isinstance(other" not in inspect.getsource(bvcalc.BVFunction.__add__)
     assert "u0(" not in inspect.getsource(bvcalc.solve_claw)
+
+
+def test_no_product_slots_in_the_measure_model():
+    """A weight belongs to the integrand: the Leibniz residual pairs plain
+    derivative measures, so the measure model keeps no product slots, its
+    total variation takes no tolerance, and Cantor parts on one base merge
+    at construction."""
+    from bvcalc import bvfunction, measures
+
+    for mod in (bvcalc, bvfunction, measures):
+        assert not {"leibniz_product", "ModulatedDensity"} & set(vars(mod)), mod.__name__
+    assert "_merge_cantor" not in _defined(bvcalc.BVFunction)
+    assert "density" not in _defined(bvcalc.RadonMeasure)
+    assert "multiply" not in _defined(bvcalc.PiecewisePolynomial)
+    assert [f.name for f in dataclasses.fields(measures.CantorTerm)] == ["base", "coefficient"]
+    assert "ac_modulated" not in {f.name for f in dataclasses.fields(bvcalc.RadonMeasure)}
+    assert list(inspect.signature(bvcalc.measure_total_variation).parameters) == ["mu"]

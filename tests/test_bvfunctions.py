@@ -23,7 +23,6 @@ from bvcalc import (
     coarea_lhs,
     coarea_rhs,
     integration_by_parts_residual,
-    leibniz_product,
     leibniz_weak_residual,
     measure_total_variation,
 )
@@ -211,6 +210,21 @@ def test_total_variation_closed_form():
     )
 
 
+@pytest.mark.parametrize("coefs,tv", [((0.5, -0.25), 0.25), ((1.0, -1.0), 0.0)])
+def test_cantor_summands_on_one_base_merge_at_construction(coefs, tv):
+    """Two summands on one base are one summand with the summed
+    coefficient: the variation is |0.5 - 0.25|, not 0.5 + 0.25, and the
+    coarea identity holds on it."""
+    b = CantorBase(Interval(0.2, 0.8))
+    u = BVFunction(Interval(0.0, 1.0), None, tuple((b, c) for c in coefs))
+    assert u.cantor_part == (((b, 0.25),) if tv else ())
+    assert u.total_variation() == tv
+    assert measure_total_variation(u.derivative()) == tv
+    g = lambda xs: 1.0 + np.asarray(xs, dtype=float)  # noqa: E731
+    assert coarea_rhs(g, u) == pytest.approx(coarea_lhs(g, u), abs=1e-9)
+    assert coarea_lhs(g, u) == pytest.approx(tv * 1.5, abs=1e-9)
+
+
 def test_monotone_variation_is_endpoint_difference():
     u = BVFunction.from_poly(0.0, 1.0, (0.0, 0.0, 2.0)) + BVFunction.cantor_fn(0.0, 1.0)
     assert u.total_variation() == pytest.approx(3.0, abs=1e-9)
@@ -296,24 +310,25 @@ def test_integration_by_parts_on_pure_cantor():
 
 
 def test_leibniz_measure_for_two_step_functions():
+    """D(vw) has the atom v*(x)[w] + w*(x)[v] at each jump: 3 at 0.4 (w is
+    3 there) and 4 at 0.6 (v is 2 there).  The residual is exact for step
+    factors, so a wrong atom weight misses by O(1) on any bump that holds
+    the jump."""
     v = BVFunction.heaviside(0.0, 1.0, 0.4, 1.0, 2.0)
     w = BVFunction.heaviside(0.0, 1.0, 0.6, 3.0, 5.0)
-    m = leibniz_product(v, w)
-    # D(vw) has the atom v*(x)[w] + w*(x)[v] at each jump: at 0.4 the factor
-    # w is constant 3, at 0.6 the factor v is constant 2
-    assert dict(m.atoms) == {0.4: pytest.approx(3.0), 0.6: pytest.approx(4.0)}
-    assert m.ac.is_zero()
+    for support in ((0.3, 0.5), (0.5, 0.7), (0.2, 0.8)):
+        phi = TestFunction.bump(support, 1.0)
+        assert abs(leibniz_weak_residual(v, w, phi)) < 1e-12, support
 
 
 def test_leibniz_atom_at_shared_jump_uses_midpoints():
+    """Both factors jump at 0.5: the product jumps from 2 to 18, which is
+    v*[w] + w*[v] = 2*4 + 4*2 with the midpoint values v* = 2, w* = 4."""
     v = BVFunction.heaviside(0.0, 1.0, 0.5, 1.0, 3.0)
     w = BVFunction.heaviside(0.0, 1.0, 0.5, 2.0, 6.0)
-    m = leibniz_product(v, w)
-    # product jumps from 2 to 18; v*[w] + w*[v] = 2*4 + 4*2
-    ((x, wt),) = m.atoms
-    assert (x, wt) == (0.5, pytest.approx(16.0))
-    # and that equals the actual jump of the product function
-    assert wt == pytest.approx(3.0 * 6.0 - 1.0 * 2.0)
+    for support in ((0.3, 0.7), (0.45, 0.6), (0.2, 0.8)):
+        phi = TestFunction.bump(support, 1.0)
+        assert abs(leibniz_weak_residual(v, w, phi)) < 1e-12, support
 
 
 @pytest.mark.parametrize(
@@ -342,8 +357,8 @@ def test_leibniz_weak_residual_vanishes(mk_v, mk_w):
 def test_product_of_cantor_parts_on_same_base_is_rejected():
     v = BVFunction.cantor_fn(0.0, 1.0)
     w = BVFunction.cantor_fn(0.0, 1.0, coefficient=2.0)
-    with pytest.raises(ValueError):
-        leibniz_product(v, w)
+    with pytest.raises(RepresentationError, match="same base is outside the class"):
+        leibniz_weak_residual(v, w, TestFunction.bump((0.1, 0.9), 1.0))
 
 
 # -- coarea ------------------------------------------------------------------

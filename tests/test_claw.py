@@ -719,10 +719,8 @@ def test_entropy_pair_level_cache_stays_bounded(monkeypatch):
     are kept, and an older one is inverted again."""
     pair = adapted_entropy_pair(step_flux(), 1.0)
     calls = []
-    real = claw.c_alpha_values
-    monkeypatch.setattr(
-        claw, "c_alpha_values", lambda *args: calls.append(args) or real(*args)
-    )
+    real = claw._invert
+    monkeypatch.setattr(claw, "_invert", lambda *args: calls.append(args) or real(*args))
     grids = [np.linspace(0.05, 0.45, 4) + 1e-6 * k for k in range(1000)]
     for xs in grids:
         pair.eta(xs, np.full(xs.shape, 1.2))
@@ -741,20 +739,25 @@ def test_bracket_levels_are_inverted_once_per_face_grid(monkeypatch):
     flux = step_flux()
     pair = adapted_entropy_pair(flux, 1.0)
     calls = []
-    real = claw.c_alpha_values
+    real = claw._invert
 
-    def counted(flux, xs, alpha, side=None):
-        calls.append((len(xs), side))
-        return real(flux, xs, alpha, side)
+    def counted(flux, xs, alpha, ks):
+        calls.append(len(xs))
+        return real(flux, xs, alpha, ks)
 
-    monkeypatch.setattr(claw, "c_alpha_values", counted)
+    sides = []
+    real_k = FluxModel.coefficients
+    monkeypatch.setattr(claw, "_invert", counted)
+    monkeypatch.setattr(
+        FluxModel, "coefficients", lambda self, *a: sides.append(a[1]) or real_k(self, *a)
+    )
     edges = np.linspace(0.0, 1.0, 2502)
     vals = np.full(2501, 1.2)
     phi_x = lambda xs: np.ones_like(xs)  # noqa: E731
     first = _one_slice_pairing(pair, edges, vals, phi_x)
-    assert sorted(calls) == [(2500, "left"), (2500, "right")]
+    assert calls == [2500, 2500] and sorted(sides) == ["left", "right"]
     assert _one_slice_pairing(pair, edges, vals, phi_x) == first
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(sides) == 2
 
 
 def test_entropy_flux_evaluates_k_once_per_face_grid(monkeypatch):
@@ -781,6 +784,27 @@ def test_entropy_flux_evaluates_k_once_per_face_grid(monkeypatch):
         if j == 0:
             first = len(calls)
     assert len(calls) == first
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.3])
+def test_entropy_residual_evaluates_k_once_per_grid_and_side(alpha, monkeypatch):
+    """One residual: the level inversion and the entropy flux share K, so
+    each (grid, side) it reaches evaluates K exactly once."""
+    flux = step_flux()
+    u0 = BVFunction.constant(0.0, 1.0, 0.8) + BVFunction.heaviside(0.0, 1.0, 0.3, 0.0, 0.6)
+    field = solve_claw(flux, u0, 0.3, 40)
+    phi = SpaceTimeTest.bump((0.1, 0.9), (0.02, 0.28), 1.0)
+    pair = adapted_entropy_pair(flux, alpha)
+    calls = []
+    real = FluxModel.coefficients
+    monkeypatch.setattr(
+        FluxModel,
+        "coefficients",
+        lambda self, xs, side: calls.append((xs.tobytes(), side)) or real(self, xs, side),
+    )
+    entropy_residual(field, pair, phi)
+    assert {side for _, side in calls} == {None, "left", "right"}
+    assert len(calls) == len(set(calls))
 
 
 def test_slice_pairing_matches_weak_form():

@@ -242,6 +242,21 @@ def test_measure_addition_merges_atoms_at_same_point():
     assert merged.atoms == ((0.2, 1.0),)
 
 
+def test_cantor_terms_on_one_base_merge_at_construction():
+    """Terms on one base sum in first-seen order and zero sums drop, so the
+    total variation counts each base once; addition only concatenates."""
+    iv = Interval(0.0, 1.0)
+    b, c = CantorBase(Interval(0.2, 0.4)), CantorBase(Interval(0.6, 0.8))
+    terms = (CantorTerm(b, 0.5), CantorTerm(c, 1.0), CantorTerm(b, -0.25))
+    mu = RadonMeasure(iv, None, (), terms)
+    assert mu.cantor_terms == (CantorTerm(b, 0.25), CantorTerm(c, 1.0))
+    assert measure_total_variation(mu) == 1.25
+    assert mu.tv_measure().total_mass() == pytest.approx(1.25, abs=1e-12)
+    zero = RadonMeasure(iv, None, (), (CantorTerm(b, 1.0), CantorTerm(b, -1.0)))
+    assert zero.cantor_terms == () and measure_total_variation(zero) == 0.0
+    assert (mu + mu.scale(-1.0)).cantor_terms == ()
+
+
 # -- integration against the three parts -------------------------------------
 
 
