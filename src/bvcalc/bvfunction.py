@@ -16,8 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from numpy.polynomial import polynomial as npoly
-
 from .errors import DomainError, RepresentationError
 from .measures import (
     CantorBase,
@@ -32,7 +30,7 @@ from .measures import (
     kernel,
     measure_total_variation,
 )
-from .quadrature import _apply, _bisect, _merge_supports, integrate_interval
+from .quadrature import _apply, _bisect, _merge_supports, _same_support, integrate_interval
 
 _SIDES = ("left", "right", "precise")
 
@@ -161,6 +159,14 @@ class BVFunction:
         xs = np.asarray(xs, dtype=float)
         return self.smooth_part(xs) + self._cantor(xs)
 
+    def values_with_slope(self, xs):
+        """``values(xs)`` and the a.e. derivative there (the smooth part's:
+        Cantor summands are flat a.e.), from one piece lookup."""
+        xs = np.asarray(xs, dtype=float)
+        val, slope = self.smooth_part.with_slope(xs)
+        val += self._cantor(xs)
+        return val, slope
+
     def oscillation(self):
         """max - min over a dense sample plus one-sided jump values."""
         xs = np.linspace(self.domain.a, self.domain.b, 2048)[1:-1]
@@ -262,6 +268,11 @@ class BVVector:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return np.stack([u.values(xs) for u in self.components])
 
+    def values_with_slope(self, xs):
+        """``values(xs)`` and the a.e. derivatives there, (dim, len(xs)) each."""
+        pairs = [u.values_with_slope(np.atleast_1d(xs)) for u in self.components]
+        return np.stack([v for v, _ in pairs]), np.stack([d for _, d in pairs])
+
     def left(self, x):
         return np.array([u.eval(x, "left") for u in self.components])
 
@@ -297,18 +308,18 @@ class TestFunction:
         # p(t) = (1 - t^2)^2 q(t), ascending coefficients
         quart = np.array([1.0, 0.0, -2.0, 0.0, 1.0])
         p = np.convolve(quart, np.asarray(coeffs, dtype=float))
-        dp = npoly.polyder(p)
+        dp = p[1:] * np.arange(1, len(p))
 
         def value(xs):
             xs = np.asarray(xs, dtype=float)
             t = (xs - c) / h
-            out = npoly.polyval(t, p)
+            out = _horner(p, t)
             return np.where(np.abs(t) < 1.0, out, 0.0)
 
         def deriv(xs):
             xs = np.asarray(xs, dtype=float)
             t = (xs - c) / h
-            out = npoly.polyval(t, dp) / h
+            out = _horner(dp, t) / h
             return np.where(np.abs(t) < 1.0, out, 0.0)
 
         return TestFunction(sup, value, deriv, label=label or f"bump{list(coeffs)}")
@@ -350,7 +361,7 @@ def leibniz_weak_residual(v, w, phi, tol=1e-9):
     integrand declares its own factor's breakpoints and Cantor supports."""
     if (v.domain.a, v.domain.b) != (w.domain.a, w.domain.b):
         raise DomainError("factors must share the domain")
-    if {b for b, _ in v.cantor_part} & {b for b, _ in w.cantor_part}:
+    if any(_same_support(s, t) for s in v.cantor_supports() for t in w.cantor_supports()):
         raise RepresentationError(
             "product of two Cantor summands on the same base is outside the class"
         )

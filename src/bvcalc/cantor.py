@@ -23,12 +23,15 @@ from .errors import DomainError
 # float can hold; a few extra guard digits cost nothing.
 _SCAN_DEPTH = 64
 # The exact scan runs in uint64 on floats t >= 2^-72: each is an integer
-# multiple of 2^-124, whose numerator t * 2^124 is kept in two 62-bit limbs.
-_LIMB_BITS = np.uint64(62)
-_LIMB_ONE = 2.0 ** 62
-_LIMB_MASK = np.uint64(2 ** 62 - 1)
-_THREE = np.uint64(3)
+# multiple of 2^-124, whose numerator t * 2^126 is kept in three 42-bit limbs.
+_LIMB_BITS = np.uint64(42)
+_LIMB_ONE = 2.0 ** 42
+_LIMB_MASK = np.uint64(2 ** 42 - 1)
 _DYADIC_MIN = 2.0 ** -72
+# (digits a step, steps): 8 to digit 48 (a limb times 3^8 plus carry < 2^64),
+# then 1.  Partial sums are exact to digit 53, so a block adds what its digits
+# add one by one; past it, sums round digit by digit, as in ``_fraction_scan``.
+_SCAN_BLOCKS = ((8, 6), (1, _SCAN_DEPTH - 48))
 
 _MAX_DEPTH = 24          # hard cap for quadrature depth (2^24 cells)
 _CACHE_DEPTH = 20        # midpoint arrays cached up to this depth
@@ -56,34 +59,61 @@ def _fraction_scan(fx):
     return val
 
 
+@lru_cache(maxsize=None)
+def _digit_table(width):
+    """Per index q < 3^width, read as ``width`` ternary digits of the scan:
+    the Cantor bits they add (the first digit's bit is 1/2) up to and
+    including their first digit 1, and whether the scan goes on past them
+    (no digit 1).  Built on first use, from the table of the later digits."""
+    if width == 0:
+        return np.zeros(1), np.ones(1, dtype=bool)
+    bits, goes_on = _digit_table(width - 1)
+    return (np.concatenate((0.5 * bits, np.full(bits.size, 0.5), 0.5 + 0.5 * bits)),
+            np.concatenate((goes_on, np.zeros(bits.size, dtype=bool), goes_on)))
+
+
 def _dyadic_scan(ts, live, out):
     """The digit scan of :func:`_fraction_scan`, added into ``out`` at the
     points where ``live`` is set, which must be 0 or lie in [2^-72, 1[.
-    It runs on the numerators ts * 2^124 in two uint64 limbs
-    ``hi * 2^62 + lo``; three times a limb plus its carry stays below 2^64.
+    It runs on the numerators ts * 2^126 in three uint64 limbs
+    ``hi * 2^84 + mid * 2^42 + lo``, ``_SCAN_BLOCKS`` digits a step.
     Points stay in place, and ``live`` is cleared as their scans end:
-    compacting the live points instead raised the peak memory of a run."""
-    scaled = ts * _LIMB_ONE
-    hi = scaled.astype(np.uint64)
-    scaled -= hi
-    scaled *= _LIMB_ONE
-    lo = scaled.astype(np.uint64)
-    del scaled
-    d = np.empty_like(hi)
-    scale = 0.5
-    for _ in range(_SCAN_DEPTH):
-        if not live.any():
-            break
-        lo *= _THREE
-        hi *= _THREE
-        hi += np.right_shift(lo, _LIMB_BITS, out=d)
-        lo &= _LIMB_MASK
-        np.right_shift(hi, _LIMB_BITS, out=d)
-        hi &= _LIMB_MASK
-        out[live & (d != 0)] += scale
-        live &= d != 1
-        live &= np.bitwise_or(hi, lo, out=d) != 0
-        scale *= 0.5
+    compacting the live points instead raised the peak memory of a run.
+    ``live`` and ``out`` are updated through views of any layout (a 0-d
+    array too), never through a copy."""
+    ts, live, out = np.atleast_1d(ts, live, out)
+    scaled, limbs = ts * _LIMB_ONE, []
+    for _ in range(3):
+        limbs.append(scaled.astype(np.uint64))
+        scaled -= limbs[-1]
+        scaled *= _LIMB_ONE
+    hi, mid, lo = limbs
+    q, bits, more = np.empty_like(hi), scaled, np.empty_like(live)
+    scale = 1.0
+    for width, steps in _SCAN_BLOCKS:
+        times = np.uint64(3 ** width)
+        table, goes_on = _digit_table(width)
+        for _ in range(steps):
+            if not live.any():
+                return
+            lo *= times
+            mid *= times
+            mid += np.right_shift(lo, _LIMB_BITS, out=q)
+            lo &= _LIMB_MASK
+            hi *= times
+            hi += np.right_shift(mid, _LIMB_BITS, out=q)
+            mid &= _LIMB_MASK
+            np.right_shift(hi, _LIMB_BITS, out=q)
+            hi &= _LIMB_MASK
+            q *= live  # ended scans (and t = 1, at 2^126) read digits 0
+            np.take(table, q, out=bits)
+            bits *= scale
+            out += bits
+            live &= np.take(goes_on, q, out=more)
+            np.bitwise_or(hi, mid, out=q)
+            q |= lo
+            live &= np.not_equal(q, 0, out=more)
+            scale *= 0.5 ** width
 
 
 def cantor_function_eval(x):

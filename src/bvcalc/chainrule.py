@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .bvfunction import BVFunction, BVVector
 from .errors import DomainError
+from .measures import _horner
 from .quadrature import _merge_supports, integrate_interval
 
 _GRID_LIP_MARGIN = 1.05
@@ -115,14 +115,14 @@ class SmoothFunction:
     def poly1d(coeffs, label=""):
         """Univariate polynomial of w[0] (d = 1)."""
         c = np.asarray(coeffs, dtype=float)
-        dc = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
+        dc = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
 
         def value(w):
-            return np.polynomial.polynomial.polyval(np.asarray(w)[0], c)
+            return _horner(c, np.asarray(w)[0])
 
         def grad(w):
             w0 = np.asarray(w, dtype=float)[0]
-            return np.polynomial.polynomial.polyval(w0, dc)[None, ...]
+            return _horner(dc, w0)[None, ...]
 
         return SmoothFunction(value, grad, label or "poly")
 
@@ -148,11 +148,6 @@ class FluxModel:
     @property
     def domain(self):
         return self.terms[0][0].domain
-
-    @cached_property
-    def _slopes(self):
-        """Per term, the a.e. derivative of K_k's smooth part."""
-        return tuple(K.smooth_part.derivative() for K, _ in self.terms)
 
     # -- structure ----------------------------------------------------------
     def exceptional_set(self):
@@ -210,13 +205,15 @@ class FluxModel:
 
     def diffuse_on_grid(self, xs, W):
         """(B, a.e. x-gradient, state gradient) at (xs_i, W[:, i]), each
-        coefficient evaluated once: the grid evaluators in one pass."""
+        coefficient and its slope from one piece lookup: one pass."""
         xs = np.asarray(xs, dtype=float)
         val, gx, gw = np.zeros(xs.shape), np.zeros(xs.shape), np.zeros((self.dim,) + xs.shape)
-        for k, slope, (_, f) in zip(self.coefficients(xs), self._slopes, self.terms):
+        for K, f in self.terms:
+            k, slope = K.values_with_slope(xs)
             fw = np.asarray(f(W))
             val += k * fw
-            gx += slope(xs) * fw
+            slope *= fw
+            gx += slope
             gw += k[None, :] * np.asarray(f.grad(W))
         return val, gx, gw
 
@@ -260,11 +257,6 @@ class CompositeFlux:
     def domain(self):
         return self.K.domain
 
-    @cached_property
-    def _slope(self):
-        """The a.e. derivative of K's smooth part."""
-        return self.K.smooth_part.derivative()
-
     def breakpoints(self):
         return self.K.breakpoints()
 
@@ -286,10 +278,10 @@ class CompositeFlux:
         return float(self.value_on_grid(np.array([float(x)]), W, side)[0])
 
     def diffuse_on_grid(self, xs, W):
-        xs = np.asarray(xs, dtype=float)
-        Y = self._stacked(xs, W)
+        k, slope = self.K.values_with_slope(np.asarray(xs, dtype=float))
+        Y = np.vstack([k[None, :], W])
         g = np.asarray(self.f2.grad(Y))
-        return np.asarray(self.f2(Y)), g[0] * self._slope(xs), g[1:]
+        return np.asarray(self.f2(Y)), g[0] * slope, g[1:]
 
     def singular_densities(self):
         return tuple(
@@ -405,15 +397,14 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         a = _phi_at(phi, x)
         return a if g is None else a * g.eval(x, "precise")
 
-    dpps = [c.smooth_part.derivative() for c in u.components]
-
     def diffuse(xs):
         """The t1, t3 (and lhs) integrands of every phi, stacked: u, u' and
         the flux are evaluated once per node."""
-        val, gx, gw = B.diffuse_on_grid(xs, u.values(xs))
+        W, dW = u.values_with_slope(xs)
+        val, gx, gw = B.diffuse_on_grid(xs, W)
         t3 = np.zeros_like(xs)
-        for i, dpp in enumerate(dpps):
-            t3 += gw[i] * dpp(xs)
+        for gi, di in zip(gw, dW):
+            t3 += gi * di
         out = np.zeros((per_phi * len(phis),) + np.shape(xs))
         for j, (phi, span, wx) in enumerate(weights(xs, spans=True)):
             np.multiply(wx, gx, out=out[per_phi * j])

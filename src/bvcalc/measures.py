@@ -15,6 +15,7 @@ ternary-aware quadrature exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (
     DomainError,
     RepresentationError,
 )
-from .quadrature import _apply, _bisect, integrate_interval, _merge_supports
+from .quadrature import _apply, _bisect, integrate_interval, _merge_supports, _same_support
 
 _ATOL = 1e-14
 
@@ -60,7 +61,8 @@ def _horner(coeffs, s):
     """sum(coeffs[k] s^k), by the same float operations as npoly.polyval."""
     out = coeffs[-1] + s * 0
     for c in coeffs[-2::-1]:
-        out = c + out * s
+        out *= s
+        out += c
     return out
 
 
@@ -168,27 +170,45 @@ class PiecewisePolynomial:
     def at(self, xs, side="right"):
         """Sided values at the points ``xs``: a point on a breakpoint takes
         the piece to its right (``side="right"``, the plain value) or to its
-        left (``side="left"``); points outside use the end pieces.
+        left (``side="left"``); points outside use the end pieces."""
+        return self._lookup(np.asarray(xs, dtype=float), side, (self.pieces,))[0]
+
+    def with_slope(self, xs):
+        """``(at(xs), derivative().at(xs))``, the values and the a.e.
+        derivative, from one piece lookup."""
+        return self._lookup(np.asarray(xs, dtype=float), "right", (self.pieces, self._slope_pieces))
+
+    @cached_property
+    def _slope_pieces(self):
+        return self.derivative().pieces
+
+    def _lookup(self, xs, side, polys):
+        """Per coefficient set of ``polys`` (pieces on these breakpoints),
+        its values at ``xs``, from one piece lookup.
 
         A 2-D ``xs`` with ascending rows is looked up once per row, at its
         two end nodes: searchsorted is monotone, so a row whose ends share
         a piece lies in it.  The other rows go node by node."""
-        xs = np.asarray(xs, dtype=float)
         if len(self.pieces) == 1:
-            return np.asarray(_horner(self.pieces[0], xs - self.breakpoints[0]))
+            s = xs - self.breakpoints[0]
+            return [np.asarray(_horner(p[0], s)) for p in polys]
         if _rows_ascend(xs):
             ends = np.searchsorted(self._inner, xs[:, [0, -1]], side=side)
             idx = np.where(ends[:, 0] == ends[:, 1], ends[:, 0], -1)
         else:
             idx = np.searchsorted(self._inner, xs, side=side)
-        out = np.empty(xs.shape)
+        outs = [np.empty(xs.shape) for _ in polys]
         for i in (np.flatnonzero(np.bincount(idx.ravel() + 1)) - 1).tolist():
             m = idx == i
             if i < 0:
-                out[m] = self.at(xs[m].ravel(), side).reshape(-1, xs.shape[1])
+                parts = self._lookup(xs[m].ravel(), side, polys)
+                for out, part in zip(outs, parts):
+                    out[m] = part.reshape(-1, xs.shape[1])
             else:
-                out[m] = _horner(self.pieces[i], xs[m] - self.breakpoints[i])
-        return out
+                s = xs[m] - self.breakpoints[i]
+                for out, p in zip(outs, polys):
+                    out[m] = _horner(p[i], s)
+        return outs
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -379,9 +399,12 @@ class CantorTerm:
 
 def _merge_bases(parts):
     """(base, coefficient) pairs summed per base in first-seen order, as
-    0.0 + c1 + c2 + ..., with the zero sums dropped."""
+    0.0 + c1 + c2 + ..., with the zero sums dropped; a base whose support
+    is one with an earlier base's (``_same_support``) is that base."""
     merged = {}
     for base, coef in parts:
+        s = (base.support.a, base.support.b)
+        base = next((b for b in merged if _same_support((b.support.a, b.support.b), s)), base)
         merged[base] = merged.get(base, 0.0) + float(coef)
     return tuple((base, coef) for base, coef in merged.items() if coef != 0.0)
 

@@ -100,6 +100,11 @@ def _leftover_level(tol):
     return max(8, min(_LEFTOVER_CAP, L))
 
 
+def _same_support(s, t):
+    """Whether (lo, hi) Cantor supports ``s`` and ``t`` are one: ends within 1e-14."""
+    return abs(s[0] - t[0]) < 1e-14 and abs(s[1] - t[1]) < 1e-14
+
+
 def _merge_supports(supports):
     """Validate/deduplicate (lo, hi) Cantor supports: identical or disjoint."""
     uniq = []
@@ -109,7 +114,7 @@ def _merge_supports(supports):
             raise DomainError(f"empty Cantor support ({lo}, {hi})")
         dup = False
         for ulo, uhi in uniq:
-            if abs(ulo - lo) < 1e-14 and abs(uhi - hi) < 1e-14:
+            if _same_support((ulo, uhi), (lo, hi)):
                 dup = True
                 break
             if not (hi <= ulo + 1e-14 or lo >= uhi - 1e-14):

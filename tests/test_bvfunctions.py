@@ -158,7 +158,23 @@ def test_cantor_kernel_matches_the_fraction_scan_across_limb_ranges():
     ts = 2.0 ** rng.uniform(-80.0, 0.0, 3000)
     edges = [2.0**-k for k in range(58, 76)] + [k / 3**j for j in (25, 33, 40) for k in (1, 2)]
     ts = np.concatenate([ts, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    assert cantor_function_eval(ts).tolist() == [_cantor_digit_scan(t) for t in ts.tolist()]
+    # Cantor-set points scan past the 8-digit blocks (digit 48) into the
+    # per-digit tail; the ends of [0, 1] and of the uint64 range
+    ks = 2.0 * 3.0 ** -np.arange(1, 41)
+    cantor_set = [ks[rng.random(40) < 0.5].sum() for _ in range(200)]
+    ends = [0.0, 1.0, 2.0**-72, np.nextafter(2.0**-72, 0.0), np.nextafter(1.0, 0.0)]
+    ts = np.concatenate([ts, [0.25, 0.75, 0.3, 0.7], cantor_set, ends])
+    ref = [_cantor_digit_scan(t) for t in ts.tolist()]
+    assert cantor_function_eval(ts).tolist() == ref
+    # scalars, and arrays of any layout, are updated in place, not in a copy
+    for t, r in zip(ts[-30:].tolist(), ref[-30:]):
+        for arg in (t, np.float64(t), np.array(t)):
+            got = cantor_function_eval(arg)
+            assert isinstance(got, float) and got == r
+    m = np.sort(ts[:3000]).reshape(100, 30)
+    for arr in (m, np.asfortranarray(m), m.T, m[:, [0, -1]], m[::3, 1::2]):
+        want = [[_cantor_digit_scan(t) for t in row] for row in arr.tolist()]
+        assert cantor_function_eval(arr).tolist() == want
 
 
 def test_values_are_right_continuous_between_jumps():
@@ -214,15 +230,17 @@ def test_total_variation_closed_form():
 def test_cantor_summands_on_one_base_merge_at_construction(coefs, tv):
     """Two summands on one base are one summand with the summed
     coefficient: the variation is |0.5 - 0.25|, not 0.5 + 0.25, and the
-    coarea identity holds on it."""
+    coarea identity holds on it.  A support whose ends are within 1e-14 of
+    those of a base seen before is that base."""
     b = CantorBase(Interval(0.2, 0.8))
-    u = BVFunction(Interval(0.0, 1.0), None, tuple((b, c) for c in coefs))
-    assert u.cantor_part == (((b, 0.25),) if tv else ())
-    assert u.total_variation() == tv
-    assert measure_total_variation(u.derivative()) == tv
-    g = lambda xs: 1.0 + np.asarray(xs, dtype=float)  # noqa: E731
-    assert coarea_rhs(g, u) == pytest.approx(coarea_lhs(g, u), abs=1e-9)
-    assert coarea_lhs(g, u) == pytest.approx(tv * 1.5, abs=1e-9)
+    for b2 in (b, CantorBase(Interval(np.nextafter(0.2, 1.0), 0.8))):
+        u = BVFunction(Interval(0.0, 1.0), None, ((b, coefs[0]), (b2, coefs[1])))
+        assert u.cantor_part == (((b, 0.25),) if tv else ())
+        assert u.total_variation() == tv
+        assert measure_total_variation(u.derivative()) == tv
+        g = lambda xs: 1.0 + np.asarray(xs, dtype=float)  # noqa: E731
+        assert coarea_rhs(g, u) == pytest.approx(coarea_lhs(g, u), abs=1e-9)
+        assert coarea_lhs(g, u) == pytest.approx(tv * 1.5, abs=1e-9)
 
 
 def test_monotone_variation_is_endpoint_difference():
@@ -355,10 +373,11 @@ def test_leibniz_weak_residual_vanishes(mk_v, mk_w):
 
 
 def test_product_of_cantor_parts_on_same_base_is_rejected():
-    v = BVFunction.cantor_fn(0.0, 1.0)
-    w = BVFunction.cantor_fn(0.0, 1.0, coefficient=2.0)
-    with pytest.raises(RepresentationError, match="same base is outside the class"):
-        leibniz_weak_residual(v, w, TestFunction.bump((0.1, 0.9), 1.0))
+    v = BVFunction.cantor_fn(0.0, 1.0, support=(0.0, 0.5))
+    for lo in (0.0, 2.0**-60):  # supports within 1e-14 are one base
+        w = BVFunction.cantor_fn(0.0, 1.0, support=(lo, 0.5), coefficient=2.0)
+        with pytest.raises(RepresentationError, match="same base is outside the class"):
+            leibniz_weak_residual(v, w, TestFunction.bump((0.1, 0.9), 1.0))
 
 
 # -- coarea ------------------------------------------------------------------

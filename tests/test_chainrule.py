@@ -320,6 +320,46 @@ def test_one_cell_layout_per_case_and_sided_jump_brackets(monkeypatch):
     assert calls["eval"] >= 1
 
 
+def test_one_piece_lookup_per_state_component_and_flux_term(monkeypatch):
+    """The diffuse integrand looks up the pieces of each state component
+    once for u and u', and of each flux coefficient once for K and K'."""
+    from bvcalc import chainrule
+    from bvcalc.measures import PiecewisePolynomial
+
+    integrands = []
+
+    def capture(f, lo, hi, **kwargs):
+        integrands.append(f)
+        return np.zeros(3 * len(lo))
+
+    monkeypatch.setattr(chainrule, "integrate_interval", capture)
+    bent = BVFunction.from_poly(0.0, 1.0, (0.2, 1.0, -0.5))
+    u = BVVector((
+        bent + BVFunction.heaviside(0.0, 1.0, 0.4, 0.0, 0.3),
+        bent + BVFunction.heaviside(0.0, 1.0, 0.6, 0.0, -0.2) + BVFunction.cantor_fn(0.0, 1.0),
+    ))
+    B = FluxModel((
+        (bent + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0), monomial((1, 1))),
+        (BVFunction.from_poly(0.0, 1.0, (1.0, 2.0)), monomial((0, 2))),
+    ), dim=2)
+    chainrule_terms(B, u, PHI)
+    (diffuse,) = integrands
+
+    lookups = []
+    for name in ("at", "with_slope"):
+        method = getattr(PiecewisePolynomial, name, None)
+        if method is not None:
+            def counted(self, *args, _method=method, **kwargs):
+                lookups.append(self)
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(PiecewisePolynomial, name, counted)
+    rows = np.sort(np.random.default_rng(3).uniform(0.1, 0.9, (40, 7)), axis=1)
+    for xs in (rows, rows[:, 3]):
+        lookups.clear()
+        diffuse(xs)
+        assert len(lookups) == len(u.components) + len(B.terms)
+
+
 # -- specialized assemblies --------------------------------------------------
 
 

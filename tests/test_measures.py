@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from bvcalc import (
     AbsoluteContinuityError,
+    BVFunction,
     CantorBase,
     Interval,
     PiecewisePolynomial,
@@ -56,6 +57,35 @@ def test_one_sided_limits_at_interior_node():
     assert pp.at([0.5], "left")[0] == 1.0
     assert pp.at([0.5], "right")[0] == 3.0
     assert pp(np.array([0.5]))[0] == 3.0  # array evaluation is right-continuous
+
+
+@pytest.mark.parametrize(
+    "pp",
+    [
+        PiecewisePolynomial((0.0, 0.3, 0.5, 1.0), ((1.0, 2.0, -3.0), (0.5,), (-1.0, 0.25, 0.0, 4.0))),
+        PiecewisePolynomial.from_global(0.0, 1.0, (0.3, -1.0, 2.0)),
+        PiecewisePolynomial.constant(0.0, 1.0, 2.5),
+    ],
+    ids=["three-pieces", "one-piece", "constant"],
+)
+def test_value_and_slope_from_one_lookup_are_at_and_derivative_at(pp):
+    """``with_slope`` gives the bits of ``at`` and of ``derivative().at``:
+    on 1-D points (breakpoints among them), on ascending rows inside one
+    piece or straddling a breakpoint, and on rows that are not ascending."""
+    rng = np.random.default_rng(11)
+    flat = np.concatenate([rng.uniform(0.0, 1.0, 50), pp.breakpoints, [0.3, 0.5]])
+    rows = np.sort(rng.uniform(0.0, 1.0, (30, 5)), axis=1)
+    inside = 0.31 + 0.18 * np.sort(rng.uniform(0.0, 1.0, (10, 5)), axis=1)
+    on_bps = np.array([[0.1, 0.2, 0.3], [0.3, 0.4, 0.5], [0.5, 0.5, 0.5]])
+    slope = pp.derivative()
+    for xs in (flat, rows, inside, on_bps, rows[:, ::-1]):
+        val, ds = pp.with_slope(xs)
+        assert val.tolist() == pp.at(xs).tolist()
+        assert ds.tolist() == slope.at(xs).tolist()
+    u = BVFunction(Interval(0.0, 1.0), pp, ((CantorBase(Interval(0.2, 0.6)), 0.5),))
+    val, ds = u.values_with_slope(rows)
+    assert val.tolist() == u.values(rows).tolist()
+    assert ds.tolist() == slope.at(rows).tolist()
 
 
 # -- measure assembly and masses ---------------------------------------------
