@@ -282,47 +282,52 @@ class BVVector:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """C^1 test function supported strictly inside the ambient interval."""
+    """The polynomial bump phi(x) = (1 - t^2)^2 q(t) on ``support``, with
+    t = (x - c)/h its [-1, 1] coordinate (c the center, h the half-width)
+    and q the polynomial of the ascending ``coeffs``; phi is 0 off the
+    support.  The quartic factor makes phi C^1 with phi and phi' vanishing
+    at the support ends, for any q."""
 
     support: Interval
-    value: object
-    deriv: object
+    coeffs: tuple = (1.0,)
     label: str = field(default="", compare=False)
 
+    def __post_init__(self):
+        c = 0.5 * (self.support.a + self.support.b)
+        h = 0.5 * (self.support.b - self.support.a)
+        # p(t) = (1 - t^2)^2 q(t), ascending coefficients
+        p = np.convolve([1.0, 0.0, -2.0, 0.0, 1.0], self.coeffs)
+        for name, v in (("_c", c), ("_h", h), ("_p", p), ("_dp", p[1:] * np.arange(1, len(p)))):
+            object.__setattr__(self, name, v)
+
+    def _coordinate(self, xs):
+        """t at ``xs``, and the mask of the points inside the support."""
+        t = (np.asarray(xs, dtype=float) - self._c) / self._h
+        return t, np.abs(t) < 1.0
+
     def __call__(self, xs):
-        return _apply(self.value, np.asarray(xs, dtype=float))
+        t, inside = self._coordinate(xs)
+        return np.where(inside, _horner(self._p, t), 0.0)
 
     def prime(self, xs):
-        return _apply(self.deriv, np.asarray(xs, dtype=float))
+        t, inside = self._coordinate(xs)
+        return np.where(inside, _horner(self._dp, t) / self._h, 0.0)
+
+    def with_slope(self, xs):
+        """``(phi(xs), phi.prime(xs))`` from one t and one support mask."""
+        t, inside = self._coordinate(xs)
+        return (
+            np.where(inside, _horner(self._p, t), 0.0),
+            np.where(inside, _horner(self._dp, t) / self._h, 0.0),
+        )
 
     @staticmethod
     def poly_bump(support, coeffs=(1.0,), label=""):
-        """phi(x) = (1-t^2)^2 * q(t) with t the [-1,1] coordinate of
-        ``support`` and q the polynomial with the given coefficients.
-
-        The quartic factor makes phi C^1 with phi and phi' vanishing at the
-        support edges, for any q."""
+        """The bump with q's ascending ``coeffs`` on ``support`` (an
+        :class:`Interval` or an (a, b) pair)."""
         sup = support if isinstance(support, Interval) else Interval(*support)
-        c = 0.5 * (sup.a + sup.b)
-        h = 0.5 * (sup.b - sup.a)
-        # p(t) = (1 - t^2)^2 q(t), ascending coefficients
-        quart = np.array([1.0, 0.0, -2.0, 0.0, 1.0])
-        p = np.convolve(quart, np.asarray(coeffs, dtype=float))
-        dp = p[1:] * np.arange(1, len(p))
-
-        def value(xs):
-            xs = np.asarray(xs, dtype=float)
-            t = (xs - c) / h
-            out = _horner(p, t)
-            return np.where(np.abs(t) < 1.0, out, 0.0)
-
-        def deriv(xs):
-            xs = np.asarray(xs, dtype=float)
-            t = (xs - c) / h
-            out = _horner(dp, t) / h
-            return np.where(np.abs(t) < 1.0, out, 0.0)
-
-        return TestFunction(sup, value, deriv, label=label or f"bump{list(coeffs)}")
+        label = label or f"bump{list(coeffs)}"
+        return TestFunction(sup, tuple(float(c) for c in coeffs), label=label)
 
     @staticmethod
     def bump(support, amplitude=1.0, label=""):
@@ -471,8 +476,8 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     Monotone pieces contribute one located point per level (found by one
     bisection for every piece's levels); jump points contribute wherever t
     lies between the one-sided values; flat pieces are skipped (a null set
-    of levels).  Every level cell is one window of one stacked quadrature,
-    to its share of tol."""
+    of levels).  Every level cell is one window of one quadrature of the
+    one level-counting integrand, to its share of tol."""
     pp = u.smooth_part
     monotone = _monotone_pieces(u)
     pieces = []
@@ -535,7 +540,7 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     lo, hi = zip(*cells)
     windows = len(cells)
     totals = integrate_interval(
-        lambda ts: np.broadcast_to(located_sum(ts), (windows,) + np.shape(ts)),
+        located_sum,
         lo,
         hi,
         tol=[tol * (t1 - t0) / span for t0, t1 in cells],

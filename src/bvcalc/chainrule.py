@@ -382,16 +382,20 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     per_phi = 2 if g is not None else 3  # t1, t3 (and lhs)
 
     def weights(xs, spans=False):
-        """Per phi, its span of rows of ``xs`` and the weight on it: phi,
-        times g with a weight.  With ``spans`` only the rows that meet the
-        phi's window are evaluated; the weight is 0 on the rest, where no
-        component of that phi reads."""
+        """Per phi, its span of rows of ``xs``, the weight on it (phi, times
+        g with a weight) and, with ``spans`` and no weight, phi' on the span
+        from the same evaluation (else None).  With ``spans`` only the rows
+        that meet the phi's window are evaluated; the weight is 0 on the
+        rest, where no component of that phi reads."""
         gd = None if g is None else g_diffuse(xs)
         for phi, a, b in zip(phis, lo, hi):
             span = _row_span(xs, a, b) if spans else slice(None)
-            wx = np.zeros_like(xs)
-            wx[span] = phi(xs[span]) if g is None else phi(xs[span]) * gd[span]
-            yield phi, span, wx
+            wx, slope = np.zeros_like(xs), None
+            if g is None and spans:
+                wx[span], slope = phi.with_slope(xs[span])
+            else:
+                wx[span] = phi(xs[span]) if g is None else phi(xs[span]) * gd[span]
+            yield span, wx, slope
 
     def atom(phi, x):
         a = _phi_at(phi, x)
@@ -406,11 +410,11 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         for gi, di in zip(gw, dW):
             t3 += gi * di
         out = np.zeros((per_phi * len(phis),) + np.shape(xs))
-        for j, (phi, span, wx) in enumerate(weights(xs, spans=True)):
+        for j, (span, wx, slope) in enumerate(weights(xs, spans=True)):
             np.multiply(wx, gx, out=out[per_phi * j])
             np.multiply(wx, t3, out=out[per_phi * j + 1])
             if g is None:
-                np.multiply(phi.prime(xs[span]), val[span], out=out[per_phi * j + 2][span])
+                np.multiply(slope, val[span], out=out[per_phi * j + 2][span])
         return out
 
     diffuse_terms = integrate_interval(
@@ -436,7 +440,7 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
             gw = B.diffuse_on_grid(xs, W)[2] if any(isinstance(r, int) for r in rows) else None
             vals = [gw[r] if isinstance(r, int) else r(xs, W) for r in rows]
             out = np.empty((len(rows) * len(phis),) + xs.shape)
-            for j, (_, _, wx) in enumerate(weights(xs)):
+            for j, (_, wx, _) in enumerate(weights(xs)):
                 for q, v in enumerate(vals):
                     np.multiply(wx, v, out=out[len(rows) * j + q])
             return out

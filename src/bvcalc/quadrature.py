@@ -24,8 +24,10 @@ Patterson 15 rules (Kronrod 1965; Patterson 1968), whose nodes each hold the
 previous rule's.  Each pass evaluates the integrand in blocks of cells on
 ``(cells, 7)`` rows of K7 nodes; a cell takes K7 if |K7 - G3| meets its share
 of tol, else P15 from ``(cells, 8)`` rows of the other nodes if |P15 - K7|
-does, else it is bisected.  Every sum is a fixed-order sum over the cell's
-own nodes, so it has the same bits whatever else the block holds.
+does, else it is bisected.  Every sum runs over the cell's own nodes in an
+explicit association (left to right over the 7 K7 nodes, pairwise over the
+8 others: :func:`_node_sums`), so it has the same bits whatever else the
+block holds.
 
 An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
 components is then refined on its own, and the components may split into
@@ -57,8 +59,10 @@ _HALF = np.array([
     (0.99383196321275502, 0.0, 0.0, 0.017001719629940260),
 ])
 _MIRROR = np.array([-1.0, 1.0, 1.0, 1.0])  # a node's image at -x keeps its weights
-_K7, *_K7_RULES = np.concatenate((_HALF[3:0:-1] * _MIRROR, _HALF[:4])).T
-_P8, *_, _P8_RULE = np.concatenate((_HALF[:3:-1] * _MIRROR, _HALF[4:])).T
+_K7_TABLE = np.concatenate((_HALF[3:0:-1] * _MIRROR, _HALF[:4])).T
+_K7, _K7_RULES = _K7_TABLE[0], _K7_TABLE[1:]  # nodes; G3, K7 and P15 weights
+_P8_TABLE = np.concatenate((_HALF[:3:-1] * _MIRROR, _HALF[4:])).T
+_P8, _P8_RULES = _P8_TABLE[0], _P8_TABLE[3:]  # nodes; P15 weights
 _BLOCK = 512  # cells per integrand call: bounds the integrand's temporaries
 
 _MAX_PASSES = 30
@@ -230,14 +234,43 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
     return np.concatenate(smooth), np.concatenate(mids)
 
 
+def _node_sums(block, rules, out):
+    """Into ``out`` (r, ...), the sums over the last axis of ``block``
+    (..., m) times each weight row of ``rules`` (r, m), m = 7 or 8, in
+    numpy's own association for a C-ordered row: 7 left to right, 8 as
+    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), and an all -0.0 row
+    to +0.0.  Node column by node column, in place, with at most three
+    temporaries of ``out``'s shape: every operation is elementwise, so the
+    bits depend on neither the block's shape nor its memory order."""
+    w = rules.T.reshape(rules.shape[::-1] + (1,) * (block.ndim - 1))
+    tmp = np.empty_like(out)
+    if len(w) == 8:
+        def pair(j, into):
+            np.multiply(block[..., j], w[j], out=into)
+            np.multiply(block[..., j + 1], w[j + 1], out=tmp)
+            into += tmp
+            return into
+
+        acc = pair(0, out)
+        acc += pair(2, np.empty_like(out))
+        right = pair(4, np.empty_like(out))
+        right += pair(6, np.empty_like(out))
+        acc += right
+    else:
+        np.multiply(block[..., 0], w[0], out=out)
+        for j in range(1, len(w)):
+            np.multiply(block[..., j], w[j], out=tmp)
+            out += tmp
+    out += 0.0
+
+
 def _panel(f, lo, hi, nodes, rules):
     """The sums of ``f`` on each cell [lo_i, hi_i] at its ``nodes`` (on
     [-1, 1]) under each weight row of ``rules``, before the half-width
     factor: an (r, n) array, or (r, k, n) for a stacked integrand, from one
-    call per block of cells.  Each sum runs over its row's own nodes in a
-    fixed order whatever the block: numpy sums the last axis of a C-ordered
-    array so, but of an F-ordered one (as fancy indexing gives) in another
-    order from 8 columns up, and a one-row block is both."""
+    call per block of cells.  Each sum runs over its row's own nodes in the
+    fixed association of :func:`_node_sums`, whatever else the block
+    holds."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     sums = None
@@ -246,8 +279,7 @@ def _panel(f, lo, hi, nodes, rules):
         block = _apply(f, xs, stacked=True)
         if sums is None:
             sums = np.empty((len(rules),) + block.shape[:-2] + (lo.size,))
-        for out, w in zip(sums, rules):
-            out[..., s:s + _BLOCK] = np.multiply(block, w, order="C").sum(axis=-1)
+        _node_sums(block, rules, sums[..., s:s + _BLOCK])
     return sums
 
 
@@ -281,7 +313,7 @@ def _midpoint_rule(f, mids):
     (ulo, uhi), rows = _union(mids)
     vals = _apply(f, 0.5 * (ulo + uhi), stacked=True)
     stacked = vals.ndim > 1
-    vals = vals if stacked else vals[None]
+    vals = vals if stacked else [vals] * len(mids)
     mids, rows = _spread(mids, len(vals)), _spread(rows, len(vals))
     # 0.0 + keeps an all -0.0 sum from coming back as -0.0
     return [
@@ -300,14 +332,17 @@ def integrate_cells(f, smooth, mids, tol):
     For a stacked integrand (values ``(k, ...)``) a k-tuple is returned.
     ``smooth`` and ``mids`` may also be sequences of g layouts, and ``tol``
     a sequence of g tolerances; the k components then split into g equal
-    consecutive groups, group j on layout j to tolerance j.  Each component
+    consecutive groups, group j on layout j to tolerance j.  An unstacked
+    integrand is then one component per layout, each reading its layout's
+    rows of the one value array, and a g-tuple is returned.  Each component
     keeps its own cells, budget, passing cells, refinement and error, so its
     float operations are those of integrating it alone; each pass evaluates
     the integrand once on the union of the components' live cells and once
     on the union of those that fail K7, and the midpoint cells' union is
     evaluated once.
     Of the components that fail, the first one's error is raised."""
-    if isinstance(smooth, np.ndarray):
+    grouped = not isinstance(smooth, np.ndarray)
+    if not grouped:
         smooth, mids = [smooth], [mids]
     tols = list(tol) if np.ndim(tol) else [tol] * len(smooth)
     if len(tols) != len(smooth):
@@ -332,12 +367,13 @@ def integrate_cells(f, smooth, mids, tol):
         sums = _panel(f, ulo, uhi, _K7, _K7_RULES)
         if totals is None:
             stacked = sums.ndim > 2
-            k = sums.shape[1] if stacked else 1
+            k = sums.shape[1] if stacked else len(live)
             live, errors, total_len, tols, rows = (
                 _spread(v, k) for v in (live, errors, total_len, tols, rows)
             )
             totals = [0.0] * k
-        sums = sums if stacked else sums[:, None]
+        if not stacked:  # one row of sums, which every layout's component reads
+            sums = np.broadcast_to(sums[:, None], (len(sums), len(totals), ulo.size))
         # K7 against G3, and the union rows that fail in some component
         steps, need = [], np.zeros(ulo.size, dtype=bool)
         for c, ((lo, hi), r) in enumerate(zip(live, rows)):
@@ -352,8 +388,9 @@ def integrate_cells(f, smooth, mids, tol):
         # P15 on those rows, from their 8 other nodes; a boolean mask, as
         # np.unique would import numpy.ma
         if need.any():
-            more = _panel(f, ulo[need], uhi[need], _P8, (_P8_RULE,))[0]
-            more, at = (more if stacked else more[None]), np.cumsum(need) - 1
+            more = _panel(f, ulo[need], uhi[need], _P8, _P8_RULES)[0]
+            more = more if stacked else np.broadcast_to(more, (len(totals), more.size))
+            at = np.cumsum(need) - 1
         for c, (r, half, val, err, budget, ok) in enumerate(steps):
             bad = np.flatnonzero(~ok)
             if bad.size:
@@ -382,7 +419,7 @@ def integrate_cells(f, smooth, mids, tol):
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error
-    return tuple(totals) if stacked else totals[0]
+    return tuple(totals) if stacked or grouped else totals[0]
 
 
 def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
@@ -395,10 +432,11 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     ``f`` is called on float arrays of any shape.  A stacked integrand,
     whose values carry a leading axis of k components, gives a k-tuple:
     each component is refined on its own (see :func:`integrate_cells`).
-    ``lo`` and ``hi`` may then be sequences of g windows, with
+    ``lo`` and ``hi`` may also be sequences of g windows, with
     ``breakpoints`` and ``cantor_supports`` one sequence per window and
     ``tol`` one tolerance or one per window: window j's layout serves the
-    j-th of g equal consecutive groups of components, and every pass
+    j-th of g equal consecutive groups of components (an unstacked ``f`` is
+    one component per window, and gives a g-tuple), and every pass
     evaluates the integrand once for all of them.
     """
     if np.ndim(lo):

@@ -311,6 +311,56 @@ def test_bump_derivative_matches_finite_differences():
     np.testing.assert_allclose(phi.prime(xs), fd, atol=1e-7)
 
 
+def _closure_bump(support, coeffs):
+    """phi and phi' of the bump as two closures, each with its own t and
+    support mask, through npoly.polyval: the reference for the bits."""
+    (a, b), q = support, np.asarray(coeffs, dtype=float)
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    p = np.convolve(np.array([1.0, 0.0, -2.0, 0.0, 1.0]), q)
+    dp = p[1:] * np.arange(1, len(p))
+
+    def value(xs):
+        t = (np.asarray(xs, dtype=float) - c) / h
+        return np.where(np.abs(t) < 1.0, npoly.polyval(t, p), 0.0)
+
+    def deriv(xs):
+        t = (np.asarray(xs, dtype=float) - c) / h
+        return np.where(np.abs(t) < 1.0, npoly.polyval(t, dp) / h, 0.0)
+
+    return value, deriv
+
+
+@st.composite
+def bump_points(draw):
+    """A support, q's coefficients, and 1-D or 2-D points among which lie
+    the support ends, their neighbouring floats and points outside."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(1e-3, 10.0))
+    coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+    fracs = draw(st.lists(st.floats(-0.3, 1.3), min_size=1, max_size=12))
+    ends = [a, b, np.nextafter(a, -np.inf), np.nextafter(a, np.inf), np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    xs = np.array(ends + [a + f * (b - a) for f in fracs])
+    if draw(st.booleans()):
+        xs = xs[: len(xs) // 2 * 2].reshape(-1, 2)
+    return (a, b), coeffs, xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(bump_points())
+def test_bump_with_slope_is_phi_and_its_prime(case):
+    """``with_slope`` gives ``(phi(xs), phi.prime(xs))`` bit for bit, and
+    both are the bits of the two closures over npoly.polyval that a bump
+    was built from: at and beyond the support ends too, on 1-D and 2-D
+    points."""
+    support, coeffs, xs = case
+    phi = TestFunction.poly_bump(support, coeffs)
+    value, slope = phi.with_slope(xs)
+    ref_value, ref_deriv = _closure_bump(support, coeffs)
+    assert value.shape == slope.shape == xs.shape
+    assert value.tobytes() == phi(xs).tobytes() == ref_value(xs).tobytes()
+    assert slope.tobytes() == phi.prime(xs).tobytes() == ref_deriv(xs).tobytes()
+
+
 # -- weak identities ---------------------------------------------------------
 
 
@@ -562,7 +612,7 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
 
 
 def test_coarea_rhs_makes_one_quadrature_and_one_bisection_per_evaluation():
-    """coarea_rhs integrates every level cell in one stacked call, and each
+    """coarea_rhs integrates every level cell in one call, and each
     evaluation of its level-counting integrand bisects the levels of every
     monotone piece at once: one _bisect call if some level lies inside a
     piece's range, none otherwise."""

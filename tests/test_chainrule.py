@@ -360,6 +360,37 @@ def test_one_piece_lookup_per_state_component_and_flux_term(monkeypatch):
         assert len(lookups) == len(u.components) + len(B.terms)
 
 
+def test_diffuse_evaluates_each_bump_once_per_block(monkeypatch):
+    """The diffuse integrand takes phi and phi' of each test function from
+    one ``with_slope`` call per block, and no separate phi or phi' call."""
+    from bvcalc import chainrule
+
+    integrands = []
+
+    def capture(f, lo, hi, **kwargs):
+        integrands.append(f)
+        return np.zeros(3 * len(lo))
+
+    monkeypatch.setattr(chainrule, "integrate_interval", capture)
+    u = BVFunction.from_poly(0.0, 1.0, (0.2, 1.0, -0.5)) + BVFunction.heaviside(0.0, 1.0, 0.4, 0.0, 0.3)
+    B = identity_flux(BVFunction.from_poly(0.0, 1.0, (1.0, 2.0)))
+    phis = (PHI, TestFunction.poly_bump((0.3, 0.7), (1.0, 0.5)), TestFunction.poly_bump((0.0, 1.0), (0.5,)))
+    chainrule_terms(B, u, phis)
+    (diffuse,) = integrands
+
+    calls = []
+    for name in ("__call__", "prime", "with_slope"):
+        def counted(self, *args, _name=name, _method=getattr(TestFunction, name), **kwargs):
+            calls.append((_name, id(self)))
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(TestFunction, name, counted)
+    rows = np.sort(np.random.default_rng(5).uniform(0.05, 0.95, (40, 7)), axis=1)
+    for xs in (rows, rows[:, 3]):
+        calls.clear()
+        diffuse(xs)
+        assert sorted(calls) == sorted(("with_slope", id(phi)) for phi in phis)
+
+
 # -- specialized assemblies --------------------------------------------------
 
 

@@ -8,6 +8,7 @@ float and in the order of the cells, because ``integrate_cells`` sums in that
 order and ``report.csv`` bytes depend on it.
 """
 
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -231,16 +232,21 @@ def _alone(fs, windows, tol):
     return out
 
 
-def _assert_stacked_as_alone(fs, windows, tol, alone):
+def _assert_as_alone(f, windows, tol, alone):
+    """``f`` on all ``windows`` in one call gives the reprs of ``alone``,
+    or raises the first of its errors."""
     errors = [str(a) for a in alone if isinstance(a, QuadratureError)]
-    stacked = lambda t: np.stack([f(t) for f in fs])  # noqa: E731
     lo, hi, points, supports = zip(*windows)
     if errors:
         with pytest.raises(QuadratureError) as err:
-            integrate_interval(stacked, lo, hi, tol, points, supports)
+            integrate_interval(f, lo, hi, tol, points, supports)
         assert str(err.value) == errors[0]
     else:
-        assert [repr(v) for v in integrate_interval(stacked, lo, hi, tol, points, supports)] == alone
+        assert [repr(v) for v in integrate_interval(f, lo, hi, tol, points, supports)] == alone
+
+
+def _assert_stacked_as_alone(fs, windows, tol, alone):
+    _assert_as_alone(lambda t: np.stack([f(t) for f in fs]), windows, tol, alone)
 
 
 TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
@@ -306,12 +312,85 @@ def test_block_size_leaves_the_bits_alone(block, monkeypatch):
     _assert_stacked_as_alone(fs, windows, 1e-8, alone)
 
 
+@settings(max_examples=20, deadline=None)
+@given(stacks().filter(lambda stack: len(stack[0]) > 1), st.sampled_from(sorted(COMPONENTS)))
+# three windows, each to its own tol, with breakpoints and midpoint cells
+@example(
+    ([(0.0, 1.0, (), ()), (0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.0, 0.7, (0.5,), ((0.2, 0.65),))],
+     [], [1e-6, 1e-10, 1e-12]),
+    "wiggle",
+)
+def test_unstacked_integrand_serves_every_window(stack, name):
+    """An unstacked integrand given g windows is one component per window,
+    each reading its window's rows of the one value array: a g-tuple with
+    the bits of integrating it alone on each window, or the first window's
+    error that raises alone."""
+    windows, _, tol = stack
+    f = COMPONENTS[name]
+    _assert_as_alone(f, windows, tol, _alone([f] * len(windows), windows, tol))
+
+
+def _reference_node_sums(block, rules):
+    """The panel sums as numpy's reduction takes them, with the product
+    C-ordered: the reference for ``_node_sums``."""
+    return np.stack([np.multiply(block, w, order="C").sum(axis=-1) for w in rules])
+
+
+def _node_block(rng, shape, layout):
+    """Random values of ``shape`` with exponents spanning e^-30..e^30, some
+    of them +-0, +-inf or nan, and sometimes an all -0.0 row, laid out
+    C-ordered, F-ordered or as a fancy-indexed gather."""
+    gather = shape[:-1] + (shape[-1] + 3,)
+    vals = rng.standard_normal(gather) * np.exp(rng.uniform(-30.0, 30.0, gather))
+    pick = rng.random(gather)
+    vals[pick < 0.05] = 0.0
+    vals[(pick >= 0.05) & (pick < 0.1)] = -0.0
+    if rng.random() < 0.3:
+        vals[pick > 0.99] = np.inf
+        vals[(pick > 0.98) & (pick <= 0.99)] = -np.inf
+        vals[(pick > 0.97) & (pick <= 0.98)] = np.nan
+    if rng.random() < 0.2:
+        vals[(0,) * (len(shape) - 1)] = -0.0
+    if layout == "fancy":
+        return vals[..., rng.permutation(gather[-1])[: shape[-1]]]
+    vals = vals[..., : shape[-1]].copy()
+    return np.asfortranarray(vals) if layout == "F" else vals
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "fancy"])
+@pytest.mark.parametrize("shape", [(1, 7), (1, 8), (40, 7), (40, 8), (3, 40, 7), (3, 1, 7), (3, 1, 8), (3, 40, 8)])
+def test_node_sums_match_numpy_reduction(shape, layout):
+    """The panel kernel's column sums in explicit association have the bits
+    of numpy's reduction of the C-ordered product, whatever the shape or
+    memory order of the block: under the K7 and P8 rules and random weight
+    rows with zeros, on values spanning e^+-30 with +-0, inf and nan.  A
+    NaN matches a NaN: which NaN operand an addition keeps, and so its sign
+    and payload, is the CPU's choice."""
+    rng = np.random.default_rng(sum(shape) * 3 + len(layout))
+    real = quadrature._K7_RULES if shape[-1] == 7 else quadrature._P8_RULES
+    for _ in range(60):
+        block = _node_block(rng, shape, layout)
+        weights = rng.standard_normal((3, shape[-1]))
+        weights[rng.random(weights.shape) < 0.3] = 0.0
+        for rules in (real, weights):
+            with np.errstate(invalid="ignore"):
+                want = _reference_node_sums(block, rules)
+                got = np.full(want.shape, 7.0)
+                quadrature._node_sums(block, rules, got)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_quadrature_sums_use_no_blas():
-    """The panel sums are fixed-order elementwise reductions: a BLAS
-    product's bits for one row can depend on how many rows it is given."""
+    """The panel sums are fixed-order elementwise sums: a BLAS product's
+    bits for one row can depend on how many rows it is given, and a numpy
+    reduction's association is numpy's internal choice."""
     text = Path(quadrature.__file__).read_text()
     for token in ("@", "np.dot", "np.einsum"):
         assert token not in text
+    for fn in (quadrature._panel, quadrature._node_sums):
+        assert ".sum(" not in inspect.getsource(fn)
 
 
 def test_the_library_computes_no_gauss_rule():
@@ -327,7 +406,7 @@ def _nested_rules():
     return (
         (quadrature._K7[g3 != 0.0], g3[g3 != 0.0]),
         (quadrature._K7, k7),
-        (np.concatenate((quadrature._K7, quadrature._P8)), np.concatenate((p15, quadrature._P8_RULE))),
+        (np.concatenate((quadrature._K7, quadrature._P8)), np.concatenate((p15, quadrature._P8_RULES[0]))),
     )
 
 
