@@ -140,10 +140,11 @@ def cantor_function_eval(x):
     return float(out) if ts.ndim == 0 else out
 
 
-def depth_for(tol, lip=1.0, width=1.0):
-    """Quadrature depth so the cell-oscillation bound lip*width*3^-d <= tol."""
-    target = max(lip * width / max(tol, 1e-300), 3.0)
-    return max(1, min(_MAX_DEPTH, math.ceil(math.log(target) / math.log(3.0))))
+def depth_for(tol):
+    """The one starting depth of the Cantor midpoint rule at ``tol``:
+    log_9(4/tol) clamped to 10..17, as each level cell's reflection symmetry
+    squares the rule's 3^-d; ``integrate_measure`` goes on from it."""
+    return int(min(max(math.ceil(math.log(4.0 / max(tol, 1e-300)) / math.log(9.0)), 10), 17))
 
 
 @lru_cache(maxsize=None)

@@ -38,24 +38,17 @@ lhs = integral of phi'(x) B(x, u(x)) dx.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bvfunction import BVFunction, BVVector
+from .cantor import depth_for
 from .errors import DomainError
 from .measures import _horner
 from .quadrature import _merge_supports, integrate_interval
 
 _GRID_LIP_MARGIN = 1.05
-
-
-def _cantor_depth(tol):
-    """Subdivision depth for the singular integrals.  The cell-midpoint rule
-    gains a square factor from the reflection symmetry of each level cell,
-    so the depth scales with log tol to base 9 rather than base 3."""
-    return int(min(max(math.ceil(math.log(4.0 / tol) / math.log(9.0)), 10), 17))
 
 
 def _phi_at(phi, x):
@@ -378,7 +371,7 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         raise DomainError("state and flux must share the domain")
     layouts = [_layout(phi, B, u, *(() if g is None else (g,))) for phi in phis]
     lo, hi, bps, sups = zip(*layouts)
-    depth = _cantor_depth(tol)
+    depth = depth_for(tol)
     per_phi = 2 if g is not None else 3  # t1, t3 (and lhs)
 
     def weights(xs, spans=False):
@@ -537,7 +530,7 @@ def _window_pairing(phi, lo, hi, density, singular, tol, breakpoints, supports):
     part with x-density ``density`` (None: none) by ``integrate_interval``,
     plus, per ``(base, sigma)`` of ``singular``, the part with density
     ``sigma`` against the base's Cantor measure, on the window's share of
-    the support at depth ``_cantor_depth(tol)``.  Both parts are cut at
+    the support at depth ``cantor.depth_for(tol)``.  Both parts are cut at
     ``breakpoints``; ``supports`` are the Cantor supports of the a.c.
     integrand.  The per-cell part of the piecewise-constant assembly, of
     the entropy-flux slice and of the level-set comparison."""
@@ -552,7 +545,7 @@ def _window_pairing(phi, lo, hi, density, singular, tol, breakpoints, supports):
         if b > a:
             total += base.integrate(
                 lambda xs, sigma=sigma: phi(xs) * sigma(xs),
-                _cantor_depth(tol), breakpoints, window=(a, b),
+                depth_for(tol), breakpoints, window=(a, b),
             )
     return total
 

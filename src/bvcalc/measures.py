@@ -15,7 +15,7 @@ ternary-aware quadrature exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from . import cantor
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
+    QuadratureError,
     RepresentationError,
 )
 from .quadrature import _apply, _bisect, integrate_interval, _merge_supports, _same_support
@@ -492,7 +493,7 @@ class RadonMeasure:
         )
 
     def total_mass(self):
-        return integrate_measure(lambda xs: np.ones_like(np.asarray(xs, float)), self)
+        return self.mass(self.interval.a, self.interval.b)
 
     def mass(self, lo, hi):
         """Measure of [lo, hi]; atoms exactly at lo/hi count fully (callers
@@ -515,12 +516,22 @@ class RadonMeasure:
         )
 
 
-def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_hint=1.0):
+def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=()):
     """integral of f d(mu) for bounded f, continuous except at declared points.
 
     ``breakpoints``/``cantor_supports`` declare the discontinuities and Cantor
     summands of ``f`` itself; the measure contributes its own automatically.
     At atoms f is evaluated pointwise (caller's representative convention).
+
+    Each Cantor term checks its own convergence: the midpoint rule goes one
+    level deeper until |I_d - I_(d-1)| times |coefficient| is at most tol
+    over the number of Cantor terms, and takes I_d.  It starts at
+    ``cantor.depth_for(tol)``, or 3 levels below the cells as wide as the
+    narrowest massive piece between breakpoints (else one midpoint each in
+    both rules).  That assumes f resolved there, converging like 9^-d, 4^-d
+    (through C) or 3^-d (Lipschitz); finer features can alias unseen, as
+    cos(2 pi 3^12 x) at level-d midpoints, d <= 12.  If depth
+    ``cantor._MAX_DEPTH`` still fails, ``QuadratureError`` says so.
     """
     bps = tuple(breakpoints) + mu.breakpoints()
     sups = tuple(cantor_supports) + mu.cantor_supports()
@@ -537,8 +548,20 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=(), lip_h
         for w, fx in zip(ws, _apply(f, np.array(xs)).tolist()):
             total += w * fx
     for t in mu.cantor_terms:
-        depth = cantor.depth_for(tol, lip=lip_hint, width=t.base.width)
-        total += t.coefficient * t.base.integrate(lambda xs: _apply(f, xs), depth, bps)
+        edges = np.clip(np.sort([*bps, -np.inf, np.inf]), t.base.support.a, t.base.support.b)
+        narrowest = np.diff(edges)[np.diff(t.base.profile(edges)) > 0.0].min()
+        start = int(np.ceil(np.log(t.base.width / narrowest) / np.log(3.0))) + 3
+        depth = min(max(cantor.depth_for(tol), start), cantor._MAX_DEPTH)
+        prev, value = (t.base.integrate(partial(_apply, f), d, bps) for d in (depth - 1, depth))
+        while abs(t.coefficient * (value - prev)) > tol / len(mu.cantor_terms):
+            if depth == cantor._MAX_DEPTH:
+                raise QuadratureError(
+                    f"tolerance {tol:g} unreachable on the Cantor base {t.base.id}: "
+                    f"depths {depth - 1} and {depth} differ by {abs(value - prev):.3g}"
+                )
+            depth += 1
+            prev, value = value, t.base.integrate(partial(_apply, f), depth, bps)
+        total += t.coefficient * value
     return float(total)
 
 
@@ -588,23 +611,9 @@ def kernel(t):
     return out
 
 
-def kernel_deriv(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    out = np.zeros_like(t)
-    w = t[inside]
-    out[inside] = KERNEL_HEIGHT * 2.0 * (1.0 - w * w) * (-2.0 * w)
-    return out
-
-
-def kernel_cdf(t):
-    """integral_{-1}^t of the kernel; equals 0.896484375 at t = 1/2."""
-    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
-    return KERNEL_HEIGHT * (t - 2.0 * t**3 / 3.0 + t**5 / 5.0) + 0.5
-
-
 def mollified_measure_eval(mu, eps, x, tol=1e-9):
-    """(mu * kernel_eps)(x) for x in ]a+eps, b-eps[."""
+    """(mu * kernel_eps)(x) for x in ]a+eps, b-eps[, within ``tol``; raises
+    ``QuadratureError`` where no Cantor depth up to 24 meets ``tol``."""
     eps = float(eps)
     x = float(x)
     if eps <= 0.0:
@@ -617,7 +626,4 @@ def mollified_measure_eval(mu, eps, x, tol=1e-9):
     def f(ys):
         return kernel((x - np.asarray(ys, dtype=float)) / eps) / eps
 
-    return integrate_measure(
-        f, mu, tol=tol, breakpoints=(x - eps, x + eps),
-        lip_hint=max(1.0, 1.5 / (eps * eps)),
-    )
+    return integrate_measure(f, mu, tol=tol, breakpoints=(x - eps, x + eps))

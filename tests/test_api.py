@@ -1,7 +1,7 @@
 """The package's public API: ``__all__`` lists exactly what ``__init__``
-imports, the Cantor-measure integrals have one owner, every monotone
-inversion shares one bisection, and the operators and knobs that nothing
-reached stay deleted."""
+imports, the Cantor-measure integrals have one owner and one depth rule,
+every monotone inversion shares one bisection, and the operators and knobs
+that nothing reached stay deleted."""
 
 import ast
 import dataclasses
@@ -179,3 +179,16 @@ def test_no_product_slots_in_the_measure_model():
     assert [f.name for f in dataclasses.fields(measures.CantorTerm)] == ["base", "coefficient"]
     assert "ac_modulated" not in {f.name for f in dataclasses.fields(bvcalc.RadonMeasure)}
     assert list(inspect.signature(bvcalc.measure_total_variation).parameters) == ["mu"]
+
+
+def test_one_cantor_depth_rule():
+    """Every Cantor depth starts from ``cantor.depth_for(tol)``: the chain
+    rule keeps no rule of its own, and no Lipschitz hint picks a depth; the
+    measure integrals check their own convergence instead."""
+    from bvcalc import cantor, chainrule
+
+    assert list(inspect.signature(cantor.depth_for).parameters) == ["tol"]
+    assert not hasattr(chainrule, "_cantor_depth")
+    assert "lip_hint" not in inspect.signature(bvcalc.integrate_measure).parameters
+    sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
+    assert not [text for text in sources if "lip_hint" in text or "_cantor_depth" in text]

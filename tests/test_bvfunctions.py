@@ -459,6 +459,22 @@ def test_coarea_cantor_function_counts_levels():
     assert coarea_rhs(g, u) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_coarea_lhs_of_a_unit_weight_takes_few_cantor_nodes():
+    """A unit weight is exact against the Cantor measure at any depth, so
+    the lhs stops at the starting depth and the one below it: at tol 1e-9,
+    2^11 + 2^10 nodes, not the 2^19 of a Lipschitz depth rule."""
+    u = BVFunction.cantor_fn(0.0, 1.0)
+    nodes = []
+
+    def g(xs):
+        xs = np.asarray(xs, dtype=float)
+        nodes.append(xs.size)
+        return np.ones_like(xs)
+
+    assert coarea_lhs(g, u) == pytest.approx(1.0, abs=1e-9)
+    assert sum(nodes) <= 2**12
+
+
 def test_coarea_with_discontinuous_weight_crossing_a_slope():
     u = BVFunction.from_poly(0.0, 1.0, (0.0, 2.0))  # levels swept twice as fast
     cut = 0.5

@@ -1,5 +1,6 @@
 """Measure layer: exact three-part decomposition and integration."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from bvcalc import (
     CantorBase,
     Interval,
     PiecewisePolynomial,
+    QuadratureError,
     RadonMeasure,
     integrate_measure,
     measure_total_variation,
@@ -22,7 +24,7 @@ from bvcalc import (
     radon_nikodym_cantor,
 )
 from bvcalc import cantor
-from bvcalc.measures import CantorTerm, _sign_changes, kernel, kernel_cdf, kernel_deriv
+from bvcalc.measures import CantorTerm, _sign_changes, kernel
 
 
 def cantor_integral_oracle(f, lo=0.0, hi=1.0, depth=18):
@@ -106,6 +108,26 @@ def test_total_mass_is_sum_of_part_masses():
     assert mu.absolutely_continuous_part().total_mass() == pytest.approx(1.0, abs=1e-10)
     assert mu.atomic_part().total_mass() == pytest.approx(0.4, abs=1e-14)
     assert mu.cantor_part().total_mass() == pytest.approx(0.5, abs=1e-10)
+
+
+def test_total_mass_is_exact():
+    """The total mass is the a.c. integral plus the atom weights plus the
+    Cantor coefficients, bit for bit: no quadrature is involved."""
+    mu = RadonMeasure(
+        Interval(0.0, 1.0),
+        PiecewisePolynomial.from_global(0.0, 1.0, (0.1, 2.0, -0.7)),
+        ((0.35, 0.7), (0.9, -0.3)),
+        (
+            CantorTerm(CantorBase(Interval(0.0, 0.3)), 0.1),
+            CantorTerm(CantorBase(Interval(0.4, 0.8)), -0.35),
+        ),
+    )
+    want = mu.ac.integrate()
+    for _, w in mu.atoms:
+        want += w
+    for t in mu.cantor_terms:
+        want += t.coefficient
+    assert mu.total_mass() == want
 
 
 def test_interval_mass_with_interior_atoms():
@@ -442,8 +464,6 @@ def test_one_cut_set_per_window_gives_each_component_its_own_bits(depth, windows
 @pytest.mark.parametrize("part", ["atom", "density"])
 def test_a_non_finite_integrand_raises(part):
     """A NaN of f at an atom and one in the a.c. part both raise."""
-    from bvcalc import QuadratureError
-
     if part == "atom":
         mu = RadonMeasure(Interval(0.0, 1.0), None, ((0.25, 1.0), (0.5, 2.0)))
     else:
@@ -468,6 +488,45 @@ def test_integrate_rescaled_cantor_base():
     want = 2.0 * cantor_integral_oracle(lambda xs: xs**2, lo, hi)
     got = integrate_measure(lambda xs: np.asarray(xs) ** 2, mu, tol=1e-10)
     assert got == pytest.approx(want, abs=1e-7)
+
+
+TOLS = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11)
+
+
+def unit_cantor_measure():
+    return RadonMeasure(
+        Interval(0.0, 1.0), None, (), (CantorTerm(CantorBase(Interval(0.0, 1.0)), 1.0),)
+    )
+
+
+@pytest.mark.parametrize(
+    "power, want",
+    [(1, 1.0 / 2.0), (2, 1.0 / 3.0), (3, 1.0 / 4.0), (4, 1.0 / 5.0), (None, np.e - 1.0)],
+)
+def test_integrands_through_c_meet_tol(power, want):
+    """C is the distribution function of mu_C, so the integral of C^k is
+    1/(k+1) and that of e^C is e - 1.  Through C the rule converges like
+    4^-d only, and the depth check must still meet every tol."""
+    mu = unit_cantor_measure()
+
+    def f(xs):
+        c = cantor.cantor_function_eval(np.asarray(xs, dtype=float))
+        return np.exp(c) if power is None else c**power
+
+    for tol in TOLS:
+        assert abs(integrate_measure(f, mu, tol=tol) - want) <= tol, tol
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.0])
+def test_unreachable_tolerance_raises(tol):
+    """The Fourier transform of mu_C does not decay along powers of 3 (it is
+    about 0.371 at 2 pi 3^k), and the rule resolves cos(2 pi 3^12 x) only
+    like 9^(12-d): depths 23 and 24 still differ by 2.6e-11, so the cap
+    makes tol 1e-12 unreachable, and the integral says so.  Tol 0 is not
+    met either, and raises as it does on an a.c. part."""
+    mu = unit_cantor_measure()
+    with pytest.raises(QuadratureError, match="unreachable"):
+        integrate_measure(lambda xs: np.cos(2.0 * np.pi * 3.0**12 * np.asarray(xs)), mu, tol=tol)
 
 
 def test_integrand_breakpoint_declaration_sharpens_the_result():
@@ -525,21 +584,6 @@ def test_kernel_has_unit_mass_and_even_symmetry():
     np.testing.assert_allclose(kernel(ts), kernel(-ts), atol=1e-15)
 
 
-def test_kernel_cdf_matches_quadrature_of_kernel():
-    for t in (-0.8, -0.25, 0.0, 0.5, 0.9):
-        want, _ = quad(kernel, -1.0, t, epsabs=1e-13)
-        assert kernel_cdf(t) == pytest.approx(want, abs=1e-12)
-    assert kernel_cdf(-1.0) == pytest.approx(0.0, abs=1e-15)
-    assert kernel_cdf(1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_kernel_deriv_matches_finite_differences():
-    ts = np.linspace(-0.95, 0.95, 41)
-    h = 1e-6
-    fd = (kernel(ts + h) - kernel(ts - h)) / (2 * h)
-    np.testing.assert_allclose(kernel_deriv(ts), fd, atol=1e-7)
-
-
 def test_mollified_atom_is_a_kernel_profile():
     mu = RadonMeasure(Interval(0.0, 1.0), None, ((0.5, 2.0),))
     eps = 0.1
@@ -561,3 +605,74 @@ def test_mollified_cantor_mass_near_support_edge():
     eps = 0.05
     want = cantor_integral_oracle(lambda ys: kernel((0.5 - ys) / eps) / eps, 0.4, 0.6)
     assert mollified_measure_eval(mu, eps, 0.5, tol=1e-10) == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("x", [0.25, 0.1])
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.01, 0.005])
+def test_mollified_cantor_measure_meets_tol(x, eps):
+    """Centred on a point of the Cantor set, a narrow kernel needs a deep
+    rule; every tol from 1e-6 to 1e-11 is still met, against the plain
+    average over the 2^20 level-20 midpoints."""
+    mu = RadonMeasure(
+        Interval(-1.0, 2.0), None, (), (CantorTerm(CantorBase(Interval(0.0, 1.0)), 1.0),)
+    )
+    want = cantor_integral_oracle(lambda ys: kernel((x - ys) / eps) / eps, depth=20)
+    for tol in TOLS:
+        assert abs(mollified_measure_eval(mu, eps, x, tol=tol) - want) <= tol, tol
+
+
+def mollifier_oracle(x, eps, levels=40):
+    """(mu_C * kernel_eps)(x) exactly, cell by cell.  On a Cantor cell
+    [l, l + h] fully inside ]x - eps, x + eps[ the kernel is the quartic
+    (15/16)(1 - s^2)^2 / eps in s = (l - x)/eps + (h/eps) t, and t has the
+    law of mu_C, whose moments follow from self-similarity:
+    m_k = sum_{j<k} C(k, j) m_j 2^(k-j-1) / (3^k - 1).  Cells still
+    straddling an end at ``levels`` are dropped; the kernel vanishes to
+    second order there."""
+    moments = [1.0]
+    for k in range(1, 5):
+        moments.append(
+            sum(math.comb(k, j) * moments[j] * 2.0 ** (k - j - 1) for j in range(k))
+            / (3.0**k - 1.0)
+        )
+    total = 0.0
+    stack = [(0, 0)]
+    while stack:
+        k, lev = stack.pop()
+        l, r = k / 3**lev, (k + 1) / 3**lev
+        if r <= x - eps or l >= x + eps:
+            continue
+        if x - eps <= l and r <= x + eps:
+            s = np.array([(l - x) / eps, (r - l) / eps])
+            bump = npoly.polysub([1.0], npoly.polymul(s, s))
+            quartic = npoly.polymul(bump, bump) * (15.0 / 16.0) / eps
+            total += 2.0**-lev * float(np.dot(quartic, moments[: len(quartic)]))
+        elif lev < levels:
+            stack += [(3 * k, lev + 1), (3 * k + 2, lev + 1)]
+    return total
+
+
+def test_mollifier_oracle_matches_the_midpoint_average():
+    want = cantor_integral_oracle(lambda ys: kernel((0.25 - ys) / 0.005) / 0.005, depth=20)
+    assert mollifier_oracle(0.25, 0.005) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_a_kernel_narrower_than_the_start_cells_meets_tol_or_raises(tol):
+    """With eps = 1e-6 the kernel's support is narrower than a cell of
+    depth_for(tol), so there every cell under the kernel would be one
+    midpoint at depth d - 1 and at depth d alike, and the check would pass
+    at the start while 9 percent off.  The check starts three levels below
+    the narrowest massive piece instead, and either meets tol against the
+    exact oracle or says at depth 24 that tol is out of reach: the error
+    falls ninefold a level, to 3e-11 at depth 24, and depths 23 and 24
+    differ by 2.5e-10."""
+    mu = RadonMeasure(
+        Interval(-1.0, 2.0), None, (), (CantorTerm(CantorBase(Interval(0.0, 1.0)), 1.0),)
+    )
+    if tol < 1e-9:
+        with pytest.raises(QuadratureError, match="unreachable"):
+            mollified_measure_eval(mu, 1e-6, 0.25, tol=tol)
+    else:
+        got = mollified_measure_eval(mu, 1e-6, 0.25, tol=tol)
+        assert abs(got - mollifier_oracle(0.25, 1e-6)) <= tol
