@@ -10,7 +10,6 @@ structure for every weak identity in the package.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -474,24 +473,17 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     ``coarea_default_tgrid``.
 
     Monotone pieces contribute one located point per level (found by one
-    bisection for every piece's levels); jump points contribute wherever t
-    lies between the one-sided values; flat pieces are skipped (a null set
-    of levels).  Every level cell is one window of one quadrature of the
+    safeguarded Newton search for every piece's levels); jump points
+    contribute wherever t lies between the one-sided values; flat pieces
+    are skipped (a null set of levels).  Every level cell is one window of one quadrature of the
     one level-counting integrand, to its share of tol."""
     pp = u.smooth_part
     monotone = _monotone_pieces(u)
-    pieces = []
-    for x0, x1, v0, v1, base, _ in monotone:
-        if v0 != v1:
-            # [x0, x1] lies in one polynomial piece k, which its bisection
-            # evaluates alone; u.values gives an inner breakpoint x1 to piece
-            # k + 1, and a midpoint rounds onto x1 once a bracket is one ulp
-            # wide (below |x| = 64 too).  Off the Cantor supports the Cantor
-            # part is constant on the piece.
-            k = bisect_right(pp.breakpoints, x0) - 1
-            flat = None if base is not None else u._cantor(np.array([x0]))
-            pieces.append((x0, x1, v0, v1, k, x1 in u.breakpoints(), flat))
+    pieces = [p for p in monotone if p[2] != p[3]]
     x0s, x1s, v0s, v1s = (np.array([p[i] for p in pieces], dtype=float) for i in range(4))
+    # Off its supports the Cantor part is constant on a piece; on them it has
+    # no slope to add to pp's, and a NaN slope halves the piece's brackets.
+    flats = np.where([p[4] is not None for p in pieces], np.nan, u._cantor(x0s))
     lows, highs = np.minimum(v0s, v1s), np.maximum(v0s, v1s)
     jumps = u.jumps()
     jlo = np.array([min(l, r) for _, l, r in jumps], dtype=float)
@@ -507,26 +499,23 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
         piece, at = np.nonzero((flat_ts > lows[:, None]) & (flat_ts < highs[:, None]))
         if at.size:
             tm = flat_ts[at]
-            bounds = np.searchsorted(piece, np.arange(len(pieces) + 1))
+            add = flats[piece]
+            cantor_rows = np.isnan(add)
 
             def level_gap(x, i):
-                """u.values(x) - tm[i], by the same float operations on the
-                one polynomial piece that holds x, piece by piece."""
-                gap = np.empty(x.size)
-                cuts = np.searchsorted(i, bounds)
-                for (_, x1, _, _, k, x1_inner, flat), a, b in zip(pieces, cuts[:-1], cuts[1:]):
-                    if a == b:
-                        continue
-                    xp = x[a:b]
-                    s = _horner(pp.pieces[k], xp - pp.breakpoints[k])
-                    if x1_inner:
-                        on = xp == x1
-                        if on.any():
-                            s[on] = _horner(pp.pieces[k + 1], xp[on] - x1)
-                    gap[a:b] = (s + (u._cantor(xp) if flat is None else flat)) - tm[i[a:b]]
-                return gap
+                """u.values(x) - tm[i], by u.values' float operations, and
+                u' at x from the same piece lookup; NaN on a piece with a
+                Cantor part."""
+                s, slope = pp.with_slope(x)
+                c = add[i]
+                on_cantor = cantor_rows[i]
+                if on_cantor.any():
+                    c[on_cantor] = u._cantor(x[on_cantor])
+                    slope[on_cantor] = np.nan
+                return (s + c) - tm[i], slope
 
-            xs = _bisect(level_gap, x0s[piece], x1s[piece], v1s[piece] - tm)
+            # sloped: level_gap gives the slope too
+            xs = _bisect(level_gap, x0s[piece], x1s[piece], v1s[piece] - tm, True)
             # one add per piece and level, in piece order
             np.add.at(out, at, _apply(g, xs))
         jump, at = np.nonzero((flat_ts >= jlo[:, None]) & (flat_ts <= jhi[:, None]))

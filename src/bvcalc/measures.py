@@ -14,6 +14,7 @@ ternary-aware quadrature exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -120,6 +121,16 @@ def _sign_changes(coeffs, lo, hi):
     return [r for r in out if lo < r < hi]
 
 
+def _coefficient_table(pieces):
+    """``(degree + 1, pieces)`` ascending coefficients, zero-padded to the
+    highest degree: column i is piece i.  One piece is its own tuple, which
+    Horner takes as Python floats, with no gather."""
+    if len(pieces) == 1:
+        return pieces[0]
+    width = max(map(len, pieces))
+    return np.array([p + (0.0,) * (width - len(p)) for p in pieces]).T.copy()
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomial:
     """Piecewise polynomial on [breakpoints[0], breakpoints[-1]].
@@ -144,6 +155,7 @@ class PiecewisePolynomial:
             self, "pieces", tuple(tuple(float(c) for c in p) or (0.0,) for p in self.pieces)
         )
         object.__setattr__(self, "_inner", np.array(bk[1:-1]))
+        object.__setattr__(self, "_lefts", np.array(bk[:-1]))
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -172,44 +184,34 @@ class PiecewisePolynomial:
         """Sided values at the points ``xs``: a point on a breakpoint takes
         the piece to its right (``side="right"``, the plain value) or to its
         left (``side="left"``); points outside use the end pieces."""
-        return self._lookup(np.asarray(xs, dtype=float), side, (self.pieces,))[0]
+        return self._lookup(np.asarray(xs, dtype=float), side, (self._table,))[0]
 
     def with_slope(self, xs):
         """``(at(xs), derivative().at(xs))``, the values and the a.e.
         derivative, from one piece lookup."""
-        return self._lookup(np.asarray(xs, dtype=float), "right", (self.pieces, self._slope_pieces))
+        return self._lookup(np.asarray(xs, dtype=float), "right", (self._table, self._slope_table))
 
     @cached_property
-    def _slope_pieces(self):
-        return self.derivative().pieces
+    def _table(self):
+        return _coefficient_table(self.pieces)
 
-    def _lookup(self, xs, side, polys):
-        """Per coefficient set of ``polys`` (pieces on these breakpoints),
-        its values at ``xs``, from one piece lookup.
+    @cached_property
+    def _slope_table(self):
+        return _coefficient_table(self.derivative().pieces)
 
-        A 2-D ``xs`` with ascending rows is looked up once per row, at its
-        two end nodes: searchsorted is monotone, so a row whose ends share
-        a piece lies in it.  The other rows go node by node."""
-        if len(self.pieces) == 1:
+    def _lookup(self, xs, side, tables):
+        """Per coefficient table of ``tables`` (pieces on these breakpoints),
+        its values at ``xs``, from one piece lookup: one searchsorted, then
+        per table one gather of each node's coefficients and Horner over
+        them.  A zero-padded leading coefficient keeps the bits of the
+        piece's own Horner: it gives 0 + s*0, and the next ``*= s; += c``
+        gives c + s*0 as the unpadded first step does."""
+        if not self._inner.size:
             s = xs - self.breakpoints[0]
-            return [np.asarray(_horner(p[0], s)) for p in polys]
-        if _rows_ascend(xs):
-            ends = np.searchsorted(self._inner, xs[:, [0, -1]], side=side)
-            idx = np.where(ends[:, 0] == ends[:, 1], ends[:, 0], -1)
-        else:
-            idx = np.searchsorted(self._inner, xs, side=side)
-        outs = [np.empty(xs.shape) for _ in polys]
-        for i in (np.flatnonzero(np.bincount(idx.ravel() + 1)) - 1).tolist():
-            m = idx == i
-            if i < 0:
-                parts = self._lookup(xs[m].ravel(), side, polys)
-                for out, part in zip(outs, parts):
-                    out[m] = part.reshape(-1, xs.shape[1])
-            else:
-                s = xs[m] - self.breakpoints[i]
-                for out, p in zip(outs, polys):
-                    out[m] = _horner(p[i], s)
-        return outs
+            return [_horner(table, s) for table in tables]
+        idx = np.searchsorted(self._inner, xs, side=side)
+        s = xs - self._lefts[idx]
+        return [_horner(table[:, idx], s) for table in tables]
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -277,8 +279,7 @@ class PiecewisePolynomial:
         })
         pieces = []
         for x0 in pts[:-1]:
-            i = int(np.clip(np.searchsorted(self.breakpoints, x0, side="right") - 1,
-                            0, len(self.pieces) - 1))
+            i = bisect_right(self.breakpoints, x0) - 1
             pieces.append(_poly_shift(self.pieces[i], x0 - self.breakpoints[i]))
         return PiecewisePolynomial(tuple(pts), tuple(pieces))
 

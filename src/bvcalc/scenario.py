@@ -606,7 +606,8 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
 
 def _write_field_csv(path, fld):
     """One row per (cell, step): x, t, u and the step's mass drift.  The
-    fields are float reprs, which ``csv`` never quotes, so lines are joined."""
+    fields are float reprs, which ``csv`` never quotes, so lines are joined,
+    one string and one write per step."""
     xs = [repr(x) for x in (0.5 * (fld.edges[:-1] + fld.edges[1:])).tolist()]
     defects = fld.mass_defects()
     with open(path, "w", newline="") as fh:
@@ -614,7 +615,7 @@ def _write_field_csv(path, fld):
         for n in range(1, len(fld.times)):
             drift = "," + _fmt(abs(defects[n - 1])) + "\n"
             t = "," + _fmt(fld.times[n]) + ","
-            fh.writelines(x + t + repr(u) + drift for x, u in zip(xs, fld.states[n].tolist()))
+            fh.write(drift.join(map(t.join, zip(xs, map(repr, fld.states[n].tolist())))) + drift)
 
 
 def _write_stairs_csv(path, u, approx):

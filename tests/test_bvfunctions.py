@@ -552,14 +552,15 @@ def test_coarea_level_points_are_the_eighty_pass_points(u, pieces, monkeypatch):
 
 
 def _recording(g, calls, first=0):
-    """``g`` recording every (x, g(x)) the bisection asks for in ``calls``,
-    per bracket: bracket i of this bisection is bracket first + i there."""
+    """The sloped ``g`` recording every (x, g(x), g'(x)) the root search asks
+    for in ``calls``, per bracket: bracket i of this search is bracket
+    first + i there."""
 
     def rec(x, i):
-        v = g(x, i)
-        for j, xj, vj in zip(i.tolist(), x.tolist(), v.tolist()):
-            calls.setdefault(first + j, []).append((xj.hex(), vj.hex()))
-        return v
+        v, dv = g(x, i)
+        for j, xj, vj, dj in zip(i.tolist(), x.tolist(), v.tolist(), dv.tolist()):
+            calls.setdefault(first + j, []).append((xj.hex(), vj.hex(), dj.hex()))
+        return v, dv
 
     return rec
 
@@ -582,13 +583,13 @@ def _recording(g, calls, first=0):
 )
 @settings(max_examples=40, deadline=None)
 def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, cantor, fracs):
-    """The coarea bisection evaluates u on the one polynomial piece that
-    holds each monotone piece, and sees bit for bit the values of u.values:
-    every level point, and every (x, u(x) - t) the bisection asks for, are
-    those of the same bisection through u.values, bracket by bracket (one
-    bisection holds the brackets of every piece, piece after piece).
-    Levels just inside each piece's range put roots in its last ulps, where
-    a midpoint can land on a breakpoint."""
+    """The coarea root search sees bit for bit the values of u.values and
+    the slopes of u's derivative piece (NaN on a Cantor support): every
+    level point, and every (x, u(x) - t, u'(x)) the search asks for, are
+    those of the same sloped search through u.values and u.smooth_part's
+    derivative, bracket by bracket (one search holds the brackets of every
+    piece, piece after piece).  Levels just inside each piece's range put
+    roots in its last ulps, where a point can land on a breakpoint."""
     bk = (lo, *(lo + k / 16 for k in sorted(cuts)), lo + 1.0)
     pp = PiecewisePolynomial(bk, tuple(polys[: len(bk) - 1]))
     parts = ()
@@ -618,11 +619,16 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
         grabbed[0](ts)
 
     want, want_located = {}, []
-    for x0, x1, v0, v1, _, _ in pieces:
+    du = pp.derivative()
+    for x0, x1, v0, v1, base, _ in pieces:
         tm = ts[(ts > min(v0, v1)) & (ts < max(v0, v1))]
         if tm.size:
-            g = _recording(lambda x, i: u.values(x) - tm[i], want, sum(map(len, want_located)))
-            want_located.append(_bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm))
+
+            def sloped(x, i, tm=tm, nan=base is not None):
+                return u.values(x) - tm[i], np.full(x.shape, np.nan) if nan else du.at(x)
+
+            g = _recording(sloped, want, sum(map(len, want_located)))
+            want_located.append(_bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm, True))
     assert got == want
     assert b"".join(x.tobytes() for x in located) == b"".join(x.tobytes() for x in want_located)
 
@@ -657,6 +663,33 @@ def test_coarea_rhs_makes_one_quadrature_and_one_bisection_per_evaluation():
     assert len(bvfunction.coarea_default_tgrid(u, (0.5,))) > 3
     assert per_call and all(made == want for made, want in per_call)
     assert any(want for _, want in per_call)
+
+
+def test_coarea_level_points_take_a_few_passes_on_polynomial_pieces():
+    """On polynomial pieces the level points come from safeguarded Newton
+    steps with u' from the piece: at most 15 level-gap evaluations per
+    evaluation of the level-counting integrand, where halving to _ROOT_TOL
+    takes about 47."""
+    pp = PiecewisePolynomial(
+        (0.0, 0.3, 0.7, 1.0), ((0.1, 1.0, 0.5), (0.6, -0.8, 0.3), (0.35, 0.4, 2.0, -0.5))
+    )
+    u = BVFunction(Interval(0.0, 1.0), pp, ())
+    assert len(bvfunction._monotone_pieces(u)) == 3
+    passes = []
+
+    def counted(g, *a):
+        def gap(x, i):
+            passes[-1] += 1
+            return g(x, i)
+
+        passes.append(0)
+        return _bisect(gap, *a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bvfunction, "_bisect", counted)
+        total = coarea_rhs(lambda xs: 1.0 + xs, u)
+    assert passes and 0 < max(passes) <= 15
+    assert total == pytest.approx(coarea_lhs(lambda xs: 1.0 + xs, u), abs=1e-9)
 
 
 # -- mollification of the function itself ------------------------------------

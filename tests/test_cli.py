@@ -3,8 +3,11 @@
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bvcalc import scenario
+from bvcalc.claw import ClawField
 from bvcalc.cli import main
 from bvcalc.errors import ScenarioError
 from bvcalc.scenario import KINDS, REPORT_COLUMNS, parse_scenario, run_scenario
@@ -364,6 +367,30 @@ def test_claw_run_writes_field(tmp_path):
     assert max(float(r[3]) for r in body) <= 1e-12
     times = sorted({float(r[1]) for r in body})
     assert len(times) == steps
+
+
+def test_field_csv_is_the_row_by_row_writer(tmp_path):
+    """The per-step joined writer gives the bytes of one line per (cell,
+    step) in order, on -0.0, repeated values and subnormals."""
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    states = np.array(
+        [
+            [0.0, 1.0, 1.0, -2.5],
+            [-0.0, 5e-324, 1.0, 1.0],
+            [2.2250738585072014e-308, -0.0, -0.0, 1e300],
+            [1.0 / 3.0, 1.0 / 3.0, -4e-320, 0.1],
+        ]
+    )
+    traces = np.array([[0.0, 0.0, 0.0, 0.0, 1e-3], [-0.0] * 5, [0.25, 0.0, 0.0, 0.0, 5e-324]])
+    fld = ClawField(None, edges, times, states, traces)
+    scenario._write_field_csv(tmp_path / "field.csv", fld)
+    defects = fld.mass_defects()
+    want = ["x,t,u,mass_drift\n"]
+    for n in range(1, len(times)):
+        for x, u in zip(fld.centers.tolist(), states[n].tolist()):
+            want.append(f"{x!r},{float(times[n])!r},{u!r},{float(abs(defects[n - 1]))!r}\n")
+    assert (tmp_path / "field.csv").read_bytes() == "".join(want).encode()
 
 
 def test_entropy_check_run(tmp_path):

@@ -34,7 +34,7 @@ DIGESTS = {
         "report.csv": "18728f67133f8738607f88b1a84add02dc75100b07199b42457cf5bd8f7de4b2",
     },
     "coarea_check": {
-        "report.csv": "5a055b8ef0537e22eb6ae31a3627f360559569bde44c0e4e093b69fb3da32364",
+        "report.csv": "a1c07c31a11409208b4964696697c8c4877e2ac52e019e13e0ffe22d4938d25f",
     },
     "comparison_check": {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",

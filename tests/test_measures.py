@@ -1,6 +1,7 @@
 """Measure layer: exact three-part decomposition and integration."""
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from bvcalc import (
     radon_nikodym_cantor,
 )
 from bvcalc import cantor
-from bvcalc.measures import CantorTerm, _sign_changes, kernel
+from bvcalc.measures import CantorTerm, _horner, _sign_changes, kernel
 
 
 def cantor_integral_oracle(f, lo=0.0, hi=1.0, depth=18):
@@ -88,6 +89,41 @@ def test_value_and_slope_from_one_lookup_are_at_and_derivative_at(pp):
     val, ds = u.values_with_slope(rows)
     assert val.tolist() == u.values(rows).tolist()
     assert ds.tolist() == slope.at(rows).tolist()
+
+
+_COEFS = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@given(
+    cuts=st.sets(st.integers(1, 15), max_size=4),
+    polys=st.lists(st.lists(_COEFS, min_size=1, max_size=4), min_size=5, max_size=5),
+    xs=st.lists(
+        st.one_of(st.integers(0, 16).map(lambda k: k / 16), st.floats(-0.25, 1.25)), min_size=2, max_size=12
+    ),
+    side=st.sampled_from(["left", "right"]),
+    rows=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_piece_lookup_is_each_pieces_own_horner(cuts, polys, xs, side, rows):
+    """``at`` and ``with_slope`` gather each node's coefficients from one
+    zero-padded table, and give bit for bit (-0.0 included) the piece's own
+    Horner: on mixed degrees, on nodes on breakpoints from either side, off
+    the ends, on 1-D nodes and on 2-D rows."""
+    bk = (0.0, *(k / 16 for k in sorted(cuts)), 1.0)
+    pp = PiecewisePolynomial(bk, tuple(polys[: len(bk) - 1]))
+    du = pp.derivative()
+    xs = np.array(xs[: len(xs) // 2 * 2]).reshape((2, -1) if rows else (-1,))
+
+    def own(poly, side):
+        find = bisect_left if side == "left" else bisect_right
+        pieces = [find(bk[1:-1], x) for x in xs.ravel().tolist()]
+        out = [_horner(poly.pieces[i], np.array([x - bk[i]])) for i, x in zip(pieces, xs.ravel().tolist())]
+        return np.concatenate(out).reshape(xs.shape)
+
+    assert pp.at(xs, side).tobytes() == own(pp, side).tobytes()
+    val, slope = pp.with_slope(xs)
+    assert val.tobytes() == own(pp, "right").tobytes()
+    assert slope.tobytes() == own(du, "right").tobytes()
 
 
 # -- measure assembly and masses ---------------------------------------------

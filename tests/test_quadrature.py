@@ -1,5 +1,6 @@
 """The quadrature cell layout against a list-based reference layout, the
-refinement's acceptance rule, and the shared bisection.
+refinement's acceptance rule, and the shared root search: the bisection and
+its sloped (safeguarded Newton) form.
 
 ``build_cells`` tiles Cantor supports with array slices of the cached
 ``std_cells`` arrays.  The reference below builds the same layout one cell
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bvcalc import quadrature
 from bvcalc.cantor import std_cells
 from bvcalc.errors import QuadratureError
+from bvcalc.measures import _horner
 from bvcalc.quadrature import (
     _ROOT_PASSES,
     _ROOT_TOL,
@@ -556,3 +558,121 @@ def test_bisect_pass_cap_ends_brackets_narrower_than_one_ulp(r, capped):
     got = _bisect(g, [lo], [lo + 1.0], [1.0])
     assert (len(calls) == _ROOT_PASSES) == capped
     assert abs(got[0] - r) <= 0.5 * _ROOT_TOL + np.spacing(abs(r))
+
+
+# -- the sloped search -------------------------------------------------------
+
+
+def _recorded(g, seen):
+    """``g`` keeping every (x, g(x)) it is asked for in ``seen``, per bracket."""
+
+    def rec(xs, idx):
+        out = g(xs, idx)
+        gx = out[0] if isinstance(out, tuple) else out
+        for i, x, v in zip(idx.tolist(), xs.tolist(), gx.tolist()):
+            seen.setdefault(i, []).append((x, v))
+        return out
+
+    return rec
+
+
+@given(
+    lo=st.floats(-100.0, 99.0),
+    width=st.floats(1e-3, 1.0),
+    offset=st.floats(0.0, 1.0),
+    coefs=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    rise=st.floats(0.05, 1.0),
+    frac=st.floats(0.0, 1.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(lo=64.0, width=1.0, offset=0.5, coefs=[0.0, 0.3, 0.0], rise=0.05, frac=0.3, sign=1.0)
+@example(lo=-100.0, width=1.0, offset=0.0, coefs=[1.0, 1.0, 1.0], rise=0.05, frac=0.9, sign=-1.0)
+@settings(max_examples=80, deadline=None)
+def test_sloped_search_keeps_the_bisection_contract(lo, width, offset, coefs, rise, frac, sign):
+    """On a monotone polynomial of degree at most 4, g = ±(p - t) with
+    p = sum a_k (x - c)^k, a_k >= 0 and c <= lo (so every float operation,
+    and the computed g, is monotone on the bracket): the sloped search
+    returns a point of the bracket that is an exact zero of g or lies
+    between two points it evaluated across which g changes sign, at most
+    _ROOT_TOL apart (one ulp from |x| = 64 up); and it is within as much of
+    the halving loop's point."""
+    hi = min(lo + width, 100.0)
+    c = lo - offset
+    a = (0.0, rise, *coefs)
+    da = tuple(k * ak for k, ak in enumerate(a))[1:]
+    t = float(_horner(a, np.array([lo + frac * (hi - lo) - c]))[0])
+
+    def sloped(xs, idx):
+        s = xs - c
+        return sign * (_horner(a, s) - t), sign * _horner(da, s)
+
+    glo, ghi = sloped(np.array([lo, hi]), None)[0]
+    assume(glo * ghi < 0.0)
+    seen = {}
+    (r,) = _bisect(_recorded(sloped, seen), [lo], [hi], [ghi], True)
+    (plain,) = _bisect(lambda xs, idx: sloped(xs, idx)[0], [lo], [hi], [ghi])
+    g = lambda x: float(sloped(np.array([x]), None)[0][0])  # noqa: E731
+    assert lo <= r <= hi
+    stop = max(_ROOT_TOL, float(np.spacing(abs(r))))
+    if g(r) != 0.0:
+        pts = [(lo, glo), *seen[0], (hi, ghi)]
+        a_end = max(x for x, v in pts if x <= r and v * ghi < 0.0)
+        b_end = min(x for x, v in pts if x >= r and v * ghi > 0.0)
+        assert b_end - a_end <= stop
+    assert abs(r - plain) <= stop or g(r) == g(plain) == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sloped_search_finds_a_root_at_a_bracket_end(sign):
+    got = _bisect(lambda xs, idx: (sign * (xs - 0.25), np.full(xs.shape, sign)), [0.25], [1.0], [0.75 * sign], True)
+    assert 0.25 <= got[0] <= 0.25 + 0.5 * _ROOT_TOL
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-20])
+def test_sloped_search_with_a_zero_slope_at_the_critical_end(t):
+    """g = x^2 - t has g'(0) = 0 at the lo end: Newton's steps from there
+    are out of the bracket or too long, and the bracket halves."""
+    got = _bisect(lambda xs, idx: (xs * xs - t, 2.0 * xs), [0.0], [1.0], [1.0 - t], True)
+    assert abs(got[0] - math.sqrt(t)) <= 0.5 * _ROOT_TOL + np.spacing(1.0)
+
+
+def test_sloped_search_halves_nan_slope_rows_as_the_plain_loop():
+    """Rows with a NaN slope, in one call with Newton rows, ask for the
+    plain loop's points but its last (their bracket is already closed) and
+    return its bits; the Newton rows finish in a few passes."""
+    roots = np.array([0.1, 1.0 / 3.0, 0.7, 0.45])
+    slopes = np.array([1.0, 1.0, np.nan, np.nan])
+    seen, plain = {}, {}
+
+    def sloped(xs, idx):
+        return xs - roots[idx], np.broadcast_to(slopes[idx], xs.shape).copy()
+
+    got = _bisect(_recorded(sloped, seen), np.zeros(4), np.ones(4), 1.0 - roots, True)
+    want = _bisect(_recorded(lambda xs, idx: xs - roots[idx], plain), np.zeros(4), np.ones(4), 1.0 - roots)
+    assert got[2:].tobytes() == want[2:].tobytes()
+    for i in (2, 3):
+        assert seen[i] == plain[i][:-1]
+    assert max(len(seen[0]), len(seen[1])) <= 8
+    assert np.abs(got - roots).max() <= 0.5 * _ROOT_TOL
+
+
+def test_sloped_search_returns_an_exact_zero_at_a_newton_point():
+    seen = {}
+    got = _bisect(_recorded(lambda xs, idx: (2.0 * (xs - 0.375), np.full(xs.shape, 2.0)), seen), [0.0], [1.0], [1.25], True)
+    assert got[0] == 0.375
+    assert seen[0] == [(0.5, 0.25), (0.375, 0.0)]
+
+
+def test_sloped_search_stops_at_one_ulp_past_64():
+    """From |x| = 64 up no bracket is _ROOT_TOL wide: the sloped search ends
+    at the one-ulp bracket the halving loop reaches at its pass cap."""
+    calls = []
+
+    def sloped(xs, idx):
+        calls.append(len(xs))
+        return xs * xs - 4200.0, 2.0 * xs
+
+    got = _bisect(sloped, [64.0], [65.0], [25.0], True)
+    assert len(calls) < 20
+    assert got.tobytes() == _bisect(lambda xs, idx: xs * xs - 4200.0, [64.0], [65.0], [25.0]).tobytes()
+    assert abs(got[0] - math.sqrt(4200.0)) <= np.spacing(got[0])
