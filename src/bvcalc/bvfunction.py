@@ -514,8 +514,7 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
                     slope[on_cantor] = np.nan
                 return (s + c) - tm[i], slope
 
-            # sloped: level_gap gives the slope too
-            xs = _bisect(level_gap, x0s[piece], x1s[piece], v1s[piece] - tm, True)
+            xs = _bisect(level_gap, x0s[piece], x1s[piece], v1s[piece] - tm)
             # one add per piece and level, in piece order
             np.add.at(out, at, _apply(g, xs))
         jump, at = np.nonzero((flat_ts >= jlo[:, None]) & (flat_ts <= jhi[:, None]))

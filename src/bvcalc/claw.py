@@ -2,8 +2,9 @@
 
 The law is u_t + B(x,u)_x = 0 with B a flux model that is strictly monotone
 in the state on a declared working range, so every flux level is inverted by
-the package's one bisection (``quadrature._bisect``) and the interface pairs
-satisfying the jump (Rankine-Hugoniot) condition can be constructed exactly.
+the package's one root search (``quadrature._bisect``, fed the state slope)
+and the interface pairs satisfying the jump (Rankine-Hugoniot) condition can
+be constructed exactly.
 The module provides the level inversion ``c_alpha_values``, adapted
 entropy/flux pairs built on it (entropy and flux both sided), their
 piecewise-affine approximations with certified nonnegative kink
@@ -181,11 +182,12 @@ def _invert(flux, xs, alpha, ks):
 
     Per point: an end of the working range that hits the level is returned,
     a same-sign bracket leaves the level unattained (state nan), and any
-    other bracket goes to :func:`~bvcalc.quadrature._bisect`."""
+    other bracket goes to :func:`~bvcalc.quadrature._bisect`, with the
+    state slope of B from the same K."""
     xs = np.asarray(xs, dtype=float)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), xs.shape)
     lo, hi = np.full(xs.shape, float(flux.w_lo)), np.full(xs.shape, float(flux.w_hi))
-    # only the state changes between bisection passes: K comes in once
+    # only the state changes between search passes: K comes in once
     model = flux.model
     flo, fhi = _range_gaps(flux, ks, alpha)
     out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
@@ -194,7 +196,12 @@ def _invert(flux, xs, alpha, ks):
     ks, a = [k[live] for k in ks], alpha[live]
 
     def g(w, i):
-        return model.combine([k[i] for k in ks], w[None, :]) - a[i]
+        """B - alpha and its state slope sum_k K_k f_k'(w), in term order."""
+        kw, W = [k[i] for k in ks], w[None, :]
+        slope = np.zeros(W.shape)
+        for k, (_, f) in zip(kw, model.terms):
+            slope += k * np.asarray(f.grad(W))
+        return model.combine(kw, W) - a[i], slope[0]
 
     out[live] = _bisect(g, lo[live], hi[live], fhi[live])
     return out, attained
@@ -378,14 +385,17 @@ def adapted_entropy_pair(flux, alpha):
     def cuts(v, lo, hi):
         """Level crossings of B(., v) in [lo, hi] (quadrature cut points for
         the sign factor): the zeros of B(., v) - alpha at the first 64 of 65
-        samples, and one bisected root wherever it changes sign between two."""
+        samples, and one root wherever it changes sign between two, searched
+        with the a.e. x-gradient as slope."""
         xs = np.linspace(lo, hi, 65)
         g = flux.values_on_grid(xs, np.full(len(xs), float(v))) - alpha
         k = np.flatnonzero(g[:-1] * g[1:] < 0)
-        roots = _bisect(
-            lambda x, i: flux.values_on_grid(x, np.full(len(x), float(v))) - alpha,
-            xs[k], xs[k + 1], g[k + 1],
-        )
+
+        def gap(x, i):
+            val, gx, _ = flux.model.diffuse_on_grid(x, np.full((1, len(x)), float(v)))
+            return val - alpha, gx
+
+        roots = _bisect(gap, xs[k], xs[k + 1], g[k + 1])
         return tuple(np.sort(np.concatenate((xs[:-1][g[:-1] == 0.0], roots))).tolist())
 
     return EntropyFluxPair(

@@ -98,17 +98,18 @@ def _sign_changes(coeffs, lo, hi):
 
     Derivative-sequence isolation: between consecutive sign changes of p'
     the polynomial p is monotone, so each sign change of p has one bracket
-    there, and one ``_bisect`` call solves them all.  A root of even
-    multiplicity is no sign change, but rounding can show it as two, in
-    the two brackets that meet at a critical point where |p| is within a
-    Horner rounding bound: such a pair is dropped."""
+    there, and one ``_bisect`` call, with p' as slope, solves them all.  A
+    root of even multiplicity is no sign change, but rounding can show it
+    as two, in the two brackets that meet at a critical point where |p| is
+    within a Horner rounding bound: such a pair is dropped."""
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) <= 1:
         return []
-    ends = np.array([lo, *_sign_changes(c[1:] * np.arange(1, len(c)), lo, hi), hi])
+    dc = c[1:] * np.arange(1, len(c))
+    ends = np.array([lo, *_sign_changes(dc, lo, hi), hi])
     vals = _horner(c, ends)
     k = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    roots = _bisect(lambda xs, idx: _horner(c, xs), ends[k], ends[k + 1], vals[k + 1])
+    roots = _bisect(lambda xs, idx: (_horner(c, xs), _horner(dc, xs)), ends[k], ends[k + 1], vals[k + 1])
     flat = np.abs(vals) <= len(c) * 2.0**-51 * _horner(np.abs(c), np.abs(ends))
     out, prev = [], None  # prev: bracket of the last root still unpaired
     for i, r in zip(k.tolist(), roots.tolist()):

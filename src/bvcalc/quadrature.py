@@ -69,63 +69,37 @@ _MAX_PASSES = 30
 _MAX_CELLS = 200_000
 _LEFTOVER_CAP = 13
 _REFINE_DEPTH = 10
-_ROOT_TOL = 1e-14  # bracket width at which a bisection stops
-_ROOT_PASSES = 200  # its cap: from |x| = 64 up one ulp is wider than _ROOT_TOL
+_ROOT_TOL = 1e-14  # bracket width at which the root search stops
+_ROOT_PASSES = 200  # its safety cap: halving alone closes a unit bracket in 47
 
 
-def _bisect(g, lo, hi, ghi, sloped=False):
+def _bisect(g, lo, hi, ghi):
     """A root of g in each bracket [lo_i, hi_i] on whose ends g changes
     sign; ``ghi`` is g at the hi ends and fixes each orientation.  Each
     result is an exact zero of g, or the midpoint of a bracket at most
-    _ROOT_TOL wide across which g changes sign.  From |x| = 64 up one ulp
-    is wider: there the halving loop runs to the _ROOT_PASSES cap, and the
-    sloped search stops at a bracket one ulp wide.
-
-    ``g(xs, idx)`` is g of the brackets ``idx`` at ``xs``.  Each bracket is
-    halved until g(mid) == 0 or it is at most _ROOT_TOL wide, and that
-    midpoint is returned; finished brackets leave the live set.
-
-    ``sloped``: ``g`` returns the pair (g, g') instead, and the search is
-    :func:`_rtsafe`'s safeguarded Newton step; a NaN g' halves."""
-    lo, hi, ghi = (np.array(v, dtype=float) for v in (lo, hi, ghi))
-    if sloped:
-        return _rtsafe(g, lo, hi, ghi)
-    out = np.empty(lo.shape)
-    live = np.arange(lo.size)
-    for _ in range(_ROOT_PASSES):
-        if not live.size:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid, live)
-        done = (gm == 0.0) | (hi - lo <= _ROOT_TOL)
-        up = (gm > 0) == (ghi > 0)
-        lo, hi, ghi = np.where(up, lo, mid), np.where(up, mid, hi), np.where(up, gm, ghi)
-        if done.any():
-            out[live[done]] = mid[done]
-            live, lo, hi, ghi = (v[~done] for v in (live, lo, hi, ghi))
-    out[live] = 0.5 * (lo + hi)
-    return out
-
-
-def _rtsafe(g, lo, hi, ghi):
-    """:func:`_bisect` with ``g`` returning (g, g'): Newton safeguarded by
-    the bracket (rtsafe; Dekker 1969, Brent 1973).
+    _ROOT_TOL wide, or one ulp wide from |x| = 64 up, across which g
+    changes sign.  ``g(xs, idx)`` returns the pair (g, g') of the brackets
+    ``idx`` at ``xs``; the search is Newton safeguarded by the bracket
+    (rtsafe; Dekker 1969, Brent 1973), and finished brackets leave the
+    live set.
 
     Each pass evaluates every live bracket at one point x and moves the
     bracket end on x's side to x.  A bracket then at most _ROOT_TOL wide, or
     one ulp, returns its midpoint, or x where g(x) == 0.  Otherwise, with
     d = g(x)/g'(x):
     - |d| < _ROOT_TOL/4, or x - d rounds to x: x has converged, and the
-      next point is _ROOT_TOL/2 (at least one ulp) from x into the
-      bracket, which closes it if the root lies between.  Not twice in a
-      row: a closing step counts as a zero step, so a failed one is
-      followed by a halving;
+      next point is _ROOT_TOL/4 (at least one ulp) from x into the
+      bracket, as far as the test lets the root be: it closes the bracket
+      if the root lies between, and the midpoint returned lies _ROOT_TOL/8
+      from x.  Not twice in a row: a closing step counts as a zero step,
+      so a failed one is followed by a halving;
     - x - d strictly inside the bracket, and |d| at most half the previous
       step: the Newton point is next;
     - otherwise, a NaN or zero g' included: the midpoint.
     The convergence test comes first, since a converged x - d can round
     onto x, a bracket end, and near the root rounding keeps |d| from
     halving."""
+    lo, hi, ghi = (np.array(v, dtype=float) for v in (lo, hi, ghi))
     out = np.empty(lo.shape)
     live = np.arange(lo.size)
     x = 0.5 * (lo + hi)
@@ -150,7 +124,7 @@ def _rtsafe(g, lo, hi, ghi):
         nx = x - d
         close = ((np.abs(d) < 0.25 * _ROOT_TOL) | (nx == x)) & (step > 0.0)
         newton = ~close & (np.abs(d) <= 0.5 * step) & (lo < nx) & (nx < hi)
-        probe = x + np.where(up, -0.5, 0.5) * _ROOT_TOL
+        probe = x + np.where(up, -0.25, 0.25) * _ROOT_TOL
         probe = np.where(probe == x, np.nextafter(x, np.where(up, lo, hi)), probe)
         x = np.where(close, probe, np.where(newton, nx, mid))
         step = np.where(close, 0.0, np.where(newton, np.abs(d), 0.5 * (hi - lo)))

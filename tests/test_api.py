@@ -65,8 +65,10 @@ def _callers(tree, name):
 def test_level_inversion_has_one_bisection():
     """Every inversion over states or x goes through ``quadrature._bisect``:
     the c_alpha levels, the coarea level points, the adapted-flux cuts and
-    the sign changes of a polynomial piece.  The one-point inversion, the
-    fixed-pass loops and the companion-matrix roots they replaced are gone."""
+    the sign changes of a polynomial piece.  Each passes its slope, so the
+    search has one signature and one loop.  The one-point inversion, the
+    fixed-pass loops, the companion-matrix roots, the separate Newton search
+    and its switch are gone."""
     sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
     trees = [ast.parse(text) for text in sources]
     assert sorted(c for tree in trees for c in _callers(tree, "_bisect")) == [
@@ -85,6 +87,8 @@ def test_level_inversion_has_one_bisection():
     assert not names & {"c_alpha", "eta_sided", "eta_sided_fn"}
     assert not [text for text in sources if "range(80)" in text or "range(60)" in text]
     assert not [text for text in sources if "polyroots" in text or "_NEGLIGIBLE" in text]
+    assert list(inspect.signature(bvcalc.quadrature._bisect).parameters) == ["g", "lo", "hi", "ghi"]
+    assert not [text for text in sources if "_rtsafe" in text or "sloped" in text]
 
 
 def test_per_cell_pairings_share_one_window_pairing():

@@ -552,7 +552,7 @@ def test_coarea_level_points_are_the_eighty_pass_points(u, pieces, monkeypatch):
 
 
 def _recording(g, calls, first=0):
-    """The sloped ``g`` recording every (x, g(x), g'(x)) the root search asks
+    """The ``g`` recording every (x, g(x), g'(x)) the root search asks
     for in ``calls``, per bracket: bracket i of this search is bracket
     first + i there."""
 
@@ -586,7 +586,7 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
     """The coarea root search sees bit for bit the values of u.values and
     the slopes of u's derivative piece (NaN on a Cantor support): every
     level point, and every (x, u(x) - t, u'(x)) the search asks for, are
-    those of the same sloped search through u.values and u.smooth_part's
+    those of the same root search through u.values and u.smooth_part's
     derivative, bracket by bracket (one search holds the brackets of every
     piece, piece after piece).  Levels just inside each piece's range put
     roots in its last ulps, where a point can land on a breakpoint."""
@@ -628,7 +628,7 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
                 return u.values(x) - tm[i], np.full(x.shape, np.nan) if nan else du.at(x)
 
             g = _recording(sloped, want, sum(map(len, want_located)))
-            want_located.append(_bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm, True))
+            want_located.append(_bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm))
     assert got == want
     assert b"".join(x.tobytes() for x in located) == b"".join(x.tobytes() for x in want_located)
 

@@ -123,6 +123,80 @@ def _reference_c_alpha(flux, x, alpha, side="precise", tol=1e-14):
     return 0.5 * (lo + hi)
 
 
+def _pointwise_gap(flux, x, alpha, side):
+    """w -> (B(x_side, w) - alpha, its state slope), one state at a time:
+    ``flux.value``, and sum_k K_k(x_side) f_k'(w) in term order."""
+
+    def gap(w):
+        slope = sum(K.eval(x, side) * float(f.gradient(np.array([w]))[0]) for K, f in flux.model.terms)
+        return flux.value(x, w, side) - alpha, slope
+
+    return gap
+
+
+def _pointwise_c_alpha(flux, x, alpha, side="precise"):
+    """c_alpha at one point: the range ends as the library reads them, then
+    the root search driven by ``_pointwise_gap``."""
+    gap = _pointwise_gap(flux, x, alpha, side)
+    lo, hi = flux.w_lo, flux.w_hi
+    flo, fhi = gap(lo)[0], gap(hi)[0]
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise RangeError(f"level {alpha} not attained by the flux at x={x} ({side})")
+
+    def g(ws, idx):
+        return tuple(np.array(v) for v in zip(*(gap(w) for w in ws.tolist())))
+
+    return float(_bisect(g, [lo], [hi], [fhi])[0])
+
+
+def _spy_searches(monkeypatch):
+    """Per ``_bisect`` call of claw: its hi-end gaps, and per pass of the
+    search every (bracket, w, g, g') it asks for, as hex strings."""
+    calls = []
+
+    def spy(g, lo, hi, ghi):
+        asked = []
+
+        def rec(w, i):
+            v, dv = g(w, i)
+            asked.append(list(zip(i.tolist(), *([t.hex() for t in a.tolist()] for a in (w, v, dv)))))
+            return v, dv
+
+        calls.append(([t.hex() for t in np.asarray(ghi).tolist()], asked))
+        return _bisect(rec, lo, hi, ghi)
+
+    monkeypatch.setattr(claw, "_bisect", spy)
+    return calls
+
+
+def _check_inversion(flux, xs, alphas, side, got, calls):
+    """``got`` is c_alpha_values at ``xs`` from one root search (``calls``,
+    from ``_spy_searches``).  Every (w, g, g') it asked for is bit for bit
+    the pointwise gap and slope at its point; each state is, bit for bit,
+    the root search driven by those pointwise values; and each is within
+    the stop width of the reference bisection, with g changing sign across
+    it unless it is an exact zero."""
+    alphas = np.broadcast_to(alphas, xs.shape).tolist()
+    gaps = [_pointwise_gap(flux, x, a, side) for x, a in zip(xs.tolist(), alphas)]
+    live = [j for j, gap in enumerate(gaps) if gap(flux.w_lo)[0] * gap(flux.w_hi)[0] < 0.0]
+    ((ghi, asked),) = calls
+    assert ghi == [gaps[j](flux.w_hi)[0].hex() for j in live]
+    for i, w, v, dv in (row for rows in asked for row in rows):
+        assert [v, dv] == [t.hex() for t in gaps[live[i]](float.fromhex(w))]
+    want = [_pointwise_c_alpha(flux, x, a, side) for x, a in zip(xs.tolist(), alphas)]
+    assert got.tobytes() == np.array(want).tobytes()
+    for x, a, r, gap in zip(xs.tolist(), alphas, got.tolist(), gaps):
+        ref = _reference_c_alpha(flux, x, a, side)
+        stop = max(_ROOT_TOL, np.spacing(abs(ref)), np.spacing(abs(r)))
+        assert abs(r - ref) <= stop
+        if gap(r)[0] != 0.0:
+            assert gap(max(r - stop, flux.w_lo))[0] * gap(min(r + stop, flux.w_hi))[0] < 0.0
+
+
 def _reference_ae_values(flux, xs, alpha):
     """The a.e. inversion the library used before: 80 passes at every point."""
     lo = np.full(xs.shape, float(flux.w_lo))
@@ -136,6 +210,12 @@ def _reference_ae_values(flux, xs, alpha):
         fhi = np.where(take_hi, fm, fhi)
         lo = np.where(take_hi, lo, mid)
     return 0.5 * (lo + hi)
+
+
+def _exact_linear_values(flux, xs, alpha):
+    """alpha / K: the exact a.e. level of a flux K(x) w."""
+    ((K, _),) = flux.model.terms
+    return alpha / K.values(xs)
 
 
 def cubic_flux(w_hi):
@@ -152,41 +232,82 @@ def cubic_flux(w_hi):
     [
         # 0.2 and 2.5 hit an end of the working range on one side of the jump
         (step_flux(), (0.6, 1.0, 0.2, 2.5)),
-        # up to |c| = 1e3 one ulp is wider than the stopping width: the
-        # pass cap ends those brackets
+        # up to |c| = 1e3 one ulp is wider than the stopping width: those
+        # brackets end one ulp wide
         (cubic_flux(1e3), (5.0, 1e4, 7.7e8, 1e9)),
     ],
     ids=["step", "cubic"],
 )
-def test_sided_inversion_is_the_reference_bisection(flux, levels, side):
+def test_sided_inversion_is_the_reference_bisection(flux, levels, side, monkeypatch):
+    """The vectorized sided inversion asks for the pointwise gaps and
+    slopes, returns the pointwise root search's states, and meets the
+    contract against the reference bisection (``_check_inversion``)."""
     jumps = list(flux.jump_points())
     xs = np.concatenate((np.linspace(0.0, 1.0, 43)[1:-1], jumps, [0.25] + jumps))
+    calls = _spy_searches(monkeypatch)
     for alpha in levels:
-        want = np.array([_reference_c_alpha(flux, float(x), alpha, side) for x in xs])
+        calls.clear()
         got = c_alpha_values(flux, xs, alpha, side)
-        np.testing.assert_array_equal(got, want)
-        assert c_alpha_values(flux, xs[-1:], alpha, side)[0] == want[-1]
+        _check_inversion(flux, xs, alpha, side, got, calls)
+        assert c_alpha_values(flux, xs[-1:], alpha, side)[0] == got[-1]
     # one level per point
     alphas = np.resize(np.asarray(levels), xs.shape)
-    want = [_reference_c_alpha(flux, float(x), a, side) for x, a in zip(xs, alphas)]
-    np.testing.assert_array_equal(c_alpha_values(flux, xs, alphas, side), want)
+    calls.clear()
+    _check_inversion(flux, xs, alphas, side, c_alpha_values(flux, xs, alphas, side), calls)
 
 
 @pytest.mark.parametrize(
-    "flux, levels, bound",
+    "flux, levels, reference, bound",
     [
-        (step_flux(), (0.6, 1.0, 2.0), 2e-15),
+        # linear in the state: the exact level alpha / K
+        (step_flux(), (0.6, 1.0, 2.0), _exact_linear_values, 2e-15),
         # K varies with x, so the roots fill the range: the stop leaves the
         # midpoint of a bracket at most _ROOT_TOL wide, within half of it
-        (cubic_flux(3.0), (1.0, 2.0, 20.0), 0.5 * _ROOT_TOL + 5e-16),
+        (cubic_flux(3.0), (1.0, 2.0, 20.0), _reference_ae_values, 0.5 * _ROOT_TOL + 5e-16),
     ],
     ids=["step", "cubic"],
 )
-def test_ae_inversion_is_within_round_off_of_eighty_passes(flux, levels, bound):
+def test_ae_inversion_is_within_round_off_of_eighty_passes(flux, levels, reference, bound):
     xs = np.linspace(0.0, 1.0, 301)
     for alpha in levels:
         got = c_alpha_values(flux, xs, alpha)
-        assert np.abs(got - _reference_ae_values(flux, xs, alpha)).max() <= bound
+        assert np.abs(got - reference(flux, xs, alpha)).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "flux, xs, levels, most",
+    [
+        (cubic_flux(3.0), np.linspace(0.0, 1.0, 301), (1.0, 2.0, 20.0), 12),
+        (step_flux(), np.array([0.25]), (0.6, 1.0, 2.0), 3),
+    ],
+    ids=["cubic", "step"],
+)
+def test_inversion_takes_newton_steps(flux, xs, levels, most, monkeypatch):
+    """The inversion passes its slope: a few g calls per c_alpha_values
+    call, where halving to _ROOT_TOL took 49."""
+    calls = _spy_searches(monkeypatch)
+    for alpha in levels:
+        calls.clear()
+        c_alpha_values(flux, xs, alpha)
+        ((_, asked),) = calls
+        assert 0 < len(asked) <= most
+
+
+@pytest.mark.parametrize("w_hi", [1.0, 1.5])
+def test_inversion_with_a_zero_slope_at_the_root(w_hi, monkeypatch):
+    """B = (1 + x) w^3 at level 0: d_w B vanishes at the root w = 0.  On
+    [-1, 1] the first midpoint is the root; on [-1, 1.5] Newton's steps
+    toward the triple root shrink by 2/3 only, so the bracket halves.  The
+    result meets the contract, as ``_check_inversion`` states it."""
+    K = BVFunction.from_poly(0.0, 1.0, (1.0, 1.0))
+    flux = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 0.0, 0.0, 1.0), "w^3")),)), -1.0, w_hi)
+    xs = np.linspace(0.0, 1.0, 11)[1:-1]
+    calls = _spy_searches(monkeypatch)
+    for side in ("left", "right", "precise"):
+        calls.clear()
+        got = c_alpha_values(flux, xs, 0.0, side)
+        _check_inversion(flux, xs, 0.0, side, got, calls)
+        assert np.abs(got).max() <= 0.5 * _ROOT_TOL
 
 
 def test_inversion_names_the_first_unattained_point():
@@ -300,7 +421,8 @@ def test_affine_coefficients(N, x, side):
 @pytest.mark.parametrize("x,side", [(0.25, "precise"), (0.5, "left"), (0.5, "right")])
 def test_affine_coefficients_match_per_level_inversions(x, side):
     """Levels a range cannot reach are skipped; the coefficients are those
-    built from one reference inversion per attained level."""
+    built from one pointwise inversion per attained level, each within the
+    stop width of the reference bisection's."""
     flux = step_flux()
     pair = adapted_entropy_pair(flux, 0.9)
     N = 16
@@ -308,16 +430,17 @@ def test_affine_coefficients_match_per_level_inversions(x, side):
     levels, knots = [], []
     for i in range(-N, N + 1):
         try:
-            knots.append(_reference_c_alpha(flux, x, i * C / N, side))
+            knots.append(_pointwise_c_alpha(flux, x, i * C / N, side))
         except RangeError:
             continue
         levels.append(i * C / N)
+        assert abs(knots[-1] - _reference_c_alpha(flux, x, levels[-1], side)) <= _ROOT_TOL
     assert 2 < len(knots) < 2 * N + 1
     ae = affine_entropy_approx(pair, flux, N, x, side)
     assert ae.grid_knots == tuple(sorted(knots))
     assert ae.levels == tuple(sorted(levels))[1:-1]
     cs = np.sort(knots)
-    eta = np.abs(cs - _reference_c_alpha(flux, x, 0.9, side))
+    eta = np.abs(cs - _pointwise_c_alpha(flux, x, 0.9, side))
     delta = np.diff(eta) / np.diff(cs)
     assert ae.b == 0.5 * (delta[0] + delta[-1])
     assert ae.kink_coeffs == tuple(np.maximum(0.5 * np.diff(delta), 0.0).tolist())

@@ -40,7 +40,7 @@ DIGESTS = {
         "report.csv": "df7fd355f260bc4bae0b349f04ff6e25619ad0d18117ddd2d1ccc260c711a971",
     },
     "entropy_check": {
-        "report.csv": "dd2fe9a9ca779c8d727c86158c6506e6dcaf9c8691ee91b0d8dd6abaf6745006",
+        "report.csv": "86c81d27be3c8c0f7c2f17efce1eeac1c48e20d17ebf6e30daa2bd2ebf022a9d",
     },
 }
 

@@ -1,6 +1,6 @@
 """The quadrature cell layout against a list-based reference layout, the
-refinement's acceptance rule, and the shared root search: the bisection and
-its sloped (safeguarded Newton) form.
+refinement's acceptance rule, and the shared root search: safeguarded
+Newton steps on a bracket, halving where the slope is NaN or zero.
 
 ``build_cells`` tiles Cantor supports with array slices of the cached
 ``std_cells`` arrays.  The reference below builds the same layout one cell
@@ -514,7 +514,28 @@ def test_coarea_check_passes_on_seeds_with_a_flat_end(seed, tmp_path):
     assert run_scenario(sc, str(tmp_path), seed=seed) == (True, 10, 10)
 
 
-# -- the shared bisection ----------------------------------------------------
+# -- the shared root search ---------------------------------------------------
+
+
+def _halving(g, lo, hi, ghi):
+    """The halving loop the root search replaced, as a reference: each
+    bracket is halved until g(mid) == 0 or it is at most _ROOT_TOL wide,
+    and that midpoint is returned; from |x| = 64 up the pass cap ends it."""
+    lo, hi, ghi = (np.array(v, dtype=float) for v in (lo, hi, ghi))
+    out = np.empty(lo.shape)
+    live = np.arange(lo.size)
+    for _ in range(_ROOT_PASSES):
+        if not live.size:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid, live)
+        done = (gm == 0.0) | (hi - lo <= _ROOT_TOL)
+        up = (gm > 0) == (ghi > 0)
+        lo, hi, ghi = np.where(up, lo, mid), np.where(up, mid, hi), np.where(up, gm, ghi)
+        out[live[done]] = mid[done]
+        live, lo, hi, ghi = (v[~done] for v in (live, lo, hi, ghi))
+    out[live] = 0.5 * (lo + hi)
+    return out
 
 
 def test_bisect_returns_an_exact_midpoint_hit_and_drops_it():
@@ -522,45 +543,53 @@ def test_bisect_returns_an_exact_midpoint_hit_and_drops_it():
 
     def g(xs, idx):
         seen.append(idx.tolist())
-        return xs - np.array([0.5, 0.3])[idx]
+        return xs - np.array([0.5, 0.3])[idx], np.ones(xs.shape)
 
     got = _bisect(g, [0.0, 0.0], [1.0, 1.0], [0.5, 0.7])
     assert got[0] == 0.5
     assert abs(got[1] - 0.3) <= 0.5 * _ROOT_TOL
     assert seen[0] == [0, 1]
-    assert len(seen) > 2 and all(idx == [1] for idx in seen[1:])
+    assert len(seen) >= 2 and all(idx == [1] for idx in seen[1:])
 
 
 def test_bisect_follows_a_decreasing_g():
     roots = np.array([0.1, 1.0 / 3.0, 0.9])
-    got = _bisect(lambda xs, idx: roots[idx] - xs, np.zeros(3), np.ones(3), roots - 1.0)
+    got = _bisect(lambda xs, idx: (roots[idx] - xs, -np.ones(xs.shape)), np.zeros(3), np.ones(3), roots - 1.0)
     assert np.abs(got - roots).max() <= 0.5 * _ROOT_TOL
 
 
 def test_bisect_without_brackets_evaluates_nothing():
     def g(xs, idx):
-        raise AssertionError("no bracket to halve")
+        raise AssertionError("no bracket to search")
 
     assert _bisect(g, [], [], []).shape == (0,)
 
 
-@pytest.mark.parametrize("r, capped", [(0.7, False), (64.3, True), (-1000.3, True)])
-def test_bisect_pass_cap_ends_brackets_narrower_than_one_ulp(r, capped):
-    """From |x| = 64 up one ulp is wider than _ROOT_TOL, so a g without an
-    exact zero keeps its bracket live until the pass cap."""
+@pytest.mark.parametrize("r, ulp_wide", [(0.7, False), (64.3, True), (-1000.3, True)])
+def test_bisect_halving_stops_brackets_at_one_ulp_past_64(r, ulp_wide):
+    """A step g with a NaN slope has no exact zero and is only halved, to
+    the halving loop's point.  From |x| = 64 up one ulp is wider than
+    _ROOT_TOL: the halving loop ran to its pass cap there, and the search
+    ends at a bracket one ulp wide, in fewer than 64 passes."""
     calls = []
 
     def g(xs, idx):
         calls.append(len(xs))
-        return np.where(xs > r, 1.0, -1.0)
+        return np.where(xs > r, 1.0, -1.0), np.full(xs.shape, np.nan)
 
     lo = np.floor(r)
     got = _bisect(g, [lo], [lo + 1.0], [1.0])
-    assert (len(calls) == _ROOT_PASSES) == capped
+    assert len(calls) < 64
     assert abs(got[0] - r) <= 0.5 * _ROOT_TOL + np.spacing(abs(r))
+    halved = _halving(lambda xs, idx: g(xs, idx)[0], [lo], [lo + 1.0], [1.0])
+    assert got.tobytes() == halved.tobytes()
+    ulp = abs(np.spacing(got[0]))
+    assert (ulp > _ROOT_TOL) == ulp_wide
+    stop = max(ulp, _ROOT_TOL)
+    assert g(got - stop, None)[0] * g(got + stop, None)[0] < 0.0
 
 
-# -- the sloped search -------------------------------------------------------
+# -- safeguarded Newton steps --------------------------------------------------
 
 
 def _recorded(g, seen):
@@ -609,8 +638,8 @@ def test_sloped_search_keeps_the_bisection_contract(lo, width, offset, coefs, ri
     glo, ghi = sloped(np.array([lo, hi]), None)[0]
     assume(glo * ghi < 0.0)
     seen = {}
-    (r,) = _bisect(_recorded(sloped, seen), [lo], [hi], [ghi], True)
-    (plain,) = _bisect(lambda xs, idx: sloped(xs, idx)[0], [lo], [hi], [ghi])
+    (r,) = _bisect(_recorded(sloped, seen), [lo], [hi], [ghi])
+    (plain,) = _halving(lambda xs, idx: sloped(xs, idx)[0], [lo], [hi], [ghi])
     g = lambda x: float(sloped(np.array([x]), None)[0][0])  # noqa: E731
     assert lo <= r <= hi
     stop = max(_ROOT_TOL, float(np.spacing(abs(r))))
@@ -624,7 +653,7 @@ def test_sloped_search_keeps_the_bisection_contract(lo, width, offset, coefs, ri
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_sloped_search_finds_a_root_at_a_bracket_end(sign):
-    got = _bisect(lambda xs, idx: (sign * (xs - 0.25), np.full(xs.shape, sign)), [0.25], [1.0], [0.75 * sign], True)
+    got = _bisect(lambda xs, idx: (sign * (xs - 0.25), np.full(xs.shape, sign)), [0.25], [1.0], [0.75 * sign])
     assert 0.25 <= got[0] <= 0.25 + 0.5 * _ROOT_TOL
 
 
@@ -632,23 +661,30 @@ def test_sloped_search_finds_a_root_at_a_bracket_end(sign):
 def test_sloped_search_with_a_zero_slope_at_the_critical_end(t):
     """g = x^2 - t has g'(0) = 0 at the lo end: Newton's steps from there
     are out of the bracket or too long, and the bracket halves."""
-    got = _bisect(lambda xs, idx: (xs * xs - t, 2.0 * xs), [0.0], [1.0], [1.0 - t], True)
+    got = _bisect(lambda xs, idx: (xs * xs - t, 2.0 * xs), [0.0], [1.0], [1.0 - t])
     assert abs(got[0] - math.sqrt(t)) <= 0.5 * _ROOT_TOL + np.spacing(1.0)
 
 
 def test_sloped_search_halves_nan_slope_rows_as_the_plain_loop():
-    """Rows with a NaN slope, in one call with Newton rows, ask for the
-    plain loop's points but its last (their bracket is already closed) and
-    return its bits; the Newton rows finish in a few passes."""
+    """Rows with a NaN slope, in one call with Newton rows, give the bits
+    of the same rows searched alone; they ask for the halving loop's points
+    but its last (their bracket is already closed) and return its bits.
+    The Newton rows finish in a few passes."""
     roots = np.array([0.1, 1.0 / 3.0, 0.7, 0.45])
     slopes = np.array([1.0, 1.0, np.nan, np.nan])
-    seen, plain = {}, {}
+    seen, alone, plain = {}, {}, {}
 
     def sloped(xs, idx):
         return xs - roots[idx], np.broadcast_to(slopes[idx], xs.shape).copy()
 
-    got = _bisect(_recorded(sloped, seen), np.zeros(4), np.ones(4), 1.0 - roots, True)
-    want = _bisect(_recorded(lambda xs, idx: xs - roots[idx], plain), np.zeros(4), np.ones(4), 1.0 - roots)
+    got = _bisect(_recorded(sloped, seen), np.zeros(4), np.ones(4), 1.0 - roots)
+    for rows in ([0, 1], [2, 3]):
+        sub = lambda xs, idx, rows=rows: sloped(xs, np.asarray(rows)[idx])  # noqa: E731
+        rec = _recorded(sub, alone)
+        want = _bisect(rec, np.zeros(2), np.ones(2), 1.0 - roots[rows])
+        assert got[rows].tobytes() == want.tobytes()
+        assert [seen[i] for i in rows] == [alone.pop(j) for j in range(2)]
+    want = _halving(_recorded(lambda xs, idx: xs - roots[idx], plain), np.zeros(4), np.ones(4), 1.0 - roots)
     assert got[2:].tobytes() == want[2:].tobytes()
     for i in (2, 3):
         assert seen[i] == plain[i][:-1]
@@ -658,7 +694,7 @@ def test_sloped_search_halves_nan_slope_rows_as_the_plain_loop():
 
 def test_sloped_search_returns_an_exact_zero_at_a_newton_point():
     seen = {}
-    got = _bisect(_recorded(lambda xs, idx: (2.0 * (xs - 0.375), np.full(xs.shape, 2.0)), seen), [0.0], [1.0], [1.25], True)
+    got = _bisect(_recorded(lambda xs, idx: (2.0 * (xs - 0.375), np.full(xs.shape, 2.0)), seen), [0.0], [1.0], [1.25])
     assert got[0] == 0.375
     assert seen[0] == [(0.5, 0.25), (0.375, 0.0)]
 
@@ -672,7 +708,7 @@ def test_sloped_search_stops_at_one_ulp_past_64():
         calls.append(len(xs))
         return xs * xs - 4200.0, 2.0 * xs
 
-    got = _bisect(sloped, [64.0], [65.0], [25.0], True)
+    got = _bisect(sloped, [64.0], [65.0], [25.0])
     assert len(calls) < 20
-    assert got.tobytes() == _bisect(lambda xs, idx: xs * xs - 4200.0, [64.0], [65.0], [25.0]).tobytes()
+    assert got.tobytes() == _halving(lambda xs, idx: xs * xs - 4200.0, [64.0], [65.0], [25.0]).tobytes()
     assert abs(got[0] - math.sqrt(4200.0)) <= np.spacing(got[0])
