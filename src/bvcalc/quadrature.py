@@ -7,38 +7,46 @@ integrands are smooth on every cell of the mandatory decomposition:
 * cells never straddle a declared breakpoint (jumps/kinks sit on cell edges,
   and Gauss nodes are interior, so one-sided values are never sampled);
 * inside a declared Cantor support the tiling follows the ternary structure -
-  on "gap" cells every Cantor summand is locally constant, and the 2^L
-  level-L leftover cells are integrated by the midpoint rule.  The Cantor
-  function is odd-symmetric about each leftover cell midpoint, so the
-  midpoint rule there carries an O(6^-L) total error instead of the hopeless
-  Hoelder-rate of naive sampling.
+  on "gap" cells every Cantor summand is locally constant, and the leftover
+  cells, which hold the Cantor set, are integrated by rules fitted to the
+  moments of (x, C(x)) under dx (a generalized Gaussian quadrature: Ma,
+  Rokhlin and Wandzura 1996), which are exact rationals by self-similarity
+  (Strichartz 2000).  Summed over the 2^L leftover cells of level L, the
+  13-node rule's error falls like about 81^-L, against the Hoelder rate of
+  naive sampling.
 
-The layout is two (n, 2) float arrays, smooth cells and midpoint cells, each
-in integration order.  Gap and leftover cells are affine images of the cached
+The layout is two (n, 2) float arrays, smooth cells and leftover cells.  A
+support is tiled at a coarse start level by affine images of the cached
 :func:`~bvcalc.cantor.std_cells` arrays; only the few cells that hold a
-breakpoint or a window edge take the Python path that refines the ternary
-tree around it and splits at it.
+breakpoint or a window edge descend the ternary tree around it, one level at
+a time, down to a sliver that is split at it.
 
 Smooth cells are refined adaptively by the nested Gauss 3 / Kronrod 7 /
 Patterson 15 rules (Kronrod 1965; Patterson 1968), whose nodes each hold the
 previous rule's.  Each pass evaluates the integrand in blocks of cells on
 ``(cells, 7)`` rows of K7 nodes; a cell takes K7 if |K7 - G3| meets its share
 of tol, else P15 from ``(cells, 8)`` rows of the other nodes if |P15 - K7|
-does, else it is bisected.  Every sum runs over the cell's own nodes in an
-explicit association (left to right over the 7 K7 nodes, pairwise over the
-8 others: :func:`_node_sums`), so it has the same bits whatever else the
-block holds.
+does, else it is bisected.  Leftover cells are refined the same way, by a
+nested pair of fitted rules on shared nodes: a cell takes the 13-node rule B
+if |B - A| against the 8-node rule A meets its share, else it splits into its
+two Cantor children, leftover cells, and its middle gap, a smooth cell.
+Every sum runs over the cell's own nodes in an explicit association (left to
+right over the 7 K7 and the 13 fitted nodes, pairwise over the 8 others:
+:func:`_node_sums`), so it has the same bits whatever else the block holds.
 
 An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
 components is then refined on its own, and the components may split into
 groups with a layout each (one test function's window, say): a pass evaluates
-the union of their live cells, then of those failing K7, once each, and each
-component keeps the float operations of integrating it alone.
+the union of their live leftover cells, of their live smooth cells, then of
+those failing K7, once each, and each component keeps the float operations of
+integrating it alone.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,10 +73,34 @@ _P8_TABLE = np.concatenate((_HALF[:3:-1] * _MIRROR, _HALF[4:])).T
 _P8, _P8_RULES = _P8_TABLE[0], _P8_TABLE[3:]  # nodes; P15 weights
 _BLOCK = 512  # cells per integrand call: bounds the integrand's temporaries
 
+# The fitted rules on a leftover cell mapped to [0, 1], by their nodes'
+# distance y from the centre: nodes 1/2 ± y, each in a gap of the cell's
+# ternary levels 1-4 (C reads the dyadic 1/2 ± z there: z = 0, 0, 1/8,
+# 1/4, 1/4, 3/8, 7/16 down the rows), then each node's weight in rule B and
+# in rule A (0: not a node of A).  Rule B matches the centred moments 1,
+# s², sC, C², C⁴, sC³ and s²C² of (s, C(s)) under ds, A the first four;
+# odd moments vanish by the symmetry s -> 1 - s, C -> 1 - C.
+_FITTED = (
+    (Fraction(0), Fraction(265816140347, 3294503751420), 0),
+    (Fraction(1, 9), Fraction(6305907198541, 46123052519880), Fraction(193969, 1164520)),
+    (Fraction(19, 81), Fraction(7540096061, 101682214550), 0),
+    (Fraction(8, 27), Fraction(34496358091, 348624735600), Fraction(62737, 332720)),
+    (Fraction(10, 27), Fraction(182920963991, 2440373149200), Fraction(7493, 66544)),
+    (Fraction(37, 81), Fraction(2723335693, 101682214550), 0),
+    (Fraction(118, 243), Fraction(17116813584, 355887750925), Fraction(4698, 145565)),
+)
+# ... as 13 ascending nodes on [-1, 1] (the centre once) and the weight rows
+# of B and A there
+_FIT_TABLE = sorted(
+    {(sign * 2 * y, 2 * b, 2 * a) for y, b, a in _FITTED for sign in (-1, 1)}
+)
+_FIT = np.array([float(x) for x, _, _ in _FIT_TABLE])
+_FIT_RULES = np.array([[float(w[k]) for w in _FIT_TABLE] for k in (1, 2)])
+_START_LEVEL = 4  # the ternary level at which a Cantor support is first tiled
+_SLIVER_LEVEL = 32  # a cut path ends in a cell 3^-32 of its support wide
+
 _MAX_PASSES = 30
 _MAX_CELLS = 200_000
-_LEFTOVER_CAP = 13
-_REFINE_DEPTH = 10
 _ROOT_TOL = 1e-14  # bracket width at which the root search stops
 _ROOT_PASSES = 200  # its safety cap: halving alone closes a unit bracket in 47
 
@@ -132,12 +164,6 @@ def _bisect(g, lo, hi, ghi):
     return out
 
 
-def _leftover_level(tol):
-    """Ternary depth for leftover cells: total midpoint-rule error ~ 6^-L."""
-    L = math.ceil(math.log(max(4.0 / max(tol, 1e-300), 8.0)) / math.log(6.0))
-    return max(8, min(_LEFTOVER_CAP, L))
-
-
 def _same_support(s, t):
     """Whether (lo, hi) Cantor supports ``s`` and ``t`` are one: ends within 1e-14."""
     return abs(s[0] - t[0]) < 1e-14 and abs(s[1] - t[1]) < 1e-14
@@ -199,40 +225,72 @@ def _clip(cells, lo, hi):
     return np.column_stack((np.maximum(cells[:, 0], lo), np.minimum(cells[:, 1], hi)))
 
 
-def _tile(lo, hi, level, cuts, gen=0):
-    """Tile a Cantor support [lo, hi] by gap cells (smooth) and leftover
-    cells (midpoint rule), as two (n, 2) arrays.
+def _thirds(lo, hi):
+    """The ends a, b of the middle thirds [a, b] of the cells [lo_i, hi_i]:
+    a Cantor cell's children are [lo, a] and [b, hi]."""
+    third = (hi - lo) / 3.0
+    return lo + third, hi - third
 
-    The leftover cells come last to first, the order a stack pops them.  One
-    that holds a cut (e.g. a jump at a point of the Cantor set) is tiled
-    again ``_REFINE_DEPTH`` levels deeper: its smooth cells follow the gap
-    cells and its leftover cells take its place.  After two such levels a
-    holding cell is left to the smooth cells whole, for the caller to split
-    at the cuts (slivers of length <= 3^-(level + 2 * _REFINE_DEPTH))."""
-    g_lo, g_hi, c_lo, c_hi = std_cells(level)
+
+def _roomy(lo, hi):
+    """Whether the fitted rules' nodes fit in the cells [lo_i, hi_i]: the
+    narrowest margin between a node and the edge of its gap, 1/486 of the
+    width, must exceed 2^-46 of the cell's magnitude (at least 64 ulps),
+    more than placing a node and mapping it to its support round by, so
+    that C reads its gap's dyadic at every node.  Only a support reaching
+    far past 0 from a cell near 0 rounds by more; a node may then read a
+    neighbouring gap's C, off by less than C's rise across the cell,
+    2^-level."""
+    return (hi - lo) / 486.0 > 2.0 ** -46 * np.maximum(np.abs(lo), np.abs(hi))
+
+
+def _tile(lo, hi, cuts):
+    """Tile a Cantor support [lo, hi] by smooth cells and leftover cells
+    (fitted rules), as two (n, 2) arrays in ascending order.
+
+    The support is tiled at ``_START_LEVEL``: its gaps are smooth cells,
+    its Cantor cells leftover cells.  A Cantor cell that holds a cut (e.g.
+    a jump at a point of the Cantor set) gives way to its middle gap, a
+    smooth cell, and its two children one level deeper, and so on down the
+    cut path; at ``_SLIVER_LEVEL`` a holding cell is left to the smooth
+    cells whole, for the caller to split at the cuts.  A Cantor cell too
+    narrow for the rules' nodes (:func:`_roomy`) is a smooth sliver too."""
+    g_lo, g_hi, c_lo, c_hi = std_cells(_START_LEVEL)
     width = hi - lo
     smooth = [np.column_stack((lo + width * g_lo, lo + width * g_hi))]
-    cells = np.column_stack((lo + width * c_lo[::-1], lo + width * c_hi[::-1]))
-    rows = np.flatnonzero(_holding(cells, cuts))
-    parts = []
-    for cell in cells[rows]:
-        if gen >= 2:
-            s_cells, m_cells = cell[None], cells[:0]
-        else:
-            s_cells, m_cells = _tile(cell[0], cell[1], _REFINE_DEPTH, cuts, gen + 1)
-        smooth.append(s_cells)
-        parts.append(m_cells)
-    return np.concatenate(smooth), _splice(cells, rows, parts)
+    cells = np.column_stack((lo + width * c_lo, lo + width * c_hi))
+    left = []
+    for level in range(_START_LEVEL, _SLIVER_LEVEL + 1):
+        held = _holding(cells, cuts)
+        left.append(cells[~held])
+        cells = cells[held]
+        if not cells.size or level == _SLIVER_LEVEL:
+            break
+        a, b = _thirds(cells[:, 0], cells[:, 1])
+        smooth.append(np.column_stack((a, b)))
+        cells = np.concatenate(
+            (np.column_stack((cells[:, 0], a)), np.column_stack((b, cells[:, 1])))
+        )
+    left = np.concatenate(left)
+    roomy = _roomy(left[:, 0], left[:, 1])
+    smooth = np.concatenate(smooth + [cells, left[~roomy]])
+    left = left[roomy]
+    return (
+        smooth[np.argsort(smooth[:, 0], kind="stable")],
+        left[np.argsort(left[:, 0], kind="stable")],
+    )
 
 
 def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
     """Mandatory decomposition of [lo, hi]: an (n, 2) array of smooth cells
-    and an (m, 2) array of midpoint-rule cells (inside Cantor supports),
-    each row ``(a, b)`` and both in integration order.
+    and an (m, 2) array of leftover cells (inside Cantor supports, for the
+    fitted rules), each row ``(a, b)`` and both in integration order.
 
     Supports are tiled on their *original* extent (ternary alignment is what
-    makes the midpoint rule accurate); a window edge cutting into a support is
-    treated like a breakpoint, and cells are clipped to the window at the end.
+    puts the fitted rules' nodes in gaps); a window edge cutting into a
+    support is treated like a breakpoint, and cells are clipped to the window
+    at the end.  The layout does not depend on ``tol``: the refinement in
+    :func:`integrate_cells` does.
     """
     lo, hi = float(lo), float(hi)
     if hi <= lo:
@@ -242,7 +300,6 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
         s for s in _merge_supports(cantor_supports)
         if s[1] > lo + 1e-15 and s[0] < hi - 1e-15
     ]
-    level = _leftover_level(tol)
     # plain segments of the window not covered by any support
     edges = [lo]
     for slo, shi in supports:
@@ -256,7 +313,7 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
         cuts = [p for p in bps if slo < p < shi]
         cuts.extend(e for e in (lo, hi) if slo < e < shi)
         cuts = sorted(set(cuts))
-        s_cells, m_cells = _tile(slo, shi, level, cuts)
+        s_cells, m_cells = _tile(slo, shi, cuts)
         s_cells = _clip(_split(s_cells, cuts), lo, hi)
         smooth.append(s_cells[s_cells[:, 1] - s_cells[:, 0] > 1e-16])
         a, b = m_cells[:, 0], m_cells[:, 1]
@@ -270,12 +327,13 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
 
 def _node_sums(block, rules, out):
     """Into ``out`` (r, ...), the sums over the last axis of ``block``
-    (..., m) times each weight row of ``rules`` (r, m), m = 7 or 8, in
-    numpy's own association for a C-ordered row: 7 left to right, 8 as
-    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), and an all -0.0 row
-    to +0.0.  Node column by node column, in place, with at most three
-    temporaries of ``out``'s shape: every operation is elementwise, so the
-    bits depend on neither the block's shape nor its memory order."""
+    (..., m) times each weight row of ``rules`` (r, m): m = 7 or 8 in
+    numpy's own association for a C-ordered row, 7 left to right and 8 as
+    ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), the 13 fitted nodes
+    left to right, and an all -0.0 row to +0.0.  Node column by node
+    column, in place, with at most three temporaries of ``out``'s shape:
+    every operation is elementwise, so the bits depend on neither the
+    block's shape nor its memory order."""
     w = rules.T.reshape(rules.shape[::-1] + (1,) * (block.ndim - 1))
     tmp = np.empty_like(out)
     if len(w) == 8:
@@ -340,28 +398,107 @@ def _spread(groups, k):
     return [groups[c * len(groups) // k] for c in range(k)]
 
 
-def _midpoint_rule(f, mids):
-    """Per component, the midpoint rule over its group's ``(lo, hi)`` cells
-    in ``mids`` (their union evaluated once), and whether ``f`` is
-    stacked."""
-    (ulo, uhi), rows = _union(mids)
-    vals = _apply(f, 0.5 * (ulo + uhi), stacked=True)
-    stacked = vals.ndim > 1
-    vals = vals if stacked else [vals] * len(mids)
-    mids, rows = _spread(mids, len(vals)), _spread(rows, len(vals))
-    # 0.0 + keeps an all -0.0 sum from coming back as -0.0
-    return [
-        0.0 + float(np.sum((v if r is None else v[r]) * (hi - lo))) if lo.size else 0.0
-        for v, r, (lo, hi) in zip(vals, rows, mids)
-    ], stacked
+def _rule_sums(f, sets, nodes, rules):
+    """The sums of ``f`` under each weight row of ``rules`` on the union of
+    the ``(lo, hi)`` cell sets (see :func:`_panel`), as an (r, k, n) array
+    of k components (an unstacked ``f`` gives one row, which each of the
+    ``len(sets)`` components reads); per set its rows in the union (see
+    :func:`_union`); the union; and whether ``f`` is stacked."""
+    (ulo, uhi), rows = _union(sets)
+    if ulo.size:
+        sums = _panel(f, ulo, uhi, nodes, rules)
+    else:  # no cell: one empty call tells the number of components
+        vals = _apply(f, np.empty(0), stacked=True)
+        sums = np.empty((len(rules),) + vals.shape[:-1] + (0,))
+    stacked = sums.ndim > 2
+    if not stacked:
+        sums = np.broadcast_to(sums[:, None], (len(sums), len(sets), ulo.size))
+    return sums, rows, (ulo, uhi), stacked
+
+
+def _ascending(lo, hi):
+    order = np.argsort(lo)
+    return lo[order], hi[order]
+
+
+def _check_tol(tol):
+    """Raise DomainError unless ``tol``, one tolerance or a sequence, is
+    finite and positive."""
+    for t in (tol if np.ndim(tol) else [tol]):
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"tolerance {t!r} is not finite and positive")
+
+
+class _Component:
+    """One component's refinement: its live smooth and leftover cells as
+    ``(lo, hi)`` pairs, its tol and the width that shares it, its integral
+    so far and the error it raises, if any."""
+
+    def __init__(self, smooth, left, tol):
+        self.smooth, self.left, self.tol = smooth, left, tol
+        width = float(np.sum(smooth[1] - smooth[0]))
+        if left[0].size:
+            width += float(np.sum(left[1] - left[0]))
+        self.length = max(width, 1e-300)
+        self.total, self.error = 0.0, None
+
+    def budget(self, lo, hi):
+        """Each cell's share of half the tol, in proportion to its width."""
+        return 0.5 * self.tol * (hi - lo) / self.length
+
+    def fail(self, error):
+        self.error = error
+        self.smooth = self.left = (self.smooth[0][:0],) * 2
+
+    def take_leftover(self, sums, rows):
+        """Rule B on the live leftover cells, from their rows ``rows`` (None:
+        all) of the (2, n) ``sums`` under B and A.  A cell passes if
+        |B - A| meets its budget; else it gives way to its two children,
+        which stay leftover cells, and its middle gap, a smooth cell."""
+        lo, hi = self.left
+        if not lo.size:
+            return
+        rows = np.arange(lo.size) if rows is None else rows
+        half = 0.5 * (hi - lo)
+        val = sums[0, rows] * half
+        err = np.abs(val - sums[1, rows] * half)
+        budget = self.budget(lo, hi)
+        ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
+        self.total += float(np.sum(val[ok]))
+        if ok.all():
+            self.left = (lo[:0], hi[:0])
+            return
+        lo, hi, budget = lo[~ok], hi[~ok], budget[~ok]
+        a, b = _thirds(lo, hi)
+        cramped = np.flatnonzero(~(_roomy(lo, a) & _roomy(b, hi)))
+        if cramped.size:
+            i = cramped[0]
+            self.fail(QuadratureError(
+                f"tolerance {self.tol:g} unreachable: the leftover cell "
+                f"[{float(lo[i])!r}, {float(hi[i])!r}] misses its budget "
+                f"{budget[i]:.3g}, and its children are too narrow for the "
+                "fitted rules' nodes"
+            ))
+            return
+        self.left = _ascending(np.concatenate((lo, b)), np.concatenate((a, hi)))
+        self.smooth = _ascending(
+            np.concatenate((self.smooth[0], a)), np.concatenate((self.smooth[1], b))
+        )
 
 
 def integrate_cells(f, smooth, mids, tol):
-    """Adaptive G3/K7/P15 over the smooth cells plus midpoint rule on
-    ``mids``, both (n, 2) arrays of cells as :func:`build_cells` returns
-    them.  A cell passes with K7 when |K7 - G3| meets its width's share of
-    tol/2, else with P15 when |P15 - K7| does, else it is bisected; on the
-    last pass the rest pass if their |P15 - K7| sum to at most the other tol/2.
+    """Adaptive G3/K7/P15 over the smooth cells and fitted rules on the
+    leftover cells ``mids``, both (n, 2) arrays of cells as
+    :func:`build_cells` returns them.  Every cell's budget is its width's
+    share of tol/2.  A smooth cell passes with K7 when |K7 - G3| meets its
+    budget, else with P15 when |P15 - K7| does, else it is bisected; on the
+    last pass the rest pass if their |P15 - K7| sum to at most the other
+    tol/2.  A leftover cell passes with rule B when |B - A| meets its
+    budget, else it splits into its two children, leftover cells one
+    ternary level deeper, and its middle gap, which joins the smooth cells
+    of the same pass; a cell whose children would be too narrow for the
+    rules' nodes raises.  Both estimates are heuristic: an integrand that
+    varies on a scale finer than a cell's nodes can read as converged.
 
     For a stacked integrand (values ``(k, ...)``) a k-tuple is returned.
     ``smooth`` and ``mids`` may also be sequences of g layouts, and ``tol``
@@ -371,9 +508,9 @@ def integrate_cells(f, smooth, mids, tol):
     rows of the one value array, and a g-tuple is returned.  Each component
     keeps its own cells, budget, passing cells, refinement and error, so its
     float operations are those of integrating it alone; each pass evaluates
-    the integrand once on the union of the components' live cells and once
-    on the union of those that fail K7, and the midpoint cells' union is
-    evaluated once.
+    the integrand once on the union of the components' live leftover cells,
+    once on the union of their live smooth cells and once on the union of
+    those that fail K7.
     Of the components that fail, the first one's error is raised."""
     grouped = not isinstance(smooth, np.ndarray)
     if not grouped:
@@ -381,41 +518,48 @@ def integrate_cells(f, smooth, mids, tol):
     tols = list(tol) if np.ndim(tol) else [tol] * len(smooth)
     if len(tols) != len(smooth):
         raise DomainError(f"{len(tols)} tolerances for {len(smooth)} layouts")
+    _check_tol(tols)
     # per group until an evaluation shows how many components there are,
-    # then per component: live smooth cells, error, integral so far
-    live = [(c[:, 0], c[:, 1]) for c in smooth]
-    errors, totals = [None] * len(live), None
-    total_len = [max(float(np.sum(hi - lo)), 1e-300) for lo, hi in live]
-    if any(map(len, mids)) or not any(map(len, smooth)):
-        totals, stacked = _midpoint_rule(f, [(c[:, 0], c[:, 1]) for c in mids])
-        live, errors, total_len, tols = (
-            _spread(v, len(totals)) for v in (live, errors, total_len, tols)
-        )
+    # then per component
+    comps = [
+        _Component((s[:, 0], s[:, 1]), (m[:, 0], m[:, 1]), t)
+        for s, m, t in zip(smooth, mids, tols)
+    ]
+    stacked = None
+
+    def evaluate(cells, nodes, rules):
+        """:func:`_rule_sums` on the components' ``cells``; the first call
+        spreads the groups to their components, each its own copy."""
+        nonlocal comps, stacked
+        sums, rows, union, now = _rule_sums(f, [cells(c) for c in comps], nodes, rules)
+        if stacked is None:
+            k = sums.shape[1]
+            comps, rows = [copy.copy(c) for c in _spread(comps, k)], _spread(rows, k)
+        stacked = now
+        return sums, rows, union
+
     for npass in range(1, _MAX_PASSES + 1):
-        for c, (lo, hi) in enumerate(live):
-            if lo.size > _MAX_CELLS:
-                errors[c], live[c] = QuadratureError("quadrature cell budget exceeded"), (lo[:0], hi[:0])
-        if not any(lo.size for lo, _ in live):
+        for comp in comps:
+            if comp.smooth[0].size + comp.left[0].size > _MAX_CELLS:
+                comp.fail(QuadratureError("quadrature cell budget exceeded"))
+        if stacked is not None and not any(c.smooth[0].size + c.left[0].size for c in comps):
             break
-        (ulo, uhi), rows = _union(live)
-        sums = _panel(f, ulo, uhi, _K7, _K7_RULES)
-        if totals is None:
-            stacked = sums.ndim > 2
-            k = sums.shape[1] if stacked else len(live)
-            live, errors, total_len, tols, rows = (
-                _spread(v, k) for v in (live, errors, total_len, tols, rows)
-            )
-            totals = [0.0] * k
-        if not stacked:  # one row of sums, which every layout's component reads
-            sums = np.broadcast_to(sums[:, None], (len(sums), len(totals), ulo.size))
+        if any(comp.left[0].size for comp in comps):
+            sums, rows, _ = evaluate(lambda c: c.left, _FIT, _FIT_RULES)
+            for c, (comp, r) in enumerate(zip(comps, rows)):
+                comp.take_leftover(sums[:, c], r)
+        if stacked is not None and not any(comp.smooth[0].size for comp in comps):
+            continue
+        sums, rows, (ulo, uhi) = evaluate(lambda c: c.smooth, _K7, _K7_RULES)
         # K7 against G3, and the union rows that fail in some component
         steps, need = [], np.zeros(ulo.size, dtype=bool)
-        for c, ((lo, hi), r) in enumerate(zip(live, rows)):
+        for c, (comp, r) in enumerate(zip(comps, rows)):
+            lo, hi = comp.smooth
             r = np.arange(lo.size) if r is None else r
             half = 0.5 * (hi - lo)
             val = sums[1, c, r] * half
             err = np.abs(val - sums[0, c, r] * half)
-            budget = 0.5 * tols[c] * (hi - lo) / total_len[c]
+            budget = comp.budget(lo, hi)
             ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
             need[r[~ok]] = True
             steps.append((r, half, val, err, budget, ok))
@@ -423,41 +567,41 @@ def integrate_cells(f, smooth, mids, tol):
         # np.unique would import numpy.ma
         if need.any():
             more = _panel(f, ulo[need], uhi[need], _P8, _P8_RULES)[0]
-            more = more if stacked else np.broadcast_to(more, (len(totals), more.size))
+            more = more if stacked else np.broadcast_to(more, (len(comps), more.size))
             at = np.cumsum(need) - 1
-        for c, (r, half, val, err, budget, ok) in enumerate(steps):
+        for c, (comp, (r, half, val, err, budget, ok)) in enumerate(zip(comps, steps)):
             bad = np.flatnonzero(~ok)
             if bad.size:
                 p15 = (sums[2, c, r[bad]] + more[c, at[r[bad]]]) * half[bad]
                 err[bad] = np.abs(p15 - val[bad])
                 ok[bad] = err[bad] <= np.maximum(budget[bad], 1e-17 * np.abs(p15))
                 val[bad] = p15
-            if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * tols[c]:
+            if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * comp.tol:
                 ok[:] = True
-            totals[c] += float(np.sum(val[ok]))
-            lo, hi = live[c]
+            comp.total += float(np.sum(val[ok]))
+            lo, hi = comp.smooth
             lo, hi = lo[~ok], hi[~ok]
             if lo.size and npass < _MAX_PASSES:
                 mid = 0.5 * (lo + hi)
-                lo = np.concatenate((lo, mid))
-                hi = np.concatenate((mid, hi))
-                order = np.argsort(lo)
-                lo, hi = lo[order], hi[order]
-            live[c] = (lo, hi)
-    for c, (lo, _) in enumerate(live):
-        if lo.size and errors[c] is None:
-            errors[c] = QuadratureError(
-                f"tolerance {tols[c]:g} unreachable: {lo.size} cells still failing "
+                lo, hi = _ascending(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+            comp.smooth = (lo, hi)
+    for comp in comps:
+        live = comp.smooth[0].size + comp.left[0].size
+        if live and comp.error is None:
+            comp.error = QuadratureError(
+                f"tolerance {comp.tol:g} unreachable: {live} cells still failing "
                 f"after {_MAX_PASSES} refinement passes"
             )
-    error = next((e for e in errors if e is not None), None)
+    error = next((comp.error for comp in comps if comp.error is not None), None)
     if error is not None:
         raise error
+    totals = [comp.total for comp in comps]
     return tuple(totals) if stacked or grouped else totals[0]
 
 
 def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
-    """Integral of ``f`` over [lo, hi] to absolute tolerance ``tol``.
+    """Integral of ``f`` over [lo, hi] to absolute tolerance ``tol``, which
+    must be finite and positive.
 
     ``breakpoints`` must list every point where the integrand may jump or
     kink; ``cantor_supports`` every (lo, hi) support of a Cantor-function
@@ -473,6 +617,7 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     one component per window, and gives a g-tuple), and every pass
     evaluates the integrand once for all of them.
     """
+    _check_tol(tol)
     if np.ndim(lo):
         tol = tol if np.ndim(tol) else [tol] * len(lo)
         smooth, mids = zip(*(

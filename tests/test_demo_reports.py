@@ -27,7 +27,7 @@ DIGESTS = {
         "report.csv": "e71c52a172061bf305f71e5dc08f6a5274e24a495054a33555f895cb0c5f4536",
     },
     "chainrule_suite": {
-        "report.csv": "be34970be1d86efe31f9b7a950eee0574777609845737f964c06cc0ebdc80af4",
+        "report.csv": "1abb03acb2e91b5f51b2e8d79d025eeb123208504050d3ec2f72fdfe90205cae",
     },
     "claw_burgers": {
         "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",

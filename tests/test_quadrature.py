@@ -1,16 +1,18 @@
 """The quadrature cell layout against a list-based reference layout, the
-refinement's acceptance rule, and the shared root search: safeguarded
+refinement's acceptance rule, the fitted rules on leftover cells against the
+exact oracle of ``oracle.py``, and the shared root search: safeguarded
 Newton steps on a bracket, halving where the slope is NaN or zero.
 
 ``build_cells`` tiles Cantor supports with array slices of the cached
-``std_cells`` arrays.  The reference below builds the same layout one cell
-tuple at a time, the way the library did before; the two must agree in every
-float and in the order of the cells, because ``integrate_cells`` sums in that
-order and ``report.csv`` bytes depend on it.
+``std_cells`` arrays and descends cut paths one level at a time on arrays.
+The reference below builds the same layout one cell tuple at a time; the two
+must agree in every float and in the order of the cells, because
+``integrate_cells`` sums in that order and ``report.csv`` bytes depend on it.
 """
 
 import inspect
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,15 +21,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from bvcalc import quadrature
-from bvcalc.cantor import std_cells
-from bvcalc.errors import QuadratureError
+from bvcalc.cantor import cantor_function_eval, std_cells
+from bvcalc.errors import DomainError, QuadratureError
 from bvcalc.measures import _horner
 from bvcalc.quadrature import (
     _ROOT_PASSES,
     _ROOT_TOL,
     _bisect,
-    _leftover_level,
     _merge_supports,
     build_cells,
     integrate_cells,
@@ -38,27 +40,30 @@ from bvcalc.scenario import parse_scenario, run_scenario
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
-def _reference_support_cells(lo, hi, level, inner_bps):
+def _roomy(a, b):
+    """The fitted nodes' narrowest margin, 1/486 of the cell, is over 2^-46
+    of the cell's magnitude."""
+    return (b - a) / 486.0 > 2.0 ** -46 * max(abs(a), abs(b))
+
+
+def _reference_support_cells(lo, hi, inner_bps):
     width = hi - lo
-    gap_lo, gap_hi, cel_lo, cel_hi = std_cells(level)
+    gap_lo, gap_hi, cel_lo, cel_hi = std_cells(quadrature._START_LEVEL)
     smooth = [(lo + width * a, lo + width * b) for a, b in zip(gap_lo, gap_hi)]
-    mid_cells = []
-    pending = [(lo + width * a, lo + width * b, 0) for a, b in zip(cel_lo, cel_hi)]
+    leftover = []
+    start = quadrature._START_LEVEL
+    pending = [(lo + width * a, lo + width * b, start) for a, b in zip(cel_lo, cel_hi)]
     while pending:
-        a, b, gen = pending.pop()
-        inside = [p for p in inner_bps if a < p < b]
-        if not inside:
-            mid_cells.append((a, b))
-            continue
-        if gen >= 2:
-            edges = [a, *sorted(inside), b]
-            smooth.extend(zip(edges[:-1], edges[1:]))
-            continue
-        g_lo, g_hi, c_lo, c_hi = std_cells(10)
-        w = b - a
-        smooth.extend((a + w * x, a + w * y) for x, y in zip(g_lo, g_hi))
-        pending.extend((a + w * x, a + w * y, gen + 1) for x, y in zip(c_lo, c_hi))
-    return smooth, mid_cells
+        a, b, level = pending.pop()
+        if not any(a < p < b for p in inner_bps):
+            (leftover if _roomy(a, b) else smooth).append((a, b))
+        elif level >= quadrature._SLIVER_LEVEL:
+            smooth.append((a, b))
+        else:
+            third = (b - a) / 3.0
+            smooth.append((a + third, b - third))
+            pending += [(a, a + third, level + 1), (b - third, b, level + 1)]
+    return sorted(smooth), sorted(leftover)
 
 
 def _reference_build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
@@ -70,7 +75,6 @@ def _reference_build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9)
         s for s in _merge_supports(cantor_supports)
         if s[1] > lo + 1e-15 and s[0] < hi - 1e-15
     ]
-    level = _leftover_level(tol)
     smooth, mids = [], []
     edges = [lo]
     for slo, shi in supports:
@@ -86,7 +90,7 @@ def _reference_build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9)
         cuts = [p for p in bps if slo < p < shi]
         cuts.extend(e for e in (lo, hi) if slo < e < shi)
         cuts = sorted(set(cuts))
-        s_cells, m_cells = _reference_support_cells(slo, shi, level, cuts)
+        s_cells, m_cells = _reference_support_cells(slo, shi, cuts)
         for a, b in s_cells:
             pts = [a, *[p for p in cuts if a < p < b], b]
             for x, y in zip(pts[:-1], pts[1:]):
@@ -119,7 +123,7 @@ def assert_same_layout(lo, hi, breakpoints, supports, tol):
 
 
 THIRD = float(Fraction(1, 3))
-LEFTOVER_6 = 3.0 ** -_leftover_level(1e-6)
+CELL_9 = 3.0 ** -9  # the level-9 Cantor cell at 0, below the start tiling
 
 
 @pytest.mark.parametrize(
@@ -132,7 +136,7 @@ LEFTOVER_6 = 3.0 ** -_leftover_level(1e-6)
         # window edges inside a support and inside one leftover cell
         (0.2, 0.8, (0.25,), ((0.0, 1.0),), 1e-6),
         (THIRD / 2, 0.9, (), ((0.0, 1.0),), 1e-8),
-        (0.3 * LEFTOVER_6, 0.7 * LEFTOVER_6, (), ((0.0, 1.0),), 1e-6),
+        (0.3 * CELL_9, 0.7 * CELL_9, (), ((0.0, 1.0),), 1e-6),
         (0.5, 0.5 + 1e-7, (), ((0.0, 1.0),), 1e-8),
         # two disjoint supports, one cut by the window, and plain segments
         (0.3, 0.9, (0.25, 0.75), ((0.0, 0.4), (0.5, 1.0)), 1e-8),
@@ -199,9 +203,14 @@ def test_layout_matches_the_reference_on_ternary_breakpoints(layout):
         assert abs(np.sum(cells[:, 1] - cells[:, 0]) - (hi - lo)) <= 1e-12
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
-def test_window_inside_one_leftover_cell_is_exact(tol):
-    cell = 3.0 ** -_leftover_level(tol)
+@pytest.mark.parametrize(
+    "tol, level", [(1e-6, 9), (1e-8, 12), (1e-10, 13)], ids=["1e-06", "1e-08", "1e-10"]
+)
+def test_window_inside_one_leftover_cell_is_exact(tol, level):
+    """A window inside the level-``level`` Cantor cell at 0: its cut path
+    ends in leftover cells, on which the fitted rules integrate 1 and x
+    exactly, and gaps."""
+    cell = 3.0 ** -level
     lo, hi = 0.2 * cell, 0.7 * cell
     one, x = integrate_interval(
         lambda t: np.stack((np.ones_like(t), t)), lo, hi, tol, cantor_supports=((0.0, 1.0),)
@@ -269,7 +278,7 @@ def stacks(draw):
 @given(stacks())
 # one window: plain cells, a kink cell accepted on the last pass
 @example(([(0.0, 1.0, (), ())], ["cubic", "wiggle", "sqrt"], 1e-10))
-# windows, breakpoints and Cantor supports (midpoint cells) all differ; the
+# windows, breakpoints and Cantor supports (leftover cells) all differ; the
 # sqrt component's endpoint cell passes on the last pass
 @example((
     [(0.0, 1.0, (), ()), (0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.0, 0.7, (0.5,), ((0.2, 0.65),))],
@@ -316,7 +325,7 @@ def test_block_size_leaves_the_bits_alone(block, monkeypatch):
 
 @settings(max_examples=20, deadline=None)
 @given(stacks().filter(lambda stack: len(stack[0]) > 1), st.sampled_from(sorted(COMPONENTS)))
-# three windows, each to its own tol, with breakpoints and midpoint cells
+# three windows, each to its own tol, with breakpoints and leftover cells
 @example(
     ([(0.0, 1.0, (), ()), (0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.0, 0.7, (0.5,), ((0.2, 0.65),))],
      [], [1e-6, 1e-10, 1e-12]),
@@ -512,6 +521,171 @@ def test_coarea_check_passes_on_seeds_with_a_flat_end(seed, tmp_path):
     first one also finishes its refinement on the last pass."""
     sc = parse_scenario(SCENARIOS / "coarea_check.ini")
     assert run_scenario(sc, str(tmp_path), seed=seed) == (True, 10, 10)
+
+
+# -- tolerances, and the fitted rules on leftover cells ---------------------
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("supports", [(), ((0.0, 1.0),)], ids=["plain", "cantor"])
+def test_tolerance_must_be_finite_and_positive(tol, supports, monkeypatch):
+    """A tol that is not finite and positive, alone or one window's, raises
+    DomainError naming it before any layout or evaluation."""
+    smooth, mids = build_cells(0.0, 1.0, (), supports, 1e-8)
+
+    def untouched(*args):
+        raise AssertionError("laid out or evaluated")
+
+    monkeypatch.setattr(quadrature, "build_cells", untouched)
+    named = re.escape(f"tolerance {tol!r} is not finite and positive")
+    with pytest.raises(DomainError, match=named):
+        integrate_interval(untouched, 0.0, 1.0, tol, cantor_supports=supports)
+    with pytest.raises(DomainError, match=named):
+        integrate_interval(untouched, [0.0, 0.2], [1.0, 0.5], [1e-8, tol], [(), ()], [supports] * 2)
+    with pytest.raises(DomainError, match=named):
+        integrate_cells(untouched, smooth, mids, tol)
+    with pytest.raises(DomainError, match=named):
+        integrate_cells(untouched, [smooth, smooth], [mids, mids], [1e-8, tol])
+
+
+def test_leftover_cell_too_narrow_to_split_raises():
+    """An undeclared step at x = 1/4, a point of the Cantor set, fails in
+    every leftover cell that holds it; once that cell's children would be
+    too narrow for the fitted nodes, the error names the cell's budget."""
+    with pytest.raises(QuadratureError, match=r"misses its budget .* too narrow for the fitted"):
+        integrate_interval(
+            lambda t: np.where(t > 0.25, 1.0, 0.0), 0.0, 1.0, 1e-10, cantor_supports=((0.0, 1.0),)
+        )
+
+
+def test_oracle_checks_itself():
+    """The oracle's moments: I₀₀ = 1, I₀₁ = ½, I₀₂ = 3/10, I₁₁ = 5/16 and
+    I₂₃ = 14131/111300; every odd centred moment is 0; the level-2 cells
+    add up to the whole; and an integral over a window of a support is
+    the moments' affine image."""
+    assert oracle.moment(0, 0) == 1
+    assert oracle.moment(0, 1) == Fraction(1, 2)
+    assert oracle.moment(0, 2) == Fraction(3, 10)
+    assert oracle.moment(1, 1) == Fraction(5, 16)
+    assert oracle.moment(2, 3) == Fraction(14131, 111300)
+    for a in range(8):
+        for b in range(8):
+            if (a + b) % 2:
+                assert oracle.centred(a, b) == 0, (a, b)
+    for i, j in ((0, 0), (2, 3), (3, 1)):
+        assert sum(oracle.cell_moment(i, j, n, 2) for n in range(9)) == oracle.moment(i, j)
+    # ∫ (x C) over the support (1, 3): x = 1 + 2s, dx = 2 ds
+    want = 2 * (oracle.moment(0, 1) + 2 * oracle.moment(1, 1))
+    assert oracle.integral({(1, 1): 1}, (1, 3), (0, 1, 0)) == want
+    assert oracle.integral({(0, 0): 1}, (0.5, 1.0), (4, 25, 3)) == Fraction(21, 54)
+
+
+def _fitted_nodes():
+    """Per node of the fitted rules, ascending: s on the cell [0, 1], C(s)
+    from the oracle's digits of the level-4 cell that holds s, and its
+    rule B and rule A weights, all in Fraction."""
+    nodes = []
+    for y, b, a in quadrature._FITTED:
+        for s in sorted({Fraction(1, 2) - y, Fraction(1, 2) + y}):
+            k = math.floor(s * 81)
+            gap, c = oracle.cantor_at(k, 4)
+            assert gap and k < s * 81, s  # strictly inside a gap of levels 1-4
+            nodes.append((s, c, Fraction(b), Fraction(a)))
+    return sorted(nodes)
+
+
+B_MOMENTS = ((0, 0), (2, 0), (1, 1), (0, 2), (0, 4), (1, 3), (2, 2))
+
+
+def test_fitted_rule_literals():
+    """In Fraction: both weight sets are positive and sum to 1; the nodes
+    come in pairs 1/2 ± y; rule B matches the centred moments 1, s², sC,
+    C², C⁴, sC³ and s²C² of (s, C(s)) under ds exactly, rule A the first
+    four, and both every odd one up to degree 7, against the oracle's
+    recursion.  The float tables are those rationals rounded, on [-1, 1],
+    and each float node reads C equal to its dyadic."""
+    nodes = _fitted_nodes()
+    half = Fraction(1, 2)
+    assert [s + t for (s, *_), (t, *_) in zip(nodes, nodes[::-1])] == [1] * len(nodes)
+    for column, moments in ((2, B_MOMENTS), (3, B_MOMENTS[:4])):
+        rule = [(s, c, n[column]) for n in nodes for s, c in [n[:2]] if n[column]]
+        assert all(w > 0 for _, _, w in rule)
+        odd = [(a, b) for a in range(8) for b in range(8) if (a + b) % 2 and a + b <= 7]
+        for a, b in moments + tuple(odd):
+            got = sum(w * (s - half) ** a * (c - half) ** b for s, c, w in rule)
+            assert got == oracle.centred(a, b), (column, a, b)
+    assert quadrature._FIT.tolist() == [float(2 * s - 1) for s, *_ in nodes]
+    assert quadrature._FIT_RULES.tolist() == [[float(2 * n[k]) for n in nodes] for k in (2, 3)]
+    s_float = 0.5 + 0.5 * quadrature._FIT
+    assert cantor_function_eval(s_float).tolist() == [float(c) for _, c, *_ in nodes]
+
+
+def _node_layouts():
+    """The non-empty layouts of this file's tests, a support 1e-6 wide
+    with a cut, and the layout with cells 3^-33 wide next to x = 1."""
+    fixed = test_layout_matches_the_reference.pytestmark[0].args[1]
+    return [layout for layout in fixed if layout[1] > layout[0]] + [
+        (0.2, 0.4, (0.3 + 4e-7,), ((0.3, 0.3 + 1e-6),), 1e-8),
+        (0.0, 1.0, (0.9999745973682874, 0.13333333333333333), ((0.0, 0.4), (0.5, 1.0)), 1e-10),
+    ]
+
+
+@pytest.mark.parametrize("layout", _node_layouts())
+def test_leftover_nodes_read_their_dyadic(layout):
+    """Every node of every leftover cell ``build_cells`` emits reads C, on
+    its support's coordinates as a Cantor summand maps it, equal to the
+    exact dyadic of its gap: the cell's C at its left end plus 2^-level
+    times the node's dyadic on [0, 1]."""
+    _, left = build_cells(*layout)
+    supports = layout[3]
+    dyadics = [c for _, c, *_ in _fitted_nodes()]
+    for a, b in left.tolist():
+        slo, shi = next(s for s in supports if s[0] <= a and b <= s[1])
+        width = shi - slo
+        level = round(math.log(width / (b - a), 3))
+        k = round((a - slo) / width * 3 ** level)
+        gap, base = oracle.cantor_at(k, level)
+        assert not gap
+        xs = 0.5 * (a + b) + 0.5 * (b - a) * quadrature._FIT
+        got = cantor_function_eval((xs - slo) / width).tolist()
+        assert got == [float(base + c / 2 ** level) for c in dyadics], (a, b)
+
+
+# x^i C^j by (i, j).  C^6, x^2 C^4, x^3 C^3 and the rest are beyond rule B's
+# moments; with C^10 and x^2 C^6, rule B on the start cells alone misses
+# tol 1e-12 on five of the six windows below, so they need the refinement.
+ORACLE_POLY = {
+    (0, 10): 1.0, (0, 6): 1.0, (2, 6): -2.0, (2, 4): -2.0, (3, 3): 1.5,
+    (1, 2): 0.75, (0, 1): -0.5, (0, 0): 0.25,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize(
+    "support, window",
+    [
+        ((0.0, 1.0), (0, 1, 0)),
+        ((0.0, 1.0), (5, 22, 3)),
+        ((0.0, 1.0 / 3.0), (0, 1, 0)),
+        ((0.0, 1.0 / 3.0), (1, 7, 2)),
+        ((0.5, 1.0), (2, 3, 1)),
+        ((0.5, 1.0), (4, 25, 3)),
+    ],
+)
+def test_polynomials_in_x_and_c_meet_the_tolerance(support, window, tol):
+    """A polynomial in (x, C) over a ternary-aligned window [k/3^m, l/3^m]
+    of its support is within tol of the oracle's exact rational."""
+    slo, shi = support
+    width = shi - slo
+    k, l, m = window
+
+    def f(xs):
+        c = cantor_function_eval(np.clip((xs - slo) / width, 0.0, 1.0))
+        return sum(coef * xs ** i * c ** j for (i, j), coef in ORACLE_POLY.items())
+
+    lo, hi = slo + width * (k / 3 ** m), slo + width * (l / 3 ** m)
+    exact = oracle.integral(ORACLE_POLY, support, window)
+    assert abs(integrate_interval(f, lo, hi, tol, cantor_supports=(support,)) - float(exact)) <= tol
 
 
 # -- the shared root search ---------------------------------------------------
