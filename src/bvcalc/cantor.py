@@ -1,17 +1,17 @@
-"""Standard Cantor-Lebesgue function and self-similar quadrature on [0, 1].
+"""Standard Cantor-Lebesgue function, the ternary tiling of [0, 1] and a
+fixed-depth midpoint rule for the Cantor measure.
 
-Everything here works in the coordinates of the unit interval; affine
-rescaling onto a concrete support happens in ``CantorBase.integrate``.
-The singular measure mu_C is the distributional derivative of the Cantor
+Everything here works in the coordinates of the unit interval.  The
+singular measure mu_C is the distributional derivative of the Cantor
 function C: it splits equally over the two level-1 cells [0,1/3] and
-[2/3,1], which gives the fixed-point quadrature rule used by
-:func:`integrate_cantor_std`.
+[2/3,1], which gives the midpoint rule of :func:`integrate_cantor_std`.
+The library integrates against mu_C by the adaptive rules of
+``quadrature.integrate_cantor``, through ``CantorBase.integrate``; the
+midpoint rule is only the reference that tests and the benchmark call.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,10 +33,8 @@ _DYADIC_MIN = 2.0 ** -72
 # add one by one; past it, sums round digit by digit, as in ``_fraction_scan``.
 _SCAN_BLOCKS = ((8, 6), (1, _SCAN_DEPTH - 48))
 
-_MAX_DEPTH = 24          # hard cap for quadrature depth (2^24 cells)
+_MAX_DEPTH = 24          # hard cap for the reference rule's depth (2^24 cells)
 _CACHE_DEPTH = 20        # midpoint arrays cached up to this depth
-_GUARD = 24              # extra levels descended at a restriction endpoint
-_LEAF_BLOCK = 1 << 15    # nodes per integrand call when leaves are batched
 
 
 def _fraction_scan(fx):
@@ -140,13 +138,6 @@ def cantor_function_eval(x):
     return float(out) if ts.ndim == 0 else out
 
 
-def depth_for(tol):
-    """The one starting depth of the Cantor midpoint rule at ``tol``:
-    log_9(4/tol) clamped to 10..17, as each level cell's reflection symmetry
-    squares the rule's 3^-d; ``integrate_measure`` goes on from it."""
-    return int(min(max(math.ceil(math.log(4.0 / max(tol, 1e-300)) / math.log(9.0)), 10), 17))
-
-
 @lru_cache(maxsize=None)
 def _std_lefts(depth):
     """Left endpoints of the 2^depth level-``depth`` Cantor cells (sorted)."""
@@ -224,38 +215,17 @@ def _mids_for(depth):
 
 def integrate_cantor_std(f, depth, breakpoints=()):
     """Average of ``f`` over the level-``depth`` cell midpoints = quadrature of
-    f against the standard Cantor measure.
-
-    ``breakpoints``: points of [0,1] where f may jump; the cell tree is
-    descended around them so a discontinuity sitting inside the Cantor set
-    cannot poison the O(3^-depth) (O(9^-depth) for C^2 f) convergence.
-    A stacked f may be given one sequence per group of components, as
-    :func:`integrate_cantor_std_restricted` takes them with one window per
-    group.
-    """
-    if _grouped(breakpoints):
-        n = len(breakpoints)
-        return integrate_cantor_std_restricted(f, [0.0] * n, [1.0] * n, depth, breakpoints)
+    f against the standard Cantor measure, descended around the
+    ``breakpoints`` as :func:`integrate_cantor_std_restricted` does."""
     return integrate_cantor_std_restricted(f, 0.0, 1.0, depth, breakpoints)
 
 
-def _grouped(breakpoints):
-    """Whether ``breakpoints`` is one sequence per group of components."""
-    return len(breakpoints) > 0 and np.ndim(breakpoints[0]) > 0
-
-
-def _leaves(lo, hi, depth):
-    """The leaves of the cell tree on [lo, hi] in the order the rule sums
-    them, as ``(lev, k, res, weight)``: the level-``lev`` cell
-    [k 3^-lev, (k + 1) 3^-lev] and its residual depth.  A cell fully inside
-    is a leaf at residual depth ``depth - lev`` (at least 0); a cell that
-    straddles an end is descended ``_GUARD`` levels past ``depth``, and what
-    is left of it is a one-point leaf of half its mass."""
-    if hi <= lo:
-        return []
-    lo = max(0.0, float(lo))
-    hi = min(1.0, float(hi))
-    leaves = []
+def _piece(f, lo, hi, depth):
+    """The midpoint rule on the part of the cell tree inside [lo, hi]: a
+    cell fully inside averages f over its level-``depth`` midpoints (at
+    least its own), and a cell still straddling an end at level ``depth``
+    takes its exact mass inside at the midpoint of that part."""
+    total = 0.0
     stack = [(0, 0)]
     while stack:
         k, lev = stack.pop()
@@ -264,101 +234,30 @@ def _leaves(lo, hi, depth):
         if r <= lo or l >= hi:
             continue
         if lo <= l and r <= hi:
-            leaves.append((lev, k, max(depth - lev, 0), 2.0 ** -lev))
-        elif lev >= depth + _GUARD:
-            leaves.append((lev, k, 0, 2.0 ** -(lev + 1)))
-        else:
-            stack += [(3 * k, lev + 1), (3 * k + 2, lev + 1)]
-    return leaves
-
-
-def _batches(chunks, limit):
-    """The ``(leaf, nodes)`` chunks in consecutive lists of at most
-    ``limit`` nodes (a larger chunk alone)."""
-    batch, size = [], 0
-    for chunk in chunks:
-        if batch and size + chunk[1].size > limit:
-            yield batch
-            batch, size = [], 0
-        batch.append(chunk)
-        size += chunk[1].size
-    if batch:
-        yield batch
-
-
-def _leaf_sums(f, keys):
-    """Per leaf ``(lev, k, res)`` of ``keys``, the sum of f over its 2^res
-    midpoints, as a (components, keys) array, and whether f is stacked.
-
-    Leaves go to the integrand together, grouped by residual depth, in
-    calls of at most ``_LEAF_BLOCK`` nodes; a leaf deeper than the midpoint
-    cache goes in chunks of that depth, one call each.  A leaf's sum is 0.0
-    plus the ``np.sum`` of each of its chunks over its own nodes, in order,
-    so it has the bits of evaluating the leaf alone."""
-
-    def chunks():
-        for i in sorted(range(len(keys)), key=lambda i: keys[i][2]):
-            lev, k, res = keys[i]
-            l, r = k / 3 ** lev, (k + 1) / 3 ** lev
+            res = max(depth - lev, 0)
+            sub = 0.0
             for mids in _mids_for(res):
                 # the root cell is [0, 1]: no copy of a cached array
-                yield i, mids if lev == 0 else l + (r - l) * mids
-
-    sums, vals = None, None
-    for batch in _batches(chunks(), _LEAF_BLOCK):
-        xs = batch[0][1] if len(batch) == 1 else np.concatenate([nodes for _, nodes in batch])
-        vals = _apply(f, xs, stacked=True)
-        rows = vals if vals.ndim > 1 else vals[None]
-        if sums is None:
-            sums = np.zeros((len(rows), len(keys)))
-        start = 0
-        for n, group in itertools.groupby(batch, key=lambda c: c[1].size):
-            idx = [i for i, _ in group]
-            stop = start + n * len(idx)
-            np.add.at(sums, (slice(None), idx), rows[:, start:stop].reshape(len(rows), -1, n).sum(axis=-1))
-            start = stop
-    if vals is None:
-        # no leaf: one empty call tells the number of components
-        vals = _apply(f, np.empty(0), stacked=True)
-        sums = np.empty((len(vals) if vals.ndim > 1 else 1, 0))
-    return sums, vals.ndim > 1
+                sub += float(np.sum(_apply(f, mids if lev == 0 else l + (r - l) * mids)))
+            total += 2.0 ** -lev * sub / 2 ** res
+        elif lev >= depth:
+            a, b = max(l, lo), min(r, hi)
+            mass = cantor_function_eval(b) - cantor_function_eval(a)
+            total += mass * float(_apply(f, np.array([0.5 * (a + b)]))[0])
+        else:
+            stack += [(3 * k, lev + 1), (3 * k + 2, lev + 1)]
+    return total
 
 
 def integrate_cantor_std_restricted(f, lo, hi, depth, breakpoints=()):
     """Quadrature of f against the standard Cantor measure restricted to
     [lo, hi] in [0,1], summed over the pieces between the ``breakpoints``
-    strictly inside.  On each piece, cells fully inside are handled by
-    midpoint averaging at residual depth; cells straddling an end are
-    descended ``_GUARD`` levels past ``depth`` (mass of the unresolved chain
-    <= 2^-(depth+_GUARD)).
-
-    A stacked integrand (values ``(k, ...)``) gives a k-tuple.  ``lo`` and
-    ``hi`` may then be sequences of g windows, with ``breakpoints`` one
-    sequence per window: window j serves the j-th of g equal consecutive
-    groups of components.  Every window keeps its own cell tree, and each
-    component sums its leaves in its own order, so it gets the bits of
-    integrating it alone; a leaf that several windows share is evaluated
-    once, and all leaves go to the integrand together."""
+    strictly inside, by the midpoint rule at ``depth`` (at most
+    ``_MAX_DEPTH``; see :func:`_piece`).  Its error is O(3^-depth), and
+    O(4^-depth) through C, and it makes no estimate: the fixed-depth
+    reference that tests and the benchmark's microbenchmark call, where
+    the library integrates by ``quadrature.integrate_cantor``."""
     depth = max(1, min(int(depth), _MAX_DEPTH))
-    windows = zip(lo, hi, breakpoints) if np.ndim(lo) else [(lo, hi, breakpoints)]
-    keys, groups = {}, []
-    for a, b, cuts in windows:
-        edges = [a, *sorted(c for c in cuts if a < c < b), b]
-        groups.append([
-            [(keys.setdefault((lev, k, res), len(keys)), w, 1 << res)
-             for lev, k, res, w in _leaves(p, q, depth)]
-            for p, q in zip(edges[:-1], edges[1:])
-        ])
-    sums, stacked = _leaf_sums(f, list(keys))
-    if len(sums) % len(groups):
-        raise DomainError(f"{len(sums)} components do not split into {len(groups)} windows")
-    totals = []
-    for c, row in enumerate(sums.tolist()):
-        parts = []
-        for leaves in groups[c * len(groups) // len(sums)]:
-            total = 0.0
-            for i, w, n in leaves:
-                total += w * row[i] / n
-            parts.append(total)
-        totals.append(sum(parts))
-    return tuple(totals) if stacked else totals[0]
+    lo, hi = max(0.0, float(lo)), min(1.0, float(hi))
+    edges = [lo, *sorted(c for c in breakpoints if lo < c < hi), hi]
+    return sum(_piece(f, p, q, depth) for p, q in zip(edges[:-1], edges[1:]) if q > p)

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bvfunction import BVFunction, BVVector
-from .cantor import depth_for
 from .errors import DomainError
 from .measures import _horner
 from .quadrature import _merge_supports, integrate_interval
@@ -371,7 +370,6 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         raise DomainError("state and flux must share the domain")
     layouts = [_layout(phi, B, u, *(() if g is None else (g,))) for phi in phis]
     lo, hi, bps, sups = zip(*layouts)
-    depth = depth_for(tol)
     per_phi = 2 if g is not None else 3  # t1, t3 (and lhs)
 
     def weights(xs, spans=False):
@@ -416,7 +414,9 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
 
     # the singular terms: per Cantor base, the factors paired against it,
     # t2's density (a callable of xs and W) or t4's row of the state
-    # gradient (an index), and where each of t2's and t4's parts reads
+    # gradient and the coefficient of that state component's Cantor part
+    # (a pair), and where each of t2's and t4's parts reads.  Each pairing
+    # meets tol on its own, t4's with its coefficient inside
     densities = B.singular_densities()
     factors, t2_at, t4_at = {}, [], []
     for base, dens in densities:
@@ -424,14 +424,14 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         factors[base].append(dens)
     for i, comp in enumerate(u.components):
         for base, coef in comp.cantor_part:
-            t4_at.append((base, len(factors.setdefault(base, [])), coef))
-            factors[base].append(i)
+            t4_at.append((base, len(factors.setdefault(base, []))))
+            factors[base].append((i, coef))
 
     def singular(rows):
         def integrand(xs):
             W = u.values(xs)
-            gw = B.diffuse_on_grid(xs, W)[2] if any(isinstance(r, int) for r in rows) else None
-            vals = [gw[r] if isinstance(r, int) else r(xs, W) for r in rows]
+            gw = B.diffuse_on_grid(xs, W)[2] if any(isinstance(r, tuple) for r in rows) else None
+            vals = [gw[r[0]] * r[1] if isinstance(r, tuple) else r(xs, W) for r in rows]
             out = np.empty((len(rows) * len(phis),) + xs.shape)
             for j, (_, wx, _) in enumerate(weights(xs)):
                 for q, v in enumerate(vals):
@@ -440,7 +440,8 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
 
         return integrand
 
-    pairings = {base: base.integrate(singular(rows), depth, bps) for base, rows in factors.items()}
+    windows = list(zip(lo, hi))
+    pairings = {b: b.integrate(singular(rows), tol, bps, windows) for b, rows in factors.items()}
 
     jumps = sorted(set(B.exceptional_set()) | set(u.jump_set()))
     brackets = {
@@ -456,8 +457,8 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
             t2 += pairings[base][len(factors[base]) * j + q]
 
         t4 = 0.0
-        for base, q, coef in t4_at:
-            t4 += coef * pairings[base][len(factors[base]) * j + q]
+        for base, q in t4_at:
+            t4 += pairings[base][len(factors[base]) * j + q]
 
         t5 = 0.0
         for x in jumps:
@@ -530,7 +531,7 @@ def _window_pairing(phi, lo, hi, density, singular, tol, breakpoints, supports):
     part with x-density ``density`` (None: none) by ``integrate_interval``,
     plus, per ``(base, sigma)`` of ``singular``, the part with density
     ``sigma`` against the base's Cantor measure, on the window's share of
-    the support at depth ``cantor.depth_for(tol)``.  Both parts are cut at
+    the support, to ``tol`` each.  Both parts are cut at
     ``breakpoints``; ``supports`` are the Cantor supports of the a.c.
     integrand.  The per-cell part of the piecewise-constant assembly, of
     the entropy-flux slice and of the level-set comparison."""
@@ -543,10 +544,7 @@ def _window_pairing(phi, lo, hi, density, singular, tol, breakpoints, supports):
     for base, sigma in singular:
         a, b = max(lo, base.support.a), min(hi, base.support.b)
         if b > a:
-            total += base.integrate(
-                lambda xs, sigma=sigma: phi(xs) * sigma(xs),
-                depth_for(tol), breakpoints, window=(a, b),
-            )
+            total += base.integrate(lambda xs, s=sigma: phi(xs) * s(xs), tol, breakpoints, (a, b))
     return total
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +24,11 @@ from . import cantor
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
-    QuadratureError,
     RepresentationError,
 )
-from .quadrature import _apply, _bisect, integrate_interval, _merge_supports, _same_support
+from .quadrature import (
+    _apply, _bisect, integrate_cantor, integrate_interval, _merge_supports, _same_support,
+)
 
 _ATOL = 1e-14
 
@@ -340,35 +341,17 @@ class CantorBase:
     def to_std(self, xs):
         return (np.asarray(xs, dtype=float) - self.support.a) / self.width
 
-    def from_std(self, ts):
-        return self.support.a + self.width * np.asarray(ts, dtype=float)
+    def integrate(self, f, tol, breakpoints=(), window=None):
+        """Integral of ``f(xs)`` against this base measure to absolute
+        tolerance ``tol``, over the support or restricted to the x-interval
+        ``window``, cut at the ``breakpoints`` inside either, by the
+        adaptive driver of ``quadrature.integrate_cantor``.
 
-    def integrate(self, f, depth, breakpoints=(), window=None):
-        """Integral of ``f(xs)`` against this base measure at cell depth
-        ``depth``, over the support or restricted to the x-interval
-        ``window``, descended around the ``breakpoints`` inside either.  The
-        one place where integration maps x to the standard coordinates of
-        ``cantor``.
-
-        Over the support, a stacked ``f`` may be given one breakpoint
-        sequence per group of components, as ``cantor.integrate_cantor_std``
-        takes them."""
-
-        def g(ts):
-            return f(self.from_std(ts))
-
-        lo, hi = (self.support.a, self.support.b) if window is None else window
-
-        def cuts(bps):
-            return [float(self.to_std(b)) for b in sorted(bps) if lo < b < hi]
-
-        if window is not None:
-            return cantor.integrate_cantor_std_restricted(
-                g, float(self.to_std(lo)), float(self.to_std(hi)), depth, cuts(breakpoints)
-            )
-        if cantor._grouped(breakpoints):
-            return cantor.integrate_cantor_std(g, depth, [cuts(b) for b in breakpoints])
-        return cantor.integrate_cantor_std(g, depth, cuts(breakpoints))
+        A stacked ``f`` may be given one window and one breakpoint sequence
+        per group of components."""
+        support = (self.support.a, self.support.b)
+        lo, hi = support if window is None else zip(*window) if np.ndim(window) > 1 else window
+        return integrate_cantor(f, support, lo, hi, breakpoints, tol)
 
     def profile(self, xs):
         """The rescaled Cantor function, by the exact digit scan: 0 left of
@@ -525,15 +508,10 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=()):
     summands of ``f`` itself; the measure contributes its own automatically.
     At atoms f is evaluated pointwise (caller's representative convention).
 
-    Each Cantor term checks its own convergence: the midpoint rule goes one
-    level deeper until |I_d - I_(d-1)| times |coefficient| is at most tol
-    over the number of Cantor terms, and takes I_d.  It starts at
-    ``cantor.depth_for(tol)``, or 3 levels below the cells as wide as the
-    narrowest massive piece between breakpoints (else one midpoint each in
-    both rules).  That assumes f resolved there, converging like 9^-d, 4^-d
-    (through C) or 3^-d (Lipschitz); finer features can alias unseen, as
-    cos(2 pi 3^12 x) at level-d midpoints, d <= 12.  If depth
-    ``cantor._MAX_DEPTH`` still fails, ``QuadratureError`` says so.
+    Each Cantor term is integrated against its base by
+    ``CantorBase.integrate``, to tol over the number of Cantor terms and
+    over |coefficient|, so its share of the total is within that part of
+    tol; the adaptive rule's estimate is heuristic (see there).
     """
     bps = tuple(breakpoints) + mu.breakpoints()
     sups = tuple(cantor_supports) + mu.cantor_supports()
@@ -550,20 +528,8 @@ def integrate_measure(f, mu, tol=1e-9, breakpoints=(), cantor_supports=()):
         for w, fx in zip(ws, _apply(f, np.array(xs)).tolist()):
             total += w * fx
     for t in mu.cantor_terms:
-        edges = np.clip(np.sort([*bps, -np.inf, np.inf]), t.base.support.a, t.base.support.b)
-        narrowest = np.diff(edges)[np.diff(t.base.profile(edges)) > 0.0].min()
-        start = int(np.ceil(np.log(t.base.width / narrowest) / np.log(3.0))) + 3
-        depth = min(max(cantor.depth_for(tol), start), cantor._MAX_DEPTH)
-        prev, value = (t.base.integrate(partial(_apply, f), d, bps) for d in (depth - 1, depth))
-        while abs(t.coefficient * (value - prev)) > tol / len(mu.cantor_terms):
-            if depth == cantor._MAX_DEPTH:
-                raise QuadratureError(
-                    f"tolerance {tol:g} unreachable on the Cantor base {t.base.id}: "
-                    f"depths {depth - 1} and {depth} differ by {abs(value - prev):.3g}"
-                )
-            depth += 1
-            prev, value = value, t.base.integrate(partial(_apply, f), depth, bps)
-        total += t.coefficient * value
+        share = tol / (len(mu.cantor_terms) * abs(t.coefficient))
+        total += t.coefficient * t.base.integrate(f, share, bps)
     return float(total)
 
 
@@ -614,8 +580,9 @@ def kernel(t):
 
 
 def mollified_measure_eval(mu, eps, x, tol=1e-9):
-    """(mu * kernel_eps)(x) for x in ]a+eps, b-eps[, within ``tol``; raises
-    ``QuadratureError`` where no Cantor depth up to 24 meets ``tol``."""
+    """(mu * kernel_eps)(x) for x in ]a+eps, b-eps[, within ``tol``; the
+    kernel's support ends cut the Cantor cells, which refine down to it,
+    and ``QuadratureError`` says where ``tol`` is out of reach."""
     eps = float(eps)
     x = float(x)
     if eps <= 0.0:

@@ -31,8 +31,15 @@ nested pair of fitted rules on shared nodes: a cell takes the 13-node rule B
 if |B - A| against the 8-node rule A meets its share, else it splits into its
 two Cantor children, leftover cells, and its middle gap, a smooth cell.
 Every sum runs over the cell's own nodes in an explicit association (left to
-right over the 7 K7 and the 13 fitted nodes, pairwise over the 8 others:
-:func:`_node_sums`), so it has the same bits whatever else the block holds.
+right over the 7 K7 and the 13 or 20 fitted nodes, pairwise over the 8
+others: :func:`_node_sums`), so it has the same bits whatever else the block
+holds.
+
+Integrals against the Cantor measure mu_C of a support run through the same
+driver (:func:`integrate_cantor`): the same tiling, with its gaps dropped, as
+they carry no mass; a Cantor cell takes the 20-node rule D fitted to the
+graph moments of (x, C(x)) under mu_C if |D - E| against the nested 12-node
+rule E meets its mass's share of tol, else it splits into its two children.
 
 An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
 components is then refined on its own, and the components may split into
@@ -47,10 +54,11 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .cantor import std_cells, _apply
+from .cantor import cantor_function_eval, std_cells, _apply
 from .errors import DomainError, QuadratureError
 
 # The nested rules on [-1, 1] by their nonnegative nodes: a node, then the G3,
@@ -89,13 +97,42 @@ _FITTED = (
     (Fraction(37, 81), Fraction(2723335693, 101682214550), 0),
     (Fraction(118, 243), Fraction(17116813584, 355887750925), Fraction(4698, 145565)),
 )
-# ... as 13 ascending nodes on [-1, 1] (the centre once) and the weight rows
-# of B and A there
-_FIT_TABLE = sorted(
-    {(sign * 2 * y, 2 * b, 2 * a) for y, b, a in _FITTED for sign in (-1, 1)}
-)
-_FIT = np.array([float(x) for x, _, _ in _FIT_TABLE])
-_FIT_RULES = np.array([[float(w[k]) for w in _FIT_TABLE] for k in (1, 2)])
+# The fitted rules for mu_C on a Cantor cell mapped to [0, 1], as above:
+# nodes 1/2 ± y, each at least 1/486 inside a gap of the cell's ternary
+# levels 1-5 (C reads the dyadic 1/2 ± z there: z = 0, 0, 1/8, 1/4, 1/4,
+# 5/16, 5/16, 7/16, 7/16, 15/32 down the rows), and each node's weight in
+# rule D and in rule E.  Rule D matches the centred moments 1, C², sC, s²,
+# C⁴, sC³, s²C², s³C, C⁶ and s⁴ of (s, C(s)) under mu_C, E the first six;
+# as D sees s⁴ and E does not, |D - E| sees the error of a cell on which f
+# varies in x alone, a narrow kernel say.  The floats of each rule's weights
+# sum to exactly 1 left to right, so a constant integrates to its value.
+_MU_FITTED = tuple(tuple(map(Fraction, row.split())) for row in """
+    65/486 5839830484277071479501245716673/212273344791027936869002959528000 0
+    239/1458 77070402525940141972917584329/3369418171286157728079412056000 26726577943/785680711620
+    160/729 64303718106488574859089744661/442236134981308201810422832350 12720117977/84180076245
+    419/1458 1589229656985662009731854031711/38621955788367582958110260691900 3362428083691/48521395947618
+    275/729 169404745618165691838347954537/4317982634724326045006116102200 45285090781669/485213959476180
+    295/729 2669300127084729658756130705561/33167710123598115135781712426250 0
+    298/729 21702383199490202425107660037/947648860674231861022334640750 0
+    233/486 32981259258030394293858318211/589648179975077602413897109800 202829774222/2160621956955
+    707/1458 601385447304093675148326761/28078484760717981067328433800 54052490506/925980838695
+    40/81 714715119050757852418492739072/16583855061799057567890856213125 0
+""".strip().splitlines())
+
+
+def _on_unit_cells(fitted, scale):
+    """A fitted pair as ascending nodes on [-1, 1] (the centre once) and its
+    two weight rows there, times ``scale``."""
+    table = sorted({(sign * 2 * y, scale * b, scale * a) for y, b, a in fitted for sign in (-1, 1)})
+    nodes = np.array([float(x) for x, _, _ in table])
+    return nodes, np.array([[float(w[k]) for w in table] for k in (1, 2)])
+
+
+# rules B and A on 13 nodes, to be scaled by a cell's half-width; rules D
+# and E on 20, by its mu_C mass; and the one node of a piece
+_FIT, _FIT_RULES = _on_unit_cells(_FITTED, 2)
+_MU, _MU_RULES = _on_unit_cells(_MU_FITTED, 1)
+_CENTRE, _ONE = np.zeros(1), np.ones((1, 1))
 _START_LEVEL = 4  # the ternary level at which a Cantor support is first tiled
 _SLIVER_LEVEL = 32  # a cut path ends in a cell 3^-32 of its support wide
 
@@ -245,40 +282,53 @@ def _roomy(lo, hi):
 
 
 def _tile(lo, hi, cuts):
-    """Tile a Cantor support [lo, hi] by smooth cells and leftover cells
-    (fitted rules), as two (n, 2) arrays in ascending order.
+    """Tile a Cantor support [lo, hi] as read-only arrays: its gaps; its
+    Cantor cells roomy enough for the fitted rules' nodes (:func:`_roomy`),
+    ascending, and each one's ternary level; and the rest, with each one's
+    level and the exact C of the support at its left end.  The dx and the
+    mu_C layout of a window share one tiling, kept for the next call.
 
-    The support is tiled at ``_START_LEVEL``: its gaps are smooth cells,
-    its Cantor cells leftover cells.  A Cantor cell that holds a cut (e.g.
-    a jump at a point of the Cantor set) gives way to its middle gap, a
-    smooth cell, and its two children one level deeper, and so on down the
-    cut path; at ``_SLIVER_LEVEL`` a holding cell is left to the smooth
-    cells whole, for the caller to split at the cuts.  A Cantor cell too
-    narrow for the rules' nodes (:func:`_roomy`) is a smooth sliver too."""
+    The support is tiled at ``_START_LEVEL``.  A Cantor cell that holds one
+    of the ``cuts`` (a tuple) gives way to its middle gap and its two
+    children one level deeper, and so on down the cut path; at
+    ``_SLIVER_LEVEL`` a holding cell is left whole among the rest, for the
+    caller to split at the cuts, as is a Cantor cell too narrow for the
+    nodes."""
     g_lo, g_hi, c_lo, c_hi = std_cells(_START_LEVEL)
     width = hi - lo
-    smooth = [np.column_stack((lo + width * g_lo, lo + width * g_hi))]
+    gaps = [np.column_stack((lo + width * g_lo, lo + width * g_hi))]
     cells = np.column_stack((lo + width * c_lo, lo + width * c_hi))
-    left = []
+    base = np.arange(len(cells)) * 0.5 ** _START_LEVEL  # C at each cell's left end
+    left, levels, bases = [], [], []
     for level in range(_START_LEVEL, _SLIVER_LEVEL + 1):
         held = _holding(cells, cuts)
         left.append(cells[~held])
-        cells = cells[held]
+        levels.append(np.full(len(left[-1]), level))
+        bases.append(base[~held])
+        cells, base = cells[held], base[held]
         if not cells.size or level == _SLIVER_LEVEL:
             break
         a, b = _thirds(cells[:, 0], cells[:, 1])
-        smooth.append(np.column_stack((a, b)))
+        gaps.append(np.column_stack((a, b)))
         cells = np.concatenate(
             (np.column_stack((cells[:, 0], a)), np.column_stack((b, cells[:, 1])))
         )
-    left = np.concatenate(left)
+        base = np.concatenate((base, base + 0.5 ** (level + 1)))
+    left, levels, bases = (np.concatenate(v) for v in (left, levels, bases))
     roomy = _roomy(left[:, 0], left[:, 1])
-    smooth = np.concatenate(smooth + [cells, left[~roomy]])
-    left = left[roomy]
-    return (
-        smooth[np.argsort(smooth[:, 0], kind="stable")],
-        left[np.argsort(left[:, 0], kind="stable")],
+    order = np.argsort(left[roomy, 0], kind="stable")
+    out = (
+        np.concatenate(gaps), left[roomy][order], levels[roomy][order],
+        np.concatenate((cells, left[~roomy])),
+        np.concatenate((np.full(len(cells), level), levels[~roomy])),
+        np.concatenate((base, bases[~roomy])),
     )
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+_tile = lru_cache(maxsize=64)(_tile)
 
 
 def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
@@ -313,7 +363,9 @@ def build_cells(lo, hi, breakpoints=(), cantor_supports=(), tol=1e-9):
         cuts = [p for p in bps if slo < p < shi]
         cuts.extend(e for e in (lo, hi) if slo < e < shi)
         cuts = sorted(set(cuts))
-        s_cells, m_cells = _tile(slo, shi, cuts)
+        gaps, m_cells, _, rest, _, _ = _tile(slo, shi, tuple(cuts))
+        s_cells = np.concatenate((gaps, rest))
+        s_cells = s_cells[np.argsort(s_cells[:, 0], kind="stable")]
         s_cells = _clip(_split(s_cells, cuts), lo, hi)
         smooth.append(s_cells[s_cells[:, 1] - s_cells[:, 0] > 1e-16])
         a, b = m_cells[:, 0], m_cells[:, 1]
@@ -416,9 +468,10 @@ def _rule_sums(f, sets, nodes, rules):
     return sums, rows, (ulo, uhi), stacked
 
 
-def _ascending(lo, hi):
+def _ascending(lo, *rest):
+    """``lo`` ascending, and each array of ``rest`` in the same order."""
     order = np.argsort(lo)
-    return lo[order], hi[order]
+    return (lo[order], *(r[order] for r in rest))
 
 
 def _check_tol(tol):
@@ -430,39 +483,47 @@ def _check_tol(tol):
 
 
 class _Component:
-    """One component's refinement: its live smooth and leftover cells as
-    ``(lo, hi)`` pairs, its tol and the width that shares it, its integral
-    so far and the error it raises, if any."""
+    """One component's refinement: its live smooth and Cantor cells as
+    ``(lo, hi)`` pairs, its tol and the measure that shares it, its integral
+    so far and the error it raises, if any.  Against dx (``mass`` None) the
+    Cantor cells are leftover cells, for rules B and A times their
+    half-width, and a failing one's middle gap joins the smooth cells.
+    Against mu_C each carries its ``mass``, for rules D and E, and a failing
+    one's gap is dropped; the ``pieces`` ``(lo, hi, mass)`` take one node
+    each on the first pass."""
 
-    def __init__(self, smooth, left, tol):
-        self.smooth, self.left, self.tol = smooth, left, tol
-        width = float(np.sum(smooth[1] - smooth[0]))
-        if left[0].size:
-            width += float(np.sum(left[1] - left[0]))
+    def __init__(self, smooth, left, tol, mass=None, pieces=(np.empty(0),) * 3):
+        self.smooth, self.left, self.mass, self.pieces, self.tol = smooth, left, mass, pieces, tol
+        if mass is None:
+            width = float(np.sum(smooth[1] - smooth[0]))
+            if left[0].size:
+                width += float(np.sum(left[1] - left[0]))
+        else:
+            width = float(np.sum(mass)) + float(np.sum(pieces[2]))
         self.length = max(width, 1e-300)
         self.total, self.error = 0.0, None
 
-    def budget(self, lo, hi):
-        """Each cell's share of half the tol, in proportion to its width."""
-        return 0.5 * self.tol * (hi - lo) / self.length
+    def budget(self, measure):
+        """Each cell's share of half the tol, in proportion to its measure."""
+        return 0.5 * self.tol * measure / self.length
 
     def fail(self, error):
         self.error = error
         self.smooth = self.left = (self.smooth[0][:0],) * 2
 
     def take_leftover(self, sums, rows):
-        """Rule B on the live leftover cells, from their rows ``rows`` (None:
-        all) of the (2, n) ``sums`` under B and A.  A cell passes if
-        |B - A| meets its budget; else it gives way to its two children,
-        which stay leftover cells, and its middle gap, a smooth cell."""
+        """The higher rule on the live Cantor cells, from their rows ``rows``
+        (None: all) of the (2, n) ``sums`` under both rules.  A cell passes
+        if the rules' difference meets its budget; else it gives way to its
+        two children, and against dx to its middle gap, a smooth cell."""
         lo, hi = self.left
         if not lo.size:
             return
         rows = np.arange(lo.size) if rows is None else rows
-        half = 0.5 * (hi - lo)
-        val = sums[0, rows] * half
-        err = np.abs(val - sums[1, rows] * half)
-        budget = self.budget(lo, hi)
+        scale = 0.5 * (hi - lo) if self.mass is None else self.mass
+        val = sums[0, rows] * scale
+        err = np.abs(val - sums[1, rows] * scale)
+        budget = self.budget(hi - lo if self.mass is None else self.mass)
         ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
         self.total += float(np.sum(val[ok]))
         if ok.all():
@@ -474,13 +535,19 @@ class _Component:
         if cramped.size:
             i = cramped[0]
             self.fail(QuadratureError(
-                f"tolerance {self.tol:g} unreachable: the leftover cell "
+                f"tolerance {self.tol:g} unreachable: the Cantor cell "
                 f"[{float(lo[i])!r}, {float(hi[i])!r}] misses its budget "
                 f"{budget[i]:.3g}, and its children are too narrow for the "
                 "fitted rules' nodes"
             ))
             return
-        self.left = _ascending(np.concatenate((lo, b)), np.concatenate((a, hi)))
+        lo, hi = np.concatenate((lo, b)), np.concatenate((a, hi))
+        if self.mass is not None:
+            mass = 0.5 * self.mass[~ok]
+            lo, hi, self.mass = _ascending(lo, hi, np.concatenate((mass, mass)))
+            self.left = (lo, hi)
+            return
+        self.left = _ascending(lo, hi)
         self.smooth = _ascending(
             np.concatenate((self.smooth[0], a)), np.concatenate((self.smooth[1], b))
         )
@@ -519,13 +586,19 @@ def integrate_cells(f, smooth, mids, tol):
     if len(tols) != len(smooth):
         raise DomainError(f"{len(tols)} tolerances for {len(smooth)} layouts")
     _check_tol(tols)
-    # per group until an evaluation shows how many components there are,
-    # then per component
-    comps = [
+    return _refine(f, [
         _Component((s[:, 0], s[:, 1]), (m[:, 0], m[:, 1]), t)
         for s, m, t in zip(smooth, mids, tols)
-    ]
+    ], grouped)
+
+
+def _refine(f, comps, grouped):
+    """The passes of :func:`integrate_cells` and :func:`integrate_cantor`
+    on the components ``comps``, one per group until an evaluation shows
+    how many components there are; the results as those functions return
+    them."""
     stacked = None
+    rules = (_FIT, _FIT_RULES) if not comps or comps[0].mass is None else (_MU, _MU_RULES)
 
     def evaluate(cells, nodes, rules):
         """:func:`_rule_sums` on the components' ``cells``; the first call
@@ -538,14 +611,21 @@ def integrate_cells(f, smooth, mids, tol):
         stacked = now
         return sums, rows, union
 
+    if any(comp.pieces[0].size for comp in comps):
+        # each piece: its mass times f at its midpoint
+        sums, rows, _ = evaluate(lambda c: c.pieces[:2], _CENTRE, _ONE)
+        for c, (comp, r) in enumerate(zip(comps, rows)):
+            r = np.arange(comp.pieces[0].size) if r is None else r
+            comp.total += float(np.sum(sums[0, c, r] * comp.pieces[2]))
     for npass in range(1, _MAX_PASSES + 1):
         for comp in comps:
-            if comp.smooth[0].size + comp.left[0].size > _MAX_CELLS:
-                comp.fail(QuadratureError("quadrature cell budget exceeded"))
+            live = comp.smooth[0].size + comp.left[0].size
+            if live > _MAX_CELLS:
+                comp.fail(QuadratureError(f"tolerance {comp.tol:g} unreachable: {live} live cells"))
         if stacked is not None and not any(c.smooth[0].size + c.left[0].size for c in comps):
             break
         if any(comp.left[0].size for comp in comps):
-            sums, rows, _ = evaluate(lambda c: c.left, _FIT, _FIT_RULES)
+            sums, rows, _ = evaluate(lambda c: c.left, *rules)
             for c, (comp, r) in enumerate(zip(comps, rows)):
                 comp.take_leftover(sums[:, c], r)
         if stacked is not None and not any(comp.smooth[0].size for comp in comps):
@@ -559,7 +639,7 @@ def integrate_cells(f, smooth, mids, tol):
             half = 0.5 * (hi - lo)
             val = sums[1, c, r] * half
             err = np.abs(val - sums[0, c, r] * half)
-            budget = comp.budget(lo, hi)
+            budget = comp.budget(hi - lo)
             ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
             need[r[~ok]] = True
             steps.append((r, half, val, err, budget, ok))
@@ -626,3 +706,57 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     else:
         smooth, mids = build_cells(lo, hi, breakpoints, cantor_supports, tol)
     return integrate_cells(f, smooth, mids, tol)
+
+
+def _cantor_layout(support, lo, hi, breakpoints):
+    """The mu_C layout of the window [lo, hi] of a Cantor support: its
+    Cantor cells and their masses, and its pieces ``(lo, hi, mass)``.
+
+    The support is tiled by :func:`_tile`, cut as for dx at the window's
+    ends and the ``breakpoints`` inside it; the gaps carry no mass and are
+    dropped, as is all that lies outside the window.  A Cantor cell of
+    level L has mass 2^-L.  The rest, split at the cuts, are the pieces;
+    a piece's mass is C's rise across it, from C at its cell's ends, exact
+    from the tiling (a float end may round into the Cantor set), and at the
+    cuts, by the exact digit scan."""
+    slo, shi = support
+    lo, hi = max(float(lo), slo), min(float(hi), shi)
+    if hi <= lo:
+        return np.empty((0, 2)), np.empty(0), (np.empty(0),) * 3
+    cuts = sorted({float(p) for p in (*breakpoints, lo, hi) if lo <= p <= hi and slo < p < shi})
+    _, cells, levels, rest, rest_levels, bases = _tile(slo, shi, tuple(cuts))
+    inside = (cells[:, 0] >= lo) & (cells[:, 1] <= hi)
+    pieces = []
+    for (a, b), level, c0 in zip(rest.tolist(), rest_levels.tolist(), bases.tolist()):
+        inner = [p for p in cuts if a < p < b]
+        at = cantor_function_eval(np.clip((np.array(inner) - slo) / (shi - slo), 0.0, 1.0))
+        ends, cs = [a, *inner, b], [c0, *np.clip(at, c0, c0 + 0.5 ** level), c0 + 0.5 ** level]
+        pieces += [(p, q, d - c) for p, q, c, d in zip(ends, ends[1:], cs, cs[1:]) if lo <= p and q <= hi]
+    pieces = np.array(pieces).reshape(-1, 3)
+    return cells[inside], 0.5 ** levels[inside], tuple(pieces[pieces[:, 2] > 0.0].T)
+
+
+def integrate_cantor(f, support, lo, hi, breakpoints, tol):
+    """Integral of ``f`` against mu_C, the unit Cantor measure of the
+    ``support`` (s0, s1), on the window [lo, hi], cut at the
+    ``breakpoints`` inside it, to absolute tolerance ``tol``.
+
+    The layout is :func:`_cantor_layout`'s.  A Cantor cell passes with rule
+    D when |D - E| meets its mass's share of tol/2, else it splits into its
+    two children, of half its mass each; a cell whose children would be too
+    narrow for the nodes raises, as do the caps of :func:`integrate_cells`
+    (so a tol of 0 raises).  The estimate is heuristic: both rules read f
+    only at their nodes, and cos(2 pi 2 3^10 x) is 1 at every node of every
+    start cell on [0, 1], so it passes as 1 where the integral is -0.0765.
+
+    A stacked ``f``, ``lo``, ``hi``, ``breakpoints`` and ``tol`` given per
+    group of components, and the bits of each component, are as in
+    :func:`integrate_interval`."""
+    grouped = np.ndim(lo) > 0
+    windows = list(zip(lo, hi, breakpoints)) if grouped else [(lo, hi, breakpoints)]
+    tols = list(tol) if np.ndim(tol) else [tol] * len(windows)
+    comps = []
+    for (a, b, cuts), t in zip(windows, tols):
+        cells, mass, pieces = _cantor_layout(support, a, b, cuts)
+        comps.append(_Component((np.empty(0),) * 2, (cells[:, 0], cells[:, 1]), t, mass, pieces))
+    return _refine(f, comps, grouped)

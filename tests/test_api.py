@@ -1,5 +1,5 @@
 """The package's public API: ``__all__`` lists exactly what ``__init__``
-imports, the Cantor-measure integrals have one owner and one depth rule,
+imports, the Cantor-measure integrals have one owner and no depth rule,
 every monotone inversion shares one bisection, and the operators and knobs
 that nothing reached stay deleted."""
 
@@ -40,9 +40,11 @@ def test_cantor_integrals_have_one_owner():
     sources = {p.name: p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")}
     for name in ("cantor_dictionary", "singular_ratio", "reference_cantor", "_cantor_integral"):
         assert not [f for f, text in sources.items() if name in text], name
+    # the midpoint rule is a reference only: no library path calls it
     callers = {f for f, text in sources.items() if re.search(r"integrate_cantor_std\w*\(", text)}
-    assert callers <= {"cantor.py", "measures.py"}
-    assert {f for f, text in sources.items() if "from_std(" in text} == {"measures.py"}
+    assert callers == {"cantor.py"}
+    callers = {f for f, text in sources.items() if re.search(r"\bintegrate_cantor\(", text)}
+    assert callers == {"measures.py", "quadrature.py"}
     assert "guard=" not in sources["cantor.py"]
 
 
@@ -186,13 +188,16 @@ def test_no_product_slots_in_the_measure_model():
 
 
 def test_one_cantor_depth_rule():
-    """Every Cantor depth starts from ``cantor.depth_for(tol)``: the chain
-    rule keeps no rule of its own, and no Lipschitz hint picks a depth; the
-    measure integrals check their own convergence instead."""
-    from bvcalc import cantor, chainrule
+    """No Cantor integral runs at a depth: every one goes through the
+    adaptive driver to a tol, so neither the depth rule nor the guard
+    levels of the midpoint walk are left, ``CantorBase.integrate`` takes a
+    tol, and neither a chain-rule depth nor a Lipschitz hint is back."""
+    from bvcalc import chainrule, measures
 
-    assert list(inspect.signature(cantor.depth_for).parameters) == ["tol"]
+    sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
+    for name in ("depth_for", "_GUARD", "lip_hint", "_cantor_depth"):
+        assert not [text for text in sources if name in text], name
+    params = list(inspect.signature(measures.CantorBase.integrate).parameters)
+    assert params == ["self", "f", "tol", "breakpoints", "window"]
     assert not hasattr(chainrule, "_cantor_depth")
     assert "lip_hint" not in inspect.signature(bvcalc.integrate_measure).parameters
-    sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
-    assert not [text for text in sources if "lip_hint" in text or "_cantor_depth" in text]

@@ -27,7 +27,7 @@ DIGESTS = {
         "report.csv": "e71c52a172061bf305f71e5dc08f6a5274e24a495054a33555f895cb0c5f4536",
     },
     "chainrule_suite": {
-        "report.csv": "1abb03acb2e91b5f51b2e8d79d025eeb123208504050d3ec2f72fdfe90205cae",
+        "report.csv": "f7095d24f364151464059a34102b7d321a0ea8f2968a34566ff222b254672d7a",
     },
     "claw_burgers": {
         "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",
@@ -74,3 +74,11 @@ def test_demo_scenarios_make_no_pointwise_calls(name, tmp_path, monkeypatch):
     monkeypatch.setattr(cantor, "_pointwise", spy)
     run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path))
     assert hits == []
+
+
+def test_chainrule_suite_passes_at_a_tight_tolerance(tmp_path):
+    """At --tol 1e-12 every case of the pinned chain-rule battery closes,
+    the mu_C slots included: the adaptive rules refine each Cantor cell to
+    its share of the tolerance instead of stopping at a fixed depth."""
+    sc = parse_scenario(SCENARIOS / "chainrule_suite.ini")
+    assert run_scenario(sc, str(tmp_path), tol=1e-12) == (True, 60, 60)

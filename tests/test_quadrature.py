@@ -227,7 +227,13 @@ COMPONENTS = {
 }
 
 
-def _alone(fs, windows, tol):
+def _on_mu(f, lo, hi, tol, points, supports):
+    """:func:`integrate_interval`'s twin against mu_C of the support [0, 1]
+    on the windows, cut at the points; the supports are not read."""
+    return quadrature.integrate_cantor(f, (0.0, 1.0), lo, hi, points, tol)
+
+
+def _alone(fs, windows, tol, integrate=integrate_interval):
     """Per component, the repr of integrating it alone on its group's
     window to its window's tol (``tol``: one, or one per window), or the
     error that raises."""
@@ -237,27 +243,27 @@ def _alone(fs, windows, tol):
     for c, f in enumerate(fs):
         lo, hi, points, supports = windows[c // per]
         try:
-            out.append(repr(integrate_interval(f, lo, hi, tols[c // per], points, supports)))
+            out.append(repr(integrate(f, lo, hi, tols[c // per], points, supports)))
         except QuadratureError as err:
             out.append(err)
     return out
 
 
-def _assert_as_alone(f, windows, tol, alone):
+def _assert_as_alone(f, windows, tol, alone, integrate=integrate_interval):
     """``f`` on all ``windows`` in one call gives the reprs of ``alone``,
     or raises the first of its errors."""
     errors = [str(a) for a in alone if isinstance(a, QuadratureError)]
     lo, hi, points, supports = zip(*windows)
     if errors:
         with pytest.raises(QuadratureError) as err:
-            integrate_interval(f, lo, hi, tol, points, supports)
+            integrate(f, lo, hi, tol, points, supports)
         assert str(err.value) == errors[0]
     else:
-        assert [repr(v) for v in integrate_interval(f, lo, hi, tol, points, supports)] == alone
+        assert [repr(v) for v in integrate(f, lo, hi, tol, points, supports)] == alone
 
 
-def _assert_stacked_as_alone(fs, windows, tol, alone):
-    _assert_as_alone(lambda t: np.stack([f(t) for f in fs]), windows, tol, alone)
+def _assert_stacked_as_alone(fs, windows, tol, alone, integrate=integrate_interval):
+    _assert_as_alone(lambda t: np.stack([f(t) for f in fs]), windows, tol, alone, integrate)
 
 
 TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
@@ -305,10 +311,13 @@ def test_stacked_components_integrate_as_if_alone(stack):
     it alone, and of the components that fail alone the first one's error,
     which names its tol, is raised.  The components split into equal
     consecutive groups, one per window, and a tol may be given per
-    window."""
+    window.  The same holds against mu_C, whose Cantor cells and one-point
+    pieces each component also keeps as its own."""
     windows, names, tol = stack
     fs = [COMPONENTS[n] for n in names]
     _assert_stacked_as_alone(fs, windows, tol, _alone(fs, windows, tol))
+    # the same against mu_C, with each window's points as its cuts
+    _assert_stacked_as_alone(fs, windows, tol, _alone(fs, windows, tol, _on_mu), _on_mu)
 
 
 @pytest.mark.parametrize("block", [1, 7, 512])
@@ -618,6 +627,103 @@ def test_fitted_rule_literals():
     assert quadrature._FIT_RULES.tolist() == [[float(2 * n[k]) for n in nodes] for k in (2, 3)]
     s_float = 0.5 + 0.5 * quadrature._FIT
     assert cantor_function_eval(s_float).tolist() == [float(c) for _, c, *_ in nodes]
+
+
+def test_graph_moment_oracle_checks_itself():
+    """The oracle's graph moments M_ij = ∫ sⁱ Cʲ dμ_C: M₀₀ = 1, M₂₀ = 3/8,
+    M₁₁ = 7/20, Var s = 1/8, Var C = 1/12, Cov(s, C) = 1/10, and every odd
+    centred moment is 0.  Its tails ∫_[t, 1] agree across a gap, have
+    mass 1 - C(t) (C(1/4) = 1/3, C(1/10) = 1/5), and split the whole."""
+    assert oracle.graph_moment(0, 0) == 1
+    assert oracle.graph_moment(2, 0) == Fraction(3, 8)
+    assert oracle.graph_moment(1, 1) == Fraction(7, 20)
+    assert oracle.graph_centred(2, 0) == Fraction(1, 8)
+    assert oracle.graph_centred(0, 2) == Fraction(1, 12)
+    assert oracle.graph_centred(1, 1) == Fraction(1, 10)
+    for a in range(9):
+        for b in range(9):
+            if (a + b) % 2:
+                assert oracle.graph_centred(a, b) == 0, (a, b)
+    tails = {t: oracle.tail_moments(t, 3) for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))}
+    assert tails[Fraction(1, 3)] == tails[Fraction(1, 2)] == tails[Fraction(2, 3)]
+    assert oracle.tail_moments(Fraction(1, 4), 0)[0, 0] == Fraction(2, 3)
+    assert oracle.tail_moments(Fraction(1, 10), 0)[0, 0] == Fraction(4, 5)
+    # mu_C on [0, 1/3] is the image of mu_C under s -> s/3 with half the mass
+    low = {k: oracle.graph_moment(*k) - v for k, v in oracle.tail_moments(Fraction(1, 3), 3).items()}
+    assert low == {(i, j): oracle.graph_moment(i, j) / (2 * 3 ** i * 2 ** j) for i, j in low}
+
+
+def _mu_nodes():
+    """Per node of the mu_C rules, ascending: s on the cell [0, 1], C(s)
+    from the oracle's digits of the gap of levels 1-5 that holds s, at
+    least 1/486 inside it, and its rule D and rule E weights, all in
+    Fraction."""
+    nodes = []
+    for y, d, e in quadrature._MU_FITTED:
+        for s in sorted({Fraction(1, 2) - y, Fraction(1, 2) + y}):
+            m = next(m for m in range(1, 6) if oracle.cantor_at(math.floor(s * 3 ** m), m)[0])
+            k = math.floor(s * 3 ** m)
+            assert min(s - Fraction(k, 3 ** m), Fraction(k + 1, 3 ** m) - s) >= Fraction(1, 486), s
+            nodes.append((s, oracle.cantor_at(k, m)[1], Fraction(d), Fraction(e)))
+    return sorted(nodes)
+
+
+D_MOMENTS = ((0, 0), (0, 2), (1, 1), (2, 0), (0, 4), (1, 3), (2, 2), (3, 1), (0, 6), (4, 0))
+
+
+def test_mu_rule_literals():
+    """In Fraction: both weight sets of the mu_C rules are positive and sum
+    to 1, the nodes come in pairs 1/2 ± y, each strictly inside a gap; rule
+    D matches the centred graph moments 1, C², sC, s², C⁴, sC³, s²C², s³C,
+    C⁶ and s⁴ of (s, C(s)) under mu_C exactly, rule E the first six, and
+    both every odd one up to degree 9, against the oracle's recursion.  The
+    float tables are those rationals rounded, on [-1, 1], each row's floats
+    sum to exactly 1, and each float node reads C equal to its dyadic."""
+    nodes = _mu_nodes()
+    half = Fraction(1, 2)
+    assert [s + t for (s, *_), (t, *_) in zip(nodes, nodes[::-1])] == [1] * len(nodes)
+    for column, moments in ((2, D_MOMENTS), (3, D_MOMENTS[:6])):
+        rule = [(s, c, n[column]) for n in nodes for s, c in [n[:2]] if n[column]]
+        assert all(w > 0 for _, _, w in rule)
+        odd = [(a, b) for a in range(10) for b in range(10) if (a + b) % 2 and a + b <= 9]
+        for a, b in moments + tuple(odd):
+            got = sum(w * (s - half) ** a * (c - half) ** b for s, c, w in rule)
+            assert got == oracle.graph_centred(a, b), (column, a, b)
+    assert quadrature._MU.tolist() == [float(2 * s - 1) for s, *_ in nodes]
+    assert quadrature._MU_RULES.tolist() == [[float(n[k]) for n in nodes] for k in (2, 3)]
+    for row in quadrature._MU_RULES.tolist():
+        total = 0.0
+        for w in row:
+            total += w
+        assert total == 1.0  # left to right, as the panel sums run
+    s_float = 0.5 + 0.5 * quadrature._MU
+    assert cantor_function_eval(s_float).tolist() == [float(c) for _, c, *_ in nodes]
+
+
+@pytest.mark.parametrize(
+    "support, window",
+    [
+        ((0.0, 1.0), (0.1, 0.3)),
+        ((0.0, 1.0), (0.25, 0.75)),
+        ((0.0, 1.0), (1.0 / 3.0, 0.9)),
+        ((0.2, 0.8), (0.35, 0.65)),
+        ((0.3, 0.3 + 1e-6), (0.3 + 2.5e-7, 0.3 + 7.5e-7)),
+    ],
+)
+def test_mu_mass_of_a_window_is_the_rise_of_c(support, window):
+    """Against mu_C, 1 integrates over a window to C's rise across it, also
+    where the window's ends are points of the Cantor set (0.1, 0.3, 1/4 and
+    3/4 of their supports), so that the cut paths end in pieces.  Near such
+    a point C moves by up to about 1e-10 across a few ulps (2 d^(log 2/log
+    3) over a distance d), so within a few ulps of a cut no float layout can
+    tell which side the mass is on; the bound allows that once per window
+    end.  Masses taken from C at the rounded float ends of the cells along
+    a cut path, not exactly from the tiling, would be 3.4e-10 off on
+    (0.1, 0.3)."""
+    (slo, shi), (lo, hi) = support, window
+    got = quadrature.integrate_cantor(np.ones_like, support, lo, hi, (), 1e-12)
+    c = cantor_function_eval(np.clip((np.array([lo, hi]) - slo) / (shi - slo), 0.0, 1.0))
+    assert abs(got - (c[1] - c[0])) <= 1e-10
 
 
 def _node_layouts():
