@@ -29,7 +29,7 @@ from .measures import (
     kernel,
     measure_total_variation,
 )
-from .quadrature import _apply, _bisect, _merge_supports, _same_support, integrate_interval
+from .quadrature import _ROOT_TOL, _apply, _bisect, _merge_supports, _same_support, integrate_interval
 
 _SIDES = ("left", "right", "precise")
 
@@ -475,21 +475,58 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     Monotone pieces contribute one located point per level (found by one
     safeguarded Newton search for every piece's levels); jump points
     contribute wherever t lies between the one-sided values; flat pieces
-    are skipped (a null set of levels).  Every level cell is one window of one quadrature of the
+    are skipped (a null set of levels).  On a Cantor piece a descent of the
+    ternary cells first narrows each bracket to a gap, with C fixed and u'
+    finite, or to _ROOT_TOL (NaN u'): one digit scan per evaluation, more
+    past |x| = 2.  Every level cell is one window of one quadrature of the
     one level-counting integrand, to its share of tol."""
     pp = u.smooth_part
     monotone = _monotone_pieces(u)
     pieces = [p for p in monotone if p[2] != p[3]]
     x0s, x1s, v0s, v1s = (np.array([p[i] for p in pieces], dtype=float) for i in range(4))
-    # Off its supports the Cantor part is constant on a piece; on them it has
-    # no slope to add to pp's, and a NaN slope halves the piece's brackets.
-    flats = np.where([p[4] is not None for p in pieces], np.nan, u._cantor(x0s))
+    # NaN marks the Cantor pieces; on one, every base's profile is 0 or 1 but its own (kb)
+    bases = [b for b, _ in u.cantor_part]
+    kb = np.array([bases.index(p[4]) if p[4] is not None else -1 for p in pieces], dtype=int)
+    profs = np.array([b.profile(x0s) for b in bases]).reshape(len(bases), len(pieces))
+    sup = np.array([(b.support.a, b.support.b) for b in bases]).reshape(-1, 2)
+    flats = np.where(kb >= 0, np.nan, u._cantor(x0s))
     lows, highs = np.minimum(v0s, v1s), np.maximum(v0s, v1s)
     jumps = u.jumps()
     jlo = np.array([min(l, r) for _, l, r in jumps], dtype=float)
     jhi = np.array([max(l, r) for _, l, r in jumps], dtype=float)
     jg = _apply(g, np.array([x for x, _, _ in jumps])) if jumps else np.empty(0)
     t_grid = _coarea_tgrid(u, monotone, g_breakpoints)
+
+    def descend(rows, lo, hi, t, rising):
+        """The brackets [lo, hi] of the levels t on the Cantor pieces rows,
+        narrowed down the ternary cells of their supports, and per level the
+        C of the gap it lands in, else NaN.  A cell of level L, index n and
+        C = cl at its left end has C = cl + 2^-(L+1) on its middle gap, which
+        the digit scan reads 4 ulps of the support's ends inside the gap's
+        ends (3 sufficed in 13 million probes).  u is read there, by
+        u.values' float operations, and each read moves the bracket end on
+        its side, a zero's off the gap, so a level u takes on a whole gap
+        lands in it."""
+        s0, s1 = sup[kb[rows]].T
+        w, m = s1 - s0, 4.0 * np.spacing(np.maximum(np.abs(s0), np.abs(s1)))
+        n, cl, c, level = np.zeros(rows.size), np.zeros(rows.size), np.full(rows.size, np.nan), 0
+        live = (hi - lo > _ROOT_TOL) & (w / 3.0 > 2.0 * m)
+        while live.any():
+            level += 1
+            half, cube = np.ldexp(1.0, -level), float(3**level)
+            p, q = s0 + w * ((3.0 * n + 1.0) / cube) + m, s0 + w * ((3.0 * n + 2.0) / cube) - m
+            cg = 0.0  # u._cantor's float operations, each row's own base at C
+            for j, (_, coef) in enumerate(u.cantor_part):
+                cg = cg + coef * np.where(kb[rows] == j, cl + half, profs[j, rows])
+            gp, gq = np.split((pp.at(np.concatenate((p, q))) + np.tile(cg, 2)) - np.tile(t, 2), 2)
+            sides = np.where(rising, gp > 0, gp < 0), np.where(rising, gq >= 0, gq <= 0)
+            for x, side in zip((p, q), sides):
+                move = live & (lo < x) & (x < hi)
+                lo, hi = np.where(move & ~side, x, lo), np.where(move & side, x, hi)
+            right, gap = lo >= q, live & (hi > p) & (lo < q)
+            c[gap], n, cl = cg[gap], 3.0 * n + 2.0 * right, cl + np.where(right, half, 0.0)
+            live &= ~gap & (hi - lo > _ROOT_TOL) & (w / (3.0 * cube) > 2.0 * m)
+        return lo, hi, c
 
     def located_sum(ts):
         ts = np.asarray(ts, dtype=float)
@@ -499,13 +536,16 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
         piece, at = np.nonzero((flat_ts > lows[:, None]) & (flat_ts < highs[:, None]))
         if at.size:
             tm = flat_ts[at]
-            add = flats[piece]
+            add, lo, hi, ghi = flats[piece], x0s[piece], x1s[piece], v1s[piece] - tm
+            on = np.flatnonzero(np.isnan(add))
+            if on.size:
+                lo[on], hi[on], add[on] = descend(piece[on], lo[on], hi[on], tm[on], ghi[on] > 0)
             cantor_rows = np.isnan(add)
 
             def level_gap(x, i):
                 """u.values(x) - tm[i], by u.values' float operations, and
-                u' at x from the same piece lookup; NaN on a piece with a
-                Cantor part."""
+                u' at x from the same piece lookup; NaN for a level left in
+                a Cantor cell."""
                 s, slope = pp.with_slope(x)
                 c = add[i]
                 on_cantor = cantor_rows[i]
@@ -514,7 +554,7 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
                     slope[on_cantor] = np.nan
                 return (s + c) - tm[i], slope
 
-            xs = _bisect(level_gap, x0s[piece], x1s[piece], v1s[piece] - tm)
+            xs = _bisect(level_gap, lo, hi, ghi)
             # one add per piece and level, in piece order
             np.add.at(out, at, _apply(g, xs))
         jump, at = np.nonzero((flat_ts >= jlo[:, None]) & (flat_ts <= jhi[:, None]))

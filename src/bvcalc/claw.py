@@ -624,11 +624,11 @@ def _interface_flux(flux, edges):
     cross-interface states form a jump-condition pair by construction.
     Zero-gradient ghost states close the boundary.
 
-    Returns F(u), the fluxes at ``edges`` for the cell states u.  The face
-    groups, their upwind cells and K at their faces on each group's side
-    depend only on the edges and the flux direction, so they are built here
-    once; F(u) only combines them with the upwind states, by the float
-    operations of ``flux.values_on_grid``."""
+    Returns F(u), the fluxes at ``edges`` for the cell states u.  Each
+    face's upwind cell and K on its group's side (the inflow face downwind,
+    flux jumps and the outflow face upwind, the rest precise) are built here
+    once; F(u) is one gather and one ``combine``, each f_k evaluated once,
+    by the float operations of ``flux.values_on_grid`` on each group."""
     n = len(edges) - 1
     faces = np.arange(n + 1)
     if flux.direction > 0:
@@ -641,18 +641,10 @@ def _interface_flux(flux, edges):
     carried[outflow] = True
     precise = ~carried
     precise[inflow] = False
-    groups = tuple(
-        (mask, src[mask], flux.model.coefficients(edges[mask], side))
-        for mask, side in ((faces == inflow, downwind), (carried, upwind), (precise, "precise"))
-    )
-
-    def fluxes(u):
-        F = np.empty(n + 1)
-        for mask, cells, ks in groups:
-            F[mask] = flux.model.combine(ks, u[cells][None, :])
-        return F
-
-    return fluxes
+    ks = np.empty((len(flux.model.terms), n + 1))
+    for mask, side in ((faces == inflow, downwind), (carried, upwind), (precise, "precise")):
+        ks[:, mask] = flux.model.coefficients(edges[mask], side)
+    return lambda u: flux.model.combine(ks, u[src][None, :])
 
 
 def solve_claw(flux, u0, T, cells, cfl=0.45):

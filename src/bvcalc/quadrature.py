@@ -733,7 +733,7 @@ def _cantor_layout(support, lo, hi, breakpoints):
         ends, cs = [a, *inner, b], [c0, *np.clip(at, c0, c0 + 0.5 ** level), c0 + 0.5 ** level]
         pieces += [(p, q, d - c) for p, q, c, d in zip(ends, ends[1:], cs, cs[1:]) if lo <= p and q <= hi]
     pieces = np.array(pieces).reshape(-1, 3)
-    return cells[inside], 0.5 ** levels[inside], tuple(pieces[pieces[:, 2] > 0.0].T)
+    return cells[inside], np.ldexp(1.0, -levels[inside]), tuple(pieces[pieces[:, 2] > 0.0].T)
 
 
 def integrate_cantor(f, support, lo, hi, breakpoints, tol):

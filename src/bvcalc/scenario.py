@@ -607,25 +607,31 @@ def run_scenario(sc, out_dir, tol=None, seed=None, jobs=1):
 def _write_field_csv(path, fld):
     """One row per (cell, step): x, t, u and the step's mass drift.  The
     fields are float reprs, which ``csv`` never quotes, so lines are joined,
-    one string and one write per step."""
+    one string and one write per step.  Only the u of cells whose float64
+    bits changed (-0.0 is not 0.0) are repr'd again; where all change, that
+    test costs about 5% more."""
     xs = [repr(x) for x in (0.5 * (fld.edges[:-1] + fld.edges[1:])).tolist()]
     defects = fld.mass_defects()
+    states, bits = fld.states, np.ascontiguousarray(fld.states, dtype=float).view(np.int64)
+    us = list(map(repr, states[0].tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("x,t,u,mass_drift\n")
         for n in range(1, len(fld.times)):
+            changed = np.flatnonzero(bits[n] != bits[n - 1])
+            for i, v in zip(changed.tolist(), states[n, changed].tolist()):
+                us[i] = repr(v)
             drift = "," + _fmt(abs(defects[n - 1])) + "\n"
             t = "," + _fmt(fld.times[n]) + ","
-            fh.write(drift.join(map(t.join, zip(xs, map(repr, fld.states[n].tolist())))) + drift)
+            fh.write(drift.join(map(t.join, zip(xs, us))) + drift)
 
 
 def _write_stairs_csv(path, u, approx):
     lo, hi = u.components[0].domain.a, u.components[0].domain.b
     xs = np.linspace(lo, hi, 801)[1:-1]
-    columns = [xs]
-    for comp, ap in zip(u.components, approx):
+    columns, header = [xs], ["x"]
+    for i, (comp, ap) in enumerate(zip(u.components, approx), 1):
         columns += [comp.at(xs, "precise"), ap.eval_array(xs)]
-    rows = [[_fmt(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
-    header = ["x"]
-    for i in range(len(u.components)):
-        header += [f"exact{i + 1}", f"approx{i + 1}"]
-    _write_csv(path, header, rows)
+        header += [f"exact{i}", f"approx{i}"]
+    lines = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join((",".join(header), *lines, "")))

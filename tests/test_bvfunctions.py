@@ -27,7 +27,8 @@ from bvcalc import (
     measure_total_variation,
 )
 import bvcalc.bvfunction as bvfunction
-from bvcalc.cantor import cantor_function_eval
+import bvcalc.cantor as cantor
+from bvcalc.cantor import _std_mids, cantor_function_eval
 from bvcalc.quadrature import _ROOT_TOL, _bisect, integrate_interval
 
 
@@ -500,6 +501,20 @@ def test_a_double_root_of_the_slope_keeps_one_monotone_piece():
     assert pieces[0][1] == pytest.approx(0.25, abs=1e-12)
 
 
+def _eighty_pass_points(u, x0, x1, v0, v1, tm):
+    """The level points of the levels ``tm`` on the monotone piece [x0, x1]
+    of u, from v0 to v1, by 80 fixed halving passes through u.values: the
+    first point at which u reaches each level."""
+    a, b = np.full_like(tm, x0), np.full_like(tm, x1)
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        vm = u.values(m)
+        take_left = (vm >= tm) if v1 > v0 else (vm <= tm)
+        b = np.where(take_left, m, b)
+        a = np.where(take_left, a, m)
+    return 0.5 * (a + b)
+
+
 def _reference_level_points(u, ts):
     """The coarea level points as the library located them before the
     shared bisection, 80 fixed passes on each monotone piece, summed over
@@ -507,15 +522,7 @@ def _reference_level_points(u, ts):
     out, count = np.zeros_like(ts), np.zeros_like(ts)
     for x0, x1, v0, v1, _, _ in bvfunction._monotone_pieces(u):
         mask = (ts > min(v0, v1)) & (ts < max(v0, v1))
-        tm = ts[mask]
-        a, b = np.full_like(tm, x0), np.full_like(tm, x1)
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            vm = u.values(m)
-            take_left = (vm >= tm) if v1 > v0 else (vm <= tm)
-            b = np.where(take_left, m, b)
-            a = np.where(take_left, a, m)
-        out[mask] += 0.5 * (a + b)
+        out[mask] += _eighty_pass_points(u, x0, x1, v0, v1, ts[mask])
         count += mask
     return out, count
 
@@ -581,15 +588,37 @@ def _recording(g, calls, first=0):
     cantor=(10, 14, 0.3),
     fracs=[0.25, 0.5],
 )
+@example(
+    # u = C on ]1/16, 15/16[ and flat around it: each gap level is reached
+    # on a whole gap, and the search lands in it
+    lo=0.0,
+    cuts=set(),
+    polys=[[0.0]] * 5,
+    cantor=(1, 15, 1.0),
+    fracs=[0.5, 0.75],
+)
+@example(
+    # a falling Cantor summand on a falling piece below x = -64
+    lo=-101.0,
+    cuts={4},
+    polys=[[0.5, 1.0], [0.25, -0.5], [0.0], [0.0], [0.0]],
+    cantor=(5, 13, -0.7),
+    fracs=[0.1, 0.3],
+)
 @settings(max_examples=40, deadline=None)
 def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, cantor, fracs):
-    """The coarea root search sees bit for bit the values of u.values and
-    the slopes of u's derivative piece (NaN on a Cantor support): every
-    level point, and every (x, u(x) - t, u'(x)) the search asks for, are
-    those of the same root search through u.values and u.smooth_part's
-    derivative, bracket by bracket (one search holds the brackets of every
-    piece, piece after piece).  Levels just inside each piece's range put
-    roots in its last ulps, where a point can land on a breakpoint."""
+    """On polynomial pieces the coarea root search sees bit for bit the
+    values of u.values and the slopes of u's derivative piece: every level
+    point, and every (x, u(x) - t, u'(x)) the search asks for, are those of
+    the same root search through u.values and u.smooth_part's derivative,
+    bracket by bracket (one search holds the brackets of every piece, piece
+    after piece).  On a Cantor piece, whose brackets a ternary descent
+    narrows first, every point lies in its piece, within _ROOT_TOL/2 and
+    one ulp of the 80-pass point, and u.values - t changes sign across its
+    final bracket: the search's bracket replayed through the search's
+    reads.  Levels just inside each piece's range put roots in its last
+    ulps, where a point can land on a breakpoint; levels at the C of the
+    support's gaps (down to level 3) put them in gaps."""
     bk = (lo, *(lo + k / 16 for k in sorted(cuts)), lo + 1.0)
     pp = PiecewisePolynomial(bk, tuple(polys[: len(bk) - 1]))
     parts = ()
@@ -602,35 +631,65 @@ def test_coarea_points_are_located_on_their_polynomial_piece(lo, cuts, polys, ca
     except RepresentationError:
         assume(False)
     levels = []
-    for x0, x1, v0, v1, _, _ in pieces:
+    for x0, x1, v0, v1, base, _ in pieces:
         inside = u.values(np.array([np.nextafter(x1, x0), np.nextafter(x0, x1)]))
         levels += [0.5 * (inside[0] + v1), 0.5 * (inside[1] + v0)]
         levels += [v0 + f * (v1 - v0) for f in fracs]
+        if base is not None:
+            mids = base.support.a + base.width * np.concatenate([_std_mids(k) for k in range(4)])
+            levels += u.values(mids[(x0 < mids) & (mids < x1)]).tolist()
     ts = np.array(levels)
 
-    grabbed, got, located = [], {}, []
+    grabbed, got, located, brackets = [], {}, [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             bvfunction, "integrate_interval", lambda f, lo, *a, **k: grabbed.append(f) or (0.0,) * len(lo)
         )
-        mp.setattr(bvfunction, "_bisect", lambda g, *a: located.append(_bisect(_recording(g, got), *a)) or located[-1])
+
+        def search(g, *a):
+            brackets.append(a)
+            located.append(_bisect(_recording(g, got), *a))
+            return located[-1]
+
+        mp.setattr(bvfunction, "_bisect", search)
         coarea_rhs(lambda xs: xs, u)
         assume(grabbed)
         grabbed[0](ts)
 
-    want, want_located = {}, []
+    want, want_located, first = {}, [], 0
     du = pp.derivative()
     for x0, x1, v0, v1, base, _ in pieces:
         tm = ts[(ts > min(v0, v1)) & (ts < max(v0, v1))]
-        if tm.size:
-
-            def sloped(x, i, tm=tm, nan=base is not None):
-                return u.values(x) - tm[i], np.full(x.shape, np.nan) if nan else du.at(x)
-
-            g = _recording(sloped, want, sum(map(len, want_located)))
+        rows = range(first, first + tm.size)
+        first += tm.size
+        if not tm.size:
+            continue
+        if base is None:
+            g = _recording(lambda x, i, tm=tm: (u.values(x) - tm[i], du.at(x)), want, rows.start)
             want_located.append(_bisect(g, np.full_like(tm, x0), np.full_like(tm, x1), v1 - tm))
+            continue
+        xs = located[0][rows]
+        assert np.all((x0 <= xs) & (xs <= x1))
+        ref = _eighty_pass_points(u, x0, x1, v0, v1, tm)
+        ulp = np.spacing(np.abs(ref))
+        # a level u takes on a whole gap may be found at any point of it
+        plateau = (u.values(xs) == tm) & (xs >= ref - ulp)
+        assert np.all((np.abs(xs - ref) <= 0.5 * _ROOT_TOL + ulp) | plateau)
+        rising = v1 > v0
+        for j, t, x in zip(rows, tm.tolist(), xs.tolist()):
+            a, b, gb = (float(v[j]) for v in brackets[0])
+            for xh, gh, _ in got.pop(j):
+                xj, gj = float.fromhex(xh), float.fromhex(gh)
+                a, b, gb = (a, xj, gj) if (gj > 0) == (gb > 0) else (xj, b, gb)
+            assert a <= x <= b
+            assert b - a <= _ROOT_TOL or np.nextafter(a, b) == b or u.values(np.array([x]))[0] == t
+            ga = (v0 if a == x0 else u.values(np.array([a]))[0]) - t
+            gb = (v1 if b == x1 else u.values(np.array([b]))[0]) - t
+            assert (ga <= 0.0 <= gb) if rising else (gb <= 0.0 <= ga)
     assert got == want
-    assert b"".join(x.tobytes() for x in located) == b"".join(x.tobytes() for x in want_located)
+    found = located[0] if located else np.empty(0)
+    polynomial = np.concatenate(want_located or [np.empty(0)])
+    assert found[np.isin(np.arange(first), sorted(want))].tobytes() == polynomial.tobytes()
 
 
 def test_coarea_rhs_makes_one_quadrature_and_one_bisection_per_evaluation():
@@ -690,6 +749,41 @@ def test_coarea_level_points_take_a_few_passes_on_polynomial_pieces():
         total = coarea_rhs(lambda xs: 1.0 + xs, u)
     assert passes and 0 < max(passes) <= 15
     assert total == pytest.approx(coarea_lhs(lambda xs: 1.0 + xs, u), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        BVFunction.cantor_fn(0.0, 1.0),
+        BVFunction.from_poly(0.0, 1.0, (0.1, 0.5)) + BVFunction.cantor_fn(0.0, 1.0, (0.2, 0.8), 0.7),
+        BVFunction.from_poly(0.0, 1.0, (1.0, -0.3)) + BVFunction.cantor_fn(0.0, 1.0, (0.1, 0.9), -1.2),
+    ],
+    ids=["C", "rising", "falling"],
+)
+def test_coarea_levels_on_cantor_pieces_scan_digits_once(u, monkeypatch):
+    """The ternary descent narrows the levels on a Cantor piece with the
+    exact C of the support's cells: each evaluation of the level-counting
+    integrand runs the digit scan at most once, where halving the pieces'
+    brackets ran it about 47 times, and the value stays coarea_lhs's."""
+    scans, per_call = [], []
+    real_scan = cantor._dyadic_scan
+    real = bvfunction.integrate_interval
+
+    def spy(f, *a, **k):
+        def counted(ts):
+            before = len(scans)
+            out = f(ts)
+            per_call.append(len(scans) - before)
+            return out
+
+        return real(counted, *a, **k)
+
+    monkeypatch.setattr(cantor, "_dyadic_scan", lambda *a: scans.append(1) or real_scan(*a))
+    monkeypatch.setattr(bvfunction, "integrate_interval", spy)
+    total = coarea_rhs(lambda xs: 1.0 + xs, u)
+    assert per_call and max(per_call) == 1
+    monkeypatch.undo()
+    assert total == pytest.approx(coarea_lhs(lambda xs: 1.0 + xs, u), abs=1e-8)
 
 
 # -- mollification of the function itself ------------------------------------

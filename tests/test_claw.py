@@ -22,6 +22,7 @@ from bvcalc import (
     is_rankine_hugoniot,
     solve_claw,
 )
+from bvcalc.cases import monomial
 from bvcalc.quadrature import _ROOT_TOL, _bisect, integrate_interval
 
 
@@ -44,6 +45,14 @@ def falling_step_flux():
     """B(x, w) = -(2 - H(x - 1/2)) w: decreasing in the state, one jump."""
     K = BVFunction.constant(0.0, 1.0, -2.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0)
     return ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+
+
+def power_flux(sign=1.0):
+    """B(x, w) = sign ((1 + H(x - 1/2)) w^3/2 + 0.8 w): two terms whose
+    state functions take numpy powers (``cases.monomial``)."""
+    K = BVFunction.constant(0.0, 1.0, 1.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 1.0)
+    terms = ((K, monomial((3,), 0.5 * sign)), (BVFunction.constant(0.0, 1.0, 0.8), monomial((1,), sign)))
+    return ScalarFlux(FluxModel(terms), 0.1, 2.5)
 
 
 def burgers_flux(lo=-1.0, hi=2.0, w_lo=0.1, w_hi=2.0):
@@ -613,11 +622,17 @@ def _reference_steps(flux, field):
     return np.asarray(states), np.asarray(traces)
 
 
-@pytest.mark.parametrize("make_flux", [step_flux, falling_step_flux], ids=["increasing", "decreasing"])
+@pytest.mark.parametrize(
+    "make_flux",
+    [step_flux, falling_step_flux, power_flux, lambda: power_flux(-1.0)],
+    ids=["increasing", "decreasing", "powers increasing", "powers decreasing"],
+)
 def test_solve_evaluates_the_coefficients_once(make_flux, monkeypatch):
     """The flux jump is snapped onto an edge.  States and traces are bit for
-    bit those of a loop that evaluates the flux at the faces on every step,
-    and K is evaluated as often for a longer solve as for a shorter one."""
+    bit those of a loop that evaluates the flux at each face group on every
+    step, though the solver gathers every face's upwind state and combines
+    them in one call, and K is evaluated as often for a longer solve as for
+    a shorter one."""
     flux = make_flux()
     u0 = BVFunction.from_poly(0.0, 1.0, (1.3,))
     u0 = u0 + BVFunction.heaviside(0.0, 1.0, 0.35, 0.0, -0.9)

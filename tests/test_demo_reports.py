@@ -76,6 +76,19 @@ def test_demo_scenarios_make_no_pointwise_calls(name, tmp_path, monkeypatch):
     assert hits == []
 
 
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_generated_suites_make_no_pointwise_calls(seed, tmp_path, monkeypatch):
+    """Nor do the generated coarea, approximation and comparison suites at
+    other seeds: an integrand that raised TypeError on node arrays would
+    reach the one-point fallback and still pass, only slower."""
+    hits = []
+    fallback = cantor._pointwise
+    monkeypatch.setattr(cantor, "_pointwise", lambda f, xs: hits.append(xs.size) or fallback(f, xs))
+    for name in ("coarea_check", "approx_demo", "comparison_check"):
+        run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path / name), seed=seed)
+    assert hits == []
+
+
 def test_chainrule_suite_passes_at_a_tight_tolerance(tmp_path):
     """At --tol 1e-12 every case of the pinned chain-rule battery closes,
     the mu_C slots included: the adaptive rules refine each Cantor cell to
