@@ -55,11 +55,6 @@ class Interval:
         return self.a <= other.a and other.b <= self.b
 
 
-def _rows_ascend(xs):
-    """Whether ``xs`` is 2-D with nondecreasing rows (a NaN fails)."""
-    return xs.ndim == 2 and bool(np.all(xs[:, 1:] >= xs[:, :-1]))
-
-
 def _horner(coeffs, s):
     """sum(coeffs[k] s^k), by the same float operations as npoly.polyval."""
     out = coeffs[-1] + s * 0
@@ -355,21 +350,9 @@ class CantorBase:
 
     def profile(self, xs):
         """The rescaled Cantor function, by the exact digit scan: 0 left of
-        the support, 1 right of it.
-
-        A 2-D ``xs`` with ascending rows is scanned at each row's two end
-        nodes first: the scan is monotone, so a row whose ends agree is
-        constant.  The other rows are scanned node by node."""
+        the support, 1 right of it."""
         # fmax maps NaN to 0, as left of the support
-        ts = np.fmin(np.fmax(self.to_std(xs), 0.0), 1.0)
-        if not _rows_ascend(ts):
-            return cantor.cantor_function_eval(ts)
-        ends = cantor.cantor_function_eval(ts[:, [0, -1]])
-        out = np.repeat(ends[:, :1], ts.shape[1], axis=1)
-        mixed = ends[:, 0] != ends[:, 1]
-        if mixed.any():
-            out[mixed] = cantor.cantor_function_eval(ts[mixed])
-        return out
+        return cantor.cantor_function_eval(np.fmin(np.fmax(self.to_std(xs), 0.0), 1.0))
 
     def mass(self, lo, hi):
         """Measure of [lo, hi] (the base measure is non-atomic)."""

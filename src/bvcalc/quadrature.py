@@ -23,17 +23,17 @@ a time, down to a sliver that is split at it.
 
 Smooth cells are refined adaptively by the nested Gauss 3 / Kronrod 7 /
 Patterson 15 rules (Kronrod 1965; Patterson 1968), whose nodes each hold the
-previous rule's.  Each pass evaluates the integrand in blocks of cells on
-``(cells, 7)`` rows of K7 nodes; a cell takes K7 if |K7 - G3| meets its share
-of tol, else P15 from ``(cells, 8)`` rows of the other nodes if |P15 - K7|
-does, else it is bisected.  Leftover cells are refined the same way, by a
-nested pair of fitted rules on shared nodes: a cell takes the 13-node rule B
-if |B - A| against the 8-node rule A meets its share, else it splits into its
-two Cantor children, leftover cells, and its middle gap, a smooth cell.
-Every sum runs over the cell's own nodes in an explicit association (left to
+previous rule's.  Each pass evaluates the integrand at the 7 K7 nodes of
+every live smooth cell; a cell takes K7 if |K7 - G3| meets its share of
+tol, else P15 from its 8 other nodes if |P15 - K7| does, else it is
+bisected.  Leftover cells are refined the same way, by a nested pair of
+fitted rules on shared nodes: a cell takes the 13-node rule B if |B - A|
+against the 8-node rule A meets its share, else it splits into its two
+Cantor children, leftover cells, and its middle gap, a smooth cell.  Every
+sum runs over the cell's own nodes in an explicit association (left to
 right over the 7 K7 and the 13 or 20 fitted nodes, pairwise over the 8
-others: :func:`_node_sums`), so it has the same bits whatever else the block
-holds.
+others: :func:`_node_sums`), so it has the same bits whatever else the
+integrand call holds.
 
 Integrals against the Cantor measure mu_C of a support run through the same
 driver (:func:`integrate_cantor`): the same tiling, with its gaps dropped, as
@@ -43,15 +43,21 @@ rule E meets its mass's share of tol, else it splits into its two children.
 
 An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
 components is then refined on its own, and the components may split into
-groups with a layout each (one test function's window, say): a pass evaluates
-the union of their live leftover cells, of their live smooth cells, then of
-those failing K7, once each, and each component keeps the float operations of
-integrating it alone.
+groups with a layout each (one test function's window, say).  The live cells
+of all components sit in a few flat arrays, each cell tagged with its
+component, and a pass decides every cell with one set of array operations;
+each component keeps the float operations of integrating it alone.  The
+integrand is called on flat arrays of nodes, each distinct cell once
+whichever components hold it, and the calls follow the data: a pass
+evaluates the K7 nodes of the live smooth cells together with the nodes of
+the next pass's Cantor cells (the children of this pass's failing ones,
+known before any smooth cell is evaluated), then the 8 other nodes of the
+cells that fail K7.  The first pass's Cantor cells ride in its K7 call, and
+the gaps of those that fail take one call more.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -408,70 +414,71 @@ def _node_sums(block, rules, out):
     out += 0.0
 
 
-def _panel(f, lo, hi, nodes, rules):
-    """The sums of ``f`` on each cell [lo_i, hi_i] at its ``nodes`` (on
-    [-1, 1]) under each weight row of ``rules``, before the half-width
-    factor: an (r, n) array, or (r, k, n) for a stacked integrand, from one
-    call per block of cells.  Each sum runs over its row's own nodes in the
-    fixed association of :func:`_node_sums`, whatever else the block
-    holds."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    sums = None
-    for s in range(0, lo.size, _BLOCK):
-        xs = mid[s:s + _BLOCK, None] + half[s:s + _BLOCK, None] * nodes
-        block = _apply(f, xs, stacked=True)
-        if sums is None:
-            sums = np.empty((len(rules),) + block.shape[:-2] + (lo.size,))
-        _node_sums(block, rules, sums[..., s:s + _BLOCK])
-    return sums
+def _evaluate(f, parts):
+    """The sums of ``f`` on each part ``(lo, hi, nodes, rules)``, the cells
+    [lo_i, hi_i] at their ``nodes`` (on [-1, 1]) under each weight row of
+    ``rules``, before the half-width factor: per part an (r, n) array, or
+    (r, k, n) for a stacked integrand.  The parts' cells go in one flat
+    array of nodes per call, at most _BLOCK cells of all parts together,
+    and one call on no point if there is no cell.  Each sum runs over its
+    row's own nodes in the fixed association of :func:`_node_sums`,
+    whatever else the call holds."""
+    sizes = [lo.size for lo, _, _, _ in parts]
+    out = [None] * len(parts)
+    for s in range(0, max(sum(sizes), 1), _BLOCK):
+        held, points, start = [], [], 0
+        for p, (lo, hi, nodes, _) in enumerate(parts):
+            a, b = max(s - start, 0), min(s + _BLOCK - start, sizes[p])
+            start += sizes[p]
+            if a < b:
+                mid, half = 0.5 * (lo[a:b] + hi[a:b]), 0.5 * (hi[a:b] - lo[a:b])
+                points.append((mid[:, None] + half[:, None] * nodes).ravel())
+                held.append((p, a, b))
+        xs = points[0] if len(points) == 1 else np.concatenate(points or [np.empty(0)])
+        vals = _apply(f, xs, stacked=True)
+        at = 0
+        for p, a, b in held:
+            nodes, rules = parts[p][2:]
+            if out[p] is None:
+                out[p] = np.empty((len(rules),) + vals.shape[:-1] + (sizes[p],))
+            n = (b - a) * nodes.size
+            block = vals[..., at:at + n].reshape(vals.shape[:-1] + (b - a, nodes.size))
+            _node_sums(block, rules, out[p][..., a:b])
+            at += n
+    for p, (_, _, _, rules) in enumerate(parts):
+        if out[p] is None:
+            out[p] = np.empty((len(rules),) + vals.shape[:-1] + (0,))
+    return out
 
 
-def _union(sets):
-    """The cells of the ``(lo, hi)`` cell sets, once each, and per set its
-    rows in them (None: every row, in order; empty sets have no rows).  A
-    set that several components share is keyed once; a cell's key is its
-    (lo, hi) pair read as one complex number."""
-    distinct = list({id(c): c for c in sets if c[0].size}.values())
-    if len(distinct) <= 1:
-        return (distinct[0] if distinct else (np.empty(0), np.empty(0))), [None] * len(sets)
-    keys = [np.column_stack(c).view(complex).ravel() for c in distinct]
-    cells, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    rows = np.split(inv.reshape(-1), np.cumsum([c[0].size for c in distinct])[:-1])
-    rows = dict(zip(map(id, distinct), rows))
-    return (cells.real, cells.imag), [rows.get(id(c)) for c in sets]
+def _distinct(lo, hi, tag):
+    """The distinct cells among [lo_i, hi_i], and each one's row among
+    them; every row its own if all share one ``tag``, as one component's
+    cells are disjoint.  A sort and a look at the neighbours: np.unique would
+    import numpy.ma."""
+    if not lo.size or tag[0] == tag[-1]:
+        return lo, hi, np.arange(lo.size)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new = np.ones(lo.size, dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    rows = np.empty(lo.size, dtype=np.intp)
+    rows[order] = np.cumsum(new) - 1
+    return lo[new], hi[new], rows
 
 
-def _spread(groups, k):
-    """Per component of k, the entry of its group: the components split
-    into ``len(groups)`` equal consecutive groups."""
-    if k % len(groups):
-        raise DomainError(f"{k} components do not split into {len(groups)} layouts")
-    return [groups[c * len(groups) // k] for c in range(k)]
+def _runs(tag, k):
+    """The bounds of the runs of the ascending ``tag`` of each of k
+    components, as a list."""
+    return [0, tag.size] if k == 1 else np.searchsorted(tag, np.arange(k + 1)).tolist()
 
 
-def _rule_sums(f, sets, nodes, rules):
-    """The sums of ``f`` under each weight row of ``rules`` on the union of
-    the ``(lo, hi)`` cell sets (see :func:`_panel`), as an (r, k, n) array
-    of k components (an unstacked ``f`` gives one row, which each of the
-    ``len(sets)`` components reads); per set its rows in the union (see
-    :func:`_union`); the union; and whether ``f`` is stacked."""
-    (ulo, uhi), rows = _union(sets)
-    if ulo.size:
-        sums = _panel(f, ulo, uhi, nodes, rules)
-    else:  # no cell: one empty call tells the number of components
-        vals = _apply(f, np.empty(0), stacked=True)
-        sums = np.empty((len(rules),) + vals.shape[:-1] + (0,))
-    stacked = sums.ndim > 2
-    if not stacked:
-        sums = np.broadcast_to(sums[:, None], (len(sums), len(sets), ulo.size))
-    return sums, rows, (ulo, uhi), stacked
-
-
-def _ascending(lo, *rest):
-    """``lo`` ascending, and each array of ``rest`` in the same order."""
-    order = np.argsort(lo)
-    return (lo[order], *(r[order] for r in rest))
+def _copies(tag, group):
+    """The rows of every component's copy of its group's rows, with their
+    tags: component c copies group ``group[c]`` of the ascending ``tag``."""
+    bounds = _runs(tag, int(group[-1]) + 1)
+    copies = [np.arange(bounds[j], bounds[j + 1]) for j in group]
+    return np.concatenate(copies), np.repeat(np.arange(group.size), [c.size for c in copies])
 
 
 def _check_tol(tol):
@@ -482,75 +489,36 @@ def _check_tol(tol):
             raise DomainError(f"tolerance {t!r} is not finite and positive")
 
 
-class _Component:
-    """One component's refinement: its live smooth and Cantor cells as
-    ``(lo, hi)`` pairs, its tol and the measure that shares it, its integral
-    so far and the error it raises, if any.  Against dx (``mass`` None) the
-    Cantor cells are leftover cells, for rules B and A times their
-    half-width, and a failing one's middle gap joins the smooth cells.
-    Against mu_C each carries its ``mass``, for rules D and E, and a failing
-    one's gap is dropped; the ``pieces`` ``(lo, hi, mass)`` take one node
-    each on the first pass."""
+class _Cells:
+    """Cells [lo_i, hi_i] of every component in one set of arrays, each
+    tagged with its component, in runs by component: against mu_C with
+    each one's ``mass``, and once evaluated with its rule ``sums``, an (r, n)
+    array."""
 
-    def __init__(self, smooth, left, tol, mass=None, pieces=(np.empty(0),) * 3):
-        self.smooth, self.left, self.mass, self.pieces, self.tol = smooth, left, mass, pieces, tol
-        if mass is None:
-            width = float(np.sum(smooth[1] - smooth[0]))
-            if left[0].size:
-                width += float(np.sum(left[1] - left[0]))
-        else:
-            width = float(np.sum(mass)) + float(np.sum(pieces[2]))
-        self.length = max(width, 1e-300)
-        self.total, self.error = 0.0, None
+    __slots__ = ("lo", "hi", "tag", "mass", "sums")
 
-    def budget(self, measure):
-        """Each cell's share of half the tol, in proportion to its measure."""
-        return 0.5 * self.tol * measure / self.length
+    def __init__(self, lo, hi, tag, mass=None):
+        self.lo, self.hi, self.tag, self.mass, self.sums = lo, hi, tag, mass, None
 
-    def fail(self, error):
-        self.error = error
-        self.smooth = self.left = (self.smooth[0][:0],) * 2
-
-    def take_leftover(self, sums, rows):
-        """The higher rule on the live Cantor cells, from their rows ``rows``
-        (None: all) of the (2, n) ``sums`` under both rules.  A cell passes
-        if the rules' difference meets its budget; else it gives way to its
-        two children, and against dx to its middle gap, a smooth cell."""
-        lo, hi = self.left
-        if not lo.size:
-            return
-        rows = np.arange(lo.size) if rows is None else rows
-        scale = 0.5 * (hi - lo) if self.mass is None else self.mass
-        val = sums[0, rows] * scale
-        err = np.abs(val - sums[1, rows] * scale)
-        budget = self.budget(hi - lo if self.mass is None else self.mass)
-        ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
-        self.total += float(np.sum(val[ok]))
-        if ok.all():
-            self.left = (lo[:0], hi[:0])
-            return
-        lo, hi, budget = lo[~ok], hi[~ok], budget[~ok]
-        a, b = _thirds(lo, hi)
-        cramped = np.flatnonzero(~(_roomy(lo, a) & _roomy(b, hi)))
-        if cramped.size:
-            i = cramped[0]
-            self.fail(QuadratureError(
-                f"tolerance {self.tol:g} unreachable: the Cantor cell "
-                f"[{float(lo[i])!r}, {float(hi[i])!r}] misses its budget "
-                f"{budget[i]:.3g}, and its children are too narrow for the "
-                "fitted rules' nodes"
-            ))
-            return
-        lo, hi = np.concatenate((lo, b)), np.concatenate((a, hi))
+    def keep(self, rows):
+        """Keep only the rows ``rows``, in their order."""
+        self.lo, self.hi, self.tag = self.lo[rows], self.hi[rows], self.tag[rows]
         if self.mass is not None:
-            mass = 0.5 * self.mass[~ok]
-            lo, hi, self.mass = _ascending(lo, hi, np.concatenate((mass, mass)))
-            self.left = (lo, hi)
-            return
-        self.left = _ascending(lo, hi)
-        self.smooth = _ascending(
-            np.concatenate((self.smooth[0], a)), np.concatenate((self.smooth[1], b))
-        )
+            self.mass = self.mass[rows]
+        if self.sums is not None:
+            self.sums = self.sums[:, rows]
+        return self
+
+
+def _flat(cells, masses=None):
+    """The (n_j, 2) ``cells`` of each group j as one :class:`_Cells`, with
+    the per-cell ``masses`` of each group, if given."""
+    if len(cells) == 1:
+        flat, tag = cells[0], np.zeros(len(cells[0]), dtype=np.intp)
+    else:
+        flat = np.concatenate(cells)
+        tag = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    return _Cells(flat[:, 0], flat[:, 1], tag, None if masses is None else np.concatenate(masses))
 
 
 def integrate_cells(f, smooth, mids, tol):
@@ -574,10 +542,19 @@ def integrate_cells(f, smooth, mids, tol):
     integrand is then one component per layout, each reading its layout's
     rows of the one value array, and a g-tuple is returned.  Each component
     keeps its own cells, budget, passing cells, refinement and error, so its
-    float operations are those of integrating it alone; each pass evaluates
-    the integrand once on the union of the components' live leftover cells,
-    once on the union of their live smooth cells and once on the union of
-    those that fail K7.
+    float operations are those of integrating it alone, though all of them
+    are refined together, in one set of arrays.  A pass calls the integrand
+    at most twice per _BLOCK cells, on flat arrays of nodes, each cell once
+    whichever components hold it: once at the K7 nodes of the live smooth
+    cells and at the nodes of the next pass's leftover cells, the children
+    of this pass's failing ones, and once at the 8 other nodes of the
+    smooth cells that fail K7.  The first pass's
+    leftover cells ride in its K7 call, and the gaps of those that fail
+    take one call more, with their children; the leftover cells go first,
+    in a call of their own, if a gap of theirs is a smooth cell of another
+    layout (which would be evaluated twice) or if the children of one
+    could be too narrow for the rules' nodes (a component that fails
+    evaluates none of its smooth cells).
     Of the components that fail, the first one's error is raised."""
     grouped = not isinstance(smooth, np.ndarray)
     if not grouped:
@@ -586,97 +563,249 @@ def integrate_cells(f, smooth, mids, tol):
     if len(tols) != len(smooth):
         raise DomainError(f"{len(tols)} tolerances for {len(smooth)} layouts")
     _check_tol(tols)
-    return _refine(f, [
-        _Component((s[:, 0], s[:, 1]), (m[:, 0], m[:, 1]), t)
-        for s, m, t in zip(smooth, mids, tols)
-    ], grouped)
+    lengths = [
+        float(np.sum(s[:, 1] - s[:, 0])) + float(np.sum(m[:, 1] - m[:, 0]))
+        for s, m in zip(smooth, mids)
+    ]
+    return _refine(f, _flat(smooth), _flat(mids), None, tols, lengths, grouped)
 
 
-def _refine(f, comps, grouped):
-    """The passes of :func:`integrate_cells` and :func:`integrate_cantor`
-    on the components ``comps``, one per group until an evaluation shows
-    how many components there are; the results as those functions return
-    them."""
-    stacked = None
-    rules = (_FIT, _FIT_RULES) if not comps or comps[0].mass is None else (_MU, _MU_RULES)
+def _refine(f, smooth, left, pieces, tols, lengths, grouped):
+    """The passes of :func:`integrate_cells` and :func:`integrate_cantor`.
 
-    def evaluate(cells, nodes, rules):
-        """:func:`_rule_sums` on the components' ``cells``; the first call
-        spreads the groups to their components, each its own copy."""
-        nonlocal comps, stacked
-        sums, rows, union, now = _rule_sums(f, [cells(c) for c in comps], nodes, rules)
+    ``smooth`` and ``left`` are the smooth and Cantor cells of every group
+    of components, tagged with their group, and ``pieces`` (mu_C: one node
+    each, at its mass) or None; ``tols`` and ``lengths`` give each group's
+    tol and measure.  Against dx the Cantor cells are leftover cells, for
+    rules B and A times their half-width, and a failing one's middle gap
+    joins the smooth cells; against mu_C (``left.mass`` given) they take
+    rules D and E times their mass, and a failing one's gap is dropped.
+    The first integrand call shows how many components there are, and
+    each component then takes a copy of its group's cells.  Each pass
+    decides every component's cells with one set of array operations; a
+    component's smooth cells keep their layout order until it bisects or
+    splits a Cantor cell, then go by their left ends, and each total grows
+    by one np.sum of the component's run of passing values.  The results
+    as those functions return them."""
+    mu = left.mass is not None
+    rules = (_MU, _MU_RULES) if mu else (_FIT, _FIT_RULES)
+    tol, length = np.array(tols, dtype=float), np.maximum(np.array(lengths), 1e-300)
+    comps, stacked = len(tols), None
+    errors, totals = [None] * comps, [0.0] * comps
+
+    def call(parts):
+        """Evaluate the parts ``(cells, nodes, rules)`` in one go, each on
+        its distinct cells, and set each part's rule sums.  The first call
+        also takes the pieces, and gives each component a copy of its
+        group's cells."""
+        nonlocal comps, stacked, tol, length, errors, pieces
+        parts = parts + ([(pieces, _CENTRE, _ONE)] if pieces else [])
+        distinct = [_distinct(c.lo, c.hi, c.tag) for c, _, _ in parts]
+        sums = _evaluate(f, [(lo, hi, *rule) for (lo, hi, _), (_, *rule) in zip(distinct, parts)])
+        rows = [r for _, _, r in distinct]
         if stacked is None:
-            k = sums.shape[1]
-            comps, rows = [copy.copy(c) for c in _spread(comps, k)], _spread(rows, k)
-        stacked = now
-        return sums, rows, union
+            stacked = sums[0].ndim > 2
+            k = sums[0].shape[1] if stacked else comps
+            if k % comps:
+                raise DomainError(f"{k} components do not split into {comps} layouts")
+            if k > comps:
+                group = np.arange(k) * comps // k
+                tol, length, errors = tol[group], length[group], [errors[j] for j in group]
+                totals[:] = [totals[j] for j in group]
+                held = (smooth, left, pieces, *(c for c, _, _ in parts))
+                for cells in {id(c): c for c in held if c}.values():
+                    taken, tag = _copies(cells.tag, group)
+                    rows = [r[taken] if c is cells else r for (c, _, _), r in zip(parts, rows)]
+                    cells.keep(taken).tag = tag
+                comps = k
+        for (cells, _, _), s, r in zip(parts, sums, rows):
+            cells.sums = s[:, cells.tag, r] if stacked else s[:, r]
+        if pieces:  # each piece: its mass times f at its midpoint
+            add(pieces.sums[0] * pieces.mass, pieces.tag)
+            pieces = None
 
-    if any(comp.pieces[0].size for comp in comps):
-        # each piece: its mass times f at its midpoint
-        sums, rows, _ = evaluate(lambda c: c.pieces[:2], _CENTRE, _ONE)
-        for c, (comp, r) in enumerate(zip(comps, rows)):
-            r = np.arange(comp.pieces[0].size) if r is None else r
-            comp.total += float(np.sum(sums[0, c, r] * comp.pieces[2]))
+    def add(vals, tag):
+        """Add to each component's total one np.sum of its run of ``vals``."""
+        if vals.size:
+            bounds = _runs(tag, comps)
+            for c in range(comps):
+                if bounds[c] < bounds[c + 1]:
+                    totals[c] += float(np.sum(vals[bounds[c]:bounds[c + 1]]))
+
+    def fail(dead, error):
+        """The components ``dead`` fail with ``error(c)``; their cells go."""
+        for c in dead:
+            errors[c] = error(c)
+        gone = np.zeros(comps, dtype=bool)
+        gone[list(dead)] = True
+        for cells in (smooth, left):
+            cells.keep(~gone[cells.tag])
+
     for npass in range(1, _MAX_PASSES + 1):
-        for comp in comps:
-            live = comp.smooth[0].size + comp.left[0].size
-            if live > _MAX_CELLS:
-                comp.fail(QuadratureError(f"tolerance {comp.tol:g} unreachable: {live} live cells"))
-        if stacked is not None and not any(c.smooth[0].size + c.left[0].size for c in comps):
+        if smooth.lo.size + left.lo.size > _MAX_CELLS:
+            live = np.bincount(smooth.tag, minlength=comps) + np.bincount(left.tag, minlength=comps)
+            fail(np.flatnonzero(live > _MAX_CELLS).tolist(), lambda c: QuadratureError(
+                f"tolerance {tol[c]:g} unreachable: {live[c]} live cells"
+            ))
+        if stacked is not None and not (smooth.lo.size or left.lo.size):
             break
-        if any(comp.left[0].size for comp in comps):
-            sums, rows, _ = evaluate(lambda c: c.left, *rules)
-            for c, (comp, r) in enumerate(zip(comps, rows)):
-                comp.take_leftover(sums[:, c], r)
-        if stacked is not None and not any(comp.smooth[0].size for comp in comps):
-            continue
-        sums, rows, (ulo, uhi) = evaluate(lambda c: c.smooth, _K7, _K7_RULES)
-        # K7 against G3, and the union rows that fail in some component
-        steps, need = [], np.zeros(ulo.size, dtype=bool)
-        for c, (comp, r) in enumerate(zip(comps, rows)):
-            lo, hi = comp.smooth
-            r = np.arange(lo.size) if r is None else r
-            half = 0.5 * (hi - lo)
-            val = sums[1, c, r] * half
-            err = np.abs(val - sums[0, c, r] * half)
-            budget = comp.budget(hi - lo)
-            ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
-            need[r[~ok]] = True
-            steps.append((r, half, val, err, budget, ok))
-        # P15 on those rows, from their 8 other nodes; a boolean mask, as
-        # np.unique would import numpy.ma
-        if need.any():
-            more = _panel(f, ulo[need], uhi[need], _P8, _P8_RULES)[0]
-            more = more if stacked else np.broadcast_to(more, (len(comps), more.size))
-            at = np.cumsum(need) - 1
-        for c, (comp, (r, half, val, err, budget, ok)) in enumerate(zip(comps, steps)):
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                p15 = (sums[2, c, r[bad]] + more[c, at[r[bad]]]) * half[bad]
-                err[bad] = np.abs(p15 - val[bad])
-                ok[bad] = err[bad] <= np.maximum(budget[bad], 1e-17 * np.abs(p15))
-                val[bad] = p15
-            if npass == _MAX_PASSES and np.sum(err[~ok]) <= 0.5 * comp.tol:
-                ok[:] = True
-            comp.total += float(np.sum(val[ok]))
-            lo, hi = comp.smooth
-            lo, hi = lo[~ok], hi[~ok]
-            if lo.size and npass < _MAX_PASSES:
-                mid = 0.5 * (lo + hi)
-                lo, hi = _ascending(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-            comp.smooth = (lo, hi)
-    for comp in comps:
-        live = comp.smooth[0].size + comp.left[0].size
-        if live and comp.error is None:
-            comp.error = QuadratureError(
-                f"tolerance {comp.tol:g} unreachable: {live} cells still failing "
+        pending = left.lo.size and left.sums is None
+        if pending and (_risky(left) or _repeats(smooth, left)):
+            # a component may fail on these cells, or a gap of theirs is
+            # a smooth cell: they go first, alone
+            call([(left, *rules)])
+            pending = False
+        if left.lo.size and not pending:
+            gaps, left = _take_leftover(left, tol, length, add, fail, mu)
+            smooth = _join(smooth, gaps)
+        ahead = not pending and _ahead(smooth, left, npass)
+        if smooth.lo.size or pending or ahead or stacked is None:
+            call([(smooth, _K7, _K7_RULES)] + ([(left, *rules)] if pending or ahead else []))
+        if pending:
+            # the gaps of the Cantor cells just evaluated join the smooth
+            # cells after one more call, with the next pass's Cantor cells
+            gaps, left = _take_leftover(left, tol, length, add, fail, mu)
+            ahead = _ahead(smooth, left, npass, gaps.lo.size)
+            if gaps.lo.size or ahead:
+                call([(gaps, _K7, _K7_RULES)] + ([(left, *rules)] if ahead else []))
+            smooth = _join(smooth, gaps)
+        if smooth.lo.size:
+            smooth = _take_smooth(smooth, tol, length, add, call, npass)
+    live = np.bincount(smooth.tag, minlength=comps) + np.bincount(left.tag, minlength=comps)
+    for c in np.flatnonzero(live).tolist():
+        if errors[c] is None:
+            errors[c] = QuadratureError(
+                f"tolerance {tol[c]:g} unreachable: {live[c]} cells still failing "
                 f"after {_MAX_PASSES} refinement passes"
             )
-    error = next((comp.error for comp in comps if comp.error is not None), None)
+    error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error
-    totals = [comp.total for comp in comps]
     return tuple(totals) if stacked or grouped else totals[0]
+
+
+def _take_leftover(left, tol, length, add, fail, mu):
+    """The rule pair on every live Cantor cell: a cell passes if the rules'
+    difference meets its budget; else it gives way to its two children,
+    the next pass's Cantor cells, and against dx to its middle gap, a
+    smooth cell.  A component with a failing cell whose children would be
+    too narrow for the nodes fails.  The gaps (none against mu_C) and
+    the children."""
+    lo, hi, tag, mass = left.lo, left.hi, left.tag, left.mass
+    scale = mass if mu else 0.5 * (hi - lo)
+    val = left.sums[0] * scale
+    err = np.abs(val - left.sums[1] * scale)
+    budget = 0.5 * tol[tag] * (mass if mu else hi - lo) / length[tag]
+    ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
+    add(val[ok], tag[ok])
+    if ok.all():
+        none = np.flatnonzero(~ok)
+        return _Cells(lo[none], hi[none], tag[none]), left.keep(none)
+    bad = ~ok
+    lo, hi, tag, budget = lo[bad], hi[bad], tag[bad], budget[bad]
+    a, b = _thirds(lo, hi)
+    dead = {}
+    for i in np.flatnonzero(~(_roomy(lo, a) & _roomy(b, hi))).tolist():
+        dead.setdefault(int(tag[i]), i)
+    if dead:
+        fail(dead, lambda c: QuadratureError(
+            f"tolerance {tol[c]:g} unreachable: the Cantor cell "
+            f"[{float(lo[dead[c]])!r}, {float(hi[dead[c]])!r}] misses its budget "
+            f"{budget[dead[c]]:.3g}, and its children are too narrow for the "
+            "fitted rules' nodes"
+        ))
+        alive = np.ones(tol.size, dtype=bool)
+        alive[list(dead)] = False
+        keep = alive[tag]
+        lo, hi, tag, a, b = lo[keep], hi[keep], tag[keep], a[keep], b[keep]
+        bad[bad] = keep
+    children = _Cells(
+        np.concatenate((lo, b)), np.concatenate((a, hi)), np.concatenate((tag, tag)),
+        np.concatenate((0.5 * mass[bad],) * 2) if mu else None,
+    )
+    children.keep(np.lexsort((children.lo, children.tag)))
+    return _Cells(a[:0], b[:0], tag[:0]) if mu else _Cells(a, b, tag), children
+
+
+def _risky(left):
+    """Whether the children of some Cantor cell would be too narrow for
+    the fitted rules' nodes."""
+    a, b = _thirds(left.lo, left.hi)
+    return not np.all(_roomy(left.lo, a) & _roomy(b, left.hi))
+
+
+def _repeats(smooth, left):
+    """Whether the middle gap of some Cantor cell is a smooth cell too (of
+    another layout): the cells as complex keys (lo, hi), which sort
+    lexicographically."""
+    tags = np.concatenate((smooth.tag, left.tag))
+    if not smooth.lo.size or tags.min() == tags.max():
+        return False
+    a, b = _thirds(left.lo, left.hi)
+    gaps = np.sort(np.column_stack((a, b)).view(complex).ravel())
+    keys = np.column_stack((smooth.lo, smooth.hi)).view(complex).ravel()
+    return bool(np.any(gaps[np.minimum(np.searchsorted(gaps, keys), gaps.size - 1)] == keys))
+
+
+def _ahead(smooth, left, npass, more=0):
+    """Whether the next pass's Cantor cells ``left`` may be evaluated in
+    this pass: there is a next pass, and no component can reach
+    _MAX_CELLS live cells at its start, beside ``more`` smooth cells."""
+    return bool(left.lo.size) and npass < _MAX_PASSES and (
+        2 * (smooth.lo.size + more) + left.lo.size <= _MAX_CELLS
+    )
+
+
+def _join(smooth, gaps):
+    """The smooth cells with the ``gaps`` of failing Cantor cells among
+    them, and with their rule sums if both have them; the cells of a
+    component with gaps go by their left ends, the others keep their
+    order."""
+    if not gaps.lo.size:
+        return smooth
+    cells = _Cells(*(
+        np.concatenate((getattr(smooth, v), getattr(gaps, v))) for v in ("lo", "hi", "tag")
+    ))
+    if gaps.sums is not None:
+        cells.sums = np.concatenate((smooth.sums, gaps.sums), axis=1)
+    resort = np.zeros(cells.tag.max() + 1, dtype=bool)
+    resort[gaps.tag] = True
+    key = np.where(resort[cells.tag], cells.lo, np.arange(cells.lo.size))
+    return cells.keep(np.lexsort((key, cells.tag)))
+
+
+def _take_smooth(smooth, tol, length, add, call, npass):
+    """K7 on every live smooth cell if |K7 - G3| meets its budget, else P15
+    from the cell's 8 other nodes if |P15 - K7| does; on the last pass a
+    component's failing cells pass if their |P15 - K7| sum to at most
+    tol/2.  The failing cells, bisected unless this is the last pass."""
+    lo, hi, tag, sums = smooth.lo, smooth.hi, smooth.tag, smooth.sums
+    half = 0.5 * (hi - lo)
+    val = sums[1] * half
+    err = np.abs(val - sums[0] * half)
+    budget = 0.5 * tol[tag] * (hi - lo) / length[tag]
+    ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        more = _Cells(lo[bad], hi[bad], tag[bad])
+        call([(more, _P8, _P8_RULES)])
+        p15 = (sums[2, bad] + more.sums[0]) * half[bad]
+        err[bad] = np.abs(p15 - val[bad])
+        ok[bad] = err[bad] <= np.maximum(budget[bad], 1e-17 * np.abs(p15))
+        val[bad] = p15
+    if npass == _MAX_PASSES:
+        bounds = _runs(tag[~ok], tol.size)
+        rest = err[~ok]
+        for c in range(tol.size):
+            if np.sum(rest[bounds[c]:bounds[c + 1]]) <= 0.5 * tol[c]:
+                ok[tag == c] = True
+    add(val[ok], tag[ok])
+    lo, hi, tag = lo[~ok], hi[~ok], tag[~ok]
+    if not lo.size or npass == _MAX_PASSES:
+        return _Cells(lo, hi, tag)
+    mid = 0.5 * (lo + hi)
+    cells = _Cells(np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((tag, tag)))
+    return cells.keep(np.lexsort((cells.lo, cells.tag)))
 
 
 def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
@@ -687,15 +816,16 @@ def integrate_interval(f, lo, hi, tol=1e-9, breakpoints=(), cantor_supports=()):
     kink; ``cantor_supports`` every (lo, hi) support of a Cantor-function
     summand appearing anywhere inside ``f``.
 
-    ``f`` is called on float arrays of any shape.  A stacked integrand,
+    ``f`` is called on flat float arrays of nodes (and works on any shape).
+    A stacked integrand,
     whose values carry a leading axis of k components, gives a k-tuple:
     each component is refined on its own (see :func:`integrate_cells`).
     ``lo`` and ``hi`` may also be sequences of g windows, with
     ``breakpoints`` and ``cantor_supports`` one sequence per window and
     ``tol`` one tolerance or one per window: window j's layout serves the
     j-th of g equal consecutive groups of components (an unstacked ``f`` is
-    one component per window, and gives a g-tuple), and every pass
-    evaluates the integrand once for all of them.
+    one component per window, and gives a g-tuple), and each integrand call
+    serves all of them, as :func:`integrate_cells` describes.
     """
     _check_tol(tol)
     if np.ndim(lo):
@@ -755,8 +885,10 @@ def integrate_cantor(f, support, lo, hi, breakpoints, tol):
     grouped = np.ndim(lo) > 0
     windows = list(zip(lo, hi, breakpoints)) if grouped else [(lo, hi, breakpoints)]
     tols = list(tol) if np.ndim(tol) else [tol] * len(windows)
-    comps = []
-    for (a, b, cuts), t in zip(windows, tols):
-        cells, mass, pieces = _cantor_layout(support, a, b, cuts)
-        comps.append(_Component((np.empty(0),) * 2, (cells[:, 0], cells[:, 1]), t, mass, pieces))
-    return _refine(f, comps, grouped)
+    cells, masses, pieces = zip(*(_cantor_layout(support, a, b, cuts) for a, b, cuts in windows))
+    lengths = [float(np.sum(m)) + float(np.sum(p[2])) for m, p in zip(masses, pieces)]
+    pieces = _flat([np.column_stack(p[:2]) for p in pieces], [p[2] for p in pieces])
+    return _refine(
+        f, _flat([np.empty((0, 2))] * len(windows)), _flat(cells, masses),
+        pieces if pieces.lo.size else None, tols, lengths, grouped,
+    )

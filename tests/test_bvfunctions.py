@@ -874,7 +874,7 @@ def _same_bits(a, b):
 @given(_node_rows())
 @settings(max_examples=150, deadline=None)
 def test_cell_shaped_nodes_give_the_pointwise_bits(xs):
-    """One lookup per ascending row must give what a lookup per node does."""
+    """Cell-shaped (2-D) node arrays give the bits of a lookup per node."""
     base, _ = _ROW_U.cantor_part[0]
     pp = _ROW_U.smooth_part
     for f in (base.profile, _ROW_U.values, pp.at, lambda x: pp.at(x, "left")):

@@ -12,7 +12,10 @@ must agree in every float and in the order of the cells, because
 
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -323,13 +326,32 @@ def test_stacked_components_integrate_as_if_alone(stack):
 @pytest.mark.parametrize("block", [1, 7, 512])
 def test_block_size_leaves_the_bits_alone(block, monkeypatch):
     """A Gauss sum runs over one cell's own nodes in a fixed order, so the
-    bits do not depend on how many cells share an integrand call."""
+    bits do not depend on how many cells share an integrand call.  No call
+    holds more than _BLOCK cells, counting every row of a call that holds
+    K7 rows and leftover rows (13 nodes) together; with room for them,
+    some call does."""
     windows = [(0.0, 1.0, (0.25,), ((0.0, 1.0),)), (0.1, 0.9, (0.5,), ((0.2, 0.65),))]
     fs = [COMPONENTS[n] for n in ("sqrt", "wiggle", "cubic", "wiggle")]
     alone = _alone(fs, windows, 1e-8)
+    calls = []  # per integrand call, its cells by number of nodes
+    apply, node_sums = quadrature._apply, quadrature._node_sums
+
+    def spy_apply(f, xs, stacked=False):
+        calls.append({})
+        return apply(f, xs, stacked)
+
+    def spy_node_sums(block, rules, out):
+        nodes = block.shape[-1]
+        calls[-1][nodes] = calls[-1].get(nodes, 0) + block.shape[-2]
+        node_sums(block, rules, out)
+
     monkeypatch.setattr(quadrature, "_BLOCK", block)
+    monkeypatch.setattr(quadrature, "_apply", spy_apply)
+    monkeypatch.setattr(quadrature, "_node_sums", spy_node_sums)
     assert _alone(fs, windows, 1e-8) == alone
     _assert_stacked_as_alone(fs, windows, 1e-8, alone)
+    assert max(sum(cells.values()) for cells in calls) <= block
+    assert any(7 in cells and 13 in cells for cells in calls) == (block > 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -409,7 +431,7 @@ def test_quadrature_sums_use_no_blas():
     text = Path(quadrature.__file__).read_text()
     for token in ("@", "np.dot", "np.einsum"):
         assert token not in text
-    for fn in (quadrature._panel, quadrature._node_sums):
+    for fn in (quadrature._evaluate, quadrature._node_sums):
         assert ".sum(" not in inspect.getsource(fn)
 
 
@@ -992,3 +1014,24 @@ def test_sloped_search_stops_at_one_ulp_past_64():
     assert len(calls) < 20
     assert got.tobytes() == _halving(lambda xs, idx: xs * xs - 4200.0, [64.0], [65.0], [25.0]).tobytes()
     assert abs(got[0] - math.sqrt(4200.0)) <= np.spacing(got[0])
+
+
+def test_generated_suites_do_not_import_numpy_ma(tmp_path):
+    """One seed of the generated chain-rule, coarea and comparison suites,
+    run in a fresh interpreter, never imports numpy.ma: its import costs
+    milliseconds on every cold run, and np.unique on an integer array
+    pulls it in."""
+    script = (
+        "import sys\n"
+        "from bvcalc.scenario import parse_scenario, run_scenario\n"
+        "for name in ('chainrule_suite', 'coarea_check', 'comparison_check'):\n"
+        f"    sc = parse_scenario({str(SCENARIOS)!r} + '/' + name + '.ini')\n"
+        f"    assert run_scenario(sc, {str(tmp_path)!r} + '/' + name, seed=1000)[0], name\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.split() == ["False"]
