@@ -345,14 +345,6 @@ def _jump_bracket(B, u, x):
     return B.eval(x, u.right(x), "right") - B.eval(x, u.left(x), "left")
 
 
-def _row_span(xs, lo, hi):
-    """The rows of ``xs`` from the first to the last one that meets
-    [lo, hi]: ``xs`` is 1-D, one node a row, or 2-D with ascending rows."""
-    rows = xs if xs.ndim == 2 else xs[:, None]
-    meets = np.flatnonzero((rows[:, -1] >= lo) & (rows[:, 0] <= hi))
-    return slice(meets[0], meets[-1] + 1) if meets.size else slice(0, 0)
-
-
 def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     """Per test function of ``phis``, the lhs and the five positive-form
     terms, for any flux of the protocol.
@@ -372,21 +364,21 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     lo, hi, bps, sups = zip(*layouts)
     per_phi = 2 if g is not None else 3  # t1, t3 (and lhs)
 
-    def weights(xs, spans=False):
-        """Per phi, its span of rows of ``xs``, the weight on it (phi, times
-        g with a weight) and, with ``spans`` and no weight, phi' on the span
-        from the same evaluation (else None).  With ``spans`` only the rows
-        that meet the phi's window are evaluated; the weight is 0 on the
-        rest, where no component of that phi reads."""
+    def weights(xs, masks=False):
+        """Per phi, the nodes of ``xs`` it reads, the weight there (phi,
+        times g with a weight) and, with ``masks`` and no weight, phi' there
+        from the same evaluation (else None).  With ``masks`` only the nodes
+        inside the phi's window are evaluated; the weight is 0 on the rest,
+        where no component of that phi reads."""
         gd = None if g is None else g_diffuse(xs)
         for phi, a, b in zip(phis, lo, hi):
-            span = _row_span(xs, a, b) if spans else slice(None)
+            inside = (xs >= a) & (xs <= b) if masks else slice(None)
             wx, slope = np.zeros_like(xs), None
-            if g is None and spans:
-                wx[span], slope = phi.with_slope(xs[span])
+            if g is None and masks:
+                wx[inside], slope = phi.with_slope(xs[inside])
             else:
-                wx[span] = phi(xs[span]) if g is None else phi(xs[span]) * gd[span]
-            yield span, wx, slope
+                wx[inside] = phi(xs[inside]) if g is None else phi(xs[inside]) * gd[inside]
+            yield inside, wx, slope
 
     def atom(phi, x):
         a = _phi_at(phi, x)
@@ -401,11 +393,11 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         for gi, di in zip(gw, dW):
             t3 += gi * di
         out = np.zeros((per_phi * len(phis),) + np.shape(xs))
-        for j, (span, wx, slope) in enumerate(weights(xs, spans=True)):
+        for j, (inside, wx, slope) in enumerate(weights(xs, masks=True)):
             np.multiply(wx, gx, out=out[per_phi * j])
             np.multiply(wx, t3, out=out[per_phi * j + 1])
             if g is None:
-                np.multiply(slope, val[span], out=out[per_phi * j + 2][span])
+                out[per_phi * j + 2][inside] = slope * val[inside]
         return out
 
     diffuse_terms = integrate_interval(

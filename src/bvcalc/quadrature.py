@@ -45,15 +45,16 @@ An integrand may return a leading stack axis ``(k, ...)``.  Each of its k
 components is then refined on its own, and the components may split into
 groups with a layout each (one test function's window, say).  The live cells
 of all components sit in a few flat arrays, each cell tagged with its
-component, and a pass decides every cell with one set of array operations;
-each component keeps the float operations of integrating it alone.  The
-integrand is called on flat arrays of nodes, each distinct cell once
-whichever components hold it, and the calls follow the data: a pass
-evaluates the K7 nodes of the live smooth cells together with the nodes of
-the next pass's Cantor cells (the children of this pass's failing ones,
-known before any smooth cell is evaluated), then the 8 other nodes of the
-cells that fail K7.  The first pass's Cantor cells ride in its K7 call, and
-the gaps of those that fail take one call more.
+component, and a pass decides every cell with one set of array operations.
+Each accepted value is kept with its component and its cell's left end, and
+each total is one sum of its component's values by left end, formed after
+the last pass: a result depends only on the cells accepted, which are those
+of integrating the component alone.  The integrand is called on flat arrays
+of nodes, each distinct cell once per call whichever components hold it, by
+one rule per pass: one call on the K7 nodes of the live smooth cells and the
+nodes of the live Cantor cells, whose failing ones give their gaps to the
+next pass's smooth cells and their children to its Cantor cells, then one on
+the 8 other nodes of the smooth cells that fail K7.
 """
 
 from __future__ import annotations
@@ -530,8 +531,8 @@ def integrate_cells(f, smooth, mids, tol):
     last pass the rest pass if their |P15 - K7| sum to at most the other
     tol/2.  A leftover cell passes with rule B when |B - A| meets its
     budget, else it splits into its two children, leftover cells one
-    ternary level deeper, and its middle gap, which joins the smooth cells
-    of the same pass; a cell whose children would be too narrow for the
+    ternary level deeper, and its middle gap, which joins the next pass's
+    smooth cells; a cell whose children would be too narrow for the
     rules' nodes raises.  Both estimates are heuristic: an integrand that
     varies on a scale finer than a cell's nodes can read as converged.
 
@@ -546,15 +547,10 @@ def integrate_cells(f, smooth, mids, tol):
     are refined together, in one set of arrays.  A pass calls the integrand
     at most twice per _BLOCK cells, on flat arrays of nodes, each cell once
     whichever components hold it: once at the K7 nodes of the live smooth
-    cells and at the nodes of the next pass's leftover cells, the children
-    of this pass's failing ones, and once at the 8 other nodes of the
-    smooth cells that fail K7.  The first pass's
-    leftover cells ride in its K7 call, and the gaps of those that fail
-    take one call more, with their children; the leftover cells go first,
-    in a call of their own, if a gap of theirs is a smooth cell of another
-    layout (which would be evaluated twice) or if the children of one
-    could be too narrow for the rules' nodes (a component that fails
-    evaluates none of its smooth cells).
+    cells and at the nodes of the live leftover cells, whose failing ones
+    give their gaps to the next pass's smooth cells, and once at the 8
+    other nodes of the smooth cells that fail K7.  Each total is one sum of
+    its component's accepted values by left end (see :func:`_refine`).
     Of the components that fail, the first one's error is raised."""
     grouped = not isinstance(smooth, np.ndarray)
     if not grouped:
@@ -578,20 +574,25 @@ def _refine(f, smooth, left, pieces, tols, lengths, grouped):
     each, at its mass) or None; ``tols`` and ``lengths`` give each group's
     tol and measure.  Against dx the Cantor cells are leftover cells, for
     rules B and A times their half-width, and a failing one's middle gap
-    joins the smooth cells; against mu_C (``left.mass`` given) they take
-    rules D and E times their mass, and a failing one's gap is dropped.
-    The first integrand call shows how many components there are, and
-    each component then takes a copy of its group's cells.  Each pass
-    decides every component's cells with one set of array operations; a
-    component's smooth cells keep their layout order until it bisects or
-    splits a Cantor cell, then go by their left ends, and each total grows
-    by one np.sum of the component's run of passing values.  The results
-    as those functions return them."""
+    joins the next pass's smooth cells; against mu_C (``left.mass`` given)
+    they take rules D and E times their mass, and a failing one's gap is
+    dropped.  The first integrand call shows how many components there
+    are, and each component then takes a copy of its group's cells.
+
+    Each pass makes one integrand call on the K7 nodes of the live smooth
+    cells and the rule nodes of the live Cantor cells (the first also on
+    the pieces), decides the Cantor cells, then the smooth cells, with the
+    one call of :func:`_take_smooth`.  Every accepted value is kept with its
+    component and its cell's left end; after the last pass each total is
+    one np.sum of its component's values by left end, so it depends only
+    on the cells accepted.  The results as those functions return them."""
     mu = left.mass is not None
     rules = (_MU, _MU_RULES) if mu else (_FIT, _FIT_RULES)
     tol, length = np.array(tols, dtype=float), np.maximum(np.array(lengths), 1e-300)
     comps, stacked = len(tols), None
-    errors, totals = [None] * comps, [0.0] * comps
+    errors = [None] * comps
+    # the accepted values, each with its component and its cell's left end
+    accepted = [(np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))]
 
     def call(parts):
         """Evaluate the parts ``(cells, nodes, rules)`` in one go, each on
@@ -611,26 +612,16 @@ def _refine(f, smooth, left, pieces, tols, lengths, grouped):
             if k > comps:
                 group = np.arange(k) * comps // k
                 tol, length, errors = tol[group], length[group], [errors[j] for j in group]
-                totals[:] = [totals[j] for j in group]
-                held = (smooth, left, pieces, *(c for c, _, _ in parts))
-                for cells in {id(c): c for c in held if c}.values():
+                for p, (cells, _, _) in enumerate(parts):
                     taken, tag = _copies(cells.tag, group)
-                    rows = [r[taken] if c is cells else r for (c, _, _), r in zip(parts, rows)]
+                    rows[p] = rows[p][taken]
                     cells.keep(taken).tag = tag
                 comps = k
         for (cells, _, _), s, r in zip(parts, sums, rows):
             cells.sums = s[:, cells.tag, r] if stacked else s[:, r]
         if pieces:  # each piece: its mass times f at its midpoint
-            add(pieces.sums[0] * pieces.mass, pieces.tag)
+            accepted.append((pieces.sums[0] * pieces.mass, pieces.tag, pieces.lo))
             pieces = None
-
-    def add(vals, tag):
-        """Add to each component's total one np.sum of its run of ``vals``."""
-        if vals.size:
-            bounds = _runs(tag, comps)
-            for c in range(comps):
-                if bounds[c] < bounds[c + 1]:
-                    totals[c] += float(np.sum(vals[bounds[c]:bounds[c + 1]]))
 
     def fail(dead, error):
         """The components ``dead`` fail with ``error(c)``; their cells go."""
@@ -649,28 +640,15 @@ def _refine(f, smooth, left, pieces, tols, lengths, grouped):
             ))
         if stacked is not None and not (smooth.lo.size or left.lo.size):
             break
-        pending = left.lo.size and left.sums is None
-        if pending and (_risky(left) or _repeats(smooth, left)):
-            # a component may fail on these cells, or a gap of theirs is
-            # a smooth cell: they go first, alone
-            call([(left, *rules)])
-            pending = False
-        if left.lo.size and not pending:
-            gaps, left = _take_leftover(left, tol, length, add, fail, mu)
-            smooth = _join(smooth, gaps)
-        ahead = not pending and _ahead(smooth, left, npass)
-        if smooth.lo.size or pending or ahead or stacked is None:
-            call([(smooth, _K7, _K7_RULES)] + ([(left, *rules)] if pending or ahead else []))
-        if pending:
-            # the gaps of the Cantor cells just evaluated join the smooth
-            # cells after one more call, with the next pass's Cantor cells
-            gaps, left = _take_leftover(left, tol, length, add, fail, mu)
-            ahead = _ahead(smooth, left, npass, gaps.lo.size)
-            if gaps.lo.size or ahead:
-                call([(gaps, _K7, _K7_RULES)] + ([(left, *rules)] if ahead else []))
-            smooth = _join(smooth, gaps)
+        # with no cell at all, the first call still shows the component count
+        parts = [(smooth, _K7, _K7_RULES), (left, *rules)]
+        call([part for part in parts if part[0].lo.size] or parts[:1])
+        gaps = None
+        if left.lo.size:
+            gaps, left = _take_leftover(left, tol, length, accepted, fail, mu)
         if smooth.lo.size:
-            smooth = _take_smooth(smooth, tol, length, add, call, npass)
+            smooth = _take_smooth(smooth, tol, length, accepted, call, npass)
+        smooth = _join(smooth, gaps)
     live = np.bincount(smooth.tag, minlength=comps) + np.bincount(left.tag, minlength=comps)
     for c in np.flatnonzero(live).tolist():
         if errors[c] is None:
@@ -681,26 +659,30 @@ def _refine(f, smooth, left, pieces, tols, lengths, grouped):
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error
-    return tuple(totals) if stacked or grouped else totals[0]
+    vals, tag, lo = map(np.concatenate, zip(*accepted))
+    order = np.lexsort((lo, tag))
+    vals, bounds = vals[order], _runs(tag[order], comps)
+    totals = tuple(float(vals[bounds[c]:bounds[c + 1]].sum()) for c in range(comps))
+    return totals if stacked or grouped else totals[0]
 
 
-def _take_leftover(left, tol, length, add, fail, mu):
+def _take_leftover(left, tol, length, accepted, fail, mu):
     """The rule pair on every live Cantor cell: a cell passes if the rules'
     difference meets its budget; else it gives way to its two children,
     the next pass's Cantor cells, and against dx to its middle gap, a
     smooth cell.  A component with a failing cell whose children would be
-    too narrow for the nodes fails.  The gaps (none against mu_C) and
-    the children."""
+    too narrow for the nodes fails.  The passing values go to
+    ``accepted``; the gaps (None if there are none, as against mu_C) and
+    the children are returned."""
     lo, hi, tag, mass = left.lo, left.hi, left.tag, left.mass
     scale = mass if mu else 0.5 * (hi - lo)
     val = left.sums[0] * scale
     err = np.abs(val - left.sums[1] * scale)
     budget = 0.5 * tol[tag] * (mass if mu else hi - lo) / length[tag]
     ok = err <= np.maximum(budget, 1e-17 * np.abs(val))
-    add(val[ok], tag[ok])
+    accepted.append((val[ok], tag[ok], lo[ok]))
     if ok.all():
-        none = np.flatnonzero(~ok)
-        return _Cells(lo[none], hi[none], tag[none]), left.keep(none)
+        return None, left.keep(np.flatnonzero(~ok))
     bad = ~ok
     lo, hi, tag, budget = lo[bad], hi[bad], tag[bad], budget[bad]
     a, b = _thirds(lo, hi)
@@ -724,61 +706,26 @@ def _take_leftover(left, tol, length, add, fail, mu):
         np.concatenate((0.5 * mass[bad],) * 2) if mu else None,
     )
     children.keep(np.lexsort((children.lo, children.tag)))
-    return _Cells(a[:0], b[:0], tag[:0]) if mu else _Cells(a, b, tag), children
-
-
-def _risky(left):
-    """Whether the children of some Cantor cell would be too narrow for
-    the fitted rules' nodes."""
-    a, b = _thirds(left.lo, left.hi)
-    return not np.all(_roomy(left.lo, a) & _roomy(b, left.hi))
-
-
-def _repeats(smooth, left):
-    """Whether the middle gap of some Cantor cell is a smooth cell too (of
-    another layout): the cells as complex keys (lo, hi), which sort
-    lexicographically."""
-    tags = np.concatenate((smooth.tag, left.tag))
-    if not smooth.lo.size or tags.min() == tags.max():
-        return False
-    a, b = _thirds(left.lo, left.hi)
-    gaps = np.sort(np.column_stack((a, b)).view(complex).ravel())
-    keys = np.column_stack((smooth.lo, smooth.hi)).view(complex).ravel()
-    return bool(np.any(gaps[np.minimum(np.searchsorted(gaps, keys), gaps.size - 1)] == keys))
-
-
-def _ahead(smooth, left, npass, more=0):
-    """Whether the next pass's Cantor cells ``left`` may be evaluated in
-    this pass: there is a next pass, and no component can reach
-    _MAX_CELLS live cells at its start, beside ``more`` smooth cells."""
-    return bool(left.lo.size) and npass < _MAX_PASSES and (
-        2 * (smooth.lo.size + more) + left.lo.size <= _MAX_CELLS
-    )
+    return None if mu else _Cells(a, b, tag), children
 
 
 def _join(smooth, gaps):
-    """The smooth cells with the ``gaps`` of failing Cantor cells among
-    them, and with their rule sums if both have them; the cells of a
-    component with gaps go by their left ends, the others keep their
-    order."""
-    if not gaps.lo.size:
+    """The smooth cells with the ``gaps`` of failing Cantor cells (or None)
+    among them, in runs by component."""
+    if gaps is None or not gaps.lo.size:
         return smooth
     cells = _Cells(*(
         np.concatenate((getattr(smooth, v), getattr(gaps, v))) for v in ("lo", "hi", "tag")
     ))
-    if gaps.sums is not None:
-        cells.sums = np.concatenate((smooth.sums, gaps.sums), axis=1)
-    resort = np.zeros(cells.tag.max() + 1, dtype=bool)
-    resort[gaps.tag] = True
-    key = np.where(resort[cells.tag], cells.lo, np.arange(cells.lo.size))
-    return cells.keep(np.lexsort((key, cells.tag)))
+    return cells.keep(np.argsort(cells.tag, kind="stable"))
 
 
-def _take_smooth(smooth, tol, length, add, call, npass):
+def _take_smooth(smooth, tol, length, accepted, call, npass):
     """K7 on every live smooth cell if |K7 - G3| meets its budget, else P15
     from the cell's 8 other nodes if |P15 - K7| does; on the last pass a
     component's failing cells pass if their |P15 - K7| sum to at most
-    tol/2.  The failing cells, bisected unless this is the last pass."""
+    tol/2.  The passing values go to ``accepted``; the failing cells,
+    bisected unless this is the last pass, are returned."""
     lo, hi, tag, sums = smooth.lo, smooth.hi, smooth.tag, smooth.sums
     half = 0.5 * (hi - lo)
     val = sums[1] * half
@@ -799,7 +746,7 @@ def _take_smooth(smooth, tol, length, add, call, npass):
         for c in range(tol.size):
             if np.sum(rest[bounds[c]:bounds[c + 1]]) <= 0.5 * tol[c]:
                 ok[tag == c] = True
-    add(val[ok], tag[ok])
+    accepted.append((val[ok], tag[ok], lo[ok]))
     lo, hi, tag = lo[~ok], hi[~ok], tag[~ok]
     if not lo.size or npass == _MAX_PASSES:
         return _Cells(lo, hi, tag)

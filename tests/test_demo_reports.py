@@ -27,7 +27,7 @@ DIGESTS = {
         "report.csv": "e71c52a172061bf305f71e5dc08f6a5274e24a495054a33555f895cb0c5f4536",
     },
     "chainrule_suite": {
-        "report.csv": "f7095d24f364151464059a34102b7d321a0ea8f2968a34566ff222b254672d7a",
+        "report.csv": "b7a4ac3fd87f0f18b9e02c8fa4d1a4886953f7e1e2e177fa6d0a72c230b37fbb",
     },
     "claw_burgers": {
         "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",

@@ -6,8 +6,8 @@ Newton steps on a bracket, halving where the slope is NaN or zero.
 ``build_cells`` tiles Cantor supports with array slices of the cached
 ``std_cells`` arrays and descends cut paths one level at a time on arrays.
 The reference below builds the same layout one cell tuple at a time; the two
-must agree in every float and in the order of the cells, because
-``integrate_cells`` sums in that order and ``report.csv`` bytes depend on it.
+must agree in every float, which fixes every integral's bits, and in the
+order of the cells, which is the order of the first integrand call's nodes.
 """
 
 import inspect
