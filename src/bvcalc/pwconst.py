@@ -1,22 +1,24 @@
 """Constructive piecewise-constant approximation of BV functions.
 
 The scalar construction splits the target into big jumps, a small-jump tail
-of total size at most eps/3, and a continuous remainder; a partition finer
-than the remainder's eps/3-oscillation scale then carries cell values chosen
-by a three-case rule (marked-point value, left limit at a big-jump right
-endpoint, right limit at the cell's left endpoint).  The vector version runs
-the scalar construction per component with eps = 3/n.
+of total size at most eps/3, and a continuous remainder whose variation V
+is exact; halving every cell across which V rises by more than eps/3 bounds
+the error by construction.  The cells carry values chosen by a three-case
+rule (marked-point value, left limit at a big-jump right endpoint, right
+limit at the cell's left endpoint).  The vector version runs the scalar
+construction per component with eps = 3/n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .bvfunction import BVFunction, BVVector
-from .measures import Interval, PiecewisePolynomial
+from .measures import Interval, PiecewisePolynomial, _horner, _poly_int
 
 _NUDGE = 1e-7  # relative leftward shift used to move a node off a forbidden point
 
@@ -122,37 +124,25 @@ class ExceptionalSet:
         return ExceptionalSet(self.points, min(int(k), len(self.points)))
 
 
-def _osc_upper(vals, k):
-    """The largest oscillation of ``vals`` over the blocks
-    ``vals[s : s + 2k + 1]`` for s = 0, k, 2k, ... below len(vals) - 1.
+def _variation(v):
+    """V(x), the variation of v's continuous part on [a, x], on node arrays:
+    the integral of |p'| over the smooth part's pieces, jumps left out, plus
+    |c| C(x) per Cantor summand (Ambrosio-Fusco-Pallara, section 3.2)."""
+    slope = v.smooth_part.derivative().absolute()
+    pieces, total = [], 0.0
+    for x0, x1, coeffs in zip(slope.breakpoints, slope.breakpoints[1:], slope.pieces):
+        anti = _poly_int(coeffs)
+        pieces.append((total, *anti[1:]))
+        total += _horner(anti, x1 - x0)
+    smooth = PiecewisePolynomial(slope.breakpoints, tuple(pieces))
 
-    Block i is stride-k chunks i and i + 1 and the head of chunk i + 2;
-    padding with the last sample makes every block whole."""
-    m = -(-(len(vals) - 1) // k)
-    padded = np.concatenate((vals, np.full(2 * k, vals[-1])))
-    heads = np.arange(0, (m + 2) * k, k)
-    top, bot = np.maximum.reduceat(padded, heads), np.minimum.reduceat(padded, heads)
-    tops = np.maximum(np.maximum(top[:m], top[1 : m + 1]), padded[heads[2:]])
-    bots = np.minimum(np.minimum(bot[:m], bot[1 : m + 1]), padded[heads[2:]])
-    return float(np.max(tops - bots))
+    def variation(xs):
+        out = smooth.at(xs)
+        for base, c in v.cantor_part:
+            out = out + abs(c) * base.profile(xs)
+        return out
 
-
-def _osc_delta(vc_vals, grid_h, eps_third):
-    """Window width on which the sampled continuous part oscillates < eps/3,
-    found by halving, then halved once more for safety.
-
-    The oscillation check uses stride-k blocks of width 2k samples, which
-    over-covers every width-k window, so the accepted delta is conservative."""
-    n = len(vc_vals)
-    delta = (n - 1) * grid_h
-    for _ in range(40):
-        k = max(1, min(n - 1, int(np.ceil(delta / grid_h))))
-        if _osc_upper(vc_vals, k) < 0.9 * eps_third:
-            break
-        delta *= 0.5
-    else:
-        raise DomainError("could not localize the continuous part's oscillation")
-    return 0.5 * delta
+    return variation
 
 
 def _shift_off(x, forbidden, room, tol):
@@ -166,20 +156,36 @@ def _shift_off(x, forbidden, room, tol):
     raise DomainError("could not place a partition node off the forbidden set")
 
 
-def _refine(augmented, delta, forbidden, tol):
-    """The nodes of the mesh that cuts each [x0, x1] of ``augmented`` into
-    k = ceil((x1 - x0) / (delta/2)) equal cells, as a list; the inner
-    nodes within tol of a forbidden point are nudged off it."""
-    nodes = [augmented[0]]
+def _split(x0, x1, forbidden, tol):
+    """The midpoint of ]x0, x1[, nudged off the forbidden points; it must
+    stay strictly inside the cell."""
+    y = _shift_off(0.5 * (x0 + x1), forbidden, x1 - x0, tol)
+    if not x0 < y < x1:
+        raise DomainError(f"no node of ]{x0!r}, {x1!r}[ clears the forbidden points by {tol!r}")
+    return y
+
+
+def _halve(nodes, variation, rise, forbidden, tol):
+    """The ascending ``nodes``, with every cell across which ``variation``
+    rises by more than ``rise`` halved until none is left, as a list.  A
+    midpoint within tol of a forbidden point goes through ``_split``."""
+    nodes = np.asarray(nodes, dtype=float)
+    vs = variation(nodes)
     points = np.asarray(forbidden, dtype=float)
-    for x0, x1 in zip(augmented[:-1], augmented[1:]):
-        k = int(np.ceil((x1 - x0) / (0.5 * delta)))
-        ys = x0 + (x1 - x0) * np.arange(1, k) / k
-        for j in np.flatnonzero((np.abs(ys[:, None] - points) <= tol).any(axis=1)):
-            ys[j] = _shift_off(float(ys[j]), forbidden, (x1 - x0) / k, tol)
-        nodes += ys.tolist()
-        nodes.append(x1)
-    return nodes
+    while True:
+        cut = np.flatnonzero(vs[1:] - vs[:-1] > rise)
+        if not cut.size:
+            return nodes.tolist()
+        x0, x1 = nodes[cut], nodes[cut + 1]
+        mids = 0.5 * (x0 + x1)
+        for j in np.flatnonzero((np.abs(mids[:, None] - points) <= tol).any(axis=1)):
+            mids[j] = _split(float(x0[j]), float(x1[j]), forbidden, tol)
+        stuck = np.flatnonzero((mids <= x0) | (mids >= x1))
+        if stuck.size:
+            i = cut[stuck[0]]
+            raise DomainError(f"V rises by {float(vs[i + 1] - vs[i])!r} > eps/3 on {nodes[i:i + 2].tolist()}")
+        nodes = np.insert(nodes, cut + 1, mids)
+        vs = np.insert(vs, cut + 1, variation(mids))
 
 
 def _cell_samples(pts, marked, bigs):
@@ -203,10 +209,12 @@ def approximate_scalar(v, eps, exc=None):
     """Piecewise-constant approximation with the five certified properties:
     big jumps retained with exact one-sided limits, total variation not
     increased, nodes avoiding the marked set, exact values on the marked
-    prefix, and uniform error below eps."""
+    prefix, and uniform error below eps: the small jumps sum to at most
+    eps/3, and V rises by at most eps/3 across each cell.  An eps that is
+    not finite and positive raises DomainError."""
     eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps {eps!r} is not finite and positive")
     if exc is None:
         exc = ExceptionalSet(())
     a, b = v.domain.a, v.domain.b
@@ -229,32 +237,18 @@ def approximate_scalar(v, eps, exc=None):
     bigs = sorted(x for x, _, _ in order[:N])
     smalls = sorted(x for x, _, _ in order[N:])
 
-    # oscillation scale of the continuous part on a dense grid
-    xs = np.linspace(a, b, 4097)[1:-1]
-    vals = v.values(xs)
-    if jumps:
-        jx = np.array([x for x, _, _ in jumps])
-        jw = np.array([r - l for _, l, r in jumps])
-        steps = (xs[:, None] >= jx[None, :]) @ jw
-        vc = vals - steps
-    else:
-        vc = vals
-    h = xs[1] - xs[0]
-    delta = _osc_delta(vc, h, eps / 3.0)
-
     tol = 1e-12 * (b - a)
     forbidden = sorted(set(exc.points) | set(smalls))
 
-    # mandatory nodes, separating adjacent big jumps
+    # mandatory nodes, separating adjacent big jumps, then halving by V
     fixed = [a, *bigs, b]
     bigset = set(bigs)
     augmented = [fixed[0]]
     for x0, x1 in zip(fixed[:-1], fixed[1:]):
         if x0 in bigset and x1 in bigset:
-            augmented.append(_shift_off(0.5 * (x0 + x1), forbidden, x1 - x0, tol))
+            augmented.append(_split(x0, x1, forbidden, tol))
         augmented.append(x1)
-
-    nodes = _refine(augmented, delta, forbidden, tol)
+    nodes = _halve(augmented, _variation(v), eps / 3.0, forbidden, tol)
 
     # isolate each marked-prefix point: alone in its cell, away from big nodes
     marked = sorted(exc.prefix)
@@ -264,13 +258,11 @@ def approximate_scalar(v, eps, exc=None):
         inside = [q for q in marked if y0 < q < y1]
         extra = []
         for q0, q1 in zip(inside[:-1], inside[1:]):
-            extra.append(_shift_off(0.5 * (q0 + q1), forbidden, q1 - q0, tol))
+            extra.append(_split(q0, q1, forbidden, tol))
         if y0 in bigset:
-            q = min(inside)
-            extra.append(_shift_off(0.5 * (y0 + q), forbidden, q - y0, tol))
+            extra.append(_split(y0, min(inside), forbidden, tol))
         if y1 in bigset:
-            q = max(inside)
-            extra.append(_shift_off(0.5 * (q + y1), forbidden, y1 - q, tol))
+            extra.append(_split(max(inside), y1, forbidden, tol))
         if extra:
             nodes = sorted(set(nodes) | set(extra))
 

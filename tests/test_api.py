@@ -201,3 +201,15 @@ def test_one_cantor_depth_rule():
     assert params == ["self", "f", "tol", "breakpoints", "window"]
     assert not hasattr(chainrule, "_cantor_depth")
     assert "lip_hint" not in inspect.signature(bvcalc.integrate_measure).parameters
+
+
+def test_the_staircase_mesh_samples_nothing():
+    """The piecewise-constant mesh comes from the exact variation of the
+    continuous part: no sample grid, no step-matrix product, and none of
+    the sampled oscillation search is back."""
+    from bvcalc import pwconst
+
+    text = Path(pwconst.__file__).read_text()
+    for token in ("np.linspace", "_osc_"):
+        assert token not in text, token
+    assert not [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.MatMult)]

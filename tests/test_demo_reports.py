@@ -20,8 +20,8 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 DIGESTS = {
     "approx_demo": {
-        "report.csv": "e41de25ad04eca9c16c61d4e34f6461a2fe9dd7ffd352f5ea007e50c5edea0fd",
-        "stairs_case00.csv": "f37c7ee5866510dcc81b20c75e3e350308031f5a0a63bb6dd9b4dc1a3439717b",
+        "report.csv": "76d662f68e8a43d9851bb2d02764f9abb24341385b7492380fee0d01600b6185",
+        "stairs_case00.csv": "a016d7f8d41a336383627ab314a150869d4c3027e1adc43104c078dcb0fdcff5",
     },
     "chainrule_heaviside": {
         "report.csv": "e71c52a172061bf305f71e5dc08f6a5274e24a495054a33555f895cb0c5f4536",
