@@ -167,13 +167,11 @@ class BVFunction:
         return val, slope
 
     def oscillation(self):
-        """max - min over a dense sample plus one-sided jump values."""
-        xs = np.linspace(self.domain.a, self.domain.b, 2048)[1:-1]
-        vals = [self.values(xs)]
-        for x, l, r in self.jumps():
-            vals.append(np.array([l, r]))
-        allv = np.concatenate(vals)
-        return float(allv.max() - allv.min())
+        """sup u - inf u: the extreme sided end values of u's monotone
+        pieces, every jump's included (``_monotone_pieces``, which raises
+        RepresentationError where a Cantor summand fights the slope)."""
+        ends = [v for p in _monotone_pieces(self) for v in p[2:4]]
+        return max(ends) - min(ends)
 
     # -- calculus -----------------------------------------------------------
     def derivative(self):
@@ -413,28 +411,20 @@ def _monotone_pieces(u):
         a, b = dpp.breakpoints[i], dpp.breakpoints[i + 1]
         for r in _sign_changes(coeffs, 0.0, b - a):
             cuts.add(a + r)
-    cuts = sorted(cuts)
-    v0s = u.at(cuts[:-1], "right").tolist()
-    v1s = u.at(cuts[1:], "left").tolist()
+    cuts = np.array(sorted(cuts))
+    c = np.broadcast_to(u._cantor(cuts), cuts.shape)  # u.at's, once per cut
+    v0s = (pp.at(cuts[:-1], "right") + c[:-1]).tolist()
+    v1s = (pp.at(cuts[1:], "left") + c[1:]).tolist()
+    slopes = dpp.at(0.5 * (cuts[:-1] + cuts[1:])).tolist()
     pieces = []
-    for x0, x1, v0, v1 in zip(cuts[:-1], cuts[1:], v0s, v1s):
-        mid = 0.5 * (x0 + x1)
-        slope = dpp(np.array([mid]))[0]
-        s = 0.0 if slope == 0.0 else (1.0 if slope > 0 else -1.0)
-        base = None
-        coef = 0.0
-        for bb, cc in u.cantor_part:
-            if bb.support.a <= x0 and x1 <= bb.support.b:
-                base, coef = bb, cc
-        if base is not None and coef != 0.0:
-            cs = 1.0 if coef > 0 else -1.0
-            if s == 0.0:
-                s = cs
-            elif s != cs:
-                raise RepresentationError(
-                    "cannot certify monotonicity: slope sign conflicts with a "
-                    "Cantor summand on its support (level sets may be infinite)"
-                )
+    for x0, x1, v0, v1, slope in zip(cuts[:-1].tolist(), cuts[1:].tolist(), v0s, v1s, slopes):
+        on = [(bb, cc) for bb, cc in u.cantor_part if bb.support.a <= x0 and x1 <= bb.support.b]
+        base, coef = on[0] if on else (None, 0.0)
+        if base is not None and slope != 0.0 and (slope > 0.0) != (coef > 0.0):
+            raise RepresentationError(
+                "cannot certify monotonicity: slope sign conflicts with a "
+                "Cantor summand on its support (level sets may be infinite)"
+            )
         pieces.append((x0, x1, v0, v1, base, coef))
     return pieces
 
@@ -449,11 +439,7 @@ def coarea_default_tgrid(u, x_cuts=()):
 
 def _coarea_tgrid(u, pieces, x_cuts):
     """:func:`coarea_default_tgrid` from u's ``_monotone_pieces``."""
-    vals = set()
-    for x0, x1, v0, v1, _, _ in pieces:
-        vals.update((v0, v1))
-    for _, l, r in u.jumps():
-        vals.update((l, r))
+    vals = {v for p in pieces for v in p[2:4]}  # with every jump's sided values
     for x in x_cuts:
         if u.domain.a < x < u.domain.b:
             vals.update((u.eval(x, "left"), u.eval(x, "right")))
@@ -467,21 +453,15 @@ def coarea_lhs(g, u, tol=1e-9, g_breakpoints=()):
     )
 
 
-def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
-    """Level-counting side: integral over levels t of the sum of g over
-    { x : the segment [u(x-), u(x+)] contains t }, on the level grid of
-    ``coarea_default_tgrid``.
-
-    Monotone pieces contribute one located point per level (found by one
-    safeguarded Newton search for every piece's levels); jump points
-    contribute wherever t lies between the one-sided values; flat pieces
-    are skipped (a null set of levels).  On a Cantor piece a descent of the
-    ternary cells first narrows each bracket to a gap, with C fixed and u'
-    finite, or to _ROOT_TOL (NaN u'): one digit scan per evaluation, more
-    past |x| = 2.  Every level cell is one window of one quadrature of the
-    one level-counting integrand, to its share of tol."""
+def _level_search(u, monotone):
+    """Where u crosses levels, from its ``_monotone_pieces`` ``monotone``:
+    (lows, highs, locate), the level range of each piece that is not flat,
+    and locate(rows, ts), the x with u(x) = ts[i] on piece rows[i] for levels
+    inside its range, by one safeguarded Newton search (``_bisect``) with
+    u.values' float operations and u' from the same piece lookup.  A Cantor
+    piece's bracket first descends its ternary cells to a gap, with C fixed,
+    or to _ROOT_TOL (NaN u'): one digit scan per search, more past |x| = 2."""
     pp = u.smooth_part
-    monotone = _monotone_pieces(u)
     pieces = [p for p in monotone if p[2] != p[3]]
     x0s, x1s, v0s, v1s = (np.array([p[i] for p in pieces], dtype=float) for i in range(4))
     # NaN marks the Cantor pieces; on one, every base's profile is 0 or 1 but its own (kb)
@@ -490,23 +470,16 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
     profs = np.array([b.profile(x0s) for b in bases]).reshape(len(bases), len(pieces))
     sup = np.array([(b.support.a, b.support.b) for b in bases]).reshape(-1, 2)
     flats = np.where(kb >= 0, np.nan, u._cantor(x0s))
-    lows, highs = np.minimum(v0s, v1s), np.maximum(v0s, v1s)
-    jumps = u.jumps()
-    jlo = np.array([min(l, r) for _, l, r in jumps], dtype=float)
-    jhi = np.array([max(l, r) for _, l, r in jumps], dtype=float)
-    jg = _apply(g, np.array([x for x, _, _ in jumps])) if jumps else np.empty(0)
-    t_grid = _coarea_tgrid(u, monotone, g_breakpoints)
 
     def descend(rows, lo, hi, t, rising):
         """The brackets [lo, hi] of the levels t on the Cantor pieces rows,
         narrowed down the ternary cells of their supports, and per level the
         C of the gap it lands in, else NaN.  A cell of level L, index n and
-        C = cl at its left end has C = cl + 2^-(L+1) on its middle gap, which
-        the digit scan reads 4 ulps of the support's ends inside the gap's
-        ends (3 sufficed in 13 million probes).  u is read there, by
-        u.values' float operations, and each read moves the bracket end on
-        its side, a zero's off the gap, so a level u takes on a whole gap
-        lands in it."""
+        C = cl at its left end has C = cl + 2^-(L+1) on its middle gap, as
+        the digit scan reads it 4 ulps of the support's ends inside the gap
+        (3 sufficed in 13 million probes).  Each read of u there moves the
+        bracket end on its side, a zero's off the gap, so a level u takes on
+        a whole gap lands in it."""
         s0, s1 = sup[kb[rows]].T
         w, m = s1 - s0, 4.0 * np.spacing(np.maximum(np.abs(s0), np.abs(s1)))
         n, cl, c, level = np.zeros(rows.size), np.zeros(rows.size), np.full(rows.size, np.nan), 0
@@ -528,35 +501,54 @@ def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
             live &= ~gap & (hi - lo > _ROOT_TOL) & (w / (3.0 * cube) > 2.0 * m)
         return lo, hi, c
 
+    def locate(rows, ts):
+        add, lo, hi, ghi = flats[rows], x0s[rows], x1s[rows], v1s[rows] - ts
+        on = np.flatnonzero(np.isnan(add))
+        if on.size:
+            lo[on], hi[on], add[on] = descend(rows[on], lo[on], hi[on], ts[on], ghi[on] > 0)
+        cantor_rows = np.isnan(add)
+
+        def level_gap(x, i):
+            """u.values(x) - ts[i] and u' at x; NaN for a level left in a
+            Cantor cell."""
+            (s, slope), c, on_cantor = pp.with_slope(x), add[i], cantor_rows[i]
+            if on_cantor.any():
+                c[on_cantor] = u._cantor(x[on_cantor])
+                slope[on_cantor] = np.nan
+            return (s + c) - ts[i], slope
+
+        return _bisect(level_gap, lo, hi, ghi)
+
+    return np.minimum(v0s, v1s), np.maximum(v0s, v1s), locate
+
+
+def coarea_rhs(g, u, tol=1e-9, g_breakpoints=()):
+    """Level-counting side: integral over levels t of the sum of g over
+    { x : the segment [u(x-), u(x+)] contains t }, on the level grid of
+    ``coarea_default_tgrid``.
+
+    Monotone pieces contribute one located point per level (one
+    ``_level_search`` for every piece's levels); jump points contribute
+    wherever t lies between the one-sided values; flat pieces are skipped
+    (a null set of levels).  Every level cell is one window of one
+    quadrature of the one level-counting integrand, to its share of tol."""
+    monotone = _monotone_pieces(u)
+    lows, highs, locate = _level_search(u, monotone)
+    jumps = u.jumps()
+    jlo = np.array([min(l, r) for _, l, r in jumps], dtype=float)
+    jhi = np.array([max(l, r) for _, l, r in jumps], dtype=float)
+    jg = _apply(g, np.array([x for x, _, _ in jumps])) if jumps else np.empty(0)
+    t_grid = _coarea_tgrid(u, monotone, g_breakpoints)
+
     def located_sum(ts):
         ts = np.asarray(ts, dtype=float)
         flat_ts = ts.ravel()
         out = np.zeros(flat_ts.size)
-        # the brackets of every piece's levels, piece by piece, in level order
+        # the levels of every piece, piece by piece, in level order
         piece, at = np.nonzero((flat_ts > lows[:, None]) & (flat_ts < highs[:, None]))
         if at.size:
-            tm = flat_ts[at]
-            add, lo, hi, ghi = flats[piece], x0s[piece], x1s[piece], v1s[piece] - tm
-            on = np.flatnonzero(np.isnan(add))
-            if on.size:
-                lo[on], hi[on], add[on] = descend(piece[on], lo[on], hi[on], tm[on], ghi[on] > 0)
-            cantor_rows = np.isnan(add)
-
-            def level_gap(x, i):
-                """u.values(x) - tm[i], by u.values' float operations, and
-                u' at x from the same piece lookup; NaN for a level left in
-                a Cantor cell."""
-                s, slope = pp.with_slope(x)
-                c = add[i]
-                on_cantor = cantor_rows[i]
-                if on_cantor.any():
-                    c[on_cantor] = u._cantor(x[on_cantor])
-                    slope[on_cantor] = np.nan
-                return (s + c) - tm[i], slope
-
-            xs = _bisect(level_gap, lo, hi, ghi)
             # one add per piece and level, in piece order
-            np.add.at(out, at, _apply(g, xs))
+            np.add.at(out, at, _apply(g, locate(piece, flat_ts[at])))
         jump, at = np.nonzero((flat_ts >= jlo[:, None]) & (flat_ts <= jhi[:, None]))
         np.add.at(out, at, jg[jump])
         return out.reshape(ts.shape)

@@ -39,12 +39,13 @@ lhs = integral of phi'(x) B(x, u(x)) dx.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bvfunction import BVFunction, BVVector
+from .bvfunction import BVFunction, BVVector, _monotone_pieces
 from .errors import DomainError
-from .measures import _horner
+from .measures import PiecewisePolynomial, _horner
 from .quadrature import _merge_supports, integrate_interval
 
 _GRID_LIP_MARGIN = 1.05
@@ -81,7 +82,9 @@ class SmoothFunction:
         return np.asarray(self.grad(np.asarray(w, dtype=float)), dtype=float)
 
     def lipschitz_bound(self, lo, hi):
-        """Upper bound for |grad f| over the box [lo_i, hi_i]."""
+        """Upper bound for |grad f| over the box [lo_i, hi_i]: 1.05 times
+        the largest on 33 even points per axis (f is a closure); a gradient
+        peak between them can exceed it."""
         pts = _box_grid(lo, hi, 33)
         g = self.gradient(pts)
         norms = np.sqrt(np.sum(np.asarray(g) ** 2, axis=0))
@@ -216,14 +219,25 @@ class FluxModel:
         w = np.asarray(w, dtype=float)
         return float(self.value_on_grid(np.array([float(x)]), w, side)[0])
 
+    def section(self, w):
+        """B(., w) = sum_k f_k(w) K_k at a frozen state w, as a BVFunction: a
+        weighted sum of the K's pieces on their union mesh, tabled once."""
+        fw = [float(np.asarray(f(np.asarray(w, dtype=float)))) for _, f in self.terms]
+        mesh, table = self._table
+        cantor = [(b, c * a) for c, (K, _) in zip(fw, self.terms) for b, a in K.cantor_part]
+        pieces = sum(c * t for c, t in zip(fw, table)).tolist()
+        return BVFunction(self.domain, PiecewisePolynomial(mesh, pieces), tuple(cantor))
+
+    @cached_property
+    def _table(self):
+        mesh = sorted(set().union(*(K.smooth_part.breakpoints for K, _ in self.terms)))
+        pieces = [K.smooth_part.refine(mesh).pieces for K, _ in self.terms]
+        width = max(len(p) for ps in pieces for p in ps)
+        return mesh, np.array([[p + (0.0,) * (width - len(p)) for p in ps] for ps in pieces])
+
     def x_measure(self, w):
         """The x-derivative measure of B(., w) at a frozen state."""
-        w = np.asarray(w, dtype=float)
-        out = None
-        for K, f in self.terms:
-            m = K.derivative().scale(float(np.asarray(f(w))))
-            out = m if out is None else out + m
-        return out
+        return self.section(w).derivative()
 
     def modulus_measure(self, lo, hi):
         """Constructed state-modulus measure sum_k Lip_k |DK_k|, with the
@@ -599,8 +613,8 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     pts, vals = list(u.partition), list(u.values)
     if not isinstance(B, FluxModel) or B.dim != 1:
         raise DomainError("comparison identity needs a scalar-state FluxModel (sum K_k f_k)")
-    probe = np.linspace(B.domain.a, B.domain.b, 37)[1:-1]
-    if np.abs(B.value_on_grid(probe, np.zeros((1, len(probe))))).max() > 1e-11:
+    zero = B.section(np.zeros(1))  # a Cantor part does not vanish
+    if zero.cantor_part or max(abs(v) for p in _monotone_pieces(zero) for v in p[2:4]) > 1e-11:
         raise DomainError("comparison identity needs the flux to vanish at state zero")
     lo, hi = _window(B, phi)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvfunction import BVFunction
+from .bvfunction import BVFunction, _level_search, _monotone_pieces
 from .chainrule import FluxModel, _window_pairing
 from .errors import CFLError, DomainError, RangeError, RepresentationError
 # unused here; perfbench's tracer tests expect claw to bind integrate_interval
@@ -82,10 +82,10 @@ class ScalarFlux:
     """Flux model with scalar state, certified strictly monotone in the
     state on the working range [w_lo, w_hi].
 
-    The certificate samples B(x, .) on a grid of the space-state box and
-    requires strictly increasing (or strictly decreasing) values — the
-    state derivative may vanish at isolated points.  ``direction`` is +1
-    for increasing, -1 for decreasing."""
+    The certificate samples B(x, .) on 39 x (41 even points less the ends,
+    off the flux jumps) by 33 even states and requires strictly increasing
+    (or decreasing) values; a K_k or f_k turning between samples passes
+    unseen.  ``direction`` is +1 for increasing, -1 for decreasing."""
 
     model: FluxModel  # with dim == 1
     w_lo: float
@@ -134,8 +134,9 @@ class ScalarFlux:
         return self.model.value_on_grid(xs, ws[None, :], side)
 
     def state_bound(self):
-        """C with |B(x,u)| <= C on domain x working range (sampled, with
-        the sided values at jump points included)."""
+        """C with |B(x,u)| <= C on domain x working range, sampled on 129
+        even x by 33 even states and the sided values at jump points; a peak
+        between samples leaves C too small (the affine level grid short)."""
         dom = self.model.domain
         xs = np.linspace(dom.a, dom.b, 129)
         ws = np.linspace(self.w_lo, self.w_hi, 33)
@@ -147,7 +148,9 @@ class ScalarFlux:
         return best * (1.0 + 1e-9)
 
     def speed_bound(self):
-        """max |state derivative of B| over the space-state box."""
+        """max |state derivative of B| over the space-state box, sampled on
+        63 x (65 even points less the ends, off the jumps) by 17 even states.
+        A peak between samples leaves it too small: steps past the CFL."""
         dom = self.model.domain
         xs = _off_points(
             np.linspace(dom.a, dom.b, 65)[1:-1], self.model.exceptional_set()
@@ -269,7 +272,9 @@ class EntropyFluxPair:
 
     # -- structural checks --------------------------------------------------
     def check_convexity(self, samples=33, tol=1e-10):
-        """Second differences of eta(x, .) nonnegative at sampled x."""
+        """Second differences of eta(x, .) nonnegative on 7 x (9 even points
+        less the ends, off the jumps) by ``samples`` even states; a concave
+        dip between samples passes unseen."""
         dom = self.flux.domain
         xs = _off_points(np.linspace(dom.a, dom.b, 9)[1:-1], self.flux.jump_points())
         us = np.linspace(self.flux.w_lo, self.flux.w_hi, samples)
@@ -334,7 +339,7 @@ def adapted_entropy_pair(flux, alpha):
     this holds on every jump-condition pair."""
     dom = flux.domain
     probe = _off_points(np.linspace(dom.a, dom.b, 17)[1:-1], flux.jump_points())
-    # fail early when not attained: the range ends decide it, no bisection
+    # fail early when not attained at 15 probes: the range ends decide it, no bisection
     flo, fhi = _range_gaps(
         flux, flux.model.coefficients(probe, "precise"), np.full(probe.shape, float(alpha))
     )
@@ -383,20 +388,17 @@ def adapted_entropy_pair(flux, alpha):
         )
 
     def cuts(v, lo, hi):
-        """Level crossings of B(., v) in [lo, hi] (quadrature cut points for
-        the sign factor): the zeros of B(., v) - alpha at the first 64 of 65
-        samples, and one root wherever it changes sign between two, searched
-        with the a.e. x-gradient as slope."""
-        xs = np.linspace(lo, hi, 65)
-        g = flux.values_on_grid(xs, np.full(len(xs), float(v))) - alpha
-        k = np.flatnonzero(g[:-1] * g[1:] < 0)
-
-        def gap(x, i):
-            val, gx, _ = flux.model.diffuse_on_grid(x, np.full((1, len(x)), float(v)))
-            return val - alpha, gx
-
-        roots = _bisect(gap, xs[k], xs[k + 1], g[k + 1])
-        return tuple(np.sort(np.concatenate((xs[:-1][g[:-1] == 0.0], roots))).tolist())
+        """Crossings of alpha by the BV function B(., v) inside ]lo, hi[, the
+        cuts of the sign factor: a point on each monotone piece whose open
+        range holds alpha, and each end two pieces share with alpha between
+        the sided values there (a jump across alpha, or a piece meeting it)."""
+        section = flux.model.section([float(v)])
+        monotone = _monotone_pieces(section)
+        lows, highs, locate = _level_search(section, monotone)
+        rows = np.flatnonzero((lows < alpha) & (alpha < highs))
+        xs = locate(rows, np.full(rows.size, float(alpha))).tolist()
+        xs += [p[0] for q, p in zip(monotone, monotone[1:]) if min(q[3], p[2]) <= alpha <= max(q[3], p[2])]
+        return tuple(x for x in sorted(set(xs)) if lo < x < hi)
 
     return EntropyFluxPair(
         flux, eta_fn, eta_u_fn, q_fn,

@@ -20,8 +20,6 @@ from .errors import DomainError
 from .bvfunction import BVFunction, BVVector
 from .measures import Interval, PiecewisePolynomial, _horner, _poly_int
 
-_NUDGE = 1e-7  # relative leftward shift used to move a node off a forbidden point
-
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
@@ -145,24 +143,16 @@ def _variation(v):
     return variation
 
 
-def _shift_off(x, forbidden, room, tol):
-    """Deterministically nudge x leftward until clear of forbidden points."""
-    step = max(room * _NUDGE, tol * 10)
-    y = x
-    for _ in range(64):
-        if all(abs(y - f) > tol for f in forbidden):
-            return y
-        y -= step
-    raise DomainError("could not place a partition node off the forbidden set")
-
-
 def _split(x0, x1, forbidden, tol):
-    """The midpoint of ]x0, x1[, nudged off the forbidden points; it must
-    stay strictly inside the cell."""
-    y = _shift_off(0.5 * (x0 + x1), forbidden, x1 - x0, tol)
-    if not x0 < y < x1:
-        raise DomainError(f"no node of ]{x0!r}, {x1!r}[ clears the forbidden points by {tol!r}")
-    return y
+    """The midpoint of ]x0, x1[, or if it lies within tol of forbidden points,
+    the nearest point 1.25 tol to either side of one of those that is inside
+    the cell and clear of all of them by more than tol."""
+    y = 0.5 * (x0 + x1)
+    near = [f + s * 1.25 * tol for f in forbidden if abs(y - f) <= tol for s in (-1.0, 1.0)]
+    for z in sorted(near, key=lambda z: abs(z - y)) or [y]:
+        if x0 < z < x1 and all(abs(z - f) > tol for f in forbidden):
+            return z
+    raise DomainError(f"no node of ]{x0!r}, {x1!r}[ clears the forbidden points by {tol!r}")
 
 
 def _halve(nodes, variation, rise, forbidden, tol):

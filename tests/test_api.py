@@ -66,18 +66,18 @@ def _callers(tree, name):
 
 def test_level_inversion_has_one_bisection():
     """Every inversion over states or x goes through ``quadrature._bisect``:
-    the c_alpha levels, the coarea level points, the adapted-flux cuts and
-    the sign changes of a polynomial piece.  Each passes its slope, so the
-    search has one signature and one loop.  The one-point inversion, the
-    fixed-pass loops, the companion-matrix roots, the separate Newton search
-    and its switch are gone."""
+    the c_alpha levels, the level points of a BV function (the coarea
+    level points and the adapted-flux cuts) and the sign changes of a
+    polynomial piece.  Each passes its slope, so the search has one
+    signature and one loop.  The one-point inversion, the fixed-pass
+    loops, the companion-matrix roots, the separate Newton search and its
+    switch are gone."""
     sources = [p.read_text() for p in Path(bvcalc.__file__).parent.glob("*.py")]
     trees = [ast.parse(text) for text in sources]
     assert sorted(c for tree in trees for c in _callers(tree, "_bisect")) == [
         ("_invert",),
+        ("_level_search", "locate"),
         ("_sign_changes",),
-        ("adapted_entropy_pair", "cuts"),
-        ("coarea_rhs", "located_sum"),
     ]
     names = {
         getattr(node, key)
@@ -213,3 +213,35 @@ def test_the_staircase_mesh_samples_nothing():
     for token in ("np.linspace", "_osc_"):
         assert token not in text, token
     assert not [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.MatMult)]
+
+
+def _function(tree, *path):
+    """The definition at ``path`` (class and function names) in ``tree``."""
+    node = tree
+    for name in path:
+        node = next(
+            n for n in node.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+        )
+    return node
+
+
+def test_crossings_ranges_and_the_zero_flux_check_sample_nothing():
+    """The adapted-flux cuts, ``BVFunction.oscillation`` and the zero-flux
+    check of the comparison identity read the representation: none of them
+    calls ``np.linspace``.  (The adapted pair's fail-early attainment probe
+    around ``cuts`` still samples; the inversion at the points raises
+    exactly.)"""
+    src = Path(bvcalc.__file__).parent
+    places = (
+        ("claw.py", ("adapted_entropy_pair", "cuts")),
+        ("bvfunction.py", ("BVFunction", "oscillation")),
+        ("chainrule.py", ("levelset_comparison_pwc",)),
+    )
+    for name, path in places:
+        body = _function(ast.parse((src / name).read_text()), *path)
+        calls = [
+            node for node in ast.walk(body)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "linspace"
+        ]
+        assert not calls, path

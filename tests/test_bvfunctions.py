@@ -786,6 +786,24 @@ def test_coarea_levels_on_cantor_pieces_scan_digits_once(u, monkeypatch):
     assert total == pytest.approx(coarea_lhs(lambda xs: 1.0 + xs, u), abs=1e-8)
 
 
+# -- the range of a function, from its representation ------------------------
+
+
+def test_oscillation_reads_the_range_off_the_monotone_pieces():
+    """sup - inf from the end values of the monotone pieces: exactly 1 for
+    the Cantor function, where 2,046 samples read 0.984375, and for the
+    mollifier suite's poly-jump 1.6 at 1- less the quadratic's minimum
+    0.1375 at 1/4, where the samples read 1.46177."""
+    from bvcalc.cases import mollifier_suite
+
+    assert BVFunction.cantor_fn(0.0, 1.0).oscillation() == 1.0
+    (u,) = [u for label, u, _ in mollifier_suite() if label == "poly-jump"]
+    assert u.oscillation() == pytest.approx(1.6 - 0.1375, abs=1e-15)
+    u = BVFunction.from_poly(0.0, 1.0, (0.0, 1.0)) + BVFunction.cantor_fn(0.0, 1.0, coefficient=-1.0)
+    with pytest.raises(RepresentationError, match="cannot certify monotonicity"):
+        u.oscillation()
+
+
 # -- mollification of the function itself ------------------------------------
 
 

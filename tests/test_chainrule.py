@@ -739,6 +739,31 @@ def test_levelset_comparison_guards():
         levelset_comparison_pwc(planar, u, PHI)
 
 
+def test_levelset_comparison_sees_a_narrow_flux_at_state_zero():
+    """B = w + T(x) (1 + w), T a tent of height 1 on [0.3001, 0.3003]:
+    B(., 0) = T does not vanish, which the exact range of sum_k f_k(0) K_k
+    shows and 35 probes missed.  A Cantor part of B(., 0) does not vanish
+    either."""
+    from bvcalc.measures import Interval, PiecewisePolynomial
+
+    u = PiecewiseConstant((0.0, 0.3, 1.0), (1.0, 2.0), (1.5,))
+    tent = BVFunction(
+        Interval(0.0, 1.0),
+        PiecewisePolynomial(
+            (0.0, 0.3001, 0.3002, 0.3003, 1.0), ((0.0,), (0.0, 1e4), (1.0, -1e4), (0.0,))
+        ),
+    )
+    one = BVFunction.constant(0.0, 1.0, 1.0)
+    w, one_plus_w = SmoothFunction.poly1d((0.0, 1.0), "w"), SmoothFunction.poly1d((1.0, 1.0), "1 + w")
+    with pytest.raises(DomainError, match="vanish at state zero"):
+        levelset_comparison_pwc(FluxModel(((one, w), (tent, one_plus_w))), u, PHI)
+    cantor = BVFunction.cantor_fn(0.0, 1.0, (0.2, 0.8), 1e-3)
+    with pytest.raises(DomainError, match="vanish at state zero"):
+        levelset_comparison_pwc(FluxModel(((one, w), (cantor, one_plus_w))), u, PHI)
+    left, right = levelset_comparison_pwc(FluxModel(((one, w), (tent, w))), u, PHI)
+    assert left == pytest.approx(right, abs=1e-10)
+
+
 def test_factored_flux_machinery_rejects_a_composite_flux():
     """The comparison identity and the conservation-law flux factor B as
     sum K_k f_k, which a CompositeFlux f2(K, w) does not give."""

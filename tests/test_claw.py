@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bvcalc.claw as claw
 from bvcalc import (
@@ -1088,6 +1090,138 @@ def test_one_cell_slice_pairing_cuts_the_cantor_part_at_the_level_crossing(alpha
     assert len(pair.q_diffuse[2](v, 0.2, 0.8)) == 1
     got = _one_slice_pairing(pair, edges, vals, phi, tol=1e-10)
     assert got == pytest.approx(_slice_weak_form(pair, alpha, edges, vals, phi), abs=1e-9)
+
+
+def _tent_flux():
+    """B = K w with K = 1 + a tent of height 1 on [0.3001, 0.3003]."""
+    from bvcalc.measures import Interval, PiecewisePolynomial
+
+    pp = PiecewisePolynomial(
+        (0.0, 0.3001, 0.3002, 0.3003, 1.0), ((1.0,), (1.0, 1e4), (2.0, -1e4), (1.0,))
+    )
+    K = BVFunction(Interval(0.0, 1.0), pp)
+    return ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+
+
+def test_cuts_find_a_tent_between_the_samples():
+    """B(., 1) crosses 1.5 at 0.30015 and 0.30025, inside one gap of the
+    65 samples of [0, 1] and of [0.29, 0.31]: the crossings of the
+    representation find both, on either window."""
+    cuts = adapted_entropy_pair(_tent_flux(), 1.5).q_diffuse[2]
+    for lo, hi in ((0.0, 1.0), (0.29, 0.31)):
+        got = cuts(1.0, lo, hi)
+        assert len(got) == 2
+        assert np.abs(np.subtract(got, (0.30015, 0.30025))).max() <= _ROOT_TOL
+
+
+_STATES = (SmoothFunction.poly1d((0.0, 1.0), "w"), SmoothFunction.poly1d((0.0, 0.0, 0.0, 0.5), "w^3/2"))
+
+
+def _random_coefficient(bks, values):
+    """The piecewise quadratic through values[i] = (left, middle, right) on
+    each cell of the ascending ``bks``: jumps where two cells disagree."""
+    from bvcalc.measures import Interval, PiecewisePolynomial
+
+    pieces = []
+    for x0, x1, (l, m, r) in zip(bks, bks[1:], values):
+        h = x1 - x0
+        pieces.append((l, (4.0 * m - 3.0 * l - r) / h, 2.0 * (l - 2.0 * m + r) / (h * h)))
+    return BVFunction(Interval(bks[0], bks[-1]), PiecewisePolynomial(tuple(bks), tuple(pieces)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    widths=st.lists(st.floats(-9.0, 0.0), min_size=1, max_size=5),
+    terms=st.lists(
+        st.tuples(
+            st.lists(st.booleans(), min_size=4, max_size=4),
+            st.lists(st.tuples(*[st.floats(0.5, 2.0)] * 3), min_size=5, max_size=5),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    v=st.floats(0.5, 3.0),
+    t=st.floats(0.0, 1.0),
+    window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_cuts_are_the_sign_changes_of_each_piece(widths, terms, v, t, window):
+    """B = sum_k K_k f_k, with one or two piecewise-quadratic K_k on their
+    own breakpoints (a unit piece, then pieces 1e-9 to 1 wide; jumps where
+    they disagree).  The unit piece keeps the domain wide enough for the
+    1e-9 jump offsets of the flux's sampled checks, which step off a
+    domain narrower than about 1e-8.  B(., v) = sum_k f_k(v) K_k is the
+    flux at its pieces' ends and middles, and ``cuts`` gives, inside the
+    window, the sign changes of each of its polynomial pieces less alpha
+    (``_sign_changes``) and its jumps across alpha: each within _ROOT_TOL,
+    plus the x-shift of a few ulps of alpha where the slope is small.
+    Levels within 1e-9 of a piece's extreme values are left out: there a
+    crossing is a touch that rounding can show or hide."""
+    from bvcalc.measures import _horner, _sign_changes
+
+    bks = np.concatenate(([0.0], np.cumsum([1.0] + [10.0**w for w in widths]))).tolist()
+    model = []
+    for (mask, values), f in zip(terms, _STATES):
+        own = [bks[0]] + [x for x, keep in zip(bks[1:-1], mask) if keep] + [bks[-1]]
+        model.append((_random_coefficient(own, values), f))
+    flux = ScalarFlux(FluxModel(tuple(model)), 0.01, 50.0)
+    pp = flux.model.section([v]).smooth_part
+    edges = np.array(pp.breakpoints)
+    xs = np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:])))
+    B = flux.values_on_grid(xs, np.full(xs.shape, v))
+    assert np.allclose(pp.at(xs), B, rtol=1e-12, atol=0.0)
+    ends = np.concatenate((pp.at(edges[:-1]), pp.at(edges[1:], "left")))
+    alpha = ends.min() + t * (ends.max() - ends.min())
+    want, extremes = [], []
+    for a, b, coeffs in zip(pp.breakpoints, pp.breakpoints[1:], pp.pieces):
+        gap = (coeffs[0] - alpha,) + coeffs[1:]
+        slope = tuple(k * c for k, c in enumerate(coeffs[1:], 1)) or (0.0,)
+        want += [a + r for r in _sign_changes(gap, 0.0, b - a)]
+        extremes += _horner(gap, np.array([0.0, *_sign_changes(slope, 0.0, b - a), b - a])).tolist()
+    assume(min(map(abs, extremes)) > 1e-9 * (1.0 + abs(alpha)))
+    left, right = pp.at(edges[1:-1], "left"), pp.at(edges[1:-1], "right")
+    want += edges[1:-1][(np.minimum(left, right) < alpha) & (alpha < np.maximum(left, right))].tolist()
+    lo, hi = sorted(bks[-1] * np.array(window))
+    want = np.array(sorted(x for x in want if lo < x < hi))
+    got = adapted_entropy_pair(flux, alpha).q_diffuse[2](v, lo, hi)
+    assert list(got) == sorted(got)
+    assert len(got) == len(want)
+    _, slopes = pp.with_slope(want)
+    with np.errstate(divide="ignore"):
+        shift = np.where(np.isin(want, edges), 0.0, 4.0 * np.spacing(1.0 + abs(alpha)) / np.abs(slopes))
+    assert np.all(np.abs(np.subtract(got, want)) <= _ROOT_TOL + shift)
+
+
+def test_cut_search_on_a_cantor_coefficient_scans_digits_once(monkeypatch):
+    """K = 1 + 0.6 C on ]0.2, 0.8[: the search for a crossing on the
+    Cantor piece descends its ternary cells with the exact C of their gaps,
+    so it runs the digit scan at most once, where the sampled cuts halved
+    for up to 41 passes, each with a scan.  A cuts call scans at most four
+    times in all: u's piece ends once, their table twice, the search once."""
+    import bvcalc.cantor as cantor
+
+    scans, per_search, per_call = [], [], []
+    real_scan, real_search = cantor._dyadic_scan, claw._level_search
+
+    def search(*a):
+        lows, highs, locate = real_search(*a)
+
+        def counted(*b):
+            before = len(scans)
+            out = locate(*b)
+            per_search.append(len(scans) - before)
+            return out
+
+        return lows, highs, counted
+
+    monkeypatch.setattr(cantor, "_dyadic_scan", lambda *a: scans.append(1) or real_scan(*a))
+    monkeypatch.setattr(claw, "_level_search", search)
+    for alpha, v in ((1.0, 0.8), (1.21, 1.1), (1.0, 0.7), (1.5, 1.3)):
+        cuts = adapted_entropy_pair(cantor_slope_flux(), alpha).q_diffuse[2]
+        before = len(scans)
+        assert len(cuts(v, 0.2, 0.8)) == 1
+        per_call.append(len(scans) - before)
+    assert len(per_search) == 4 and max(per_search) <= 1
+    assert max(per_call) <= 4
 
 
 def test_affine_pair_needs_pwc_coefficients_for_residuals():

@@ -183,7 +183,7 @@ def _reference_halve(nodes, variation, rise, forbidden, tol):
         if v1 - v0 > rise:
             y = 0.5 * (x0 + x1)
             if any(abs(y - f) <= tol for f in forbidden):
-                y = pwconst._shift_off(y, forbidden, x1 - x0, tol)
+                y = pwconst._split(x0, x1, forbidden, tol)
             split(x0, y)
             split(y, x1)
         else:
@@ -231,8 +231,15 @@ def test_array_mesh_matches_the_per_cell_halving(seed, n, picks, prefix):
     exc = ExceptionalSet(tuple(marked), prefix_len=min(prefix, len(marked)))
     shifts = []
     with pytest.MonkeyPatch.context() as mp:
-        shift_off = pwconst._shift_off
-        mp.setattr(pwconst, "_shift_off", lambda *a: shifts.append(a) or shift_off(*a))
+        split = pwconst._split
+
+        def nudged(x0, x1, forbidden, tol):
+            y = split(x0, x1, forbidden, tol)
+            if y != 0.5 * (x0 + x1):
+                shifts.append(y)
+            return y
+
+        mp.setattr(pwconst, "_split", nudged)
         new = approximate_scalar(u, eps, exc)
     assert shifts
     with pytest.MonkeyPatch.context() as mp:
@@ -292,13 +299,25 @@ def test_a_cell_one_ulp_wide_that_still_rises_is_named():
 
 
 def test_a_node_off_a_marked_point_stays_inside_its_cell():
-    """A marked point on a node of the mesh of a slope-1e9 piece: the
-    midpoint nudged off it by 10 tol would leave its cell, so the call
-    names the cell instead of placing a node outside it."""
+    """A marked point on a node of the mesh of a slope-1e9 piece, where the
+    cells are a few tol wide: the node moved off it lands 1.25 tol to one
+    side, inside its cell, so the mesh keeps every node more than tol from
+    the point and V's rise per cell within eps/3, for every fourth such
+    node.  At eps = 0.001 a cell may be 0.33 tol wide, below the 2 tol
+    that a cell around the point needs, and the call names a cell."""
     u = _piecewise_linear((0.0, 0.5, 0.5 + 1e-9, 1.0), ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
-    p = next(x for x in approximate_scalar(u, 0.01).partition if 0.5 < x < 0.5 + 1e-9)
+    tol = 1e-12
+    eps = 0.01
+    inside = [x for x in approximate_scalar(u, eps).partition if 0.5 < x < 0.5 + 1e-9]
+    assert len(inside) > 500
+    for p in inside[::4]:
+        ap = approximate_scalar(u, eps, ExceptionalSet((p,)))
+        nodes = np.array(ap.partition)
+        assert np.abs(nodes - p).min() > tol
+        assert np.diff(_reference_variation(u, nodes)).max() <= eps / 3.0
+        assert ap(p) == u.eval(p)
     with pytest.raises(DomainError, match="clears the forbidden points"):
-        approximate_scalar(u, 0.01, ExceptionalSet((p,)))
+        approximate_scalar(u, 0.001, ExceptionalSet((inside[len(inside) // 2],)))
 
 
 def _reference_variation(u, xs):
