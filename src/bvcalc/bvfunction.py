@@ -167,11 +167,9 @@ class BVFunction:
         return val, slope
 
     def oscillation(self):
-        """sup u - inf u: the extreme sided end values of u's monotone
-        pieces, every jump's included (``_monotone_pieces``, which raises
-        RepresentationError where a Cantor summand fights the slope)."""
-        ends = [v for p in _monotone_pieces(self) for v in p[2:4]]
-        return max(ends) - min(ends)
+        """sup u - inf u, from :func:`_value_range`."""
+        lo, hi = _value_range(self)
+        return hi - lo
 
     # -- calculus -----------------------------------------------------------
     def derivative(self):
@@ -427,6 +425,14 @@ def _monotone_pieces(u):
             )
         pieces.append((x0, x1, v0, v1, base, coef))
     return pieces
+
+
+def _value_range(u):
+    """(inf u, sup u): the extreme sided end values of u's monotone pieces,
+    every jump's included (``_monotone_pieces``, which raises
+    RepresentationError where a Cantor summand fights the slope)."""
+    ends = [v for p in _monotone_pieces(u) for v in p[2:4]]
+    return min(ends), max(ends)
 
 
 def coarea_default_tgrid(u, x_cuts=()):

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bvfunction import BVFunction, BVVector, _monotone_pieces
+from .bvfunction import BVFunction, BVVector, _value_range
 from .errors import DomainError
 from .measures import PiecewisePolynomial, _horner
 from .quadrature import _merge_supports, integrate_interval
@@ -614,7 +614,7 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     if not isinstance(B, FluxModel) or B.dim != 1:
         raise DomainError("comparison identity needs a scalar-state FluxModel (sum K_k f_k)")
     zero = B.section(np.zeros(1))  # a Cantor part does not vanish
-    if zero.cantor_part or max(abs(v) for p in _monotone_pieces(zero) for v in p[2:4]) > 1e-11:
+    if zero.cantor_part or max(map(abs, _value_range(zero))) > 1e-11:
         raise DomainError("comparison identity needs the flux to vanish at state zero")
     lo, hi = _window(B, phi)
 

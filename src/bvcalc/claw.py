@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvfunction import BVFunction, _level_search, _monotone_pieces
+from .bvfunction import BVFunction, _level_search, _monotone_pieces, _value_range
 from .chainrule import FluxModel, _window_pairing
 from .errors import CFLError, DomainError, RangeError, RepresentationError
 # unused here; perfbench's tracer tests expect claw to bind integrate_interval
 from .quadrature import _bisect, integrate_interval  # noqa: F401
 
 _KINK_BAND = 1e-12  # relative half-width of the starred-sign zero band
-_OFF_EPS = 1e-9  # how close a sample may come to a flux jump
 
 # Gauss-Legendre 12 on [-1, 1], the bits of numpy's routine, by the
 # nonnegative nodes and their weights
@@ -62,30 +61,18 @@ def _star_sign(d, scale=1.0):
     return np.where(np.abs(d) <= band, 0.0, np.sign(d))
 
 
-def _off_points(xs, bad):
-    """Shift samples that collide with the listed points."""
-    xs = np.array(xs, dtype=float)
-    for p in bad:
-        hit = np.abs(xs - p) < _OFF_EPS
-        xs[hit] += 3 * _OFF_EPS
-    return xs
-
-
-def _space_state_grid(xs, ws):
-    """(points, states) pairing every state of ``ws`` with every point of
-    ``xs``, state by state: one grid call for a sampled space-state box."""
-    return np.tile(xs, len(ws)), np.repeat(ws, len(xs))[None, :]
-
-
 @dataclass(frozen=True)
 class ScalarFlux:
     """Flux model with scalar state, certified strictly monotone in the
     state on the working range [w_lo, w_hi].
 
-    The certificate samples B(x, .) on 39 x (41 even points less the ends,
-    off the flux jumps) by 33 even states and requires strictly increasing
-    (or decreasing) values; a K_k or f_k turning between samples passes
-    unseen.  ``direction`` is +1 for increasing, -1 for decreasing."""
+    The certificates are exact in x: ``_enclosure`` bounds sum_k K_k(x) g_k
+    over every x by the interval sum of K_k's exact range times g_k.  That
+    is exact for one term; terms monotone only because they cancel are
+    refused, so write the terms that share an f_k as one.  The state side
+    is sampled at 33 even states: an f_k or f_k' turning between them passes
+    unseen.  ``direction`` is +1 for increasing, -1 for decreasing.  A K
+    whose Cantor summand fights its slope raises RepresentationError."""
 
     model: FluxModel  # with dim == 1
     w_lo: float
@@ -99,22 +86,34 @@ class ScalarFlux:
             )
         if not self.w_hi > self.w_lo:
             raise DomainError("working range must be nondegenerate")
-        dom = self.model.domain
-        xs = _off_points(
-            np.linspace(dom.a, dom.b, 41)[1:-1], self.model.exceptional_set()
-        )
-        ws = np.linspace(self.w_lo, self.w_hi, 33)
-        vals = self.model.value_on_grid(*_space_state_grid(xs, ws)).reshape(len(ws), -1)
-        diffs = np.diff(vals, axis=0)
-        if np.all(diffs > 0):
+        # B(x, w_{j+1}) - B(x, w_j) = sum_k K_k(x) (f_k(w_{j+1}) - f_k(w_j))
+        lo, hi = self._enclosure(lambda f, W: np.diff(np.asarray(f(W))))
+        if np.all(lo > 0):
             direction = 1
-        elif np.all(diffs < 0):
+        elif np.all(hi < 0):
             direction = -1
         else:
             raise DomainError(
-                "flux is not strictly monotone in the state on the working range"
+                "flux is not certified strictly monotone in the state on the working range"
             )
         object.__setattr__(self, "direction", direction)
+
+    @functools.cached_property
+    def _ranges(self):
+        """(inf K_k, sup K_k) per term, read off the representation."""
+        return tuple(_value_range(K) for K, _ in self.model.terms)
+
+    def _enclosure(self, factor):
+        """Per state of the 33 even states of the working range, (lo, hi)
+        with lo <= sum_k K_k(x) g_k <= hi at every x, g_k = factor(f_k, W)
+        for the (1, 33) state array W: the sum over the terms, in term
+        order from zero, of [min, max](kmin_k g_k, kmax_k g_k)."""
+        W = np.linspace(self.w_lo, self.w_hi, 33)[None, :]
+        lo = hi = 0.0
+        for (kmin, kmax), (_, f) in zip(self._ranges, self.model.terms):
+            g = factor(f, W)
+            lo, hi = lo + np.minimum(kmin * g, kmax * g), hi + np.maximum(kmin * g, kmax * g)
+        return lo, hi
 
     @property
     def domain(self):
@@ -134,30 +133,16 @@ class ScalarFlux:
         return self.model.value_on_grid(xs, ws[None, :], side)
 
     def state_bound(self):
-        """C with |B(x,u)| <= C on domain x working range, sampled on 129
-        even x by 33 even states and the sided values at jump points; a peak
-        between samples leaves C too small (the affine level grid short)."""
-        dom = self.model.domain
-        xs = np.linspace(dom.a, dom.b, 129)
-        ws = np.linspace(self.w_lo, self.w_hi, 33)
-        best = float(np.abs(self.model.value_on_grid(*_space_state_grid(xs, ws))).max())
-        for x in self.jump_points():
-            for side in ("left", "right"):
-                for w in (self.w_lo, self.w_hi):
-                    best = max(best, abs(self.value(x, w, side)))
-        return best * (1.0 + 1e-9)
+        """C with |B(x,u)| <= C on domain x working range, every sided value
+        at a jump included, from the enclosure with g_k = f_k (33 states),
+        times 1 + 1e-9."""
+        bounds = self._enclosure(lambda f, W: np.asarray(f(W)))
+        return float(np.abs(bounds).max()) * (1.0 + 1e-9)
 
     def speed_bound(self):
-        """max |state derivative of B| over the space-state box, sampled on
-        63 x (65 even points less the ends, off the jumps) by 17 even states.
-        A peak between samples leaves it too small: steps past the CFL."""
-        dom = self.model.domain
-        xs = _off_points(
-            np.linspace(dom.a, dom.b, 65)[1:-1], self.model.exceptional_set()
-        )
-        ws = np.linspace(self.w_lo, self.w_hi, 17)
-        _, _, gw = self.model.diffuse_on_grid(*_space_state_grid(xs, ws))
-        return float(np.abs(gw).max())
+        """max |state derivative of B| over the space-state box, from the
+        enclosure with g_k = f_k' (33 states): the CFL speed."""
+        return float(np.abs(self._enclosure(lambda f, W: np.asarray(f.grad(W))[0])).max())
 
 
 def _range_gaps(flux, ks, alpha):
@@ -273,10 +258,10 @@ class EntropyFluxPair:
     # -- structural checks --------------------------------------------------
     def check_convexity(self, samples=33, tol=1e-10):
         """Second differences of eta(x, .) nonnegative on 7 x (9 even points
-        less the ends, off the jumps) by ``samples`` even states; a concave
+        less the ends, a.e. values) by ``samples`` even states; a concave
         dip between samples passes unseen."""
         dom = self.flux.domain
-        xs = _off_points(np.linspace(dom.a, dom.b, 9)[1:-1], self.flux.jump_points())
+        xs = np.linspace(dom.a, dom.b, 9)[1:-1]
         us = np.linspace(self.flux.w_lo, self.flux.w_hi, samples)
         worst = 0.0
         for x in xs:
@@ -296,11 +281,7 @@ class EntropyFluxPair:
         worst = 0.0
         used = 0
         for _ in range(samples):
-            x = float(
-                _off_points(
-                    np.array([rng.uniform(dom.a, dom.b)]), self.flux.jump_points()
-                )[0]
-            )
+            x = rng.uniform(dom.a, dom.b)
             u = rng.uniform(self.flux.w_lo + 4 * h, self.flux.w_hi - 4 * h)
             s_lo = float(self.eta_u(np.array([x]), np.array([u - 2 * h]))[0])
             s_hi = float(self.eta_u(np.array([x]), np.array([u + 2 * h]))[0])
@@ -338,8 +319,9 @@ def adapted_entropy_pair(flux, alpha):
     monotone flux both signs equal the sign of (carried level - alpha), so
     this holds on every jump-condition pair."""
     dom = flux.domain
-    probe = _off_points(np.linspace(dom.a, dom.b, 17)[1:-1], flux.jump_points())
-    # fail early when not attained at 15 probes: the range ends decide it, no bisection
+    probe = np.linspace(dom.a, dom.b, 17)[1:-1]
+    # fail early when not attained at 15 probes: the range ends decide it, no
+    # bisection; at a jump the mean of the sides attains what both attain
     flo, fhi = _range_gaps(
         flux, flux.model.coefficients(probe, "precise"), np.full(probe.shape, float(alpha))
     )
@@ -655,7 +637,9 @@ def solve_claw(flux, u0, T, cells, cfl=0.45):
     The monotone direction fixes the upwind side; flux-jump interfaces
     carry the upwind sided value across (the cross-interface states then
     satisfy the jump condition exactly, and profiles at a constant flux
-    level are preserved to round-off).  The CFL number is capped at 1/2."""
+    level are preserved to round-off).  The CFL number is capped at 1/2.
+    RangeError when the initial data, or the solution at some time, leaves
+    the working range the flux is certified on."""
     if not 0 < cfl <= 0.5:
         raise CFLError("CFL number must lie in ]0, 1/2]")
     if not T > 0:
@@ -675,19 +659,19 @@ def solve_claw(flux, u0, T, cells, cfl=0.45):
     widths = np.diff(edges)
     steps = max(1, math.ceil(T * speed / (cfl * float(widths.min()))))
     dt = T / steps
-    times = [0.0]
-    states = [u.copy()]
-    traces = []
+    times = dt * np.arange(steps + 1)
+    states, traces = np.empty((steps + 1, u.size)), np.empty((steps, u.size + 1))
+    states[0] = u
     interface_flux = _interface_flux(flux, edges)
     for n in range(steps):
         F = interface_flux(u)
         u = u - dt * (F[1:] - F[:-1]) / widths
-        traces.append(F)
-        times.append(dt * (n + 1))
-        states.append(u.copy())
-    return ClawField(
-        flux, edges, np.asarray(times), np.asarray(states), np.asarray(traces)
-    )
+        traces[n], states[n + 1] = F, u
+    outside = (states.min(axis=1) < flux.w_lo - 1e-12) | (states.max(axis=1) > flux.w_hi + 1e-12)
+    if outside.any():
+        t = float(times[np.argmax(outside)])
+        raise RangeError(f"the solution leaves the working range at t={t!r}")
+    return ClawField(flux, edges, times, states, traces)
 
 
 # ---------------------------------------------------------------------------

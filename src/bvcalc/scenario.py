@@ -82,7 +82,7 @@ from .claw import (
     entropy_residual,
     solve_claw,
 )
-from .errors import DomainError, RangeError, ScenarioError
+from .errors import DomainError, RangeError, RepresentationError, ScenarioError
 from .pwconst import approximate_vector
 
 REPORT_COLUMNS = (
@@ -490,12 +490,17 @@ def _claw_solve(sc):
         flux = ScalarFlux(sc.flux, w_lo, w_hi)
     except DomainError as exc:
         _fail("[claw] range", str(exc))
+    except RepresentationError as exc:
+        # a K whose range is not certified (a Cantor summand fights its slope)
+        _fail("[flux]", str(exc))
     try:
         return flux, solve_claw(
             flux, sc.state, sc.claw["time"], sc.claw["cells"], cfl=sc.claw.get("cfl", 0.45)
         )
     except RangeError as exc:
-        _fail("[u] initial", f"{exc} ([claw] range = {w_lo:g} {w_hi:g})")
+        # the initial data leaves the range, or the solution does later on
+        where = "[u] initial" if str(exc).startswith("initial") else "[claw] range"
+        _fail(where, f"{exc} ([claw] range = {w_lo:g} {w_hi:g})")
     except DomainError as exc:
         # past the parsed checks (time > 0, cells >= 4, a BV datum) the
         # solver's DomainError is the grid's: flux jumps sharing an edge

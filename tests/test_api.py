@@ -227,17 +227,26 @@ def _function(tree, *path):
 
 
 def test_crossings_ranges_and_the_zero_flux_check_sample_nothing():
-    """The adapted-flux cuts, ``BVFunction.oscillation`` and the zero-flux
-    check of the comparison identity read the representation: none of them
-    calls ``np.linspace``.  (The adapted pair's fail-early attainment probe
-    around ``cuts`` still samples; the inversion at the points raises
-    exactly.)"""
+    """The adapted-flux cuts, ``BVFunction.oscillation``, the zero-flux
+    check of the comparison identity and the flux certificates (the
+    monotonicity check, ``state_bound``, ``speed_bound``) read the
+    representation: none of them calls ``np.linspace``, and the x offsets
+    and space-state grid of the sampled certificates are gone.  (The
+    adapted pair's fail-early attainment probe around ``cuts`` still
+    samples; the inversion at the points raises exactly.  The certificates'
+    33 states are one helper's.)"""
     src = Path(bvcalc.__file__).parent
     places = (
         ("claw.py", ("adapted_entropy_pair", "cuts")),
+        ("claw.py", ("ScalarFlux", "__post_init__")),
+        ("claw.py", ("ScalarFlux", "state_bound")),
+        ("claw.py", ("ScalarFlux", "speed_bound")),
         ("bvfunction.py", ("BVFunction", "oscillation")),
         ("chainrule.py", ("levelset_comparison_pwc",)),
     )
+    text = (src / "claw.py").read_text()
+    for name in ("_off_points", "_OFF_EPS", "_space_state_grid"):
+        assert name not in text, name
     for name, path in places:
         body = _function(ast.parse((src / name).read_text()), *path)
         calls = [

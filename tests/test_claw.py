@@ -13,6 +13,7 @@ from bvcalc import (
     DomainError,
     FluxModel,
     RangeError,
+    RepresentationError,
     ScalarFlux,
     SmoothFunction,
     SpaceTimeTest,
@@ -1092,15 +1093,16 @@ def test_one_cell_slice_pairing_cuts_the_cantor_part_at_the_level_crossing(alpha
     assert got == pytest.approx(_slice_weak_form(pair, alpha, edges, vals, phi), abs=1e-9)
 
 
-def _tent_flux():
-    """B = K w with K = 1 + a tent of height 1 on [0.3001, 0.3003]."""
+def _tent_flux(height=1.0, w_lo=0.1, w_hi=2.5):
+    """B = K w with K = 1 + a tent of ``height`` on [0.3001, 0.3003]."""
     from bvcalc.measures import Interval, PiecewisePolynomial
 
     pp = PiecewisePolynomial(
-        (0.0, 0.3001, 0.3002, 0.3003, 1.0), ((1.0,), (1.0, 1e4), (2.0, -1e4), (1.0,))
+        (0.0, 0.3001, 0.3002, 0.3003, 1.0),
+        ((1.0,), (1.0, height * 1e4), (1.0 + height, -height * 1e4), (1.0,)),
     )
     K = BVFunction(Interval(0.0, 1.0), pp)
-    return ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    return ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), w_lo, w_hi)
 
 
 def test_cuts_find_a_tent_between_the_samples():
@@ -1112,6 +1114,63 @@ def test_cuts_find_a_tent_between_the_samples():
         got = cuts(1.0, lo, hi)
         assert len(got) == 2
         assert np.abs(np.subtract(got, (0.30015, 0.30025))).max() <= _ROOT_TOL
+
+
+def test_speed_bound_reads_the_tent_between_the_samples():
+    """K = 1 + a tent of height 10 on [0.3001, 0.3003], B = K w: the speed
+    bound is K's exact maximum 11, where the 63 x samples read 1 and the
+    solve at 20,000 cells ran at 11 times the CFL limit to states of
+    +-2e52.  Now it solves stably, conserving mass to round-off, on
+    [0.05, 3]; on [0.1, 2.5] the states leave the working range below the
+    tent (1/11 < 0.1), which raises."""
+    u0 = BVFunction.constant(0.0, 1.0, 1.0)
+    flux = _tent_flux(10.0, 0.05, 3.0)
+    assert flux.speed_bound() >= 11.0
+    field = solve_claw(flux, u0, 0.002, 20000)
+    assert 0.05 <= field.states.min() and field.states.max() <= 3.0
+    assert np.abs(field.mass_defects()).max() <= 1e-14
+    with pytest.raises(RangeError, match="the solution leaves the working range at t="):
+        solve_claw(_tent_flux(10.0), u0, 0.002, 20000)
+
+
+def test_certificate_refuses_a_dip_between_the_samples():
+    """A dip to K = -1 on [0.3001, 0.3003] makes B = K w decrease in the
+    state there, where the 39 x samples certified it increasing."""
+    with pytest.raises(DomainError, match="not certified strictly monotone"):
+        _tent_flux(-2.0)
+
+
+def test_certificates_on_a_domain_narrower_than_the_old_jump_offsets():
+    """K jumps at 1e-8 on ]0, 1.1e-8[: no sample steps 3e-9 off a jump, so
+    the flux and its adapted pair build."""
+    from bvcalc.measures import Interval, PiecewisePolynomial
+
+    pp = PiecewisePolynomial((0.0, 1e-8, 1.1e-8), ((1.0,), (2.0,)))
+    K = BVFunction(Interval(0.0, 1.1e-8), pp)
+    flux = ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
+    assert (flux.direction, flux.speed_bound()) == (1, 2.0)
+    assert adapted_entropy_pair(flux, 0.5).label == "adapted[0.5]"
+
+
+def test_the_enclosure_refuses_terms_that_cancel():
+    """K_1 = 2x - 1 and K_2 = 2 - 2x, both with f = w: B = w is monotone
+    only because the terms cancel, which the interval sum of their ranges
+    does not see; the same flux as one term is certified."""
+    w = SmoothFunction.poly1d((0.0, 1.0), "w")
+    K1 = BVFunction.from_poly(0.0, 1.0, (-1.0, 2.0))
+    K2 = BVFunction.from_poly(0.0, 1.0, (2.0, -2.0))
+    with pytest.raises(DomainError, match="not certified strictly monotone"):
+        ScalarFlux(FluxModel(((K1, w), (K2, w))), 0.1, 2.5)
+    assert ScalarFlux(FluxModel(((K1 + K2, w),)), 0.1, 2.5).direction == 1
+
+
+def test_a_cantor_summand_against_the_slope_has_no_certified_range():
+    """K = 1 - 0.5 x + 0.3 C on ]0.2, 0.8[: its monotone pieces cannot be
+    certified, so neither can its range."""
+    K = BVFunction.from_poly(0.0, 1.0, (1.0, -0.5))
+    K = K + BVFunction.cantor_fn(0.0, 1.0, (0.2, 0.8), 0.3)
+    with pytest.raises(RepresentationError):
+        ScalarFlux(FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0), "w")),)), 0.1, 2.5)
 
 
 _STATES = (SmoothFunction.poly1d((0.0, 1.0), "w"), SmoothFunction.poly1d((0.0, 0.0, 0.0, 0.5), "w^3/2"))
@@ -1129,41 +1188,50 @@ def _random_coefficient(bks, values):
     return BVFunction(Interval(bks[0], bks[-1]), PiecewisePolynomial(tuple(bks), tuple(pieces)))
 
 
+def _random_model(widths, terms):
+    """sum_k K_k f_k over _STATES, each K_k a ``_random_coefficient`` with
+    values[k] on its own breakpoints: the ends of the pieces 10**widths[i]
+    wide from 0 that its mask keeps."""
+    bks = np.concatenate(([0.0], np.cumsum([10.0**w for w in widths]))).tolist()
+    model = []
+    for (mask, values), f in zip(terms, _STATES):
+        own = [bks[0]] + [x for x, keep in zip(bks[1:-1], mask) if keep] + [bks[-1]]
+        model.append((_random_coefficient(own, values), f))
+    return FluxModel(tuple(model))
+
+
+# one or two (mask, values) draws for ``_random_model``, values from 0.5 to 2
+_TERMS = st.lists(
+    st.tuples(
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        st.lists(st.tuples(*[st.floats(0.5, 2.0)] * 3), min_size=5, max_size=5),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     widths=st.lists(st.floats(-9.0, 0.0), min_size=1, max_size=5),
-    terms=st.lists(
-        st.tuples(
-            st.lists(st.booleans(), min_size=4, max_size=4),
-            st.lists(st.tuples(*[st.floats(0.5, 2.0)] * 3), min_size=5, max_size=5),
-        ),
-        min_size=1,
-        max_size=2,
-    ),
+    terms=_TERMS,
     v=st.floats(0.5, 3.0),
     t=st.floats(0.0, 1.0),
     window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
 def test_cuts_are_the_sign_changes_of_each_piece(widths, terms, v, t, window):
     """B = sum_k K_k f_k, with one or two piecewise-quadratic K_k on their
-    own breakpoints (a unit piece, then pieces 1e-9 to 1 wide; jumps where
-    they disagree).  The unit piece keeps the domain wide enough for the
-    1e-9 jump offsets of the flux's sampled checks, which step off a
-    domain narrower than about 1e-8.  B(., v) = sum_k f_k(v) K_k is the
-    flux at its pieces' ends and middles, and ``cuts`` gives, inside the
-    window, the sign changes of each of its polynomial pieces less alpha
-    (``_sign_changes``) and its jumps across alpha: each within _ROOT_TOL,
-    plus the x-shift of a few ulps of alpha where the slope is small.
+    own breakpoints (``_random_model``: pieces 1e-9 to 1 wide, jumps where
+    they disagree).  B(., v) = sum_k f_k(v) K_k is the flux at its pieces'
+    ends and middles, and ``cuts`` gives, inside the window, the sign
+    changes of each of its polynomial pieces less alpha (``_sign_changes``)
+    and its jumps across alpha: each within _ROOT_TOL, plus the x-shift of
+    a few ulps of alpha where the slope is small.
     Levels within 1e-9 of a piece's extreme values are left out: there a
     crossing is a touch that rounding can show or hide."""
     from bvcalc.measures import _horner, _sign_changes
 
-    bks = np.concatenate(([0.0], np.cumsum([1.0] + [10.0**w for w in widths]))).tolist()
-    model = []
-    for (mask, values), f in zip(terms, _STATES):
-        own = [bks[0]] + [x for x, keep in zip(bks[1:-1], mask) if keep] + [bks[-1]]
-        model.append((_random_coefficient(own, values), f))
-    flux = ScalarFlux(FluxModel(tuple(model)), 0.01, 50.0)
+    flux = ScalarFlux(_random_model(widths, terms), 0.01, 50.0)
     pp = flux.model.section([v]).smooth_part
     edges = np.array(pp.breakpoints)
     xs = np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:])))
@@ -1180,7 +1248,7 @@ def test_cuts_are_the_sign_changes_of_each_piece(widths, terms, v, t, window):
     assume(min(map(abs, extremes)) > 1e-9 * (1.0 + abs(alpha)))
     left, right = pp.at(edges[1:-1], "left"), pp.at(edges[1:-1], "right")
     want += edges[1:-1][(np.minimum(left, right) < alpha) & (alpha < np.maximum(left, right))].tolist()
-    lo, hi = sorted(bks[-1] * np.array(window))
+    lo, hi = sorted(flux.domain.b * np.array(window))
     want = np.array(sorted(x for x in want if lo < x < hi))
     got = adapted_entropy_pair(flux, alpha).q_diffuse[2](v, lo, hi)
     assert list(got) == sorted(got)
@@ -1189,6 +1257,70 @@ def test_cuts_are_the_sign_changes_of_each_piece(widths, terms, v, t, window):
     with np.errstate(divide="ignore"):
         shift = np.where(np.isin(want, edges), 0.0, 4.0 * np.spacing(1.0 + abs(alpha)) / np.abs(slopes))
     assert np.all(np.abs(np.subtract(got, want)) <= _ROOT_TOL + shift)
+
+
+def _exact_range(K):
+    """(min, max) of a piecewise-quadratic K over its pieces' ends and the
+    vertices inside them, in rationals, rounded once."""
+    from fractions import Fraction
+
+    pp, vals = K.smooth_part, []
+    for a, b, coeffs in zip(pp.breakpoints, pp.breakpoints[1:], pp.pieces):
+        (c0, c1, c2), h = map(Fraction, coeffs), Fraction(b) - Fraction(a)
+        ts = [Fraction(0), h] + ([-c1 / (2 * c2)] if c2 and 0 < -c1 / (2 * c2) < h else [])
+        vals += [c0 + t * (c1 + t * c2) for t in ts]
+    return float(min(vals)), float(max(vals))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    widths=st.lists(st.floats(-9.0, 0.0), min_size=1, max_size=5),
+    terms=_TERMS,
+    signs=st.tuples(st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0))),
+    dip=st.floats(0.0, 1.0),
+)
+def test_flux_bounds_and_direction_hold_on_dense_samples(widths, terms, signs, dip):
+    """B = sum_k K_k f_k from ``_random_model`` (pieces 1e-9 to 1 wide),
+    each K_k's values lowered by ``dip`` and signed, on [0.01, 50].  Dense
+    samples, seven points inside each piece and the sided values at every
+    breakpoint, on the certificates' 33 states: ``speed_bound`` and
+    ``state_bound`` are at least the sampled maxima of |d_w B| and |B|, and
+    for one term within 4 ulps of the exact maxima, K's exact range times
+    the largest |f'| and |f|.  An extreme inside a piece is read where the
+    root search puts it, up to _ROOT_TOL off, so there the bounds may fall
+    short by K'' times _ROOT_TOL^2 (23 ulps on a piece 2e-8 wide).  A
+    certified direction orders every sampled state column; with one term,
+    a refusal means K takes both signs."""
+    terms = [
+        (mask, [tuple(sign * (v - dip) for v in vs) for vs in values])
+        for (mask, values), sign in zip(terms, signs)
+    ]
+    model = _random_model(widths, terms)
+    ranges = [_exact_range(K) for K, _ in model.terms]
+    assume(min(abs(v) for r in ranges for v in r) > 1e-9)
+    bks = np.array([model.domain.a, *model.breakpoints(), model.domain.b])
+    inner = (bks[:-1, None] + (bks[1:] - bks[:-1])[:, None] * np.arange(1, 8) / 8.0).ravel()
+    W = np.linspace(0.01, 50.0, 33)[None, :]
+    B = dB = 0.0
+    for K, f in model.terms:
+        ks = np.concatenate((K.values(inner), K.at(bks[:-1], "right"), K.at(bks[1:], "left")))
+        B, dB = B + ks[:, None] * f(W), dB + ks[:, None] * f.grad(W)[0]
+    try:
+        flux = ScalarFlux(model, 0.01, 50.0)
+    except DomainError:
+        flux = None
+        assert len(ranges) > 1 or ranges[0][0] < 0.0 < ranges[0][1]
+    else:
+        assert np.all(flux.direction * np.diff(B, axis=1) > 0)
+        assert flux.speed_bound() >= np.abs(dB).max()
+        assert flux.state_bound() >= np.abs(B).max()
+    if flux is not None and len(ranges) == 1:
+        (lo, hi), (K, f) = ranges[0], model.terms[0]
+        scale = max(abs(lo), abs(hi))
+        slack = _ROOT_TOL**2 * max(abs(c[2]) for c in K.smooth_part.pieces)
+        for got, g in ((flux.speed_bound(), f.grad(W)), (flux.state_bound(), f(W) * (1.0 + 1e-9))):
+            want = scale * np.abs(g).max()
+            assert abs(got - want) <= 4 * np.spacing(want) + slack * np.abs(g).max()
 
 
 def test_cut_search_on_a_cantor_coefficient_scans_digits_once(monkeypatch):

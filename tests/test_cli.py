@@ -199,6 +199,16 @@ def read_report(out_dir):
             "[u] initial: initial data leaves the working range ([claw] range",
         ),
         (
+            "flux-range-not-certified",
+            TINY_CLAW.replace("poly 1 + jump 0.5 1", "poly 1 -0.5 + cantor 0.2 0.8 0.3"),
+            "[flux]: cannot certify monotonicity",
+        ),
+        (
+            "solution-leaves-range",
+            TINY_CLAW.replace("range = 0.1 2.5", "range = 0.8 2.5"),
+            "[claw] range: the solution leaves the working range at t=",
+        ),
+        (
             "flux-not-monotone-on-range",
             TINY_CLAW.replace("term1.f = poly 0 1", "term1.f = poly 0 0 1").replace(
                 "range = 0.1 2.5", "range = -1 1"
