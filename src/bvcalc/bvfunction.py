@@ -268,11 +268,10 @@ class BVVector:
         pairs = [u.values_with_slope(np.atleast_1d(xs)) for u in self.components]
         return np.stack([v for v, _ in pairs]), np.stack([d for _, d in pairs])
 
-    def left(self, x):
-        return np.array([u.eval(x, "left") for u in self.components])
-
-    def right(self, x):
-        return np.array([u.eval(x, "right") for u in self.components])
+    def at(self, xs, side="precise"):
+        """Exact sided values (``BVFunction.at``), (dim, len(xs))."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        return np.stack([u.at(xs, side) for u in self.components])
 
 
 @dataclass(frozen=True)
@@ -446,9 +445,9 @@ def coarea_default_tgrid(u, x_cuts=()):
 def _coarea_tgrid(u, pieces, x_cuts):
     """:func:`coarea_default_tgrid` from u's ``_monotone_pieces``."""
     vals = {v for p in pieces for v in p[2:4]}  # with every jump's sided values
-    for x in x_cuts:
-        if u.domain.a < x < u.domain.b:
-            vals.update((u.eval(x, "left"), u.eval(x, "right")))
+    xs = np.array([x for x in x_cuts if u.domain.a < x < u.domain.b], dtype=float)
+    for side in ("left", "right"):
+        vals.update(u.at(xs, side).tolist())
     return tuple(sorted(vals))
 
 

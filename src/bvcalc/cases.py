@@ -17,6 +17,14 @@ from .pwconst import ExceptionalSet, PiecewiseConstant
 DEFAULT_SEED = 20240822
 
 
+def _power(w, p):
+    """w^p, p >= 1, multiplied left to right: unlike ``**``, shape-blind bits."""
+    out = w
+    for _ in range(p - 1):
+        out = out * w
+    return out
+
+
 def monomial(powers, coeff=1.0, label=""):
     """State monomial coeff * prod_i w_i^powers[i] with analytic gradient."""
     powers = tuple(int(p) for p in powers)
@@ -24,10 +32,10 @@ def monomial(powers, coeff=1.0, label=""):
 
     def value(w):
         w = np.asarray(w, dtype=float)
-        out = coeff * (np.ones(w.shape[1:]) if w.ndim > 1 else 1.0)
+        out = np.full(w.shape[1:], coeff)
         for i, p in enumerate(powers):
             if p:
-                out = out * w[i] ** p
+                out = out * _power(w[i], p)
         return out
 
     def grad(w):
@@ -36,11 +44,11 @@ def monomial(powers, coeff=1.0, label=""):
         for i, p in enumerate(powers):
             if p == 0:
                 continue
-            term = coeff * p * (np.ones(w.shape[1:]) if w.ndim > 1 else 1.0)
+            term = np.full(w.shape[1:], coeff * p)
             for j, pj in enumerate(powers):
                 pw = pj - (1 if j == i else 0)
                 if pw:
-                    term = term * w[j] ** pw
+                    term = term * _power(w[j], pw)
             g[i] = term
         return g
 

@@ -12,21 +12,20 @@ one BV coefficient.
 Both implement one flux protocol: ``domain``, ``breakpoints()``,
 ``cantor_supports()`` and ``exceptional_set()``; the grid evaluators
 ``value_on_grid(xs, W, side)`` and ``diffuse_on_grid(xs, W)`` (B with its
-a.e. x-gradient and its state gradient, at once); the sided pointwise
-``eval(x, w, side)`` for the jump brackets; and ``singular_densities()``,
-the density of the singular x-derivative against each Cantor base of the
-coefficients.  Every integral against a Cantor base goes through
-``CantorBase.integrate``.
+a.e. x-gradient and its state gradient, at once), which also serve the
+point terms, one call per side; and ``singular_densities()``, the density
+of the singular x-derivative against each Cantor base of the coefficients.
+Every integral against a Cantor base goes through ``CantorBase.integrate``.
 
 One private assembler computes the lhs and the five terms of the identity
 for any flux of the protocol, by quadrature aware of all breakpoints and
 Cantor supports; the lhs and the two diffuse gradient terms of every test
 function of a case are one stacked integrand, its two singular terms one
-per Cantor base, and each jump bracket is taken once.  ``chainrule_terms``
-and the weighted form are calls to it, and the starred rewriting reuses a
-finished report and recomputes only its two jump sums.  The
-piecewise-constant direct assembly and the level-set comparison identity
-are independent checks with their own point sums; their per-cell parts,
+per Cantor base, and its jump brackets one flux call per side.
+``chainrule_terms`` and the weighted form are calls to it, and the starred
+rewriting reuses a finished report and recomputes only its two jump sums.
+The piecewise-constant direct assembly and the level-set comparison
+identity are independent checks with their own point sums; their per-cell parts,
 like those of the entropy-flux slices in ``claw``, are calls of
 ``_window_pairing``.
 
@@ -51,10 +50,6 @@ from .quadrature import _merge_supports, integrate_interval
 _GRID_LIP_MARGIN = 1.05
 
 
-def _phi_at(phi, x):
-    return float(np.asarray(phi(np.array([float(x)])))[0])
-
-
 def _box_grid(lo, hi, grid):
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -68,8 +63,10 @@ class SmoothFunction:
     """C^1 function of the state vector with closed-form gradient.
 
     ``value`` maps an array of shape (d,) or (d, N) to a scalar / (N,);
-    ``grad`` maps the same inputs to (d,) / (d, N).  Lipschitz bounds over
-    a box come from a dense-grid gradient bound with a safety margin."""
+    ``grad`` maps the same inputs to (d,) / (d, N).  Contract: at a (d,)
+    state both give bit for bit its column's values in a (d, N) call
+    (elementwise float operations keep this; numpy's ``**`` does not).
+    Lipschitz bounds over a box come from a dense-grid gradient bound."""
 
     value: object
     grad: object
@@ -92,17 +89,16 @@ class SmoothFunction:
 
     def check_gradient(self, probes, step=1e-6, rtol=1e-5):
         """Finite-difference consistency of the gradient handle at the probe
-        points; returns (ok, worst relative error)."""
+        points, by array calls; returns (ok, worst relative error)."""
+        W = np.asarray(probes, dtype=float).T
+        g = self.gradient(W)
         worst = 0.0
-        for w in probes:
-            w = np.asarray(w, dtype=float)
-            g = self.gradient(w)
-            for i in range(len(w)):
-                e = np.zeros_like(w)
-                e[i] = step
-                fd = (float(self.value(w + e)) - float(self.value(w - e))) / (2 * step)
-                scale = max(1.0, abs(fd), abs(float(g[i])))
-                worst = max(worst, abs(fd - float(g[i])) / scale)
+        for i in range(W.shape[0]):
+            e = np.zeros((W.shape[0], 1))
+            e[i] = step
+            fd = (np.asarray(self.value(W + e)) - np.asarray(self.value(W - e))) / (2 * step)
+            scale = np.maximum(np.maximum(1.0, np.abs(fd)), np.abs(g[i]))
+            worst = max(worst, float((np.abs(fd - g[i]) / scale).max()))
         return worst <= rtol, worst
 
     # -- common factories ---------------------------------------------------
@@ -213,11 +209,10 @@ class FluxModel:
         return val, gx, gw
 
     def eval(self, x, w, side="precise"):
-        """Pointwise flux value, one-sided in x, at a fixed state w."""
-        # w keeps its shape (dim,): a state function need not give the same
-        # bits on a (dim, 1) column (numpy's scalar and array powers differ)
-        w = np.asarray(w, dtype=float)
-        return float(self.value_on_grid(np.array([float(x)]), w, side)[0])
+        """B at one point, one-sided in x, and one state w: a one-column
+        ``value_on_grid`` call."""
+        W = np.asarray(w, dtype=float)[:, None]
+        return float(self.value_on_grid(np.array([float(x)]), W, side)[0])
 
     def section(self, w):
         """B(., w) = sum_k f_k(w) K_k at a frozen state w, as a BVFunction: a
@@ -279,10 +274,6 @@ class CompositeFlux:
     def value_on_grid(self, xs, W, side=None):
         return np.asarray(self.f2(self._stacked(np.asarray(xs, dtype=float), W, side)))
 
-    def eval(self, x, w, side="precise"):
-        W = np.asarray(w, dtype=float)[:, None]
-        return float(self.value_on_grid(np.array([float(x)]), W, side)[0])
-
     def diffuse_on_grid(self, xs, W):
         k, slope = self.K.values_with_slope(np.asarray(xs, dtype=float))
         Y = np.vstack([k[None, :], W])
@@ -332,6 +323,13 @@ class ChainRuleReport:
         return float(sum(self.terms))
 
 
+def _sum_in_order(values, total=0.0):
+    """total + values[0] + values[1] + ..., one addition at a time."""
+    for v in values.tolist():
+        total += v
+    return total
+
+
 def _as_vector(u):
     return BVVector((u,)) if isinstance(u, BVFunction) else u
 
@@ -354,11 +352,6 @@ def _layout(phi, *parts):
     return (*_window(parts[0], phi), tuple(sorted(bps)), tuple(sorted(sups)))
 
 
-def _jump_bracket(B, u, x):
-    """B(x+, u(x+)) - B(x-, u(x-))."""
-    return B.eval(x, u.right(x), "right") - B.eval(x, u.left(x), "left")
-
-
 def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     """Per test function of ``phis``, the lhs and the five positive-form
     terms, for any flux of the protocol.
@@ -366,7 +359,8 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     Each phi keeps its own layout, cuts and points, and u and the flux are
     evaluated once per node for all of them: the diffuse terms are
     components of one stacked integrand, the singular terms of one per
-    Cantor base, and each jump bracket is taken once.  With a BV weight
+    Cantor base, and the jump brackets of every jump point inside some
+    window are one array call of the flux per side.  With a BV weight
     ``g`` the diffuse and singular terms see phi times ``g_diffuse`` (a
     vectorized representative of g), the jump sum sees phi g*, the layout
     gains g's breakpoints and supports, and the lhs is not computed
@@ -393,10 +387,6 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
             else:
                 wx[inside] = phi(xs[inside]) if g is None else phi(xs[inside]) * gd[inside]
             yield inside, wx, slope
-
-    def atom(phi, x):
-        a = _phi_at(phi, x)
-        return a if g is None else a * g.eval(x, "precise")
 
     def diffuse(xs):
         """The t1, t3 (and lhs) integrands of every phi, stacked: u, u' and
@@ -449,10 +439,15 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
     windows = list(zip(lo, hi))
     pairings = {b: b.integrate(singular(rows), tol, bps, windows) for b, rows in factors.items()}
 
-    jumps = sorted(set(B.exceptional_set()) | set(u.jump_set()))
-    brackets = {
-        x: _jump_bracket(B, u, x) for x in jumps if any(a < x < b for a, b in zip(lo, hi))
-    }
+    # the brackets B(x+, u(x+)) - B(x-, u(x-)) at the jump points inside
+    # some window, and per phi the points inside its own
+    jumps = np.array(sorted(set(B.exceptional_set()) | set(u.jump_set())), dtype=float)
+    inside = (np.array(lo)[:, None] < jumps) & (jumps < np.array(hi)[:, None])
+    hit = inside.any(axis=0)
+    xj, inside = jumps[hit], inside[:, hit]
+    brackets = (B.value_on_grid(xj, u.at(xj, "right"), "right")
+                - B.value_on_grid(xj, u.at(xj, "left"), "left"))
+    gj = 1.0 if g is None else g.at(xj, "precise")
 
     reports = []
     for j, phi in enumerate(phis):
@@ -466,10 +461,7 @@ def _assemble(B, u, phis, tol, g_diffuse=None, g=None):
         for base, q in t4_at:
             t4 += pairings[base][len(factors[base]) * j + q]
 
-        t5 = 0.0
-        for x in jumps:
-            if lo[j] < x < hi[j]:
-                t5 += atom(phi, x) * brackets[x]
+        t5 = _sum_in_order(((phi(xj) * gj) * brackets)[inside[j]])
 
         reports.append(ChainRuleReport(
             lhs[0] if lhs else None,
@@ -494,29 +486,21 @@ def chainrule_star_form(B, u, phi, report):
     report: its diffuse terms unchanged, the jump sum split into an
     exceptional-set sum of state-averaged sided differences and a
     state-jump sum of precise-representative flux differences.  A point in
-    both sets contributes to both sums."""
+    both sets contributes to both sums.  The flux takes both states at
+    every point of both sets in one array call per side."""
     u = _as_vector(u)
     t1, t2, t3, t4, _ = report.terms
     lo, hi = _window(B, phi)
-
-    s_exc = 0.0
-    for x in B.exceptional_set():
-        if not lo < x < hi:
-            continue
-        up, um = u.right(x), u.left(x)
-        plus = 0.5 * (B.eval(x, up, "right") + B.eval(x, um, "right"))
-        minus = 0.5 * (B.eval(x, up, "left") + B.eval(x, um, "left"))
-        s_exc += _phi_at(phi, x) * (plus - minus)
-
-    s_jump = 0.0
-    for x in u.jump_set():
-        if not lo < x < hi:
-            continue
-        up, um = u.right(x), u.left(x)
-        star_p = 0.5 * (B.eval(x, up, "right") + B.eval(x, up, "left"))
-        star_m = 0.5 * (B.eval(x, um, "right") + B.eval(x, um, "left"))
-        s_jump += _phi_at(phi, x) * (star_p - star_m)
-
+    exc, jmp = (np.array([x for x in pts if lo < x < hi], dtype=float)
+                for pts in (B.exceptional_set(), u.jump_set()))
+    xs = np.concatenate((exc, jmp))
+    # per side, B at (xs, u(xs+)) then at (xs, u(xs-))
+    W = np.concatenate((u.at(xs, "right"), u.at(xs, "left")), axis=1)
+    (rp, rm), (lp, lm) = (np.split(B.value_on_grid(np.tile(xs, 2), W, side), 2)
+                          for side in ("right", "left"))
+    n, at = exc.size, phi(xs)
+    s_exc = _sum_in_order(at[:n] * (0.5 * (rp[:n] + rm[:n]) - 0.5 * (lp[:n] + lm[:n])))
+    s_jump = _sum_in_order(at[n:] * (0.5 * (rp[n:] + lp[n:]) - 0.5 * (rm[n:] + lm[n:])))
     return float(t1 + t2 + t3 + t4 + s_exc + s_jump)
 
 
@@ -581,23 +565,21 @@ def pwc_direct_assembly(B, u, phi, tol=1e-8):
             tuple((base, lambda xs, dens=dens: dens(xs, frozen(xs))) for base, dens in densities),
             tol, bps, sups,
         )
-    for i in range(1, len(pts) - 1):
-        x = pts[i]
-        if not lo < x < hi:
-            continue
-        vl, vr = vals[i - 1], vals[i]
-        plus = 0.5 * (B.eval(x, vr, "right") + B.eval(x, vl, "right"))
-        minus = 0.5 * (B.eval(x, vr, "left") + B.eval(x, vl, "left"))
-        total += _phi_at(phi, x) * (plus - minus)
+    # B at the interfaces, with the right then the left cell's state, and at
+    # the exceptional points inside cells, with their cell's: one call a side
+    inner = np.array([i for i in range(1, len(pts) - 1) if lo < pts[i] < hi], dtype=int)
     interfaces = set(pts[1:-1])
-    for x in B.exceptional_set():
-        if x in interfaces or not lo < x < hi:
-            continue
-        i = min(max(int(np.searchsorted(pts, x, side="right")) - 1, 0), len(vals) - 1)
-        total += _phi_at(phi, x) * (
-            B.eval(x, vals[i], "right") - B.eval(x, vals[i], "left")
-        )
-    return float(total)
+    exc = np.array([x for x in B.exceptional_set() if x not in interfaces and lo < x < hi])
+    own = np.clip(np.searchsorted(pts, exc, side="right") - 1, 0, len(vals) - 1)
+    xi, n = np.array(pts)[inner], inner.size
+    xs, cells = np.concatenate((xi, xi, exc)), np.concatenate((inner, inner - 1, own))
+    W = np.stack(vals, axis=1)[:, cells]
+    right, left = (B.value_on_grid(xs, W, side) for side in ("right", "left"))
+    diffs = np.concatenate((
+        0.5 * (right[:n] + right[n:2 * n]) - 0.5 * (left[:n] + left[n:2 * n]),
+        right[2 * n:] - left[2 * n:],
+    ))
+    return float(_sum_in_order(phi(xs[n:]) * diffs, total))
 
 
 def levelset_comparison_pwc(B, u, phi, tol=1e-9):
@@ -617,9 +599,12 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
     if zero.cantor_part or max(map(abs, _value_range(zero))) > 1e-11:
         raise DomainError("comparison identity needs the flux to vanish at state zero")
     lo, hi = _window(B, phi)
+    # per term, phi at the atoms of DK, one call each
+    atom_phis = [phi(np.array([x for x, _ in K.derivative().atoms], dtype=float)).tolist()
+                 for K, _ in B.terms]
 
-    def indicator_pairing(region_cells, K):
-        """integral of chi* phi dDK over the closed union of the listed
+    def indicator_pairing(region_cells, k):
+        """integral of chi* phi dDK_k over the closed union of the listed
         cells; atoms at the union's boundary weigh 1/2."""
         if not region_cells:
             return 0.0
@@ -632,6 +617,7 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                 segs.append((pts[start], pts[prev + 1]))
                 start = prev = i
         segs.append((pts[start], pts[prev + 1]))
+        K = B.terms[k][0]
         dK = K.derivative()
         density = None if dK.ac.is_zero() else dK.ac
         singular = tuple(
@@ -643,7 +629,7 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                 phi, max(s0, lo), min(s1, hi), density, singular, tol,
                 K.breakpoints(), K.cantor_supports(),
             )
-            for x, w in dK.atoms:
+            for (x, w), p in zip(dK.atoms, atom_phis[k]):
                 if s0 < x < s1:
                     wt = 1.0
                 elif x == s0 or x == s1:
@@ -651,12 +637,15 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
                 else:
                     continue
                 if lo < x < hi:
-                    total += wt * _phi_at(phi, x) * w
+                    total += wt * p * w
         return total
 
+    # per term, f at every critical level and at every cell state, one call each
     crit = sorted(set([0.0] + vals))
+    f_crit = [np.diff(np.asarray(f(np.array([crit])))).tolist() for _, f in B.terms]
+    f_vals = [np.asarray(f(np.array([vals]))).tolist() for _, f in B.terms]
     left = 0.0
-    for t0, t1 in zip(crit[:-1], crit[1:]):
+    for c, (t0, t1) in enumerate(zip(crit[:-1], crit[1:])):
         tm = 0.5 * (t0 + t1)
         sgn = 1.0 if tm > 0 else -1.0
         region = [
@@ -664,15 +653,12 @@ def levelset_comparison_pwc(B, u, phi, tol=1e-9):
         ]
         if not region:
             continue
-        for K, f in B.terms:
-            fv = np.asarray(f(np.array([[t0, t1]], dtype=float)))
-            df = float(fv[1] - fv[0])
-            left += sgn * df * indicator_pairing(region, K)
+        for k, df in enumerate(f_crit):
+            left += sgn * df[c] * indicator_pairing(region, k)
 
     right = 0.0
-    for i, v in enumerate(vals):
-        for K, f in B.terms:
-            fv = float(np.asarray(f(np.array([[v]], dtype=float))).reshape(()))
-            if fv != 0.0:
-                right += fv * indicator_pairing([i], K)
+    for i in range(len(vals)):
+        for k, fv in enumerate(f_vals):
+            if fv[i] != 0.0:
+                right += fv[i] * indicator_pairing([i], k)
     return float(left), float(right)

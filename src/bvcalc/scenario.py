@@ -422,22 +422,21 @@ def _approx_row(u, n, exc, tol, stairs):
     lo, hi = u.components[0].domain.a, u.components[0].domain.b
     xs = np.linspace(lo, hi, 1501)[1:-1]
     err2 = np.zeros(xs.shape)
+    pinned = np.asarray(exc.points[: exc.prefix_len], dtype=float)
     tv_excess = 0.0
     jump_err = 0.0
+    marked_err = 0.0
     for comp, ap in zip(u.components, approx):
         star = comp.at(xs, "precise")
         err2 += (ap.eval_array(xs) - star) ** 2
         tv_excess = max(tv_excess, ap.total_variation() - comp.total_variation())
-        for x, l, r in comp.jumps():
-            if abs(r - l) > 3.0 / n:
-                jump_err = max(
-                    jump_err, abs(ap.left_limit(x) - l), abs(ap.right_limit(x) - r)
-                )
+        big = np.array([j for j in comp.jumps() if abs(j[2] - j[1]) > 3.0 / n]).reshape(-1, 3).T
+        steps = ap.to_bv()
+        for side, limits in (("left", big[1]), ("right", big[2])):
+            jump_err = max(jump_err, float(np.abs(steps.at(big[0], side) - limits).max(initial=0.0)))
+        gap = np.abs(ap.eval_array(pinned) - comp.at(pinned, "precise"))
+        marked_err = max(marked_err, float(gap.max(initial=0.0)))
     sup_err = float(np.sqrt(err2).max())
-    marked_err = 0.0
-    for p in exc.points[: exc.prefix_len]:
-        for comp, ap in zip(u.components, approx):
-            marked_err = max(marked_err, abs(ap(p) - comp.eval(p, "precise")))
     clearance_bad = 0.0
     marked = np.asarray(exc.points, dtype=float)
     for ap in approx:

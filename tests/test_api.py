@@ -119,21 +119,23 @@ def test_per_cell_pairings_share_one_window_pairing():
 
 
 def test_one_chain_rule_surface():
-    """Both flux classes expose the one flux protocol and no gradient twin
-    of ``diffuse_on_grid``; no wrapper around the term assembler is left,
-    and in ``chainrule.py`` only the assembler and the window pairing call
-    ``integrate_interval``, so the lhs has one quadrature path."""
+    """Both flux classes expose the one flux protocol, with no pointwise
+    ``eval`` in it and no gradient twin of ``diffuse_on_grid``; no wrapper
+    around the term assembler is left, and in ``chainrule.py`` only the
+    assembler and the window pairing call ``integrate_interval``, so the
+    lhs has one quadrature path."""
     protocol = {
         "domain", "breakpoints", "cantor_supports", "exceptional_set",
-        "value_on_grid", "diffuse_on_grid", "eval", "singular_densities",
+        "value_on_grid", "diffuse_on_grid", "singular_densities",
     }
     for cls in (bvcalc.FluxModel, bvcalc.CompositeFlux):
         assert protocol <= set(dir(cls)), cls.__name__
+    assert "eval" not in dir(bvcalc.CompositeFlux)
     src = Path(bvcalc.__file__).parent
     sources = {p.name: p.read_text() for p in src.glob("*.py")}
     gone = (
         "grad_x_on_grid", "grad_w_on_grid", "chainrule_lhs", "_lhs_integrand",
-        "verify_chainrule", "product_flux_terms", "composite_flux_",
+        "verify_chainrule", "product_flux_terms", "composite_flux_", "_jump_bracket", "_phi_at",
     )
     for name in gone:
         assert not [f for f, text in sources.items() if name in text], name
@@ -154,7 +156,7 @@ def test_no_unreached_operators_or_knobs():
     reached are gone: the array path is the one way in."""
     gone = {
         bvcalc.BVFunction: {"__call__", "scale", "__sub__", "__neg__", "__radd__"},
-        bvcalc.BVVector: {"dim", "total_variation"},
+        bvcalc.BVVector: {"dim", "total_variation", "left", "right"},
         bvcalc.PiecewisePolynomial: {"right_limit", "left_limit", "__sub__"},
         bvcalc.RadonMeasure: {"__neg__", "__sub__"},
     }

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bvcalc import (
@@ -25,7 +27,7 @@ from bvcalc import (
     weighted_chainrule,
 )
 from bvcalc import quadrature
-from bvcalc.cases import chainrule_suite, comparison_suite, monomial
+from bvcalc.cases import chainrule_suite, comparison_suite, monomial, monomial_sum
 from bvcalc.scenario import parse_scenario
 
 import oracle
@@ -376,11 +378,11 @@ def test_joint_cases_meet_the_tolerance(case):
 def test_singular_and_jump_costs_do_not_grow_with_the_test_functions(monkeypatch):
     """A five-phi call makes as many integrand calls on the mu_C rules as
     the one-phi call that makes the most: each refinement pass evaluates
-    the union of the phis' live Cantor cells once.  It takes each jump
-    bracket once: two sided flux values per distinct jump point inside
-    some window."""
-    calls = {"mu": 0, "eval": 0}
-    evaluate, flux_eval = quadrature._evaluate, FluxModel.eval
+    the union of the phis' live Cantor cells once.  It takes the jump
+    brackets of every distinct jump point inside some window in one array
+    call of the flux per side, whatever the number of phis."""
+    calls = {"mu": 0, "grid": 0}
+    evaluate, on_grid = quadrature._evaluate, FluxModel.value_on_grid
 
     def counted_evaluate(f, parts):
         if any(nodes is quadrature._MU or nodes is quadrature._CENTRE for _, _, nodes, _ in parts):
@@ -391,49 +393,49 @@ def test_singular_and_jump_costs_do_not_grow_with_the_test_functions(monkeypatch
             return evaluate(counted, parts)
         return evaluate(f, parts)
 
-    def counted_eval(self, *args, **kwargs):
-        calls["eval"] += 1
-        return flux_eval(self, *args, **kwargs)
+    def counted_on_grid(self, *args, **kwargs):
+        calls["grid"] += 1
+        return on_grid(self, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_evaluate", counted_evaluate)
-    monkeypatch.setattr(FluxModel, "eval", counted_eval)
+    monkeypatch.setattr(FluxModel, "value_on_grid", counted_on_grid)
     K, u, phis = singular_jump_case()
     B = FluxModel(((K, SmoothFunction.poly1d((0.0, 1.0, 0.5), "w + w^2/2")),))
 
     def counts(arg):
-        calls.update(mu=0, eval=0)
+        calls.update(mu=0, grid=0)
         chainrule_terms(B, u, arg, tol=1e-9)
         return dict(calls)
 
     each = [counts(p) for p in phis]
     five = counts(phis)
     assert five["mu"] == max(c["mu"] for c in each) > 1
-    # jump points 0.5 and 0.85: one call takes 2 brackets of 2 sided values,
-    # one call per phi 2 + 2 + 1 + 1 + 0 brackets
-    assert five["eval"] == 4
-    assert sum(c["eval"] for c in each) == 12
+    # jump points 0.5 and 0.85, in 2 + 2 + 1 + 1 + 0 of the windows: 2 calls
+    # for the five phis, and 2 for each phi alone
+    assert five["grid"] == 2
+    assert [c["grid"] for c in each] == [2] * len(phis)
 
 
 def test_one_cell_layout_per_case_and_sided_jump_brackets(monkeypatch):
     """lhs, term 1 and term 3 share one mandatory decomposition, and the jump
-    sum is built from the sided pointwise flux values."""
-    calls = {"build_cells": 0, "eval": 0}
-    build_cells, flux_eval = quadrature.build_cells, FluxModel.eval
+    sum is built from one array call of the flux per side."""
+    calls = {"build_cells": 0, "grid": 0}
+    build_cells, on_grid = quadrature.build_cells, FluxModel.value_on_grid
 
     def counted_build_cells(*args, **kwargs):
         calls["build_cells"] += 1
         return build_cells(*args, **kwargs)
 
-    def counted_eval(self, *args, **kwargs):
-        calls["eval"] += 1
-        return flux_eval(self, *args, **kwargs)
+    def counted_on_grid(self, *args, **kwargs):
+        calls["grid"] += 1
+        return on_grid(self, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "build_cells", counted_build_cells)
-    monkeypatch.setattr(FluxModel, "eval", counted_eval)
+    monkeypatch.setattr(FluxModel, "value_on_grid", counted_on_grid)
     _, B, u, phi = next(c for c in golden_cases() if c[0] == "phi-at-edge")
     chainrule_terms(B, u, phi)
     assert calls["build_cells"] == 1
-    assert calls["eval"] >= 1
+    assert calls["grid"] == 2
 
 
 def test_cantor_case_lebesgue_point_count(monkeypatch):
@@ -779,16 +781,54 @@ def test_factored_flux_machinery_rejects_a_composite_flux():
 # -- pointwise handles -------------------------------------------------------
 
 
-def test_pointwise_flux_value_evaluates_the_state_as_given():
-    """FluxModel.eval feeds the state vector itself to each f_k: numpy
-    rounds w**3 differently for a float and for a length-1 array, and the
-    sided chain-rule brackets must keep the float rounding."""
-    w = np.array([0.1, 1.3241490693671225])
-    assert w[1] ** 3 != (w[1:, None] ** 3)[0, 0]
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+_COEF = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 3),
+    terms=st.lists(st.tuples(st.lists(st.integers(0, 4), min_size=4, max_size=4), _COEF),
+                   min_size=1, max_size=3),
+    poly=st.lists(_COEF, min_size=1, max_size=6),
+    states=st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=4, max_size=4),
+                    min_size=1, max_size=5),
+    side=st.sampled_from(("left", "right", "precise")),
+)
+# numpy's w**3 rounds this state differently for a float and an array
+@example(d=2, terms=[([0, 3, 0, 0], 1.0)], poly=[0.0, 0.0, 0.0, 1.0],
+         states=[[0.1, 1.3241490693671225, 0.0, 0.0]], side="left")
+def test_a_point_gets_the_bits_of_its_column(d, terms, poly, states, side):
+    """The SmoothFunction contract: the value and the gradient at a (d,)
+    state are bit for bit its column's in a (d, n) call, for ``monomial``,
+    ``monomial_sum``, ``poly1d`` and a CompositeFlux's f2; so
+    ``FluxModel.eval`` is one column of ``value_on_grid``, and so are the
+    point terms that take their flux values from one array call."""
+    W = np.array(states).T  # (4, n)
+    f2 = monomial(terms[0][0][:d + 1], terms[0][1])
+    for f, dim in (
+        (monomial(terms[0][0][:d], terms[0][1]), d),
+        (monomial_sum([(p[:d], c) for p, c in terms]), d),
+        (SmoothFunction.poly1d(poly), d),
+        (f2, d + 1),
+    ):
+        vals, grads = f(W[:dim]), f.gradient(W[:dim])
+        for j in range(W.shape[1]):
+            assert _bits(f(W[:dim, j])) == _bits(vals[j]), f.label
+            assert _bits(f.gradient(W[:dim, j])) == _bits(grads[:, j]), f.label
     K = BVFunction.constant(0.0, 1.0, 1.0) + BVFunction.heaviside(0.0, 1.0, 0.5, 0.0, 2.0)
-    B = FluxModel(((K, monomial((0, 3))),), dim=2)
-    for side, k in (("left", 1.0), ("right", 3.0), ("precise", 2.0)):
-        assert B.eval(0.5, w, side) == k * float(w[1] ** 3)
+    xs = np.linspace(0.0, 1.0, W.shape[1] + 2)[1:-1]
+    xs[0] = 0.5  # on the jump
+    for B in (FluxModel(((K, monomial_sum([(p[:d], c) for p, c in terms])),), dim=d),
+              CompositeFlux(f2, K)):
+        grid = B.value_on_grid(xs, W[:d], side)
+        for j, x in enumerate(xs.tolist()):
+            assert _bits(B.value_on_grid(xs[j:j + 1], W[:d, j:j + 1], side)) == _bits(grid[j:j + 1])
+        if isinstance(B, FluxModel):
+            assert [B.eval(x, W[:d, j], side) for j, x in enumerate(xs.tolist())] == grid.tolist()
 
 
 def test_pointwise_derivatives_and_exceptional_guard():

@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from bvcalc import cantor
+from bvcalc.bvfunction import BVFunction
+from bvcalc.chainrule import FluxModel
+from bvcalc.claw import ScalarFlux
 from bvcalc.cli import main
 from bvcalc.scenario import parse_scenario, run_scenario
 
@@ -27,7 +30,7 @@ DIGESTS = {
         "report.csv": "e71c52a172061bf305f71e5dc08f6a5274e24a495054a33555f895cb0c5f4536",
     },
     "chainrule_suite": {
-        "report.csv": "b7a4ac3fd87f0f18b9e02c8fa4d1a4886953f7e1e2e177fa6d0a72c230b37fbb",
+        "report.csv": "59072d4aa86fce8c63fb1fab7af6fb4d5c21e4ba6eb668281c532cf43167bbfd",
     },
     "claw_burgers": {
         "field.csv": "58673c9513fa65e39aa6f6ebb716eed25235e8fdf07442b24cd94bb8fb3499c0",
@@ -60,31 +63,38 @@ def test_demo_outputs_are_byte_identical(name, tmp_path, capsys):
     assert written == DIGESTS[name]
 
 
+def _spy_pointwise(monkeypatch):
+    """Count the calls of every one-point evaluator: the integrand fallback
+    of ``cantor._apply`` and the one-point flux and BV function handles."""
+    hits = []
+    for owner, name in (
+        (cantor, "_pointwise"), (FluxModel, "eval"), (ScalarFlux, "value"), (BVFunction, "eval"),
+    ):
+        def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            hits.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return hits
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_scenarios_make_no_pointwise_calls(name, tmp_path, monkeypatch):
     """Every integrand of the demos takes node arrays of any shape, so the
-    one-point-at-a-time fallback of ``cantor._apply`` is never reached."""
-    hits = []
-    fallback = cantor._pointwise
-
-    def spy(f, xs):
-        hits.append(xs.size)
-        return fallback(f, xs)
-
-    monkeypatch.setattr(cantor, "_pointwise", spy)
+    one-point-at-a-time fallback of ``cantor._apply`` is never reached, and
+    every point term evaluates its flux, state and weight by array calls."""
+    hits = _spy_pointwise(monkeypatch)
     run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path))
     assert hits == []
 
 
 @pytest.mark.parametrize("seed", [1000, 1001, 1002])
 def test_generated_suites_make_no_pointwise_calls(seed, tmp_path, monkeypatch):
-    """Nor do the generated coarea, approximation and comparison suites at
-    other seeds: an integrand that raised TypeError on node arrays would
-    reach the one-point fallback and still pass, only slower."""
-    hits = []
-    fallback = cantor._pointwise
-    monkeypatch.setattr(cantor, "_pointwise", lambda f, xs: hits.append(xs.size) or fallback(f, xs))
-    for name in ("coarea_check", "approx_demo", "comparison_check"):
+    """Nor do the generated suites at other seeds: an integrand that raised
+    TypeError on node arrays would reach the one-point fallback and still
+    pass, only slower."""
+    hits = _spy_pointwise(monkeypatch)
+    for name in ("chainrule_suite", "coarea_check", "approx_demo", "comparison_check"):
         run_scenario(parse_scenario(SCENARIOS / f"{name}.ini"), str(tmp_path / name), seed=seed)
     assert hits == []
 
